@@ -47,5 +47,5 @@ print("\nleading variance shares:", np.round(share[:6], 3))
 k = choose_k_by_variance(model.explained_variance, 0.95)
 print(f"components for 95% variance: {k} of {train_z.shape[1]}")
 
-scores = pca_transform(pca_fit(train_z, k=k), train_z)
+scores = pca_transform(model.truncated(k), train_z)
 print("score matrix:", scores.shape)

@@ -13,7 +13,6 @@ import numpy as np
 
 from flowline_risk.cli import main
 from flowline_risk.evaluation import silhouette_sweep
-from flowline_risk.ml import fit_kmeans
 
 # Two clearly separated tight clusters: the sweep should pick k = 2.
 rng = np.random.default_rng(3)
@@ -22,10 +21,10 @@ th = rng.uniform(0, 2 * np.pi, 240)
 X = np.column_stack([r * np.cos(th), r * np.sin(th)])
 X[120:, 0] += 15.0
 
-best_k, scores = silhouette_sweep(X, range(2, 6), seed=3)
+best_k, scores, models = silhouette_sweep(X, range(2, 6), seed=3)
 print("silhouette by k:", {k: round(v, 3) for k, v in scores.items()})
 print("selected k     :", best_k)
-print("inertia        :", round(fit_kmeans(X, best_k, seed=3).inertia, 2))
+print("inertia        :", round(models[best_k].inertia, 2))
 
 # Full pipeline: synthesize, merge, attribute, featurize, train both lanes,
 # evaluate, cluster, report.

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcher import MergedFlowline
-from .ml.kmeans import fit_kmeans
+from .ml.kmeans import KMeansModel, fit_kmeans
 
 AVERAGING_MODES = ("positive-class", "macro", "weighted")
 
@@ -200,15 +200,15 @@ def silhouette(X, assignments) -> float:
     return float(np.mean(scores))
 
 
-def silhouette_sweep(X, k_range=range(2, 6), seed: int = 0) -> tuple[int, dict[int, float]]:
-    """Silhouette of a fresh k-means fit per k; best k wins, ties to smaller."""
+def silhouette_sweep(
+    X, k_range=range(2, 6), seed: int = 0
+) -> tuple[int, dict[int, float], dict[int, KMeansModel]]:
+    """Best k, silhouette per k and fitted k-means model per k; ties go to the smaller k."""
     X = np.asarray(X, dtype=float)
-    scores: dict[int, float] = {}
-    for k in k_range:
-        model = fit_kmeans(X, k, seed=seed)
-        scores[k] = silhouette(X, model.assignments)
+    models = {k: fit_kmeans(X, k, seed=seed) for k in k_range}
+    scores = {k: silhouette(X, model.assignments) for k, model in models.items()}
     best_k = max(sorted(scores), key=lambda k: (scores[k], -k))
-    return best_k, scores
+    return best_k, scores, models
 
 
 @dataclass(frozen=True)

@@ -305,13 +305,16 @@ def standardize(
         raise ValueError("empty training matrix")
     means = train.mean(axis=0)
     sds = train.std(axis=0)
-    flat = sds == 0.0
-    if np.any(flat):
-        log.warning("%d zero-variance columns left unscaled", int(np.sum(flat)))
-    safe = np.where(flat, 1.0, sds)
-    train_z = (train - means) / safe
-    test_z = None if test is None else (np.asarray(test, dtype=float) - means) / safe
-    return train_z, test_z, means, sds
+    flat = int(np.sum(sds == 0.0))
+    if flat:
+        log.warning("%d zero-variance columns left unscaled", flat)
+    test_z = None if test is None else apply_scaler(test, means, sds)
+    return apply_scaler(train, means, sds), test_z, means, sds
+
+
+def apply_scaler(X: np.ndarray, means: np.ndarray, sds: np.ndarray) -> np.ndarray:
+    """Z-score X with stored means and sds; zero-sd columns are only centered."""
+    return (np.asarray(X, dtype=float) - means) / np.where(sds == 0.0, 1.0, sds)
 
 
 def save_dataset(ds: Dataset, csv_path, meta_path, seed: int | None = None, extra: dict | None = None) -> None:

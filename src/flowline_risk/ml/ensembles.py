@@ -197,9 +197,9 @@ class AdaBoostClassifier(Classifier):
 class RandomForestClassifier(Classifier):
     """Bootstrap-bagged CARTs with per-split feature subsets, majority vote.
 
-    Every tree draws from its own spawned RNG stream, so a forest fitted
-    tree-by-tree in parallel is bit-identical to the sequential fit. Vote
-    ties resolve to class 0, the majority class in this domain.
+    Trees are fitted in order, each drawing from its own SeedSequence
+    spawn of the forest seed. Vote ties resolve to class 0, the majority
+    class in this domain.
     """
 
     kind = "RF"

@@ -128,16 +128,19 @@ class PCAModel:
     def n_components(self) -> int:
         return self.components.shape[1]
 
+    def truncated(self, k: int) -> "PCAModel":
+        """The model cut to its first k components."""
+        if not 1 <= k <= self.n_components:
+            raise BadK(f"k must be in [1, {self.n_components}], got {k}")
+        return PCAModel(self.means, self.components[:, :k].copy(), self.explained_variance[:k])
+
 
 def pca_fit(X: np.ndarray, k: int) -> PCAModel:
     """Top-k principal axes of X by eigendecomposition of its covariance."""
     X = np.asarray(X, dtype=float)
-    p = X.shape[1]
-    if not 1 <= k <= p:
-        raise BadK(f"k must be in [1, {p}], got {k}")
     values, vectors = sym_eigen(covariance(X))
-    variances = np.maximum(values[:k], 0.0)  # clip rounding negatives on PSD input
-    return PCAModel(X.mean(axis=0), vectors[:, :k].copy(), variances)
+    variances = np.maximum(values, 0.0)  # clip rounding negatives on PSD input
+    return PCAModel(X.mean(axis=0), vectors, variances).truncated(k)
 
 
 def pca_transform(model: PCAModel, X: np.ndarray) -> np.ndarray:

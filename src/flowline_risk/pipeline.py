@@ -12,7 +12,7 @@ import csv
 import datetime
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +23,7 @@ from .evaluation import REPORT_ORDER, metric_table, silhouette_sweep
 from .features import (
     Dataset,
     FeatureConfig,
+    apply_scaler,
     assemble,
     load_dataset,
     save_dataset,
@@ -39,6 +40,7 @@ from .ingest import (
 )
 from .matcher import (
     MergedFlowline,
+    SpillAttribution,
     assign_risk,
     match_flowlines,
     match_spills,
@@ -51,11 +53,10 @@ from .ml import (
     LinearSVM,
     LogisticRegressionGD,
     RandomForestClassifier,
-    fit_kmeans,
     load_model,
     save_model,
 )
-from .numerics import choose_k_by_variance, pca_fit, pca_transform
+from .numerics import PCAModel, choose_k_by_variance, pca_fit, pca_transform
 from .synth import SynthConfig, config_a, config_b, generate
 
 
@@ -160,46 +161,29 @@ def _geometry_from_coords(coords) -> MultiLine:
     ))
 
 
+# merged.json keys of the OperationalFlowline fields stored under another name
+_RENAMED_KEYS = {
+    "source_row_id": "row_id",
+    "diameter_inches": "diameter_in",
+    "length_feet": "length_ft",
+    "max_operating_pressure": "max_op_pressure",
+}
+
+
 def _operational_to_dict(op: OperationalFlowline) -> dict:
-    return {
-        "row_id": op.source_row_id,
-        "operator_number": op.operator_number,
-        "flowline_id": op.flowline_id,
-        "location_id": op.location_id,
-        "status": op.status,
-        "flowline_action": op.flowline_action,
-        "location_type": op.location_type,
-        "fluid_type": op.fluid_type,
-        "material": op.material,
-        "diameter_in": op.diameter_inches,
-        "length_ft": op.length_feet,
-        "max_op_pressure": op.max_operating_pressure,
-        "construction_date": op.construction_date.isoformat(),
-        "operator_name": op.operator_name,
-        "start": [op.start.latitude, op.start.longitude],
-        "end": [op.end.latitude, op.end.longitude],
-    }
+    d = {_RENAMED_KEYS.get(f.name, f.name): getattr(op, f.name) for f in fields(op)}
+    d["construction_date"] = op.construction_date.isoformat()
+    d["start"] = [op.start.latitude, op.start.longitude]
+    d["end"] = [op.end.latitude, op.end.longitude]
+    return d
 
 
 def _operational_from_dict(d: dict) -> OperationalFlowline:
-    return OperationalFlowline(
-        source_row_id=d["row_id"],
-        operator_number=d["operator_number"],
-        flowline_id=d["flowline_id"],
-        location_id=d["location_id"],
-        status=d["status"],
-        flowline_action=d["flowline_action"],
-        location_type=d["location_type"],
-        fluid_type=d["fluid_type"],
-        material=d["material"],
-        diameter_inches=float(d["diameter_in"]),
-        length_feet=float(d["length_ft"]),
-        max_operating_pressure=float(d["max_op_pressure"]),
-        construction_date=datetime.date.fromisoformat(d["construction_date"]),
-        operator_name=d["operator_name"],
-        start=GeoPoint(*d["start"]),
-        end=GeoPoint(*d["end"]),
-    )
+    values = {f.name: d[_RENAMED_KEYS.get(f.name, f.name)] for f in fields(OperationalFlowline)}
+    values["construction_date"] = datetime.date.fromisoformat(d["construction_date"])
+    values["start"] = GeoPoint(*d["start"])
+    values["end"] = GeoPoint(*d["end"])
+    return OperationalFlowline(**values)
 
 
 def merged_to_dict(m: MergedFlowline) -> dict:
@@ -331,7 +315,6 @@ def stage_attribute(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict
     spills = parse_spills(spills_path, params=params, reference_date=cfg.resolve_reference_date())
 
     attributions = match_spills(spills.records, merged, cfg.tolerance_ladder(), params)
-    labeled = assign_risk(merged, attributions)
 
     attr_path = paths.artifacts / "attributions.csv"
     with open(attr_path, "w", newline="", encoding="utf-8") as fh:
@@ -345,18 +328,26 @@ def stage_attribute(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict
                 f"{a.tolerance_used:g}",
             ])
 
-    labeled_path = paths.artifacts / "labeled.json"
-    _dump_json(labeled_path, {"records": [merged_to_dict(m) for m in labeled]})
-
     manifest.record("attributions", attr_path, "attribute")
-    manifest.record("labeled", labeled_path, "attribute")
     matched = sum(1 for a in attributions if a.matched)
     return {
         "spills_total": spills.accepted + spills.rejected,
         "spills_attributed": matched,
         "spills_unattributed": len(attributions) - matched,
-        "high_risk_lines": sum(m.risk for m in labeled),
+        "high_risk_lines": sum(m.risk for m in assign_risk(merged, attributions)),
     }
+
+
+def load_labeled(manifest: Manifest) -> list[MergedFlowline]:
+    """Merged flowlines with their risk label from the spill attributions."""
+    merged = [merged_from_dict(d) for d in _load_json(manifest.require("merged"))["records"]]
+    with open(manifest.require("attributions"), newline="", encoding="utf-8") as fh:
+        attributions = [
+            SpillAttribution(row["spill_id"], row["matched_flowline_id"] or None,
+                             float(row["distance"] or "nan"), float(row["tolerance_used"]))
+            for row in csv.DictReader(fh)
+        ]
+    return assign_risk(merged, attributions)
 
 
 def _feature_config(cfg: RunConfig) -> FeatureConfig:
@@ -369,9 +360,7 @@ def _feature_config(cfg: RunConfig) -> FeatureConfig:
 
 def stage_featurize(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
     cfg.validate()
-    labeled_doc = _load_json(manifest.require("labeled"))
-    labeled = [merged_from_dict(d) for d in labeled_doc["records"]]
-    ds = assemble(labeled, _feature_config(cfg))
+    ds = assemble(load_labeled(manifest), _feature_config(cfg))
 
     csv_path = paths.artifacts / "features.csv"
     meta_path = paths.artifacts / "features.meta.json"
@@ -391,7 +380,7 @@ def _load_features(manifest: Manifest) -> Dataset:
     return load_dataset(manifest.require("features"), manifest.require("features_meta"))
 
 
-def _build_models(cfg: RunConfig, p: int) -> dict:
+def _build_models(cfg: RunConfig) -> dict:
     mtry = cfg.rf_mtry if cfg.rf_mtry > 0 else None
     return {
         "LR": LogisticRegressionGD(cfg.lr_rate, cfg.lr_epochs, cfg.lr_l2),
@@ -403,35 +392,38 @@ def _build_models(cfg: RunConfig, p: int) -> dict:
     }
 
 
+def _pca_by_config(cfg: RunConfig, Z: np.ndarray, min_k: int = 1) -> tuple[PCAModel, np.ndarray]:
+    """PCA of Z cut to k components, and Z's full variance spectrum, from one
+    eigendecomposition; k is cfg.pca_k, else the variance rule, at least min_k."""
+    full = pca_fit(Z, k=Z.shape[1])
+    k = cfg.pca_k if cfg.pca_k > 0 else choose_k_by_variance(
+        full.explained_variance, cfg.pca_variance_threshold)
+    return full.truncated(max(k, min_k)), full.explained_variance
+
+
 def stage_train(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
     cfg.validate()
     ds = _load_features(manifest)
     split = stratified_split(ds, cfg.train_fraction, cfg.seed)
-    train_z, test_z, means, sds = standardize(split.train.X, split.test.X)
+    train_z, _, means, sds = standardize(split.train.X)
 
-    lanes: dict[str, dict] = {"raw": {"train": train_z, "test": test_z}}
+    lanes = {"raw": train_z}
     pca_info = None
     if cfg.pca:
-        full_fit = pca_fit(train_z, k=train_z.shape[1])
-        k = cfg.pca_k if cfg.pca_k > 0 else choose_k_by_variance(
-            full_fit.explained_variance, cfg.pca_variance_threshold)
-        model = pca_fit(train_z, k=k)
-        lanes["pca"] = {
-            "train": pca_transform(model, train_z),
-            "test": pca_transform(model, test_z),
-        }
+        model, spectrum = _pca_by_config(cfg, train_z)
+        lanes["pca"] = pca_transform(model, train_z)
         pca_info = {
-            "k": k,
+            "k": model.n_components,
             "means": model.means.tolist(),
             "components": model.components.tolist(),
             "explained_variance": model.explained_variance.tolist(),
-            "total_variance": float(np.sum(full_fit.explained_variance)),
+            "total_variance": float(np.sum(spectrum)),
         }
 
     trained = {}
-    for lane, mats in lanes.items():
-        for kind, model in _build_models(cfg, mats["train"].shape[1]).items():
-            model.fit(mats["train"], split.train.y)
+    for lane, X_train in lanes.items():
+        for kind, model in _build_models(cfg).items():
+            model.fit(X_train, split.train.y)
             path = paths.models / f"{kind}_{lane}.json"
             save_model(model, path, seed=cfg.seed, column_meta=ds.column_meta)
             manifest.record(f"model_{kind}_{lane}", path, "train")
@@ -463,19 +455,16 @@ def _test_matrices(ds: Dataset, training: dict) -> dict[str, tuple[np.ndarray, n
     """Rebuild per-lane standardized (and projected) test matrices."""
     by_id = {rid: i for i, rid in enumerate(ds.row_ids)}
     test_idx = np.array([by_id[rid] for rid in training["split"]["test_ids"]])
-    X_test = ds.X[test_idx]
-    y_test = ds.y[test_idx]
+    test = ds.subset(test_idx)
+    scaler = training["scaler"]
+    test_z = apply_scaler(test.X, np.asarray(scaler["means"]), np.asarray(scaler["sds"]))
 
-    means = np.asarray(training["scaler"]["means"])
-    sds = np.asarray(training["scaler"]["sds"])
-    safe = np.where(sds == 0.0, 1.0, sds)
-    test_z = (X_test - means) / safe
-
-    lanes = {"raw": (test_z, y_test)}
-    if training["pca"] is not None:
-        components = np.asarray(training["pca"]["components"])
-        pca_means = np.asarray(training["pca"]["means"])
-        lanes["pca"] = ((test_z - pca_means) @ components, y_test)
+    lanes = {"raw": (test_z, test.y)}
+    pca = training["pca"]
+    if pca is not None:
+        model = PCAModel(np.asarray(pca["means"]), np.asarray(pca["components"]),
+                         np.asarray(pca["explained_variance"]))
+        lanes["pca"] = (pca_transform(model, test_z), test.y)
     return lanes
 
 
@@ -509,21 +498,19 @@ def stage_cluster(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
     ds = _load_features(manifest)
     full_z, _, _, _ = standardize(ds.X)
 
-    model = pca_fit(full_z, k=full_z.shape[1])
-    k_scores = cfg.pca_k if cfg.pca_k > 0 else choose_k_by_variance(
-        model.explained_variance, cfg.pca_variance_threshold)
-    scores = pca_transform(pca_fit(full_z, k=max(k_scores, 2)), full_z)
+    model, _ = _pca_by_config(cfg, full_z, min_k=2)
+    scores = pca_transform(model, full_z)
 
     k_range = range(cfg.cluster_k_min, cfg.cluster_k_max + 1)
-    best_k, sweep = silhouette_sweep(scores, k_range, seed=cfg.seed)
-    km = fit_kmeans(scores, best_k, seed=cfg.seed)
+    best_k, sweep, fits = silhouette_sweep(scores, k_range, seed=cfg.seed)
+    km = fits[best_k]
 
     clustering_path = paths.artifacts / "clustering.json"
     _dump_json(clustering_path, {
         "k_range": [int(k) for k in k_range],
         "scores": {str(k): sweep[k] for k in sweep},
         "best_k": best_k,
-        "pca_k": int(max(k_scores, 2)),
+        "pca_k": model.n_components,
         "inertia": km.inertia,
         "inertia_history": km.inertia_history,
         "pc_scores": scores[:, :2].tolist(),

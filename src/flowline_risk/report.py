@@ -16,7 +16,7 @@ import jsonschema
 from . import figures
 from .config import RunConfig
 from .evaluation import eda_summaries
-from .pipeline import Manifest, RunPaths, _load_json, merged_from_dict, run_id_for
+from .pipeline import Manifest, RunPaths, _load_json, load_labeled, run_id_for
 
 VOLATILE_FIELDS = ("created_at", "timings")
 
@@ -177,7 +177,7 @@ def _write_eda_csv(path: Path, table: dict) -> None:
 
 def stage_report(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
     cfg.validate()
-    labeled = [merged_from_dict(d) for d in _load_json(manifest.require("labeled"))["records"]]
+    labeled = load_labeled(manifest)
     metrics = _load_json(manifest.require("metrics"))
     clustering = _load_json(manifest.require("clustering"))
     stage_stats, timings = _read_run_log(paths)

@@ -260,11 +260,11 @@ def test_criterion_07_metric_arithmetic(capsys):
 
 def test_criterion_08_clustering(capsys):
     X2, _ = two_blobs(seed=ACCEPT_SEED)
-    best2, scores2 = silhouette_sweep(X2, range(2, 6), seed=ACCEPT_SEED)
+    best2, scores2, _ = silhouette_sweep(X2, range(2, 6), seed=ACCEPT_SEED)
     two_ok = best2 == 2 and scores2[2] >= 0.9
 
     X3, _ = three_blobs(seed=ACCEPT_SEED)
-    best3, _ = silhouette_sweep(X3, range(2, 6), seed=ACCEPT_SEED)
+    best3, _, _ = silhouette_sweep(X3, range(2, 6), seed=ACCEPT_SEED)
     three_ok = best3 == 3
 
     ok = two_ok and three_ok

@@ -2,11 +2,18 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from flowline_risk import cli, numerics
 from flowline_risk.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
 from flowline_risk.config import ConfigError, load_config
+from flowline_risk.features import FeatureConfig, assemble, save_dataset
+from flowline_risk.ingest import parse_descriptive, parse_operational, parse_spills
+from flowline_risk.matcher import assign_risk, match_flowlines, match_spills
+from flowline_risk.ml import fit_kmeans
+from flowline_risk.pipeline import merged_from_dict, merged_to_dict
 
 
 def run_cli(*args):
@@ -32,6 +39,22 @@ def write_config(path: Path, **overrides) -> Path:
     base.update(overrides)
     path.write_text("\n".join(f"{k} = {v}" for k, v in base.items()) + "\n")
     return path
+
+
+def count_calls(monkeypatch, fn) -> mock.Mock:
+    """Wrap fn under every name the package binds it to; the mock counts calls."""
+    counter = mock.Mock(wraps=fn)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("flowline_risk"):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counter)
+    return counter
+
+
+def run_stages(cfg: Path, out: Path, *stages: str) -> None:
+    for stage in stages:
+        assert main([stage, "--config", str(cfg), "--out", str(out)]) == EXIT_OK
 
 
 class TestConfig:
@@ -122,6 +145,81 @@ class TestStageChaining:
         assert main(["run-all", "--config", str(cfg), "--out", str(out), "--pca", "off"]) == EXIT_OK
         report = json.loads((out / "report.json").read_text())
         assert len(report["metrics"]["rows"]) == 18
+
+
+class TestEachResultOnce:
+    def test_one_eigendecomposition_per_pca_stage(self, tmp_path, monkeypatch):
+        eigen = count_calls(monkeypatch, numerics.sym_eigen)
+        kmeans = count_calls(monkeypatch, fit_kmeans)
+        per_stage = {}
+
+        def counted(name, stage):
+            def run(*args):
+                before = eigen.call_count, kmeans.call_count
+                stats = stage(*args)
+                per_stage[name] = (eigen.call_count - before[0], kmeans.call_count - before[1])
+                return stats
+            return run
+
+        for name, stage in list(cli.STAGES.items()):
+            monkeypatch.setitem(cli.STAGES, name, counted(name, stage))
+        cfg = write_config(tmp_path / "run.cfg")
+        assert main(["run-all", "--config", str(cfg), "--out", str(tmp_path / "run"),
+                     "--pca", "on"]) == EXIT_OK
+
+        # (sym_eigen calls, fit_kmeans calls); the sweep covers k = 2..5
+        assert per_stage["train"] == (1, 0)
+        assert per_stage["cluster"] == (1, 4)
+        assert eigen.call_count == 2 and kmeans.call_count == 4
+
+    def test_labels_derived_from_attributions(self, tmp_path):
+        cfg_path = write_config(tmp_path / "run.cfg")
+        out = tmp_path / "run"
+        run_stages(cfg_path, out, "synth", "merge", "attribute")
+        artifacts = out / "artifacts"
+        assert not (artifacts / "labeled.json").exists()
+        assert "labeled" not in json.loads((artifacts / "manifest.json").read_text())
+        run_stages(cfg_path, out, "featurize")
+
+        cfg = load_config(cfg_path)
+        params = cfg.projection_params()
+        reference = cfg.resolve_reference_date()
+        desc = parse_descriptive(out / "data" / "descriptive.geojson", params=params)
+        ops = parse_operational(out / "data" / "operational.csv", params=params,
+                                reference_date=reference)
+        spills = parse_spills(out / "data" / "spills.csv", params=params,
+                              reference_date=reference)
+        merged, _, _ = match_flowlines(ops.records, desc.records, cfg.tolerance_ladder(), params)
+        labeled = assign_risk(
+            merged, match_spills(spills.records, merged, cfg.tolerance_ladder(), params))
+        ds = assemble(labeled, FeatureConfig(drop_id_like=True, reference_date=reference))
+        assert ds.y.sum() > 0
+        save_dataset(ds, tmp_path / "oracle.csv", tmp_path / "oracle.meta.json")
+        assert (tmp_path / "oracle.csv").read_bytes() == (artifacts / "features.csv").read_bytes()
+
+    def test_merged_record_codec_round_trips(self, synth_a):
+        merged, _, _ = match_flowlines(synth_a.operational, synth_a.descriptive)
+        docs = json.loads(json.dumps([merged_to_dict(m) for m in merged]))
+        assert [merged_from_dict(d) for d in docs] == merged
+        assert sorted(docs[0]["operational"]) == sorted([
+            "row_id", "operator_number", "flowline_id", "location_id", "status",
+            "flowline_action", "location_type", "fluid_type", "material", "diameter_in",
+            "length_ft", "max_op_pressure", "construction_date", "operator_name", "start", "end",
+        ])
+
+    def test_edited_attributions_detected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "run.cfg")
+        out = tmp_path / "run"
+        run_stages(cfg, out, "synth", "merge", "attribute", "featurize", "train", "evaluate",
+                   "cluster")
+        attributions = out / "artifacts" / "attributions.csv"
+        rows = attributions.read_text().splitlines(keepends=True)
+        attributions.write_text("".join(rows[:-1]))  # forget one spill
+
+        capsys.readouterr()
+        for stage in ("featurize", "report"):
+            assert main([stage, "--config", str(cfg), "--out", str(out)]) == EXIT_STAGE
+            assert "'attributions' changed on disk" in capsys.readouterr().err
 
 
 class TestReportValidation:

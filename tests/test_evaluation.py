@@ -167,20 +167,20 @@ class TestSilhouette:
 class TestSilhouetteSweep:
     def test_two_blob_selects_two(self):
         X, _ = two_blobs(seed=87)
-        best, scores = silhouette_sweep(X, range(2, 6), seed=87)
+        best, scores, _ = silhouette_sweep(X, range(2, 6), seed=87)
         assert best == 2
         assert len(scores) == 4
 
     def test_three_blob_selects_three(self):
         X, _ = three_blobs(seed=88)
-        best, _ = silhouette_sweep(X, range(2, 6), seed=88)
+        best, _, _ = silhouette_sweep(X, range(2, 6), seed=88)
         assert best == 3
 
     def test_tie_goes_to_smaller_k(self):
         from unittest import mock
         with mock.patch("flowline_risk.evaluation.silhouette", side_effect=[0.5, 0.5, 0.3, 0.2]):
             X, _ = two_blobs(seed=89)
-            best, scores = silhouette_sweep(X, range(2, 6), seed=89)
+            best, scores, _ = silhouette_sweep(X, range(2, 6), seed=89)
         assert best == 2
 
 

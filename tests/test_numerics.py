@@ -164,3 +164,32 @@ class TestChooseK:
 
     def test_degenerate_total(self):
         assert choose_k_by_variance(np.zeros(3), 0.95) == 1
+
+
+class TestPcaByConfig:
+    """The pipeline's one-decomposition PCA against a fresh pca_fit(X, k)."""
+
+    @pytest.mark.parametrize("pca_k, min_k, k", [(0, 1, 2), (0, 3, 3), (4, 1, 4)])
+    def test_sliced_model_equals_refit(self, pca_k, min_k, k):
+        from flowline_risk.config import RunConfig
+        from flowline_risk.pipeline import _pca_by_config
+
+        rng = np.random.default_rng(50)
+        X = rng.normal(size=(60, 6)) * np.array([5.0, 4.0, 0.3, 0.2, 0.1, 0.05])
+        model, spectrum = _pca_by_config(RunConfig(seed=1, pca_k=pca_k), X, min_k=min_k)
+        refit = pca_fit(X, k)
+        assert model.n_components == k
+        assert np.array_equal(model.components, refit.components)
+        assert np.array_equal(model.explained_variance, refit.explained_variance)
+        assert np.array_equal(model.means, refit.means)
+        assert np.array_equal(pca_transform(model, X), pca_transform(refit, X))
+        assert np.array_equal(spectrum, pca_fit(X, 6).explained_variance)
+
+    def test_k_beyond_width_rejected(self):
+        from flowline_risk.config import RunConfig
+        from flowline_risk.pipeline import _pca_by_config
+
+        with pytest.raises(BadK):
+            _pca_by_config(RunConfig(seed=1, pca_k=7), np.eye(6))
+        with pytest.raises(BadK):
+            _pca_by_config(RunConfig(seed=1), np.ones((5, 1)), min_k=2)
