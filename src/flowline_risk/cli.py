@@ -85,8 +85,12 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    paths = pipeline.RunPaths(root=Path(cfg.out_dir)).ensure()
-    manifest = pipeline.Manifest(paths)
+    try:
+        paths = pipeline.RunPaths(root=Path(cfg.out_dir)).ensure()
+        manifest = pipeline.Manifest(paths)
+    except (OSError, pipeline.UnreadableManifest) as exc:
+        print(f"cannot open run directory {cfg.out_dir}: {exc}", file=sys.stderr)
+        return EXIT_STAGE
 
     if args.command == "run-all":
         names = [n for n in RUN_ALL_ORDER if not (n == "synth" and cfg.descriptive_path)]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 
+from ..fileio import write_text_atomic
 from .base import Classifier
 from .ensembles import AdaBoostClassifier, GBDTClassifier, RandomForestClassifier
 from .linear import LinearSVM, LogisticRegressionGD
@@ -51,9 +52,8 @@ def model_from_dict(doc: dict) -> Classifier:
 
 
 def save_model(model: Classifier, path, seed=None, column_meta=None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model, seed, column_meta), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text_atomic(
+        path, json.dumps(model_to_dict(model, seed, column_meta), indent=2, sort_keys=True) + "\n")
 
 
 def load_model(path) -> Classifier:

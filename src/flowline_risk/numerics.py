@@ -1,18 +1,19 @@
 """Dense symmetric eigendecomposition and PCA on top of it.
 
-The eigensolver is a cyclic Jacobi rotation sweep: provably convergent,
-simple to audit, and fast enough at the post-encoding matrix widths this
-pipeline produces. Matrices are plain float64 numpy arrays.
+The eigensolver is the textbook dense symmetric path (Golub & Van Loan,
+*Matrix Computations* 8.3; EISPACK tred2/tql2): a Householder reduction to
+tridiagonal form, vectorized in numpy, followed by implicit-shift QL
+iteration on the tridiagonal. Matrices are plain float64 numpy arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-JACOBI_MAX_SWEEPS = 100
-JACOBI_REL_TOL = 1e-12
+QL_MAX_ITER = 30  # QL iterations allowed per eigenvalue, as in EISPACK tql2
 SYMMETRY_TOL = 1e-8
 
 
@@ -42,18 +43,99 @@ def covariance(X: np.ndarray) -> np.ndarray:
     return (cov + cov.T) / 2.0  # kill rounding asymmetry
 
 
-def _off_diagonal_norm(A: np.ndarray) -> float:
-    off = A - np.diag(np.diag(A))
-    return float(np.sqrt(np.sum(off * off)))
+def _tridiagonalize(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Householder reduction M = Q T Q^T of symmetric M.
+
+    Returns the diagonal d and subdiagonal e of T (e[i] couples d[i] and
+    d[i + 1]; e[-1] is 0) and Q^T, whose rows are the columns of Q.
+    """
+    p = M.shape[0]
+    A = M.copy()
+    Qt = np.eye(p)
+    e = np.zeros(p)
+    for k in range(p - 1):
+        x = A[k + 1:, k]
+        if not x[1:].any():  # column already tridiagonal
+            e[k] = x[0]
+            continue
+        norm_x = float(np.linalg.norm(x))
+        alpha = -norm_x if x[0] >= 0 else norm_x  # sign that avoids cancellation
+        v = x.copy()
+        v[0] -= alpha
+        v /= np.linalg.norm(v)
+        e[k] = alpha
+        # H A H with H = I - 2 v v^T is a symmetric rank-2 update of the trailing block.
+        trailing = A[k + 1:, k + 1:]
+        u = trailing @ v
+        w = u - (v @ u) * v
+        trailing -= 2.0 * (np.outer(v, w) + np.outer(w, v))
+        Qt[k + 1:] -= 2.0 * np.outer(v, v @ Qt[k + 1:])
+    return np.diag(A).copy(), e, Qt
+
+
+def _tridiagonal_ql(d: np.ndarray, e: np.ndarray, Zt: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the tridiagonal (d, e) by implicit-shift QL.
+
+    Every Givens rotation is applied to two adjacent rows of Zt in place, so
+    on return row i of Zt is the eigenvector of the i-th returned value.
+    """
+    p = len(d)
+    d = [float(x) for x in d]
+    e = [float(x) for x in e]
+    # Deflate against the whole tridiagonal's scale, as tql2 does: a test local
+    # to d[m], d[m + 1] never fires inside a numerically zero eigenspace.
+    tol = np.finfo(float).eps * max(abs(a) + abs(b) for a, b in zip(d, e))
+    for lo in range(p):
+        iterations = 0
+        while True:
+            m = lo
+            while m < p - 1 and abs(e[m]) > tol:
+                m += 1
+            if m == lo:
+                break
+            if iterations >= QL_MAX_ITER:
+                raise NonConvergence(f"QL iteration limit {QL_MAX_ITER} reached")
+            iterations += 1
+            # Shift: the eigenvalue of the leading 2 x 2 block nearer d[lo].
+            g = (d[lo + 1] - d[lo]) / (2.0 * e[lo])
+            r = math.hypot(g, 1.0)
+            g = d[m] - d[lo] + e[lo] / (g + math.copysign(r, g))
+            s = c = 1.0
+            delta = 0.0
+            underflow = False
+            for i in range(m - 1, lo - 1, -1):
+                f = s * e[i]
+                b = c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:  # the chase split the block; restart on the pieces
+                    d[i + 1] -= delta
+                    e[m] = 0.0
+                    underflow = True
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - delta
+                r = (d[i] - g) * s + 2.0 * c * b
+                delta = s * r
+                d[i + 1] = g + delta
+                g = c * r - b
+                Zt[i:i + 2] = np.array(((c, -s), (s, c))) @ Zt[i:i + 2]
+            if not underflow:
+                d[lo] -= delta
+                e[lo] = g
+                e[m] = 0.0
+    return np.array(d)
 
 
 def sym_eigen(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and orthonormal eigenvectors of symmetric A.
 
-    Cyclic Jacobi: repeatedly zero each off-diagonal entry with a plane
-    rotation until the off-diagonal Frobenius norm falls below
-    1e-12 * ||A||, at most 100 sweeps. Eigenvector columns get a fixed sign
-    (largest-magnitude entry positive) so results are reproducible.
+    Householder tridiagonalization, then implicit-shift QL with at most 30
+    iterations per eigenvalue; an off-diagonal entry deflates once it falls
+    below machine epsilon times the largest |d| + |e| of the tridiagonal.
+    Eigenvector columns get a fixed sign (largest-magnitude entry positive)
+    so results are reproducible.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -63,47 +145,12 @@ def sym_eigen(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     p = A.shape[0]
     M = (A + A.T) / 2.0
-    V = np.eye(p)
-    norm_a = float(np.sqrt(np.sum(M * M)))
-    if p == 1 or norm_a == 0.0:
-        return _sorted_eigen(np.diag(M).copy(), V)
+    if p == 1 or not M.any():
+        return _sorted_eigen(np.diag(M).copy(), np.eye(p))
 
-    threshold = JACOBI_REL_TOL * norm_a
-    converged = _off_diagonal_norm(M) < threshold
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if converged:
-            break
-        for i in range(p - 1):
-            for j in range(i + 1, p):
-                apq = M[i, j]
-                if apq == 0.0:
-                    continue
-                # Rotation angle that annihilates M[i, j].
-                theta = (M[j, j] - M[i, i]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-
-                row_i = M[i, :].copy()
-                row_j = M[j, :].copy()
-                M[i, :] = c * row_i - s * row_j
-                M[j, :] = s * row_i + c * row_j
-                col_i = M[:, i].copy()
-                col_j = M[:, j].copy()
-                M[:, i] = c * col_i - s * col_j
-                M[:, j] = s * col_i + c * col_j
-
-                vcol_i = V[:, i].copy()
-                vcol_j = V[:, j].copy()
-                V[:, i] = c * vcol_i - s * vcol_j
-                V[:, j] = s * vcol_i + c * vcol_j
-        converged = _off_diagonal_norm(M) < threshold
-    if not converged:
-        raise NonConvergence(f"Jacobi sweep limit {JACOBI_MAX_SWEEPS} reached")
-
-    return _sorted_eigen(np.diag(M).copy(), V)
+    d, e, Qt = _tridiagonalize(M)
+    values = _tridiagonal_ql(d, e, Qt)
+    return _sorted_eigen(values, Qt.T)
 
 
 def _sorted_eigen(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -21,6 +21,7 @@ from .config import RunConfig
 from .crs import GeoPoint
 from .evaluation import REPORT_ORDER, metric_table, silhouette_sweep
 from .features import (
+    DegenerateClass,
     Dataset,
     FeatureConfig,
     apply_scaler,
@@ -30,6 +31,7 @@ from .features import (
     standardize,
     stratified_split,
 )
+from .fileio import write_text_atomic
 from .geometry import MultiLine, Point2D, PolyLine
 from .ingest import (
     OperationalFlowline,
@@ -65,6 +67,10 @@ class MissingArtifact(FileNotFoundError):
 
 
 class SchemaHashMismatch(RuntimeError):
+    pass
+
+
+class UnreadableManifest(RuntimeError):
     pass
 
 
@@ -115,7 +121,12 @@ class Manifest:
         self.paths = paths
         self.entries: dict[str, dict] = {}
         if paths.manifest.exists():
-            self.entries = json.loads(paths.manifest.read_text(encoding="utf-8"))
+            try:
+                self.entries = json.loads(paths.manifest.read_text(encoding="utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise UnreadableManifest(
+                    f"{paths.manifest} is unreadable ({exc}); rerun the pipeline from its first stage"
+                ) from exc
 
     def record(self, name: str, path: Path, stage: str) -> None:
         self.entries[name] = {
@@ -123,9 +134,8 @@ class Manifest:
             "sha256": _sha256(path),
             "stage": stage,
         }
-        self.paths.manifest.write_text(
-            json.dumps(self.entries, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_text_atomic(
+            self.paths.manifest, json.dumps(self.entries, indent=2, sort_keys=True) + "\n")
 
     def require(self, name: str) -> Path:
         entry = self.entries.get(name)
@@ -211,7 +221,7 @@ def merged_from_dict(d: dict) -> MergedFlowline:
 
 
 def _dump_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_text_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _load_json(path: Path):
@@ -401,9 +411,23 @@ def _pca_by_config(cfg: RunConfig, Z: np.ndarray, min_k: int = 1) -> tuple[PCAMo
     return full.truncated(max(k, min_k)), full.explained_variance
 
 
+def _require_splittable(y: np.ndarray) -> None:
+    """Refuse, before any model fit, labels whose stratified split would leave
+    train or test with one class. stratified_split puts each class with two or
+    more rows on both sides and a one-row class in train only, so every class
+    needs two rows."""
+    classes, counts = np.unique(y, return_counts=True)
+    if len(classes) < 2 or counts.min() < 2:
+        per_class = ", ".join(f"class {c}: {n}" for c, n in zip(classes.tolist(), counts.tolist()))
+        raise DegenerateClass(
+            "the train/test split needs at least two rows of each of the two classes; "
+            f"the featurized rows have {per_class}")
+
+
 def stage_train(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
     cfg.validate()
     ds = _load_features(manifest)
+    _require_splittable(ds.y)
     split = stratified_split(ds, cfg.train_fraction, cfg.seed)
     train_z, _, means, sds = standardize(split.train.X)
 

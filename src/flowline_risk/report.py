@@ -16,7 +16,7 @@ import jsonschema
 from . import figures
 from .config import RunConfig
 from .evaluation import eda_summaries
-from .pipeline import Manifest, RunPaths, _load_json, load_labeled, run_id_for
+from .pipeline import Manifest, RunPaths, _dump_json, _load_json, load_labeled, run_id_for
 
 VOLATILE_FIELDS = ("created_at", "timings")
 
@@ -251,7 +251,7 @@ def stage_report(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
         _write_eda_csv(paths.tables / f"eda_{name}.csv", table)
 
     report_path = paths.root / "report.json"
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _dump_json(report_path, report)
     manifest.record("report", report_path, "report")
     return {
         "report": str(report_path),

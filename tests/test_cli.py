@@ -6,7 +6,7 @@ from unittest import mock
 
 import pytest
 
-from flowline_risk import cli, numerics
+from flowline_risk import cli, fileio, numerics
 from flowline_risk.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
 from flowline_risk.config import ConfigError, load_config
 from flowline_risk.features import FeatureConfig, assemble, save_dataset
@@ -96,6 +96,44 @@ class TestExitCodes:
         proc = run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "r"))
         assert proc.returncode == EXIT_STAGE
         assert "artifact" in proc.stderr
+
+    def test_truncated_manifest_is_stage_failure(self, tmp_path):
+        cfg = write_config(tmp_path / "run.cfg", synth_n_lines=80)
+        out = tmp_path / "r"
+        run_stages(cfg, out, "synth", "merge")
+        manifest = out / "artifacts" / "manifest.json"
+        manifest.write_bytes(manifest.read_bytes()[:200])
+        proc = run_cli("evaluate", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == EXIT_STAGE
+        assert "manifest.json is unreadable" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_interrupted_write_keeps_previous_manifest(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path / "run.cfg", synth_n_lines=80)
+        out = tmp_path / "r"
+        run_stages(cfg, out, "synth")
+        manifest = out / "artifacts" / "manifest.json"
+        before = manifest.read_bytes()
+
+        def interrupted(src, dst):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(fileio.os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["merge", "--config", str(cfg), "--out", str(out)])
+        assert manifest.read_bytes() == before
+        assert not list(out.rglob("*.tmp"))
+
+    def test_unsplittable_labels_fail_before_any_fit(self, tmp_path):
+        # 20 lines of preset a at seed 5 give one positive line, which the
+        # stratified split can only put in train
+        cfg = write_config(tmp_path / "run.cfg", seed=5, synth_n_lines=20)
+        out = tmp_path / "r"
+        proc = run_cli("run-all", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == EXIT_STAGE
+        assert "stage train failed" in proc.stderr
+        assert "class 0: 19, class 1: 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not list((out / "artifacts" / "models").glob("*.json"))
 
     def test_bad_ladder_flag(self, tmp_path):
         cfg = write_config(tmp_path / "run.cfg")

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from jacobi_oracle import jacobi_eigen
 
+from flowline_risk import numerics
 from flowline_risk.numerics import (
     BadK,
+    NonConvergence,
     NotSymmetric,
     PCAModel,
     TooFewRows,
@@ -85,6 +91,118 @@ class TestSymEigen:
         for k in range(5):
             pivot = np.argmax(np.abs(v1[:, k]))
             assert v1[pivot, k] > 0
+
+
+def one_hot_covariance(rng, n, p):
+    """Covariance of a standardized one-hot-heavy X with n < p rows, shaped like
+    the pipeline's default-width design matrix: a few numeric columns, the rest
+    two one-hot id groups. Rank is below n."""
+    n_numeric = (p + 4) // 5
+    levels = p - n_numeric
+    first = (levels + 1) // 2
+    X = np.zeros((n, p))
+    X[:, :n_numeric] = rng.normal(size=(n, n_numeric))
+    rows = np.arange(n)
+    if first:
+        X[rows, n_numeric + rng.integers(0, first, size=n)] = 1.0
+    if levels > first:
+        X[rows, n_numeric + first + rng.integers(0, levels - first, size=n)] = 1.0
+    sd = X.std(axis=0)
+    X = (X - X.mean(axis=0)) / np.where(sd > 0, sd, 1.0)
+    return covariance(X)
+
+
+def symmetric_case(kind, p, seed, scale):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        A = rng.normal(size=(p, p))
+        A = (A + A.T) / 2.0
+    elif kind == "zero":
+        A = np.zeros((p, p))
+    elif kind == "diagonal":
+        A = np.diag(rng.normal(size=p))
+    elif kind == "tridiagonal":
+        off = rng.normal(size=p - 1)
+        A = np.diag(rng.normal(size=p)) + np.diag(off, 1) + np.diag(off, -1)
+    elif kind == "repeated":
+        Q, _ = np.linalg.qr(rng.normal(size=(p, p)))
+        levels = rng.normal(size=max(1, p // 4))
+        A = Q @ np.diag(rng.choice(levels, size=p)) @ Q.T
+        A = (A + A.T) / 2.0
+    else:  # "one_hot"
+        A = one_hot_covariance(rng, max(2, p // 2), p)
+    return A * scale
+
+
+matrix_cases = st.tuples(
+    st.sampled_from(["random", "zero", "diagonal", "tridiagonal", "repeated", "one_hot"]),
+    st.integers(1, 60),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1.0, 1e-8, 1e8]),
+).map(lambda case: symmetric_case(*case))
+
+
+def assert_matches_reference(A, values, vectors, ref_values, ref_vectors):
+    """Values within 1e-10 max(1, ||A||_F); spectral projectors agree at every cut
+    with a clear gap. Inside a repeated eigenvalue the basis is solver-specific."""
+    norm = float(np.linalg.norm(A))
+    tol = 1e-10 * max(1.0, norm)
+    assert np.max(np.abs(values - ref_values)) <= tol
+    for k in range(1, len(values)):
+        gap = ref_values[k - 1] - ref_values[k]
+        if gap > 1e-6 * norm:
+            P = vectors[:, :k] @ vectors[:, :k].T
+            P_ref = ref_vectors[:, :k] @ ref_vectors[:, :k].T
+            assert np.max(np.abs(P - P_ref)) <= 1e-12 * norm / gap
+
+
+class TestSymEigenEquivalence:
+    """Householder + QL against cyclic Jacobi and scipy's LAPACK eigh."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(matrix_cases)
+    def test_against_jacobi_oracle(self, A):
+        values, vectors = sym_eigen(A)
+        assert_matches_reference(A, values, vectors, *jacobi_eigen(A))
+
+    @settings(max_examples=100, deadline=None)
+    @given(matrix_cases)
+    def test_against_scipy(self, A):
+        values, vectors = sym_eigen(A)
+        ref_values, ref_vectors = scipy.linalg.eigh(A)
+        assert_matches_reference(A, values, vectors, ref_values[::-1], ref_vectors[:, ::-1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(matrix_cases)
+    def test_decomposition_invariants(self, A):
+        p = A.shape[0]
+        tol = 1e-10 * max(1.0, float(np.linalg.norm(A)))
+        values, vectors = sym_eigen(A)
+        assert np.linalg.norm(A - vectors @ np.diag(values) @ vectors.T) <= tol
+        assert np.linalg.norm(vectors.T @ vectors - np.eye(p)) <= tol
+        assert np.all(np.diff(values) <= 0)
+        pivots = np.argmax(np.abs(vectors), axis=0)
+        assert np.all(vectors[pivots, np.arange(p)] > 0)
+        again_values, again_vectors = sym_eigen(A.copy())
+        assert np.array_equal(values, again_values)
+        assert np.array_equal(vectors, again_vectors)
+
+    def test_default_width_covariance(self):
+        # p = 179 from n = 98 rows, as the pipeline's default width gives on a
+        # 70-line network; rank < 98, so most of the spectrum is a null space.
+        A = one_hot_covariance(np.random.default_rng(51), 98, 179)
+        values, vectors = sym_eigen(A)
+        assert np.linalg.matrix_rank(A) < 98
+        norm = float(np.linalg.norm(A))
+        assert np.max(np.abs(values - np.linalg.eigvalsh(A)[::-1])) <= 1e-10 * norm
+        assert np.linalg.norm(A - vectors @ np.diag(values) @ vectors.T) <= 1e-10 * norm
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(numerics, "QL_MAX_ITER", 0)
+        with pytest.raises(NonConvergence):
+            sym_eigen(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        # a diagonal matrix needs no iteration, so the cap does not bite
+        assert sym_eigen(np.diag([1.0, 3.0]))[0] == pytest.approx([3.0, 1.0])
 
 
 class TestPCA:
