@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fileio import open_atomic, write_text_atomic
 from .geometry import MultiLine, bounding_box, line_count, multiline_length
 from .matcher import MergedFlowline
 
@@ -319,7 +320,7 @@ def apply_scaler(X: np.ndarray, means: np.ndarray, sds: np.ndarray) -> np.ndarra
 
 def save_dataset(ds: Dataset, csv_path, meta_path, seed: int | None = None, extra: dict | None = None) -> None:
     """Write the matrix as CSV plus a JSON sidecar with column provenance."""
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+    with open_atomic(csv_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row_id", *ds.column_names(), "risk"])
         for i in range(ds.n_rows):
@@ -331,9 +332,7 @@ def save_dataset(ds: Dataset, csv_path, meta_path, seed: int | None = None, extr
     }
     if extra:
         sidecar.update(extra)
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text_atomic(meta_path, json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
 
 
 def load_dataset(csv_path, meta_path) -> Dataset:

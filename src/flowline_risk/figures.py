@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from xml.sax.saxutils import escape
 
+from .fileio import write_text_atomic
+
 LOW_COLOR = "#3b6fb5"
 HIGH_COLOR = "#cc3333"
 CLUSTER_PALETTE = ("#5b2a86", "#d9b611", "#2a9d8f", "#e76f51", "#264653")
@@ -217,6 +219,4 @@ def render_pca_clusters(scores, predicted, actual, path) -> None:
 
 
 def _write(path, parts: list[str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts))
-        fh.write("\n")
+    write_text_atomic(path, "\n".join(parts) + "\n")

@@ -15,6 +15,7 @@ import logging
 from dataclasses import dataclass, field
 
 from .crs import GeoPoint, ProjectionParams, ZONE_HALF_WIDTH_DEG, project
+from .fileio import open_atomic
 from .geometry import MultiLine, Point2D, PolyLine
 
 log = logging.getLogger(__name__)
@@ -382,7 +383,7 @@ def parse_spills(
 
 def write_diagnostics(path, diagnostics: list[Diagnostic]) -> None:
     """Quarantine rejected rows to a sidecar CSV instead of aborting the run."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_atomic(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["file", "row", "reason"])
         for d in diagnostics:

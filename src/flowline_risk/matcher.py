@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .crs import ProjectionParams, project
+from .fileio import open_atomic
 from .geometry import (
     BoundingBox,
     MultiLine,
@@ -264,7 +265,7 @@ def assign_risk(
 
 
 def write_audit_log(path, audit: list[AuditRecord]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_atomic(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["record_id", "step_reached", "n_candidates", "chosen_id", "d_start", "d_end"])
         for a in audit:

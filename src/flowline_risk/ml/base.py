@@ -31,12 +31,14 @@ class Classifier:
 
     Subclasses set `kind`, implement _fit/_predict, and describe their
     learned state through state_dict/load_state for JSON round trips.
+    schema_hash is the feature-schema digest a loaded model was saved with.
     """
 
     kind: str = "?"
 
     def __init__(self):
         self.fitted = False
+        self.schema_hash: str | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "Classifier":
         X = np.asarray(X, dtype=float)

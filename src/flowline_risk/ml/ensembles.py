@@ -6,7 +6,7 @@ import numpy as np
 
 from .base import Classifier, check_binary_labels
 from .linear import sigmoid
-from .trees import DecisionTreeClassifier, RegressionTree
+from .trees import DecisionTreeClassifier, RegressionTree, presort
 
 _LEAF_CLAMP = 10.0
 _ALPHA_ERR_FLOOR = 1e-10
@@ -51,6 +51,7 @@ class GBDTClassifier(Classifier):
         self.trees = []
         self.stage_scales = []
         self.stage_losses = [log_loss(y, scores)]
+        order = presort(X)
 
         for _ in range(self.n_trees):
             p = sigmoid(scores)
@@ -62,8 +63,7 @@ class GBDTClassifier(Classifier):
                 return float(np.clip(value, -_LEAF_CLAMP, _LEAF_CLAMP))
 
             tree = RegressionTree(self.max_depth, self.min_leaf)
-            tree.fit(X, residual, leaf_value=newton_leaf)
-            step = self.shrinkage * tree.predict(X)
+            step = self.shrinkage * tree.fit_predict(X, residual, newton_leaf, order)
 
             # Guard the monotone-loss contract: back off a stage that overshoots.
             prev = self.stage_losses[-1]
@@ -143,10 +143,11 @@ class AdaBoostClassifier(Classifier):
         self.stumps, self.alphas = [], []
         self.round_errors, self.bound_trace = [], []
         bound = 1.0
+        order = presort(X)
 
         for _ in range(self.n_stumps):
             stump = DecisionTreeClassifier(max_depth=1, min_leaf=1)
-            stump.fit(X, y, sample_weight=weights)
+            stump.fit(X, y, sample_weight=weights, order=order)
             pred = stump.predict(X)
             miss = pred != y
             err = float(np.sum(weights[miss]))

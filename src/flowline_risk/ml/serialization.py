@@ -48,6 +48,7 @@ def model_from_dict(doc: dict) -> Classifier:
         raise ValueError(f"unknown model kind {kind!r}")
     model = CLASSIFIER_KINDS[kind](**doc["hyperparameters"])
     model.load_state(doc["parameters"])
+    model.schema_hash = doc.get("schema_hash")
     return model
 
 

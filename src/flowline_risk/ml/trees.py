@@ -1,9 +1,20 @@
 """CART trees: Gini classification and squared-error regression.
 
-Split search is an exhaustive scan over the midpoints of consecutive
-distinct feature values, vectorized with cumulative sums. Ties between
-equally good splits resolve to the lowest feature index, then the lowest
-threshold, so a fit is a pure function of its inputs.
+Split search is CART's exhaustive scan over the midpoints of consecutive
+distinct feature values (Breiman et al. 1984) on SLIQ-style presorted
+attribute lists (Mehta, Agrawal & Rissanen 1996):
+
+- Each fit argsorts X once into a p x n matrix of row indices whose row f
+  is the stable sort order of feature f. Boosted ensembles sort once and
+  share the matrix across all their stages.
+- A node that splits partitions the matrix stably into its children's
+  rows in O(p m) for m rows, so no node sorts again.
+- A node scores every admissible cut of every feature in one numpy pass
+  over cumulative sums along the sorted rows.
+
+Ties between equally good splits resolve to the lowest feature index, then
+the lowest threshold (one row-major argmax over feature and cut), so a fit
+is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -49,18 +60,18 @@ class _Node:
         )
 
 
-def _traverse(node: _Node, X: np.ndarray) -> list[_Node]:
-    out = [None] * X.shape[0]
-    stack = [(node, np.arange(X.shape[0]))]
+def _leaf_values(root: _Node, X: np.ndarray, field: str, dtype) -> np.ndarray:
+    """Route all rows of X down the tree at once; each row gets its leaf's field."""
+    out = np.empty(X.shape[0], dtype=dtype)
+    stack = [(root, np.arange(X.shape[0]))]
     while stack:
-        cur, idx = stack.pop()
-        if cur.is_leaf:
-            for i in idx:
-                out[i] = cur
-            continue
-        go_left = X[idx, cur.feature] <= cur.threshold
-        stack.append((cur.left, idx[go_left]))
-        stack.append((cur.right, idx[~go_left]))
+        node, idx = stack.pop()
+        if node.is_leaf:
+            out[idx] = getattr(node, field)
+        elif idx.size:
+            go_left = X[idx, node.feature] <= node.threshold
+            stack.append((node.left, idx[go_left]))
+            stack.append((node.right, idx[~go_left]))
     return out
 
 
@@ -73,6 +84,141 @@ def gini_impurity(y: np.ndarray, weights: np.ndarray) -> float:
     return 1.0 - p1 * p1 - (1.0 - p1) * (1.0 - p1)
 
 
+def presort(X: np.ndarray) -> np.ndarray:
+    """p x n matrix of row indices; row f is the stable sort order of X[:, f]."""
+    return np.argsort(np.asarray(X, dtype=float).T, axis=1, kind="stable")
+
+
+class _SortedRows:
+    """One fit's X and its presorted row matrix, cut and partitioned per node.
+
+    A node is its row indices in increasing order (what per-node sums run
+    over, so their bits match a scan of the node's own rows) and its p x m
+    block of the presorted matrix.
+    """
+
+    def __init__(self, X: np.ndarray, order: np.ndarray | None):
+        self.X = X
+        self.Xt = np.ascontiguousarray(X.T)
+        self.order = presort(X) if order is None else order
+        self._go_left = np.zeros(X.shape[0], dtype=bool)
+
+    def cuts(self, order: np.ndarray, min_leaf: int, features=None) -> "_Cuts":
+        """Admissible cuts of the node's sorted block, restricted to `features`."""
+        if features is None:
+            feats = np.arange(order.shape[0])
+        else:
+            feats = np.sort(np.asarray(list(features), dtype=np.intp))
+            order = order[feats]
+        xs = self.Xt.take(order + (feats * self.Xt.shape[1])[:, None])
+        return _Cuts(feats, order, xs, min_leaf)
+
+    def partition(self, order, rows, feature, threshold, deeper: bool):
+        """Children's (rows, block); a block only when the children may split."""
+        go_left = self.X[rows, feature] <= threshold
+        left, right = rows[go_left], rows[~go_left]
+        if not deeper:
+            return (left, None), (right, None)
+        self._go_left[rows] = go_left
+        mask = self._go_left.take(order)
+        p = order.shape[0]
+        return (left, order[mask].reshape(p, -1)), (right, order[~mask].reshape(p, -1))
+
+
+class _Cuts:
+    """The cuts of a sorted block that leave min_leaf rows on each side.
+
+    Row r of the block is feature feats[r]'s rows in sorted order, with
+    values xs[r]. A cut after sorted position j puts j + 1 rows on the left
+    and is admissible where the values on its two sides differ. Scores are
+    computed from cumulative sums along the rows: over the whole slab of
+    positions when most of them are admissible, else only at a gathered
+    list of the admissible ones (a one-hot column has a single cut).
+    """
+
+    def __init__(self, feats, block, xs, min_leaf: int):
+        self.feats, self.block, self.xs = feats, block, xs
+        m = block.shape[1]
+        ml = max(min_leaf, 1)
+        self.lo, self.hi = ml - 1, m - ml  # admissible last-left positions
+        self.ok = xs[:, self.lo:self.hi] != xs[:, self.lo + 1:self.hi + 1]
+        n_ok = np.count_nonzero(self.ok)
+        self.empty = n_ok == 0
+        self.dense = 2 * n_ok >= self.ok.size
+        if not self.dense:
+            fi, j = np.nonzero(self.ok)
+            self.fi, self.at = fi, fi * m + j + self.lo
+
+    def left(self, sums: np.ndarray) -> np.ndarray:
+        """Each cut's cumulative sum through its last left row."""
+        return sums[:, self.lo:self.hi] if self.dense else sums.take(self.at)
+
+    def total(self, sums: np.ndarray) -> np.ndarray:
+        """Each cut's row total, aligned with left()."""
+        return sums[:, -1:] if self.dense else sums[:, -1].take(self.fi)
+
+    def left_sizes(self) -> np.ndarray:
+        if self.dense:
+            return np.arange(self.lo + 1, self.hi + 1, dtype=float)
+        return (self.at % self.block.shape[1] + 1).astype(float)
+
+    def best(self, scores: np.ndarray, maximize: bool) -> tuple[int, float, float]:
+        """(feature, midpoint threshold, score) of the first best cut in
+        row-major (feature, cut) order."""
+        pick = np.argmax if maximize else np.argmin
+        if self.dense:
+            k = int(pick(np.where(self.ok, scores, -np.inf if maximize else np.inf)))
+            if not self.ok.flat[k]:  # every admissible score is infinite
+                k = int(np.flatnonzero(self.ok)[pick(scores[self.ok])])
+            row, j = divmod(k, self.ok.shape[1])
+            at = row * self.block.shape[1] + j + self.lo
+        else:
+            k = int(pick(scores))
+            row, at = self.fi[k], self.at[k]
+        thr = (self.xs.take(at) + self.xs.take(at + 1)) / 2.0
+        return int(self.feats[row]), float(thr), float(scores.flat[k])
+
+
+def _gini_split(data: _SortedRows, order, rows, y, weights, w_pos, min_leaf, features=None):
+    cuts = data.cuts(order, min_leaf, features)
+    if cuts.empty:
+        return None
+    node_w = weights[rows]
+    total_w = float(np.sum(node_w))
+    parent = gini_impurity(y[rows], node_w)
+
+    cw = np.cumsum(weights.take(cuts.block), axis=1)
+    cwp = np.cumsum(w_pos.take(cuts.block), axis=1)
+    wl = cuts.left(cw)
+    wpl = cuts.left(cwp)
+    wr = total_w - wl
+    wpr = cuts.total(cwp) - wpl
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        pl = np.where(wl > 0, wpl / np.where(wl > 0, wl, 1.0), 0.0)
+        pr = np.where(wr > 0, wpr / np.where(wr > 0, wr, 1.0), 0.0)
+    gini_l = 1.0 - pl * pl - (1.0 - pl) * (1.0 - pl)
+    gini_r = 1.0 - pr * pr - (1.0 - pr) * (1.0 - pr)
+    child = (wl * gini_l + wr * gini_r) / total_w
+    return cuts.best(parent - child, maximize=True)
+
+
+def _sse_split(data: _SortedRows, order, targets, min_leaf):
+    cuts = data.cuts(order, min_leaf)
+    if cuts.empty:
+        return None
+    ts = targets.take(cuts.block)
+    cs = np.cumsum(ts, axis=1)
+    cs2 = np.cumsum(ts * ts, axis=1)
+    nl = cuts.left_sizes()
+    nr = cuts.block.shape[1] - nl
+    sl = cuts.left(cs)
+    sr = cuts.total(cs) - sl
+    left2 = cuts.left(cs2)
+    sse = (left2 - sl * sl / nl) + (cuts.total(cs2) - left2 - sr * sr / nr)
+    return cuts.best(sse, maximize=False)[:2]
+
+
 def best_gini_split(X, y, weights, min_leaf: int, features=None):
     """Best (feature, threshold, gain) over the given feature subset.
 
@@ -80,52 +226,12 @@ def best_gini_split(X, y, weights, min_leaf: int, features=None):
     respects the min_leaf count on both sides. Splits with zero gain are
     still candidates, which is what lets depth-limited trees carve XOR.
     """
-    n, p = X.shape
-    features = range(p) if features is None else features
-    total_w = float(np.sum(weights))
-    w_pos = weights * (y == 1)
-    parent = gini_impurity(y, weights)
-
-    best = None  # (neg_gain, feature, threshold) ordering key
-    for f in features:
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        w_sorted = weights[order]
-        wp_sorted = w_pos[order]
-
-        cut = np.flatnonzero(xs[:-1] != xs[1:]) + 1  # left-side sizes
-        if cut.size == 0:
-            continue
-        ok = (cut >= min_leaf) & (n - cut >= min_leaf)
-        cut = cut[ok]
-        if cut.size == 0:
-            continue
-
-        cw = np.cumsum(w_sorted)
-        cwp = np.cumsum(wp_sorted)
-        wl = cw[cut - 1]
-        wpl = cwp[cut - 1]
-        wr = total_w - wl
-        wpr = cwp[-1] - wpl
-
-        with np.errstate(invalid="ignore", divide="ignore"):
-            pl = np.where(wl > 0, wpl / np.where(wl > 0, wl, 1.0), 0.0)
-            pr = np.where(wr > 0, wpr / np.where(wr > 0, wr, 1.0), 0.0)
-        gini_l = 1.0 - pl * pl - (1.0 - pl) * (1.0 - pl)
-        gini_r = 1.0 - pr * pr - (1.0 - pr) * (1.0 - pr)
-        child = (wl * gini_l + wr * gini_r) / total_w
-        gains = parent - child
-
-        k = int(np.argmax(gains))
-        thr = (xs[cut[k] - 1] + xs[cut[k]]) / 2.0
-        cand = (-float(gains[k]), f, float(thr))
-        if best is None or cand < best:
-            best = cand
-
-    if best is None:
-        return None
-    neg_gain, f, thr = best
-    return f, thr, -neg_gain
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y)
+    weights = np.asarray(weights, dtype=float)
+    data = _SortedRows(X, None)
+    return _gini_split(data, data.order, np.arange(X.shape[0]), y, weights,
+                       weights * (y == 1), min_leaf, features)
 
 
 class DecisionTreeClassifier(Classifier):
@@ -148,7 +254,8 @@ class DecisionTreeClassifier(Classifier):
         self.rng = rng
         self.root: _Node | None = None
 
-    def fit(self, X, y, sample_weight=None):
+    def fit(self, X, y, sample_weight=None, order=None):
+        """Grow the tree; `order` is presort(X), when the caller already has it."""
         # Pure-label and single-class inputs are legal here: they produce a
         # single leaf, which bootstrap resamples and boosting rely on.
         X = np.asarray(X, dtype=float)
@@ -157,7 +264,10 @@ class DecisionTreeClassifier(Classifier):
             raise ValueError("X must be n x p with one label per row")
         if sample_weight is None:
             sample_weight = np.full(len(y), 1.0 / len(y))
-        self.root = self._grow(X, y, np.asarray(sample_weight, dtype=float), 0)
+        weights = np.asarray(sample_weight, dtype=float)
+        data = _SortedRows(X, order)
+        self.root = self._grow(data, data.order, np.arange(len(y)), y, weights,
+                               weights * (y == 1), 0)
         self.fitted = True
         return self
 
@@ -168,32 +278,33 @@ class DecisionTreeClassifier(Classifier):
         proba = w1 / total if total > 0 else 0.0
         return _Node(prediction=1 if w1 > w0 else 0, proba=proba)
 
-    def _grow(self, X, y, weights, depth) -> _Node:
-        if depth >= self.max_depth or len(y) < 2 * self.min_leaf or np.all(y == y[0]):
-            return self._leaf(y, weights)
+    def _grow(self, data, order, rows, y, weights, w_pos, depth) -> _Node:
+        node_y = y[rows]
+        if depth >= self.max_depth or len(rows) < 2 * self.min_leaf or np.all(node_y == node_y[0]):
+            return self._leaf(node_y, weights[rows])
 
-        p = X.shape[1]
+        p = data.X.shape[1]
         if self.mtry is not None and self.mtry < p:
             features = sorted(self.rng.choice(p, size=self.mtry, replace=False).tolist())
         else:
             features = None
-        split = best_gini_split(X, y, weights, self.min_leaf, features)
+        split = _gini_split(data, order, rows, y, weights, w_pos, self.min_leaf, features)
         if split is None:
-            return self._leaf(y, weights)
+            return self._leaf(node_y, weights[rows])
         f, thr, _ = split
-        mask = X[:, f] <= thr
+        deeper = depth + 1 < self.max_depth
+        (lrows, lorder), (rrows, rorder) = data.partition(order, rows, f, thr, deeper)
         return _Node(
             feature=f, threshold=thr,
-            left=self._grow(X[mask], y[mask], weights[mask], depth + 1),
-            right=self._grow(X[~mask], y[~mask], weights[~mask], depth + 1),
+            left=self._grow(data, lorder, lrows, y, weights, w_pos, depth + 1),
+            right=self._grow(data, rorder, rrows, y, weights, w_pos, depth + 1),
         )
 
     def predict_proba(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        return np.array([leaf.proba for leaf in _traverse(self.root, X)])
+        return _leaf_values(self.root, np.asarray(X, dtype=float), "proba", float)
 
     def _predict(self, X):
-        return np.array([leaf.prediction for leaf in _traverse(self.root, X)], dtype=int)
+        return _leaf_values(self.root, X, "prediction", int)
 
     def hyperparameters(self):
         return {"max_depth": self.max_depth, "min_leaf": self.min_leaf, "mtry": self.mtry}
@@ -219,59 +330,48 @@ class RegressionTree:
         self.root: _Node | None = None
 
     def fit(self, X, targets, leaf_value=None):
+        self.fit_predict(X, targets, leaf_value)
+        return self
+
+    def fit_predict(self, X, targets, leaf_value=None, order=None) -> np.ndarray:
+        """Grow the tree and return its prediction for every training row.
+
+        `order` is presort(X), when the caller already has it.
+        """
         X = np.asarray(X, dtype=float)
         targets = np.asarray(targets, dtype=float)
         if leaf_value is None:
             leaf_value = lambda idx: float(np.mean(targets[idx]))
-        self.root = self._grow(X, targets, np.arange(len(targets)), 0, leaf_value)
-        return self
+        fitted = np.empty(len(targets))
+        data = _SortedRows(X, order)
+        self.root = self._grow(data, data.order, np.arange(len(targets)), targets, 0,
+                               leaf_value, fitted)
+        return fitted
 
-    def _grow(self, X, targets, idx, depth, leaf_value) -> _Node:
-        t = targets[idx]
-        if depth >= self.max_depth or len(idx) < 2 * self.min_leaf or np.ptp(t) == 0.0:
-            return _Node(prediction=leaf_value(idx), proba=None)
-        split = self._best_sse_split(X[idx], t)
+    def _grow(self, data, order, rows, targets, depth, leaf_value, fitted) -> _Node:
+        if (depth >= self.max_depth or len(rows) < 2 * self.min_leaf
+                or np.ptp(targets[rows]) == 0.0):
+            return self._leaf(rows, leaf_value, fitted)
+        split = _sse_split(data, order, targets, self.min_leaf)
         if split is None:
-            return _Node(prediction=leaf_value(idx), proba=None)
+            return self._leaf(rows, leaf_value, fitted)
         f, thr = split
-        mask = X[idx, f] <= thr
+        deeper = depth + 1 < self.max_depth
+        (lrows, lorder), (rrows, rorder) = data.partition(order, rows, f, thr, deeper)
         return _Node(
             feature=f, threshold=thr,
-            left=self._grow(X, targets, idx[mask], depth + 1, leaf_value),
-            right=self._grow(X, targets, idx[~mask], depth + 1, leaf_value),
+            left=self._grow(data, lorder, lrows, targets, depth + 1, leaf_value, fitted),
+            right=self._grow(data, rorder, rrows, targets, depth + 1, leaf_value, fitted),
         )
 
-    def _best_sse_split(self, X, t):
-        n, p = X.shape
-        best = None
-        for f in range(p):
-            order = np.argsort(X[:, f], kind="stable")
-            xs = X[order, f]
-            ts = t[order]
-            cut = np.flatnonzero(xs[:-1] != xs[1:]) + 1
-            cut = cut[(cut >= self.min_leaf) & (n - cut >= self.min_leaf)]
-            if cut.size == 0:
-                continue
-            cs = np.cumsum(ts)
-            cs2 = np.cumsum(ts * ts)
-            nl = cut.astype(float)
-            nr = n - nl
-            sl = cs[cut - 1]
-            sr = cs[-1] - sl
-            sse = (cs2[cut - 1] - sl * sl / nl) + (cs2[-1] - cs2[cut - 1] - sr * sr / nr)
-            k = int(np.argmin(sse))
-            thr = (xs[cut[k] - 1] + xs[cut[k]]) / 2.0
-            cand = (float(sse[k]), f, float(thr))
-            if best is None or cand < best:
-                best = cand
-        if best is None:
-            return None
-        _, f, thr = best
-        return f, thr
+    @staticmethod
+    def _leaf(rows, leaf_value, fitted) -> _Node:
+        value = leaf_value(rows)
+        fitted[rows] = value
+        return _Node(prediction=value, proba=None)
 
     def predict(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        return np.array([leaf.prediction for leaf in _traverse(self.root, X)])
+        return _leaf_values(self.root, np.asarray(X, dtype=float), "prediction", float)
 
     def to_dict(self):
         return self.root.to_dict()

@@ -31,7 +31,7 @@ from .features import (
     standardize,
     stratified_split,
 )
-from .fileio import write_text_atomic
+from .fileio import open_atomic, write_text_atomic
 from .geometry import MultiLine, Point2D, PolyLine
 from .ingest import (
     OperationalFlowline,
@@ -57,6 +57,7 @@ from .ml import (
     RandomForestClassifier,
     load_model,
     save_model,
+    schema_hash,
 )
 from .numerics import PCAModel, choose_k_by_variance, pca_fit, pca_transform
 from .synth import SynthConfig, config_a, config_b, generate
@@ -327,7 +328,7 @@ def stage_attribute(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict
     attributions = match_spills(spills.records, merged, cfg.tolerance_ladder(), params)
 
     attr_path = paths.artifacts / "attributions.csv"
-    with open(attr_path, "w", newline="", encoding="utf-8") as fh:
+    with open_atomic(attr_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["spill_id", "matched_flowline_id", "distance", "tolerance_used"])
         for a in attributions:
@@ -492,20 +493,33 @@ def _test_matrices(ds: Dataset, training: dict) -> dict[str, tuple[np.ndarray, n
     return lanes
 
 
+def _load_fitted_model(manifest: Manifest, key: str, features_schema: str):
+    """Load a model, refusing one fitted against other feature columns."""
+    model = load_model(manifest.require(key))
+    if model.schema_hash != features_schema:
+        raise SchemaHashMismatch(
+            f"model {key!r} was fitted against feature schema {model.schema_hash}, "
+            f"but the features now have schema {features_schema}; rerun train")
+    return model
+
+
 def stage_evaluate(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
     cfg.validate()
     ds = _load_features(manifest)
+    features_schema = schema_hash(ds.column_meta)
     training = _load_json(manifest.require("training"))
+    models_by_lane = {
+        lane: {
+            kind: _load_fitted_model(manifest, f"model_{kind}_{lane}", features_schema)
+            for kind in REPORT_ORDER if f"model_{kind}_{lane}" in manifest.entries
+        }
+        for lane in training["lanes"]
+    }
     lanes = _test_matrices(ds, training)
 
     rows = []
-    for lane in training["lanes"]:
+    for lane, models in models_by_lane.items():
         X_test, y_test = lanes[lane]
-        models = {}
-        for kind in REPORT_ORDER:
-            key = f"model_{kind}_{lane}"
-            if key in manifest.entries:
-                models[kind] = load_model(manifest.require(key))
         for row in metric_table(models, X_test, y_test):
             doc = row.to_dict()
             doc["pca"] = lane == "pca"

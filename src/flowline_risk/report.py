@@ -16,6 +16,7 @@ import jsonschema
 from . import figures
 from .config import RunConfig
 from .evaluation import eda_summaries
+from .fileio import open_atomic
 from .pipeline import Manifest, RunPaths, _dump_json, _load_json, load_labeled, run_id_for
 
 VOLATILE_FIELDS = ("created_at", "timings")
@@ -155,7 +156,7 @@ def append_run_log(paths: RunPaths, stage: str, stats: dict, elapsed_s: float) -
 
 
 def _write_metrics_csv(path: Path, rows: list[dict]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_atomic(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["classifier", "pca", "averaging", "accuracy", "precision", "recall", "f1", "undefined"])
         for r in rows:
@@ -168,7 +169,7 @@ def _write_metrics_csv(path: Path, rows: list[dict]) -> None:
 
 
 def _write_eda_csv(path: Path, table: dict) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_atomic(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["label", "risk", "count", "proportion"])
         for row in table["rows"]:

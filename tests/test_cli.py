@@ -9,10 +9,10 @@ import pytest
 from flowline_risk import cli, fileio, numerics
 from flowline_risk.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
 from flowline_risk.config import ConfigError, load_config
-from flowline_risk.features import FeatureConfig, assemble, save_dataset
+from flowline_risk.features import ColumnMeta, FeatureConfig, assemble, save_dataset
 from flowline_risk.ingest import parse_descriptive, parse_operational, parse_spills
 from flowline_risk.matcher import assign_risk, match_flowlines, match_spills
-from flowline_risk.ml import fit_kmeans
+from flowline_risk.ml import fit_kmeans, schema_hash
 from flowline_risk.pipeline import merged_from_dict, merged_to_dict
 
 
@@ -122,6 +122,39 @@ class TestExitCodes:
             main(["merge", "--config", str(cfg), "--out", str(out)])
         assert manifest.read_bytes() == before
         assert not list(out.rglob("*.tmp"))
+
+    def test_interrupted_write_keeps_previous_features(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path / "run.cfg", synth_n_lines=80)
+        out = tmp_path / "r"
+        run_stages(cfg, out, "synth", "merge", "attribute", "featurize")
+        features = out / "artifacts" / "features.csv"
+        before = features.read_bytes()
+
+        def interrupted(src, dst):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(fileio.os, "replace", interrupted)
+        wider = write_config(tmp_path / "wider.cfg", synth_n_lines=80, drop_id_like="false")
+        with pytest.raises(KeyboardInterrupt):
+            main(["featurize", "--config", str(wider), "--out", str(out)])
+        assert features.read_bytes() == before
+        assert not list(out.rglob("*.tmp"))
+
+    def test_models_fitted_on_other_columns_refused(self, tmp_path):
+        cfg = write_config(tmp_path / "run.cfg", drop_id_like="false")
+        out = tmp_path / "r"
+        run_stages(cfg, out, "run-all")
+        artifacts = out / "artifacts"
+        fitted = json.loads((artifacts / "models" / "LR_pca.json").read_text())["schema_hash"]
+        assert main(["featurize", "--config", str(cfg), "--out", str(out),
+                     "--drop-id-like"]) == EXIT_OK
+        narrow = [ColumnMeta.from_dict(d) for d in
+                  json.loads((artifacts / "features.meta.json").read_text())["columns"]]
+        proc = run_cli("evaluate", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == EXIT_STAGE
+        assert (f"stage evaluate failed: model 'model_LR_pca' was fitted against feature "
+                f"schema {fitted}, but the features now have schema {schema_hash(narrow)}"
+                in proc.stderr)
+        assert "Traceback" not in proc.stderr and "ValueError" not in proc.stderr
 
     def test_unsplittable_labels_fail_before_any_fit(self, tmp_path):
         # 20 lines of preset a at seed 5 give one positive line, which the

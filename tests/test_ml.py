@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowline_risk.ml import (
     AdaBoostClassifier,
@@ -20,10 +22,12 @@ from flowline_risk.ml import (
     fit_kmeans,
     gini_impurity,
     logistic_loss_and_grad,
+    RegressionTree,
     model_from_dict,
     model_to_dict,
 )
 
+import cart_oracle
 from conftest import disk_blob
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
@@ -356,3 +360,152 @@ class TestSerialization:
         assert doc["kind"] == "KNN"
         reordered = [meta[1], meta[0]]
         assert schema_hash(reordered) != doc["schema_hash"]
+
+
+# ---------------------------------------------------------------------------
+# presorted split search against the per-feature oracle
+
+
+@st.composite
+def tree_problems(draw):
+    """Small heavily tied problems: integer-valued, constant, one-hot and
+    continuous columns, both classes present, optionally skewed weights."""
+    n = draw(st.integers(2, 80))
+    p = draw(st.integers(1, 12))
+    kinds = draw(st.lists(st.sampled_from(["ints", "ints", "constant", "one-hot", "float"]),
+                          min_size=p, max_size=p))
+    levels = draw(st.integers(1, 4))
+    weighting = draw(st.sampled_from(["uniform", "random", "with-zeros"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    columns = []
+    for kind in kinds:
+        if kind == "ints":
+            columns.append(rng.integers(0, levels + 1, n).astype(float))
+        elif kind == "constant":
+            columns.append(np.full(n, float(rng.integers(-2, 3))))
+        elif kind == "one-hot":
+            columns.append((np.arange(n) == rng.integers(0, n)).astype(float))
+        else:
+            columns.append(rng.normal(size=n))
+    X = np.column_stack(columns)
+    y = rng.integers(0, 2, n)
+    if np.all(y == y[0]):
+        y[rng.integers(0, n)] ^= 1
+    if weighting == "uniform":
+        weights = np.full(n, 1.0 / n)
+    else:
+        weights = rng.random(n) + (0.0 if weighting == "with-zeros" else 0.05)
+        if weighting == "with-zeros":
+            weights[rng.random(n) < 0.3] = 0.0
+            weights[rng.integers(0, n)] = 1.0
+        weights /= weights.sum()
+    return X, y, weights
+
+
+def state_json(model) -> str:
+    return json.dumps(model.state_dict(), sort_keys=True)
+
+
+def bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+def probe_rows(X: np.ndarray) -> np.ndarray:
+    # the training rows plus points between and beyond every training value
+    return np.vstack([X, X + 0.5, X - 0.5])
+
+
+class TestPresortedSplitsMatchOracle:
+    """Every fitted state and prediction is bit-identical to the per-feature
+    search (tests/cart_oracle.py) on heavily tied inputs."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(tree_problems(), st.integers(1, 4), st.data())
+    def test_best_gini_split(self, problem, min_leaf, data):
+        X, y, weights = problem
+        p = X.shape[1]
+        features = data.draw(st.none() | st.lists(st.integers(0, p - 1), max_size=p))
+        got = best_gini_split(X, y, weights, min_leaf, features)
+        want = cart_oracle.best_gini_split(X, y, weights, min_leaf, features)
+        assert repr(got) == repr(want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(tree_problems(), st.integers(1, 6), st.integers(1, 4), st.booleans(), st.data())
+    def test_decision_tree(self, problem, max_depth, min_leaf, draw_features, data):
+        X, y, weights = problem
+        p = X.shape[1]
+        mtry = data.draw(st.integers(1, p)) if draw_features else None
+        seed = data.draw(st.integers(0, 2**16))
+        new = DecisionTreeClassifier(max_depth, min_leaf, mtry, np.random.default_rng(seed))
+        old = cart_oracle.OracleDecisionTreeClassifier(
+            max_depth, min_leaf, mtry, np.random.default_rng(seed))
+        new.fit(X, y, sample_weight=weights)
+        old.fit(X, y, sample_weight=weights)
+        assert state_json(new) == state_json(old)
+        probe = probe_rows(X)
+        assert bits(new.predict_proba(probe)) == bits(old.predict_proba(probe))
+        assert bits(new.predict(probe)) == bits(old.predict(probe))
+
+    @settings(max_examples=80, deadline=None)
+    @given(tree_problems(), st.integers(1, 6), st.integers(1, 4), st.booleans())
+    def test_regression_tree(self, problem, max_depth, min_leaf, tied_targets):
+        X, y, weights = problem
+        targets = y - 0.5 if tied_targets else weights - weights.mean()
+        new = RegressionTree(max_depth, min_leaf)
+        fitted = new.fit_predict(X, targets)
+        old = cart_oracle.OracleRegressionTree(max_depth, min_leaf).fit(X, targets)
+        assert json.dumps(new.to_dict()) == json.dumps(old.to_dict())
+        assert bits(fitted) == bits(old.predict(X))
+        probe = probe_rows(X)
+        assert bits(new.predict(probe)) == bits(old.predict(probe))
+
+    @settings(max_examples=40, deadline=None)
+    @given(tree_problems(), st.integers(1, 8), st.integers(1, 6), st.integers(1, 4),
+           st.sampled_from([0.1, 0.5, 1.0]))
+    def test_gbdt(self, problem, n_trees, max_depth, min_leaf, shrinkage):
+        X, y, _ = problem
+        new = GBDTClassifier(n_trees, max_depth, shrinkage, min_leaf).fit(X, y)
+        old = cart_oracle.OracleGBDTClassifier(n_trees, max_depth, shrinkage, min_leaf).fit(X, y)
+        assert state_json(new) == state_json(old)
+        assert new.stage_losses == old.stage_losses
+        probe = probe_rows(X)
+        assert bits(new.decision_scores(probe)) == bits(old.decision_scores(probe))
+        assert bits(new.predict_proba(probe)) == bits(old.predict_proba(probe))
+
+    @settings(max_examples=40, deadline=None)
+    @given(tree_problems(), st.integers(1, 12))
+    def test_adaboost(self, problem, n_stumps):
+        X, y, _ = problem
+        new = AdaBoostClassifier(n_stumps).fit(X, y)
+        old = cart_oracle.OracleAdaBoostClassifier(n_stumps).fit(X, y)
+        assert state_json(new) == state_json(old)
+        assert new.round_errors == old.round_errors
+        probe = probe_rows(X)
+        assert bits(new.decision_scores(probe)) == bits(old.decision_scores(probe))
+
+    @settings(max_examples=40, deadline=None)
+    @given(tree_problems(), st.integers(1, 5), st.integers(1, 6), st.integers(1, 4),
+           st.booleans(), st.integers(0, 2**16), st.data())
+    def test_random_forest(self, problem, n_trees, max_depth, min_leaf, bootstrap, seed, data):
+        X, y, _ = problem
+        p = X.shape[1]
+        mtry = data.draw(st.integers(1, p))
+        args = (n_trees, max_depth, mtry, seed, min_leaf, bootstrap)
+        new = RandomForestClassifier(*args).fit(X, y)
+        old = cart_oracle.OracleRandomForestClassifier(*args).fit(X, y)
+        assert state_json(new) == state_json(old)
+        probe = probe_rows(X)
+        assert bits(new.vote_shares(probe)) == bits(old.vote_shares(probe))
+
+    def test_infinite_scores_pick_the_first_admissible_cut(self):
+        # A slab of mostly admissible cuts is scored whole with the rest
+        # masked; when every admissible score is infinite, the mask must not win.
+        from flowline_risk.ml.trees import _SortedRows
+
+        X = np.array([[0.0, 5.0], [0.0, 1.0], [1.0, 2.0], [2.0, 3.0], [3.0, 4.0]])
+        data = _SortedRows(X, None)
+        cuts = data.cuts(data.order, min_leaf=1)
+        assert cuts.dense and not cuts.ok.flat[0]
+        scores = np.full(cuts.ok.shape, np.inf)
+        assert cuts.best(scores, maximize=False) == (0, 0.5, np.inf)
