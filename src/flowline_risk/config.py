@@ -7,8 +7,10 @@ honors lives here, echoed verbatim into the report.
 from __future__ import annotations
 
 import datetime
+import types
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .crs import ProjectionParams
 from .matcher import DEFAULT_LADDER_STEPS, ToleranceLadder
@@ -127,22 +129,6 @@ class RunConfig:
         return out
 
 
-_BOOL_KEYS = {"match_whole_geometry", "drop_id_like", "count_segments", "pca",
-              "descriptive_geographic"}
-_INT_KEYS = {
-    "seed", "synth_n_lines", "synth_n_operators", "pca_k", "lr_epochs", "knn_k",
-    "svm_epochs", "gbdt_trees", "gbdt_depth", "adaboost_stumps", "rf_trees",
-    "rf_depth", "rf_mtry", "cluster_k_min", "cluster_k_max",
-}
-_FLOAT_KEYS = {
-    "synth_area", "synth_min_separation", "synth_jitter_sigma", "synth_spill_rate",
-    "synth_spill_lateral_sigma", "synth_operator_clustering", "central_meridian",
-    "scale_factor", "false_easting", "false_northing", "semi_major_axis",
-    "flattening", "train_fraction", "pca_variance_threshold", "lr_rate", "lr_l2",
-    "svm_c", "gbdt_shrinkage",
-}
-
-
 def _parse_bool(raw: str, key: str) -> bool:
     low = raw.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -152,17 +138,26 @@ def _parse_bool(raw: str, key: str) -> bool:
     raise ConfigError(f"{key} must be a boolean, got {raw!r}")
 
 
+def _declared_type(hint):
+    # "int | None" (the seed) parses as int
+    if isinstance(hint, types.UnionType):
+        (hint,) = (t for t in get_args(hint) if t is not type(None))
+    return hint
+
+
+_FIELD_TYPES = {name: _declared_type(hint) for name, hint in get_type_hints(RunConfig).items()}
+
+
 def _coerce(key: str, raw: str):
     raw = raw.strip()
+    kind = _FIELD_TYPES[key]
     try:
-        if key == "ladder":
-            return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-        if key in _BOOL_KEYS:
+        if kind is bool:
             return _parse_bool(raw, key)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
+        if kind in (int, float):
+            return kind(raw)
+        if get_origin(kind) is tuple:
+            return tuple(float(tok) for tok in raw.split(",") if tok.strip())
     except ConfigError:
         raise
     except ValueError:

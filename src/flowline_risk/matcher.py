@@ -1,16 +1,18 @@
 """Spatial joins: operational-to-descriptive merging and spill attribution.
 
-Both searches walk an ascending tolerance ladder and bind at the smallest
-radius that yields a candidate whose normalized operator name agrees. An
-operator mismatch never consumes a match; the search simply continues, at
-this step and then at wider ones. Records that survive no step up to the
-ladder maximum are excluded, which is a result, not an error.
+Both joins bind each record at the smallest step of an ascending tolerance
+ladder that has a candidate whose normalized operator name agrees. One index
+query at the ladder maximum finds every candidate, and each one's exact
+distance gives the first step it qualifies at. A nearer candidate of another
+operator never consumes a match. Records with no candidate up to the ladder
+maximum are excluded, which is a result, not an error.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 from .crs import ProjectionParams, project
@@ -146,18 +148,20 @@ def match_flowlines(
     A descriptive line is a candidate at step t when it has a point within
     t of the operational start and a point within t of the operational end;
     by default "point" means the descriptive endpoint set, with
-    whole_geometry=True any point of the geometry. Candidates whose
-    normalized operator differs are discarded and the search continues.
-    Among survivors at the first non-empty step the minimal d_start + d_end
-    wins, ties to the smaller descriptive row id.
+    whole_geometry=True any point of the geometry: from the first step at or
+    above max(d_start, d_end). The record binds at the smallest step with a
+    candidate whose normalized operator agrees; there the minimal d_start +
+    d_end wins, ties to the smaller descriptive row id, then to the earlier
+    descriptive file position (row ids need not be unique).
 
     Returns (merged records in input order, unmatched operational ids,
-    audit trail).
+    audit trail counting candidates of any operator at the bound step).
     """
     index = _geometry_index([d.geometry for d in descriptive]) if whole_geometry \
         else _endpoint_index(descriptive)
     desc_ops = [normalize_operator(d.operator_name) for d in descriptive]
     distance_fn = point_to_multiline_distance if whole_geometry else _min_endpoint_distance
+    steps = ladder.steps
 
     merged: list[MergedFlowline] = []
     unmatched: list[str] = []
@@ -165,47 +169,41 @@ def match_flowlines(
 
     for rec in operational:
         try:
-            chord = interpolate_line(rec, params)
+            start, end = interpolate_line(rec, params).vertices
         except DegenerateLine:
             unmatched.append(rec.source_row_id)
             audit.append(AuditRecord(rec.source_row_id, ladder.maximum, 0, None, math.nan, math.nan))
             continue
-        start, end = chord.vertices
         op_norm = normalize_operator(rec.operator_name)
 
-        hit = None
-        n_candidates = 0
-        step_reached = ladder.maximum
-        for t in ladder.steps:
-            ids = index.query_radius(start, t) & index.query_radius(end, t)
-            candidates = []
-            for i in sorted(ids, key=lambda i: descriptive[i].source_row_id):
-                d_start = distance_fn(start, descriptive[i].geometry)
-                d_end = distance_fn(end, descriptive[i].geometry)
-                if d_start <= t and d_end <= t:
-                    candidates.append((i, d_start, d_end))
-            step_reached = t
-            n_candidates = len(candidates)
-            survivors = [c for c in candidates if desc_ops[c[0]] == op_norm]
-            if survivors:
-                hit = min(survivors, key=lambda c: (c[1] + c[2], descriptive[c[0]].source_row_id))
-                break
+        # (first admissible step index, d_start, d_end, descriptive index)
+        candidates = []
+        for i in index.query_radius(start, ladder.maximum):
+            d_start = distance_fn(start, descriptive[i].geometry)
+            d_end = distance_fn(end, descriptive[i].geometry)
+            k = bisect_left(steps, max(d_start, d_end))
+            if k < len(steps):
+                candidates.append((k, d_start, d_end, i))
+        hit = min((c for c in candidates if desc_ops[c[3]] == op_norm), default=None,
+                  key=lambda c: (c[0], c[1] + c[2], descriptive[c[3]].source_row_id, c[3]))
+        k_bind = len(steps) - 1 if hit is None else hit[0]
+        n_candidates = sum(1 for c in candidates if c[0] <= k_bind)
 
         if hit is None:
             unmatched.append(rec.source_row_id)
-            audit.append(AuditRecord(rec.source_row_id, step_reached, n_candidates, None, math.nan, math.nan))
-        else:
-            i, d_start, d_end = hit
-            desc = descriptive[i]
-            merged.append(MergedFlowline(
-                operational=rec,
-                descriptive_id=desc.source_row_id,
-                geometry=desc.geometry,
-                operator_name=desc.operator_name,
-                match_tolerance=step_reached,
-                endpoint_distances=(d_start, d_end),
-            ))
-            audit.append(AuditRecord(rec.source_row_id, step_reached, n_candidates, desc.source_row_id, d_start, d_end))
+            audit.append(AuditRecord(rec.source_row_id, ladder.maximum, n_candidates, None, math.nan, math.nan))
+            continue
+        _, d_start, d_end, i = hit
+        desc = descriptive[i]
+        merged.append(MergedFlowline(
+            operational=rec,
+            descriptive_id=desc.source_row_id,
+            geometry=desc.geometry,
+            operator_name=desc.operator_name,
+            match_tolerance=steps[k_bind],
+            endpoint_distances=(d_start, d_end),
+        ))
+        audit.append(AuditRecord(rec.source_row_id, steps[k_bind], n_candidates, desc.source_row_id, d_start, d_end))
 
     return merged, unmatched, audit
 
@@ -219,8 +217,10 @@ def match_spills(
     """Attribute each spill to the nearest operator-verified merged flowline.
 
     Distance is point-to-geometry: a spill can surface anywhere along a
-    line, not just at its ends. No survivor up to the ladder maximum means
-    the spill stays unattributed.
+    line, not just at its ends. The nearest flowline wins, ties to the
+    smaller flowline id, then to the earlier merged record; the tolerance
+    used is the first ladder step at or above its distance. Nothing within
+    the ladder maximum means the spill stays unattributed.
     """
     index = _geometry_index([m.geometry for m in merged])
     merged_ops = [normalize_operator(m.operator_name) for m in merged]
@@ -229,23 +229,17 @@ def match_spills(
     for spill in spills:
         p = project(spill.location, params)
         spill_op = normalize_operator(spill.operator_name)
-        hit = None
-        for t in ladder.steps:
-            candidates = []
-            for i in sorted(index.query_radius(p, t), key=lambda i: merged[i].flowline_id):
-                if merged_ops[i] != spill_op:
-                    continue
-                d = point_to_multiline_distance(p, merged[i].geometry)
-                if d <= t:
-                    candidates.append((i, d))
-            if candidates:
-                hit = min(candidates, key=lambda c: (c[1], merged[c[0]].flowline_id))
-                break
-        if hit is None:
+        candidates = [
+            (point_to_multiline_distance(p, merged[i].geometry), merged[i].flowline_id, i)
+            for i in index.query_radius(p, ladder.maximum)
+            if merged_ops[i] == spill_op
+        ]
+        d, flowline_id, _ = min(candidates, default=(math.inf, None, None))
+        k = bisect_left(ladder.steps, d)
+        if k == len(ladder.steps):
             attributions.append(SpillAttribution(spill.spill_id, None, math.nan, ladder.maximum))
         else:
-            i, d = hit
-            attributions.append(SpillAttribution(spill.spill_id, merged[i].flowline_id, d, t))
+            attributions.append(SpillAttribution(spill.spill_id, flowline_id, d, ladder.steps[k]))
     return attributions
 
 

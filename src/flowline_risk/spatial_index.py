@@ -43,10 +43,9 @@ def _enclosing_box(boxes: list[BoundingBox]) -> BoundingBox:
 class SpatialIndex:
     """Immutable STR-packed R-tree; build with SpatialIndex.build()."""
 
-    def __init__(self, root: _Node | None, size: int, fanout: int):
+    def __init__(self, root: _Node | None, size: int):
         self._root = root
         self._size = size
-        self._fanout = fanout
 
     def __len__(self) -> int:
         return self._size
@@ -63,7 +62,7 @@ class SpatialIndex:
             raise ValueError("fanout must be >= 2")
         entries = list(entries)
         if not entries:
-            return SpatialIndex(None, 0, fanout)
+            return SpatialIndex(None, 0)
 
         leaves = [
             _Node(_enclosing_box([e.box for e in group]), entries=group)
@@ -75,7 +74,7 @@ class SpatialIndex:
                 _Node(_enclosing_box([n.box for n in group]), children=group)
                 for group in _str_pack(level, fanout, lambda n: n.box)
             ]
-        return SpatialIndex(level[0], len(entries), fanout)
+        return SpatialIndex(level[0], len(entries))
 
     def query_box(self, box: BoundingBox) -> set:
         """Ids of all entries whose box intersects the query box (closed)."""

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .crs import GeoPoint, ProjectionParams, project, unproject
+from .fileio import open_atomic
 from .geometry import Point2D
 
 REFERENCE_DATE = datetime.date(2024, 6, 30)
@@ -386,7 +387,7 @@ def _write_descriptive(path, lines: list[_Line]) -> None:
             },
         })
     doc = {"type": "FeatureCollection", "features": features}
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_atomic(path) as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
 
@@ -397,7 +398,7 @@ def _write_operational(path, cfg, lines, rng, truth: GroundTruth, params) -> Non
     construction_window = (datetime.date(1975, 1, 1), datetime.date(2020, 12, 31))
     window_days = (construction_window[1] - construction_window[0]).days
 
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_atomic(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(OPERATIONAL_HEADER)
         for line in lines:
@@ -447,7 +448,7 @@ def _write_operational(path, cfg, lines, rng, truth: GroundTruth, params) -> Non
 def _write_spills(path, spills: list[_Spill], params: ProjectionParams) -> None:
     from .ingest import SPILL_HEADER
 
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_atomic(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SPILL_HEADER)
         for spill in spills:
@@ -462,7 +463,7 @@ def _write_spills(path, spills: list[_Spill], params: ProjectionParams) -> None:
 
 
 def _write_ground_truth(path, truth: GroundTruth) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_atomic(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["kind", "source_id", "true_target_id"])
         for op_id, desc_id in truth.line_matches.items():

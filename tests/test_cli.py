@@ -1,5 +1,6 @@
 import json
 import subprocess
+from dataclasses import fields
 import sys
 from pathlib import Path
 from unittest import mock
@@ -8,7 +9,7 @@ import pytest
 
 from flowline_risk import cli, fileio, numerics
 from flowline_risk.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
-from flowline_risk.config import ConfigError, load_config
+from flowline_risk.config import ConfigError, RunConfig, load_config
 from flowline_risk.features import ColumnMeta, FeatureConfig, assemble, save_dataset
 from flowline_risk.ingest import parse_descriptive, parse_operational, parse_spills
 from flowline_risk.matcher import assign_risk, match_flowlines, match_spills
@@ -84,6 +85,23 @@ class TestConfig:
         cfg = load_config(None, {"seed": 1, "descriptive_path": str(tmp_path / "nope.geojson")})
         with pytest.raises(ConfigError):
             cfg.validate()
+
+    def test_echo_round_trips_with_declared_types(self, tmp_path):
+        # Every echoed field, written back as key = value text, loads equal
+        # and with the type its RunConfig annotation declares.
+        cfg = RunConfig(seed=11, synth_area=12345.678, ladder=(0.0, 2.5, 30.0), pca=False,
+                        drop_id_like=True, reference_date="2024-06-30", rf_mtry=3)
+        path = tmp_path / "run.cfg"
+        path.write_text("".join(
+            f"{key} = {','.join(map(str, value)) if isinstance(value, list) else value}\n"
+            for key, value in cfg.echo().items()))
+        back = load_config(path)
+        assert back.extras == {}
+        for f in fields(RunConfig):
+            if f.name in ("extras", "out_dir"):
+                continue
+            want, got = getattr(cfg, f.name), getattr(back, f.name)
+            assert got == want and type(got) is type(want), f.name
 
 
 class TestExitCodes:

@@ -1,9 +1,14 @@
 import math
+from contextlib import contextmanager
+from dataclasses import fields
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flowline_risk.crs import GeoPoint, unproject
-from flowline_risk.geometry import Point2D, multiline
+from flowline_risk.crs import GeoPoint, ProjectionParams, project, unproject
+from flowline_risk.geometry import BoundingBox, Point2D, multiline
 from flowline_risk.ingest import DescriptiveFlowline, SpillRecord
 from flowline_risk.matcher import (
     DanglingReference,
@@ -17,8 +22,10 @@ from flowline_risk.matcher import (
     match_spills,
     write_audit_log,
 )
+from flowline_risk.spatial_index import SpatialIndex
 from flowline_risk.synth import REFERENCE_DATE
 
+import matcher_oracle
 from conftest import make_operational
 
 BASE = Point2D(500000.0, 4320000.0)
@@ -132,6 +139,20 @@ class TestMatchFlowlines:
         merged, _, _ = match_flowlines(ops, desc_tie)
         assert merged[0].descriptive_id == "D3"
 
+    def test_duplicate_row_id_tie_goes_to_file_order(self):
+        # Two features share row id D1 and tie on summed distance; the one
+        # earlier in the descriptive file wins. With the pair at positions 0
+        # and 8, a set of their indices iterates position 8 first.
+        ops = [operational("OP1", 0.0, 0.0, 100.0, 0.0)]
+        above = descriptive("D1", [[(0.0, 2.0), (100.0, 2.0)]])
+        below = descriptive("D1", [[(0.0, -2.0), (100.0, -2.0)]])
+        far = [descriptive(f"F{k}", [[(5000.0 + 100 * k, 5000.0), (5050.0 + 100 * k, 5000.0)]])
+               for k in range(7)]
+        for first, last in ((above, below), (below, above)):
+            merged, _, audit = match_flowlines(ops, [first, *far, last])
+            assert merged[0].geometry == first.geometry
+            assert audit[0].n_candidates == 2
+
     def test_endpoint_semantics_ignores_interior(self):
         # descriptive endpoints far away; only its interior passes nearby
         ops = [operational("OP1", 0.0, 0.0, 100.0, 0.0)]
@@ -217,6 +238,222 @@ class TestMatchSpills:
         correct = sum(1 for a in att
                       if a.matched and truth.spill_matches[a.spill_id] == a.matched_flowline_id)
         assert correct / len(att) >= 0.95
+
+
+class TestOneQueryPerRecord:
+    @pytest.fixture
+    def query_radii(self, monkeypatch):
+        radii = []
+        real = SpatialIndex.query_radius
+
+        def counting(index, p, r):
+            radii.append(r)
+            return real(index, p, r)
+        monkeypatch.setattr(SpatialIndex, "query_radius", counting)
+        return radii
+
+    def test_match_flowlines(self, query_radii):
+        ops = [
+            operational("OP1", 0.0, 0.0, 100.0, 0.0),
+            operational("OP2", 0.0, 9.0, 100.0, 9.0),
+            operational("OP3", 0.0, 0.0, 100.0, 0.0, operator="Rival Oil Co"),
+            make_operational(row_id="OP4", lat=39.0, lon=-105.0, lat2=39.0, lon2=-105.0),
+        ]
+        desc = [descriptive("D1", [[(0.0, 0.0), (100.0, 0.0)]])]
+        merged, unmatched, _ = match_flowlines(ops, desc)
+        assert [m.match_tolerance for m in merged] == [1.0, 10.0]
+        assert unmatched == ["OP3", "OP4"]
+        # one query per non-degenerate record, at the ladder maximum
+        assert query_radii == [25.0, 25.0, 25.0]
+
+    def test_match_spills(self, query_radii):
+        desc = descriptive("D1", [[(0.0, 0.0), (100.0, 0.0)]])
+        merged = [MergedFlowline(make_operational(row_id="OP1"), "D1", desc.geometry,
+                                 desc.operator_name, 0.0, (0.0, 0.0))]
+        spills = [spill("S1", 50.0, 0.0), spill("S2", 50.0, 12.0), spill("S3", 50.0, 60.0)]
+        att = match_spills(spills, merged, ToleranceLadder((0.0, 5.0, 15.0)))
+        assert [a.tolerance_used for a in att] == [0.0, 15.0, 15.0]
+        assert [a.matched for a in att] == [True, True, False]
+        assert query_radii == [15.0, 15.0, 15.0]
+
+
+LADDER_POOL = (0.0, 0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 7.5, 10.0, 15.0, 20.0, 25.0, 40.0)
+OPERATORS = ("Acme Energy LLC", "  ACME  energy llc ", "Rival Oil Co")
+# (projection, base latitude, base longitude): UTM 13N at 39N, where nearby
+# coordinates share a binade and their differences are exact, and a frame
+# whose projected coordinates straddle zero, where a difference can round.
+UTM, NEAR_ORIGIN = (ProjectionParams(), 39.0, -105.0), (ProjectionParams(false_easting=0.0), 0.0, -105.0)
+# Offsets in meters: small integers (exact ties), exact ladder steps along
+# an axis (distances landing on a step), and arbitrary floats.
+_COORD = st.one_of(
+    st.integers(-30, 30).map(float),
+    st.sampled_from(LADDER_POOL + tuple(-t for t in LADDER_POOL)),
+    st.floats(-30.0, 30.0),
+)
+OFFSETS = st.tuples(_COORD, _COORD)
+LADDERS = st.lists(st.sampled_from(LADDER_POOL), min_size=1, max_size=6, unique=True) \
+    .map(lambda steps: ToleranceLadder(tuple(sorted(steps))))
+
+
+def nudged(draw, x: float, ulps: bool) -> float:
+    """x, or with ulps set, x moved up to two ulps either way."""
+    for _ in range(draw(st.integers(0, 2)) if ulps else 0):
+        x = math.nextafter(x, draw(st.sampled_from((-math.inf, math.inf))))
+    return x
+
+
+@st.composite
+def networks(draw, frames=(UTM, NEAR_ORIGIN), nudge_frames=(UTM,)):
+    """Operational records (some degenerate) and descriptive lines near them.
+
+    Descriptive vertices sit at drawn offsets from the projected chord
+    endpoints, so candidates land near, on and across ladder steps; in
+    nudge_frames they may also sit an ulp or two off such a point. Row ids
+    are distinct and their string order differs from file order.
+    """
+    frame = draw(st.sampled_from(frames))
+    params, lat, lon = frame
+    ulps = frame in nudge_frames
+    base = project(GeoPoint(lat, lon), params)
+    ops, anchors = [], [base]
+    for j in range(draw(st.integers(1, 4))):
+        sx, sy = draw(OFFSETS)
+        ex, ey = draw(st.one_of(st.just((0, 0)), st.tuples(st.integers(-100, 100), st.integers(-100, 100))))
+        a = unproject(Point2D(base.x + sx, base.y + sy), params)
+        b = unproject(Point2D(base.x + sx + ex, base.y + sy + ey), params)
+        rec = make_operational(row_id=f"OP{j}", lat=a.latitude, lon=a.longitude,
+                               lat2=b.latitude, lon2=b.longitude,
+                               operator=draw(st.sampled_from(OPERATORS)))
+        ops.append(rec)
+        try:
+            anchors.extend(interpolate_line(rec, params).vertices)
+        except DegenerateLine:
+            pass
+    desc = []
+    for k in draw(st.lists(st.integers(0, 99), max_size=8, unique=True)):
+        chains = []
+        for _ in range(draw(st.integers(1, 2))):
+            chain = []
+            for _ in range(draw(st.integers(2, 3))):
+                a = draw(st.sampled_from(anchors))
+                dx, dy = draw(OFFSETS)
+                chain.append((nudged(draw, a.x + dx, ulps), nudged(draw, a.y + dy, ulps)))
+            chains.append(chain)
+        desc.append(DescriptiveFlowline(f"D{k}", draw(st.sampled_from(OPERATORS)), multiline(*chains)))
+    return params, ops, desc
+
+
+@st.composite
+def spill_scenes(draw, **network_kw):
+    """Merged flowlines (several may share a geometry) and spills near them."""
+    params, _, desc = draw(networks(**network_kw))
+    lines = draw(st.lists(st.sampled_from(desc), max_size=6)) if desc else []
+    flowline_ids = draw(st.lists(st.integers(0, 99), min_size=len(lines), max_size=len(lines), unique=True))
+    merged = [MergedFlowline(make_operational(row_id=f"OP{k}"), d.source_row_id, d.geometry,
+                             d.operator_name, 0.0, (0.0, 0.0))
+              for d, k in zip(lines, flowline_ids)]
+    anchors = [v for m in merged for line in m.geometry.lines for v in line.vertices] \
+        or [project(GeoPoint(39.0, -105.0), params)]
+    spills = []
+    for s in range(draw(st.integers(1, 5))):
+        a = draw(st.sampled_from(anchors))
+        dx, dy = draw(OFFSETS)
+        spills.append(SpillRecord(f"S{s}", draw(st.sampled_from(OPERATORS)),
+                                  unproject(Point2D(a.x + dx, a.y + dy), params),
+                                  "CORROSION", REFERENCE_DATE))
+    return params, spills, merged
+
+
+def assert_same_records(got, want):
+    """Field-by-field equality of two dataclass lists, NaN equal to NaN."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for f in fields(g):
+            a, b = getattr(g, f.name), getattr(w, f.name)
+            assert a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b)), (f.name, g, w)
+
+
+def assert_same_merge(got, want):
+    assert got[0] == want[0]
+    assert got[1] == want[1]
+    assert_same_records(got[2], want[2])
+
+
+@contextmanager
+def no_box_prefilter():
+    """Make every radius query return the whole index, so only distances decide."""
+    everywhere = BoundingBox(-math.inf, -math.inf, math.inf, math.inf)
+    with mock.patch.object(SpatialIndex, "query_radius", lambda index, p, r: index.query_box(everywhere)):
+        yield
+
+
+class TestMatchesLadderOracle:
+    """The one-query joins against the step-by-step ladder joins."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(networks(), LADDERS, st.booleans())
+    def test_match_flowlines(self, network, ladder, whole_geometry):
+        params, ops, desc = network
+        assert_same_merge(match_flowlines(ops, desc, ladder, params, whole_geometry),
+                          matcher_oracle.match_flowlines(ops, desc, ladder, params, whole_geometry))
+
+    @settings(max_examples=200, deadline=None)
+    @given(spill_scenes(), LADDERS)
+    def test_match_spills(self, scene, ladder):
+        params, spills, merged = scene
+        assert_same_records(match_spills(spills, merged, ladder, params),
+                            matcher_oracle.match_spills(spills, merged, ladder, params))
+
+    # Near the origin the per-step box can round a point out that still
+    # measures exactly the step; the one-query joins then bind at that step
+    # and the ladder oracle one step later. Without its box prefilter the
+    # oracle agrees everywhere, so the box is the only source of difference.
+    @settings(max_examples=200, deadline=None)
+    @given(networks(nudge_frames=(UTM, NEAR_ORIGIN)), LADDERS, st.booleans())
+    def test_match_flowlines_differs_only_by_box_rounding(self, network, ladder, whole_geometry):
+        params, ops, desc = network
+        got = match_flowlines(ops, desc, ladder, params, whole_geometry)
+        with no_box_prefilter():
+            want = matcher_oracle.match_flowlines(ops, desc, ladder, params, whole_geometry)
+        assert_same_merge(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(spill_scenes(nudge_frames=(UTM, NEAR_ORIGIN)), LADDERS)
+    def test_match_spills_differs_only_by_box_rounding(self, scene, ladder):
+        params, spills, merged = scene
+        got = match_spills(spills, merged, ladder, params)
+        with no_box_prefilter():
+            want = matcher_oracle.match_spills(spills, merged, ladder, params)
+        assert_same_records(got, want)
+
+    def test_sub_ulp_box_rounding_example(self):
+        # Start x is about 0.7 m; a vertex one ulp below the computed box edge
+        # start.x - 2 still measures exactly 2.0 m, because start.x - vertex
+        # rounds. The one-query join binds at 2; the ladder oracle's 2 m box
+        # misses the vertex and it binds at 5 with the same distances.
+        params = NEAR_ORIGIN[0]
+        a, b = (unproject(Point2D(x, 0.5), params) for x in (0.7, 60.7))
+        rec = make_operational(lat=a.latitude, lon=a.longitude, lat2=b.latitude, lon2=b.longitude)
+        start, end = interpolate_line(rec, params).vertices
+        edge = math.nextafter(start.x - 2.0, -math.inf)
+        desc = [DescriptiveFlowline("D1", rec.operator_name,
+                                    multiline([(edge, start.y), (end.x, end.y)]))]
+        (got,) = match_flowlines([rec], desc, params=params)[2]
+        (want,) = matcher_oracle.match_flowlines([rec], desc, params=params)[2]
+        assert (got.step_reached, got.d_start, got.d_end) == (2.0, 2.0, 0.0)
+        assert (want.step_reached, want.d_start, want.d_end) == (5.0, 2.0, 0.0)
+        with no_box_prefilter():
+            assert matcher_oracle.match_flowlines([rec], desc, params=params)[2] == [got]
+
+    def test_synthetic_networks(self, synth_a, synth_b):
+        for run in (synth_a, synth_b):
+            ops = run.operational[:300]
+            for whole_geometry in (False, True):
+                got = match_flowlines(ops, run.descriptive, whole_geometry=whole_geometry)
+                assert_same_merge(got, matcher_oracle.match_flowlines(
+                    ops, run.descriptive, whole_geometry=whole_geometry))
+            assert_same_records(match_spills(run.spills, got[0]),
+                                matcher_oracle.match_spills(run.spills, got[0]))
 
 
 class TestAssignRisk:

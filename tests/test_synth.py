@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from flowline_risk import fileio
 from flowline_risk.geometry import endpoint_set
 from flowline_risk.ingest import parse_descriptive, parse_operational, parse_spills
 from flowline_risk.matcher import match_flowlines
@@ -135,3 +136,28 @@ class TestPresets:
         assert bundles, "clustering 0.8 must produce shared-facility bundles"
         for ops in bundles.values():
             assert len(set(ops)) == 1
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("n_done", [0, 1, 2, 3])
+    def test_interrupted_generate_keeps_previous_file(self, tmp_path, monkeypatch, n_done):
+        # The first n_done files are renamed into place, then a rename is
+        # interrupted: that file keeps its previous bytes and no .tmp stays.
+        first = generate(config_a(seed=3, n_lines=40), tmp_path)
+        paths = [first.descriptive_path, first.operational_path,
+                 first.spills_path, first.ground_truth_path]
+        before = [p.read_bytes() for p in paths]
+        real_replace = fileio.os.replace
+        calls = []
+
+        def interrupted(src, dst):
+            calls.append(dst)
+            if len(calls) > n_done:
+                raise KeyboardInterrupt
+            real_replace(src, dst)
+        monkeypatch.setattr(fileio.os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            generate(config_a(seed=4, n_lines=40), tmp_path)
+        assert [str(c) for c in calls] == [str(p) for p in paths[:n_done + 1]]
+        assert paths[n_done].read_bytes() == before[n_done]
+        assert not list(tmp_path.rglob("*.tmp"))
