@@ -167,37 +167,70 @@ def metric_table(models: dict, X_test, y_test) -> list[MetricRow]:
     return rows
 
 
+# Bytes for one B x n float64 block of the silhouette distances; B follows
+# from n, so the working set stays O(n) however many rows there are.
+_SILHOUETTE_BLOCK_BYTES = 2 << 20
+
+# Kaufman & Rousseeuw (1990): an average silhouette at or below 0.25 means
+# no substantial cluster structure was found.
+NO_STRUCTURE_SILHOUETTE = 0.25
+
+
+def silhouettes(X, assignment_sets) -> list[float]:
+    """Mean silhouette score of each assignment of the rows of X.
+
+    Singleton clusters score 0. The distances are walked in blocks of rows:
+    each B x n block is computed once, and one product with the stacked
+    one-hot indicators of every assignment gives each row's distance sum to
+    each cluster of each assignment, so memory is O(B n + n sum(k)).
+    """
+    X = np.asarray(X, dtype=float)
+    n = X.shape[0]
+    codes, sizes = [], []
+    for assignments in assignment_sets:
+        labels, code = np.unique(np.asarray(assignments, dtype=int), return_inverse=True)
+        if labels.size < 2:
+            raise SingleCluster("silhouette needs at least two clusters")
+        codes.append(code.reshape(-1))
+        sizes.append(np.bincount(codes[-1], minlength=labels.size))
+    offsets = np.cumsum([0] + [s.size for s in sizes])
+    onehot = np.zeros((n, offsets[-1]))
+    for code, offset in zip(codes, offsets):
+        onehot[np.arange(n), offset + code] = 1.0
+
+    # Pairwise distances via the Gram identity, one block of rows at a time.
+    sq = np.sum(X * X, axis=1)
+    sums = np.empty((n, offsets[-1]))
+    rows = max(1, _SILHOUETTE_BLOCK_BYTES // (8 * max(n, 1)))
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        d2 = sq[lo:hi, None] + sq[None, :] - 2.0 * (X[lo:hi] @ X.T)
+        dist = np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
+        dist[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
+        sums[lo:hi] = dist @ onehot
+
+    result = []
+    for code, size, offset in zip(codes, sizes, offsets):
+        own = size[code]
+        cluster_sums = sums[:, offset:offset + size.size]
+        a = cluster_sums[np.arange(n), code] / np.maximum(own - 1, 1)
+        means = cluster_sums / size
+        means[np.arange(n), code] = np.inf
+        b = means.min(axis=1)
+        scores = np.zeros(n)  # singletons keep 0 by convention
+        np.divide(b - a, np.maximum(a, b), out=scores, where=own > 1)
+        result.append(float(np.mean(scores)))
+    return result
+
+
 def silhouette(X, assignments) -> float:
     """Mean silhouette score over all points; singleton clusters score 0."""
-    X = np.asarray(X, dtype=float)
-    assignments = np.asarray(assignments, dtype=int)
-    labels = np.unique(assignments)
-    if labels.size < 2:
-        raise SingleCluster("silhouette needs at least two clusters")
+    return silhouettes(X, [assignments])[0]
 
-    # Pairwise distances via the Gram identity; keeps memory at n^2, not n^2 p.
-    sq = np.sum(X * X, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-    dist = np.sqrt(np.maximum(d2, 0.0))
-    np.fill_diagonal(dist, 0.0)
-    members = {c: np.flatnonzero(assignments == c) for c in labels}
 
-    scores = np.zeros(X.shape[0])
-    for c in labels:
-        idx = members[c]
-        if idx.size == 1:
-            scores[idx[0]] = 0.0  # singleton convention
-            continue
-        own = dist[np.ix_(idx, idx)]
-        a = own.sum(axis=1) / (idx.size - 1)
-        b = np.full(idx.size, np.inf)
-        for other in labels:
-            if other == c:
-                continue
-            mean_other = dist[np.ix_(idx, members[other])].mean(axis=1)
-            b = np.minimum(b, mean_other)
-        scores[idx] = (b - a) / np.maximum(a, b)
-    return float(np.mean(scores))
+def structure_found(scores: dict[int, float]) -> bool:
+    """Whether any swept k scores above the no-structure threshold."""
+    return any(s > NO_STRUCTURE_SILHOUETTE for s in scores.values())
 
 
 def silhouette_sweep(
@@ -206,7 +239,7 @@ def silhouette_sweep(
     """Best k, silhouette per k and fitted k-means model per k; ties go to the smaller k."""
     X = np.asarray(X, dtype=float)
     models = {k: fit_kmeans(X, k, seed=seed) for k in k_range}
-    scores = {k: silhouette(X, model.assignments) for k, model in models.items()}
+    scores = dict(zip(models, silhouettes(X, [m.assignments for m in models.values()])))
     best_k = max(sorted(scores), key=lambda k: (scores[k], -k))
     return best_k, scores, models
 

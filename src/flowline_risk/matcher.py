@@ -117,11 +117,11 @@ def interpolate_line(
     return PolyLine((start, end))
 
 
-def _endpoint_index(descriptive: list[DescriptiveFlowline]) -> SpatialIndex:
+def _endpoint_index(endpoints: list[list[Point2D]]) -> SpatialIndex:
     # One degenerate box per endpoint-set point; item_id is the record index.
     entries = []
-    for i, rec in enumerate(descriptive):
-        for p in endpoint_set(rec.geometry):
+    for i, points in enumerate(endpoints):
+        for p in points:
             entries.append(IndexEntry(i, BoundingBox(p.x, p.y, p.x, p.y)))
     return SpatialIndex.build(entries)
 
@@ -132,8 +132,8 @@ def _geometry_index(items: list[MultiLine]) -> SpatialIndex:
     )
 
 
-def _min_endpoint_distance(p: Point2D, g: MultiLine) -> float:
-    return min(p.distance_to(q) for q in endpoint_set(g))
+def _min_endpoint_distance(p: Point2D, endpoints: list[Point2D]) -> float:
+    return min(p.distance_to(q) for q in endpoints)
 
 
 def match_flowlines(
@@ -157,10 +157,15 @@ def match_flowlines(
     Returns (merged records in input order, unmatched operational ids,
     audit trail counting candidates of any operator at the bound step).
     """
-    index = _geometry_index([d.geometry for d in descriptive]) if whole_geometry \
-        else _endpoint_index(descriptive)
+    if whole_geometry:
+        shapes = [d.geometry for d in descriptive]
+        index = _geometry_index(shapes)
+        distance_fn = point_to_multiline_distance
+    else:
+        shapes = [endpoint_set(d.geometry) for d in descriptive]
+        index = _endpoint_index(shapes)
+        distance_fn = _min_endpoint_distance
     desc_ops = [normalize_operator(d.operator_name) for d in descriptive]
-    distance_fn = point_to_multiline_distance if whole_geometry else _min_endpoint_distance
     steps = ladder.steps
 
     merged: list[MergedFlowline] = []
@@ -179,8 +184,8 @@ def match_flowlines(
         # (first admissible step index, d_start, d_end, descriptive index)
         candidates = []
         for i in index.query_radius(start, ladder.maximum):
-            d_start = distance_fn(start, descriptive[i].geometry)
-            d_end = distance_fn(end, descriptive[i].geometry)
+            d_start = distance_fn(start, shapes[i])
+            d_end = distance_fn(end, shapes[i])
             k = bisect_left(steps, max(d_start, d_end))
             if k < len(steps):
                 candidates.append((k, d_start, d_end, i))

@@ -6,6 +6,12 @@ import numpy as np
 
 from .base import Classifier, KTooLarge, check_binary_labels
 
+# Bytes for one block of query-to-training squared distances (B x n float64),
+# and for one chunk of exact differences (pairs x p).
+_BLOCK_BYTES = 2 << 20
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+_TINY = 1e-300
+
 
 class KNNClassifier(Classifier):
     """Lazy Euclidean majority vote; ties go to class 0.
@@ -32,13 +38,48 @@ class KNNClassifier(Classifier):
         self.train_y = y.copy()
 
     def vote_shares(self, X) -> np.ndarray:
-        """Fraction of class-1 votes among the k nearest, per query row."""
+        """Fraction of class-1 votes among the k nearest, per query row.
+
+        Each block of query rows gets its squared distances to every
+        training row from the Gram identity, with a bound on their rounding
+        error. That bound keeps every row that can be among the k nearest;
+        those few get the exact distance np.linalg.norm(train_X - q), and a
+        sort on (distance, training row) picks the k nearest, so the votes
+        are those of a stable argsort of all exact distances.
+        """
         X = np.asarray(X, dtype=float)
+        T, k = self.train_X, self.k_neighbors
+        n, p = T.shape
+        sq_t = np.sum(T * T, axis=1)
+        positive = self.train_y == 1
+        # Rounding bounds: the Gram form is within gram_err * (|q|^2 + |t|^2)
+        # (+ tiny, for underflow) of the squared distance, and the exact
+        # distance within a relative norm_err of the true one.
+        gram_err = (4 * p + 16) * _UNIT_ROUNDOFF
+        norm_err = (p + 8) * _UNIT_ROUNDOFF
         shares = np.empty(X.shape[0])
-        for i, q in enumerate(X):
-            d = np.linalg.norm(self.train_X - q, axis=1)
-            nearest = np.argsort(d, kind="stable")[: self.k_neighbors]
-            shares[i] = float(np.sum(self.train_y[nearest])) / self.k_neighbors
+        rows = max(1, _BLOCK_BYTES // (8 * max(n, 1)))
+        pairs = max(1, _BLOCK_BYTES // (8 * max(p, 1)))
+        for lo in range(0, X.shape[0], rows):
+            Q = X[lo:lo + rows]
+            with np.errstate(invalid="ignore"):  # non-finite rows keep everything
+                sq = sq_t[None, :] + np.sum(Q * Q, axis=1)[:, None]
+                approx = sq - 2.0 * (Q @ T.T)
+                slack = gram_err * sq + _TINY
+                # The k-th smallest upper bound is one no k-th nearest exceeds.
+                kth = np.partition(approx + slack, k - 1, axis=1)[:, k - 1]
+                keep = approx - slack <= kth[:, None] * (1.0 + 8.0 * norm_err)
+            keep[~np.isfinite(approx).all(axis=1)] = True
+            q, r = np.nonzero(keep)
+            # Ties can keep whole rows of pairs; gather them in bounded chunks.
+            d = np.concatenate([np.linalg.norm(T[r[i:i + pairs]] - Q[q[i:i + pairs]], axis=1)
+                                for i in range(0, q.size, pairs)])
+            order = np.lexsort((r, d, q))
+            q, r = q[order], r[order]
+            rank = np.arange(q.size) - np.searchsorted(q, np.arange(Q.shape[0]))[q]
+            nearest = rank < k
+            votes = np.bincount(q[nearest], weights=positive[r[nearest]], minlength=Q.shape[0])
+            shares[lo:lo + rows] = votes / k
         return shares
 
     def _predict(self, X):

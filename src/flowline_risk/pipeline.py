@@ -12,6 +12,7 @@ import csv
 import datetime
 import hashlib
 import json
+import logging
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -19,7 +20,13 @@ import numpy as np
 
 from .config import RunConfig
 from .crs import GeoPoint
-from .evaluation import REPORT_ORDER, metric_table, silhouette_sweep
+from .evaluation import (
+    NO_STRUCTURE_SILHOUETTE,
+    REPORT_ORDER,
+    metric_table,
+    silhouette_sweep,
+    structure_found,
+)
 from .features import (
     DegenerateClass,
     Dataset,
@@ -61,6 +68,8 @@ from .ml import (
 )
 from .numerics import PCAModel, choose_k_by_variance, pca_fit, pca_transform
 from .synth import SynthConfig, config_a, config_b, generate
+
+log = logging.getLogger(__name__)
 
 
 class MissingArtifact(FileNotFoundError):
@@ -542,12 +551,17 @@ def stage_cluster(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
     k_range = range(cfg.cluster_k_min, cfg.cluster_k_max + 1)
     best_k, sweep, fits = silhouette_sweep(scores, k_range, seed=cfg.seed)
     km = fits[best_k]
+    found = structure_found(sweep)
+    if not found:
+        log.warning("no cluster structure: every silhouette score is at or below %g, "
+                    "so best_k = %d is decided by noise", NO_STRUCTURE_SILHOUETTE, best_k)
 
     clustering_path = paths.artifacts / "clustering.json"
     _dump_json(clustering_path, {
         "k_range": [int(k) for k in k_range],
         "scores": {str(k): sweep[k] for k in sweep},
         "best_k": best_k,
+        "structure_found": found,
         "pca_k": model.n_components,
         "inertia": km.inertia,
         "inertia_history": km.inertia_history,

@@ -91,6 +91,7 @@ REPORT_SCHEMA = {
                 "k_range": {"type": "array", "items": {"type": "integer", "minimum": 2}},
                 "scores": {"type": "object"},
                 "best_k": {"type": "integer", "minimum": 2},
+                "structure_found": {"type": "boolean"},
                 "pc_scores": {"type": "array"},
                 "assignments": {"type": "array"},
                 "actual": {"type": "array"},

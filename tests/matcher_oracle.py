@@ -5,7 +5,8 @@ index is queried again (around both endpoints for merging), the candidates
 are re-sorted and their distances recomputed, and the first step with an
 operator-matching candidate binds. Slow but simple to audit, so the tests
 check that the one-query joins produce the same merged records, audit rows
-and spill attributions.
+and spill attributions. The endpoint helpers below are the original ones,
+which rebuild a line's endpoint set on every distance call.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 
 from flowline_risk.crs import ProjectionParams, project
-from flowline_risk.geometry import point_to_multiline_distance
+from flowline_risk.geometry import BoundingBox, MultiLine, Point2D, endpoint_set, point_to_multiline_distance
 from flowline_risk.ingest import DescriptiveFlowline, OperationalFlowline, SpillRecord, normalize_operator
 from flowline_risk.matcher import (
     AuditRecord,
@@ -21,11 +22,23 @@ from flowline_risk.matcher import (
     MergedFlowline,
     SpillAttribution,
     ToleranceLadder,
-    _endpoint_index,
     _geometry_index,
-    _min_endpoint_distance,
     interpolate_line,
 )
+from flowline_risk.spatial_index import IndexEntry, SpatialIndex
+
+
+def _endpoint_index(descriptive: list[DescriptiveFlowline]) -> SpatialIndex:
+    # One degenerate box per endpoint-set point; item_id is the record index.
+    entries = []
+    for i, rec in enumerate(descriptive):
+        for p in endpoint_set(rec.geometry):
+            entries.append(IndexEntry(i, BoundingBox(p.x, p.y, p.x, p.y)))
+    return SpatialIndex.build(entries)
+
+
+def _min_endpoint_distance(p: Point2D, g: MultiLine) -> float:
+    return min(p.distance_to(q) for q in endpoint_set(g))
 
 
 def match_flowlines(

@@ -1,4 +1,6 @@
 import json
+import logging
+import math
 import subprocess
 from dataclasses import fields
 import sys
@@ -202,9 +204,26 @@ class TestStageChaining:
         report = json.loads((out / "report.json").read_text())
         assert len(report["metrics"]["rows"]) == 36
         assert len(report["clustering"]["scores"]) == 4  # sweep over k = 2..5
+        assert isinstance(report["clustering"]["structure_found"], bool)
         assert len(list((out / "figures").glob("*.svg"))) == 8
         assert (out / "tables" / "metrics.csv").exists()
         assert (out / "artifacts" / "merge_audit.csv").exists()
+
+    def test_no_structure_flag_and_warning(self, tmp_path, caplog):
+        cfg = write_config(tmp_path / "run.cfg")
+        out = tmp_path / "run"
+        run_stages(cfg, out, "synth", "merge", "attribute", "featurize")
+        for scores, found in (([0.2, math.nextafter(0.25, 1.0), 0.1, 0.0], True),
+                              ([0.2, 0.25, 0.1, 0.0], False)):
+            caplog.clear()
+            with mock.patch("flowline_risk.evaluation.silhouettes", return_value=scores), \
+                    caplog.at_level(logging.WARNING, logger="flowline_risk.pipeline"):
+                run_stages(cfg, out, "cluster")
+            doc = json.loads((out / "artifacts" / "clustering.json").read_text())
+            assert doc["structure_found"] is found
+            assert doc["best_k"] == 3  # the rule is unchanged either way
+            warned = [r for r in caplog.records if "no cluster structure" in r.getMessage()]
+            assert len(warned) == (0 if found else 1)
 
     def test_stale_artifact_detected(self, tmp_path):
         cfg = write_config(tmp_path / "run.cfg")

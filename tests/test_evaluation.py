@@ -1,10 +1,17 @@
 import datetime
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from flowline_risk import evaluation
 from flowline_risk.evaluation import (
+    NO_STRUCTURE_SILHOUETTE,
     ConfusionMatrix,
     LengthMismatch,
     SingleClassTest,
@@ -17,13 +24,20 @@ from flowline_risk.evaluation import (
     metrics,
     silhouette,
     silhouette_sweep,
+    silhouettes,
+    structure_found,
 )
+from flowline_risk.ml.kmeans import fit_kmeans
 from flowline_risk.geometry import multiline
 from flowline_risk.matcher import MergedFlowline
 
+import silhouette_oracle
 from conftest import make_operational, two_blobs, three_blobs
 
 REF = datetime.date(2024, 6, 30)
+# Scores of the blocked kernel and the full-matrix oracle sum the same
+# distances in a different order.
+SILHOUETTE_ABS_TOL = 1e-12
 
 
 class TestConfusion:
@@ -177,11 +191,104 @@ class TestSilhouetteSweep:
         assert best == 3
 
     def test_tie_goes_to_smaller_k(self):
-        from unittest import mock
-        with mock.patch("flowline_risk.evaluation.silhouette", side_effect=[0.5, 0.5, 0.3, 0.2]):
+        with mock.patch("flowline_risk.evaluation.silhouettes", return_value=[0.5, 0.5, 0.3, 0.2]):
             X, _ = two_blobs(seed=89)
             best, scores, _ = silhouette_sweep(X, range(2, 6), seed=89)
         assert best == 2
+
+    def test_one_kernel_call_for_the_whole_sweep(self):
+        X, _ = three_blobs(seed=90)
+        with mock.patch("flowline_risk.evaluation.silhouettes", wraps=silhouettes) as kernel:
+            _, scores, models = silhouette_sweep(X, range(2, 6), seed=90)
+        assert kernel.call_count == 1
+        for k, model in models.items():
+            assert scores[k] == pytest.approx(
+                silhouette_oracle.silhouette(X, model.assignments), abs=SILHOUETTE_ABS_TOL)
+
+
+class TestStructureFound:
+    def test_at_threshold_is_no_structure(self):
+        assert not structure_found({2: NO_STRUCTURE_SILHOUETTE, 3: 0.1, 4: -0.2})
+
+    def test_just_above_threshold_is_structure(self):
+        assert structure_found({2: 0.1, 3: math.nextafter(NO_STRUCTURE_SILHOUETTE, 1.0)})
+
+    def test_two_blobs_have_structure(self):
+        X, _ = two_blobs(seed=92)
+        _, scores, _ = silhouette_sweep(X, range(2, 6), seed=92)
+        assert structure_found(scores)
+
+    def test_uniform_noise_has_none(self):
+        X = np.random.default_rng(93).random((400, 8))
+        _, scores, _ = silhouette_sweep(X, range(2, 6), seed=93)
+        assert not structure_found(scores)
+
+
+@st.composite
+def silhouette_cases(draw):
+    """Points on a half-unit grid, several assignments, and a block size.
+
+    Grid coordinates make the Gram identity exact, so both implementations
+    see bit-identical distances and only the summation order differs.
+    Coordinates span few values, so duplicate points are common; labels
+    span up to n values, so singleton clusters are too.
+    """
+    n = draw(st.integers(2, 300))
+    p = draw(st.integers(1, 4))
+    X = draw(hnp.arrays(np.int64, (n, p), elements=st.integers(-4, 4))) * 0.5
+    sets = []
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(2, min(n, 8)))
+        labels = draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1)))
+        if np.unique(labels).size < 2:
+            labels[0] = (labels[0] + 1) % k
+        sets.append(labels)
+    rows = draw(st.integers(1, n))
+    return X, sets, rows
+
+
+class TestSilhouettesKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(silhouette_cases())
+    def test_matches_full_matrix_oracle(self, case):
+        X, sets, rows = case
+        with mock.patch.object(evaluation, "_SILHOUETTE_BLOCK_BYTES", rows * 8 * X.shape[0]), \
+                np.errstate(invalid="ignore"):
+            got = silhouettes(X, sets)
+            want = [silhouette_oracle.silhouette(X, labels) for labels in sets]
+        np.testing.assert_allclose(got, want, rtol=0, atol=SILHOUETTE_ABS_TOL, equal_nan=True)
+
+    def test_kmeans_sweep_on_continuous_data(self):
+        rng = np.random.default_rng(94)
+        X = np.vstack([rng.normal(c, 1.0, size=(300, 6)) for c in (0.0, 2.0, 5.0)])
+        sets = [fit_kmeans(X, k, seed=94).assignments for k in range(2, 6)]
+        want = [silhouette_oracle.silhouette(X, labels) for labels in sets]
+        for block_bytes in (8 * X.shape[0], 37 * 8 * X.shape[0], 2 << 20):
+            with mock.patch.object(evaluation, "_SILHOUETTE_BLOCK_BYTES", block_bytes):
+                got = silhouettes(X, sets)
+            np.testing.assert_allclose(got, want, rtol=0, atol=SILHOUETTE_ABS_TOL)
+
+    def test_each_set_needs_two_clusters(self):
+        X = np.zeros((4, 2))
+        with pytest.raises(SingleCluster):
+            silhouettes(X, [np.array([0, 0, 1, 1]), np.zeros(4, dtype=int)])
+
+    def test_working_set_is_linear_in_n(self):
+        rng = np.random.default_rng(95)
+
+        def peak_bytes(n):
+            X = rng.normal(size=(n, 10))
+            sets = [rng.integers(0, k, size=n) for k in range(2, 6)]
+            tracemalloc.start()
+            try:
+                silhouettes(X, sets)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak_bytes(1000), peak_bytes(4000)
+        assert large < 3 * small
+        assert large < 4000 * 4000 * 8  # one n x n float64 matrix
 
 
 def make_merged(fluid, material, diameter, operator_number, construction, risk):

@@ -1,5 +1,6 @@
 import itertools
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,8 +27,10 @@ from flowline_risk.ml import (
     model_from_dict,
     model_to_dict,
 )
+from flowline_risk.ml import neighbors
 
 import cart_oracle
+import knn_oracle
 from conftest import disk_blob
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
@@ -414,6 +417,43 @@ def bits(a: np.ndarray) -> bytes:
 def probe_rows(X: np.ndarray) -> np.ndarray:
     # the training rows plus points between and beyond every training value
     return np.vstack([X, X + 0.5, X - 0.5])
+
+
+class TestBlockedKNNMatchesOracle:
+    """Votes of the blocked KNN are bit-identical to the per-query loop
+    (tests/knn_oracle.py) on tied, duplicated and constant rows."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(tree_problems(), st.data())
+    def test_vote_shares(self, problem, data):
+        X, y, _ = problem
+        n = X.shape[0]
+        # duplicated training rows, with either label
+        dups = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 1)), max_size=n))
+        X = np.vstack([X] + [X[i:i + 1] for i, _ in dups])
+        y = np.concatenate([y, np.array([label for _, label in dups], dtype=int)])
+        # far from the origin, the Gram form cancels and only its error bound
+        # keeps the true neighbours
+        X = X * data.draw(st.sampled_from([1.0, 1e-3, 1e5])) + data.draw(st.sampled_from([0.0, 1e4]))
+        k = data.draw(st.one_of(st.just(X.shape[0]), st.integers(1, X.shape[0])))
+        queries = np.vstack([probe_rows(X), np.zeros((1, X.shape[1]))])
+        rows = data.draw(st.integers(1, queries.shape[0]))
+        new = KNNClassifier(k).fit(X, y)
+        old = knn_oracle.OracleKNNClassifier(k).fit(X, y)
+        with mock.patch.object(neighbors, "_BLOCK_BYTES", rows * 8 * X.shape[0]):
+            got = new.vote_shares(queries)
+        assert bits(got) == bits(old.vote_shares(queries))
+
+    def test_non_finite_query_takes_the_first_training_rows(self):
+        rng = np.random.default_rng(66)
+        X = rng.normal(size=(30, 3))
+        y = rng.integers(0, 2, 30)
+        y[:2] = (0, 1)
+        queries = np.array([[np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [0.1, 0.2, 0.3]])
+        for k in (1, 4, 30):
+            new = KNNClassifier(k).fit(X, y)
+            old = knn_oracle.OracleKNNClassifier(k).fit(X, y)
+            assert bits(new.vote_shares(queries)) == bits(old.vote_shares(queries))
 
 
 class TestPresortedSplitsMatchOracle:
