@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import datetime
 import types
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -82,8 +82,6 @@ class RunConfig:
     cluster_k_min: int = 2
     cluster_k_max: int = 5
 
-    extras: dict = field(default_factory=dict)
-
     def validate(self) -> None:
         if self.seed is None:
             raise ConfigError("seed is mandatory; set it in the config file or pass --seed")
@@ -97,6 +95,14 @@ class RunConfig:
             ToleranceLadder(tuple(self.ladder))
         except ValueError as exc:
             raise ConfigError(f"bad ladder: {exc}") from exc
+        try:
+            self.projection_params()
+        except ValueError as exc:
+            raise ConfigError(f"bad projection: {exc}") from exc
+        if not 0 < self.train_fraction < 1:
+            raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+        if self.knn_k < 1:
+            raise ConfigError(f"knn_k must be >= 1, got {self.knn_k}")
 
     def tolerance_ladder(self) -> ToleranceLadder:
         return ToleranceLadder(tuple(self.ladder))
@@ -121,11 +127,10 @@ class RunConfig:
         # leaving it out keeps reruns into fresh directories comparable.
         out = {}
         for f in fields(self):
-            if f.name in ("extras", "out_dir"):
+            if f.name == "out_dir":
                 continue
             value = getattr(self, f.name)
             out[f.name] = list(value) if isinstance(value, tuple) else value
-        out.update(self.extras)
         return out
 
 
@@ -168,13 +173,11 @@ def _coerce(key: str, raw: str):
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     """Build a RunConfig from an optional file and CLI-style overrides."""
     cfg = RunConfig()
-    known = {f.name for f in fields(cfg)} - {"extras"}
 
     def apply(key: str, raw):
         key = key.strip()
-        if key not in known:
-            cfg.extras[key] = str(raw).strip()
-            return
+        if key not in _FIELD_TYPES:
+            raise ConfigError(f"unknown config key {key!r}")
         setattr(cfg, key, _coerce(key, str(raw)))
 
     if path is not None:

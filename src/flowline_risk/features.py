@@ -116,15 +116,13 @@ class SplitPair:
 @dataclass
 class FeatureConfig:
     drop_id_like: bool = False
-    one_hot_columns: tuple[str, ...] = CATEGORICAL_COLUMNS
     reference_date: datetime.date = field(default_factory=datetime.date.today)
     count_segments: bool = False
 
     def encoded_columns(self) -> list[str]:
-        cols = [c for c in self.one_hot_columns]
         if self.drop_id_like:
-            cols = [c for c in cols if c not in ID_LIKE_COLUMNS]
-        return cols
+            return [c for c in CATEGORICAL_COLUMNS if c not in ID_LIKE_COLUMNS]
+        return list(CATEGORICAL_COLUMNS)
 
 
 def line_age(construction_date: datetime.date, reference_date: datetime.date) -> float:
@@ -195,11 +193,11 @@ def assemble(merged: list[MergedFlowline], config: FeatureConfig | None = None) 
     cfg = config or FeatureConfig()
 
     encoded = cfg.encoded_columns()
-    if not cfg.drop_id_like and any(c in encoded for c in ID_LIKE_COLUMNS):
+    if not cfg.drop_id_like:
         log.warning(
             "one-hot encoding id-like columns %s; near-unique keys blow up the "
             "matrix width and can leak identity, pass drop_id_like=True to omit them",
-            [c for c in ID_LIKE_COLUMNS if c in encoded],
+            list(ID_LIKE_COLUMNS),
         )
 
     numeric = np.empty((len(merged), len(NUMERIC_COLUMNS)))
@@ -217,31 +215,13 @@ def assemble(merged: list[MergedFlowline], config: FeatureConfig | None = None) 
         )
     metas = [ColumnMeta(name, "numeric") for name in NUMERIC_COLUMNS]
 
-    table = {
-        column: [getattr(m.operational, _FIELD_BY_COLUMN[column]) for m in merged]
-        for column in encoded
-    }
-    if encoded:
-        hot, hot_metas = one_hot(table, encoded)
-        X = np.hstack([numeric, hot])
-        metas.extend(hot_metas)
-    else:
-        X = numeric
+    table = {column: [getattr(m.operational, column) for m in merged] for column in encoded}
+    hot, hot_metas = one_hot(table, encoded)
+    X = np.hstack([numeric, hot])
+    metas.extend(hot_metas)
 
     y = np.array([m.risk for m in merged], dtype=int)
     return Dataset(X, y, metas, [m.flowline_id for m in merged])
-
-
-_FIELD_BY_COLUMN = {
-    "operator_number": "operator_number",
-    "flowline_id": "flowline_id",
-    "location_id": "location_id",
-    "status": "status",
-    "flowline_action": "flowline_action",
-    "location_type": "location_type",
-    "fluid_type": "fluid_type",
-    "material": "material",
-}
 
 
 def stratified_split(ds: Dataset, train_fraction: float = 0.7, seed: int = 0) -> SplitPair:

@@ -19,9 +19,13 @@ class KMeansModel:
 
 
 def _squared_distances(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """n x k matrix of squared Euclidean distances."""
-    diff = X[:, None, :] - centroids[None, :, :]
-    return np.einsum("nkp,nkp->nk", diff, diff)
+    """n x k matrix of squared Euclidean distances, one centroid at a time so
+    the working set is n x p, not n x k x p."""
+    d2 = np.empty((X.shape[0], centroids.shape[0]))
+    for j, c in enumerate(centroids):
+        d = X - c
+        d2[:, j] = np.einsum("np,np->n", d, d)
+    return d2
 
 
 def _kmeanspp_seed(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

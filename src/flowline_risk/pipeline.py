@@ -214,7 +214,6 @@ def merged_to_dict(m: MergedFlowline) -> dict:
         "operator_name": m.operator_name,
         "match_tolerance": m.match_tolerance,
         "endpoint_distances": list(m.endpoint_distances),
-        "risk": m.risk,
     }
 
 
@@ -226,7 +225,6 @@ def merged_from_dict(d: dict) -> MergedFlowline:
         operator_name=d["operator_name"],
         match_tolerance=float(d["match_tolerance"]),
         endpoint_distances=tuple(d["endpoint_distances"]),
-        risk=int(d["risk"]),
     )
 
 
@@ -404,7 +402,6 @@ def _build_models(cfg: RunConfig) -> dict:
     mtry = cfg.rf_mtry if cfg.rf_mtry > 0 else None
     return {
         "LR": LogisticRegressionGD(cfg.lr_rate, cfg.lr_epochs, cfg.lr_l2),
-        "KNN": KNNClassifier(cfg.knn_k),
         "SVM": LinearSVM(cfg.svm_c, cfg.svm_epochs),
         "GBDT": GBDTClassifier(cfg.gbdt_trees, cfg.gbdt_depth, cfg.gbdt_shrinkage),
         "ADABOOST": AdaBoostClassifier(cfg.adaboost_stumps),
@@ -454,14 +451,12 @@ def stage_train(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
             "total_variance": float(np.sum(spectrum)),
         }
 
-    trained = {}
     for lane, X_train in lanes.items():
         for kind, model in _build_models(cfg).items():
             model.fit(X_train, split.train.y)
             path = paths.models / f"{kind}_{lane}.json"
             save_model(model, path, seed=cfg.seed, column_meta=ds.column_meta)
             manifest.record(f"model_{kind}_{lane}", path, "train")
-            trained[f"{kind}_{lane}"] = str(path.relative_to(paths.root))
 
     training_path = paths.artifacts / "training.json"
     _dump_json(training_path, {
@@ -474,7 +469,6 @@ def stage_train(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
         "scaler": {"means": means.tolist(), "sds": sds.tolist()},
         "pca": pca_info,
         "lanes": sorted(lanes),
-        "models": trained,
     })
     manifest.record("training", training_path, "train")
     return {
@@ -485,20 +479,21 @@ def stage_train(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
     }
 
 
-def _test_matrices(ds: Dataset, training: dict) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Rebuild per-lane standardized (and projected) test matrices."""
+def _lane_matrices(ds: Dataset, training: dict,
+                   ids: list[str]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Rebuild the rows named by ids as per-lane standardized (and projected)
+    matrices with labels; for the train ids these are the bits train fitted on."""
     by_id = {rid: i for i, rid in enumerate(ds.row_ids)}
-    test_idx = np.array([by_id[rid] for rid in training["split"]["test_ids"]])
-    test = ds.subset(test_idx)
+    rows = ds.subset(np.array([by_id[rid] for rid in ids]))
     scaler = training["scaler"]
-    test_z = apply_scaler(test.X, np.asarray(scaler["means"]), np.asarray(scaler["sds"]))
+    z = apply_scaler(rows.X, np.asarray(scaler["means"]), np.asarray(scaler["sds"]))
 
-    lanes = {"raw": (test_z, test.y)}
+    lanes = {"raw": (z, rows.y)}
     pca = training["pca"]
     if pca is not None:
         model = PCAModel(np.asarray(pca["means"]), np.asarray(pca["components"]),
                          np.asarray(pca["explained_variance"]))
-        lanes["pca"] = (pca_transform(model, test_z), test.y)
+        lanes["pca"] = (pca_transform(model, z), rows.y)
     return lanes
 
 
@@ -524,11 +519,15 @@ def stage_evaluate(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
         }
         for lane in training["lanes"]
     }
-    lanes = _test_matrices(ds, training)
+    train_lanes = _lane_matrices(ds, training, training["split"]["train_ids"])
+    test_lanes = _lane_matrices(ds, training, training["split"]["test_ids"])
 
     rows = []
     for lane, models in models_by_lane.items():
-        X_test, y_test = lanes[lane]
+        # KNN is lazy: its fitted state is the train lane itself, so it is
+        # fitted here instead of being stored by train.
+        models["KNN"] = KNNClassifier(cfg.knn_k).fit(*train_lanes[lane])
+        X_test, y_test = test_lanes[lane]
         for row in metric_table(models, X_test, y_test):
             doc = row.to_dict()
             doc["pca"] = lane == "pca"

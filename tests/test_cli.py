@@ -12,11 +12,20 @@ import pytest
 from flowline_risk import cli, fileio, numerics
 from flowline_risk.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
 from flowline_risk.config import ConfigError, RunConfig, load_config
-from flowline_risk.features import ColumnMeta, FeatureConfig, assemble, save_dataset
+from flowline_risk.evaluation import metric_rows
+from flowline_risk.features import (
+    ColumnMeta,
+    FeatureConfig,
+    assemble,
+    load_dataset,
+    save_dataset,
+    standardize,
+    stratified_split,
+)
 from flowline_risk.ingest import parse_descriptive, parse_operational, parse_spills
 from flowline_risk.matcher import assign_risk, match_flowlines, match_spills
-from flowline_risk.ml import fit_kmeans, schema_hash
-from flowline_risk.pipeline import merged_from_dict, merged_to_dict
+from flowline_risk.ml import KNNClassifier, fit_kmeans, schema_hash
+from flowline_risk.pipeline import _pca_by_config, merged_from_dict, merged_to_dict
 
 
 def run_cli(*args):
@@ -98,9 +107,8 @@ class TestConfig:
             f"{key} = {','.join(map(str, value)) if isinstance(value, list) else value}\n"
             for key, value in cfg.echo().items()))
         back = load_config(path)
-        assert back.extras == {}
         for f in fields(RunConfig):
-            if f.name in ("extras", "out_dir"):
+            if f.name == "out_dir":
                 continue
             want, got = getattr(cfg, f.name), getattr(back, f.name)
             assert got == want and type(got) is type(want), f.name
@@ -187,6 +195,23 @@ class TestExitCodes:
         assert "class 0: 19, class 1: 1" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not list((out / "artifacts" / "models").glob("*.json"))
+
+    @pytest.mark.parametrize("key, value", [
+        ("scale_factor", "0"), ("train_fraction", "1.5"), ("knn_k", "0"),
+    ])
+    def test_bad_setting_fails_before_any_stage(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path / "run.cfg", **{key: value})
+        out = tmp_path / "r"
+        assert main(["run-all", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
+    def test_unknown_key_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "run.cfg", drop_id_lke="true")
+        out = tmp_path / "r"
+        assert main(["run-all", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert "unknown config key 'drop_id_lke'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_ladder_flag(self, tmp_path):
         cfg = write_config(tmp_path / "run.cfg")
@@ -304,6 +329,34 @@ class TestEachResultOnce:
         assert ds.y.sum() > 0
         save_dataset(ds, tmp_path / "oracle.csv", tmp_path / "oracle.meta.json")
         assert (tmp_path / "oracle.csv").read_bytes() == (artifacts / "features.csv").read_bytes()
+
+    def test_knn_fitted_in_evaluate_from_the_train_split(self, tmp_path):
+        cfg_path = write_config(tmp_path / "run.cfg")
+        out = tmp_path / "run"
+        run_stages(cfg_path, out, "run-all")
+        artifacts = out / "artifacts"
+        assert not list((artifacts / "models").glob("KNN_*.json"))
+        assert not [k for k in json.loads((artifacts / "manifest.json").read_text())
+                    if k.startswith("model_KNN_")]
+        assert "models" not in json.loads((artifacts / "training.json").read_text())
+        records = json.loads((artifacts / "merged.json").read_text())["records"]
+        assert records and not [r for r in records if "risk" in r]
+
+        # The train split standardized and PCA-projected the way stage_train does it.
+        cfg = load_config(cfg_path)
+        ds = load_dataset(artifacts / "features.csv", artifacts / "features.meta.json")
+        split = stratified_split(ds, cfg.train_fraction, cfg.seed)
+        train_z, test_z, _, _ = standardize(split.train.X, split.test.X)
+        pca, _ = _pca_by_config(cfg, train_z)
+        lanes = {"raw": (train_z, test_z),
+                 "pca": (numerics.pca_transform(pca, train_z), numerics.pca_transform(pca, test_z))}
+        rows = json.loads((artifacts / "metrics.json").read_text())["rows"]
+        for lane, (X_train, X_test) in lanes.items():
+            knn = KNNClassifier(cfg.knn_k).fit(X_train, split.train.y)
+            want = [dict(r.to_dict(), pca=lane == "pca")
+                    for r in metric_rows("KNN", split.test.y, knn.predict(X_test))]
+            assert want == [r for r in rows
+                            if r["classifier"] == "KNN" and r["pca"] == (lane == "pca")]
 
     def test_merged_record_codec_round_trips(self, synth_a):
         merged, _, _ = match_flowlines(synth_a.operational, synth_a.descriptive)

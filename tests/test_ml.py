@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowline_risk.ml import (
@@ -27,7 +27,7 @@ from flowline_risk.ml import (
     model_from_dict,
     model_to_dict,
 )
-from flowline_risk.ml import neighbors
+from flowline_risk.ml import kmeans, neighbors
 
 import cart_oracle
 import knn_oracle
@@ -323,6 +323,18 @@ class TestKMeans:
     def test_k_too_large(self):
         with pytest.raises(KTooLarge):
             fit_kmeans(np.zeros((3, 2)), 4, seed=0)
+
+    @given(st.integers(1, 400), st.integers(1, 200), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    @example(1, 1, 1, 0)
+    @example(4000, 39, 5, 1)
+    def test_distances_match_broadcast_bits(self, n, p, k, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, p)) * 10.0 ** rng.integers(-3, 4)
+        centroids = X[rng.integers(n, size=k)] + rng.normal(size=(k, p))
+        diff = X[:, None, :] - centroids[None, :, :]
+        assert np.array_equal(kmeans._squared_distances(X, centroids),
+                              np.einsum("nkp,nkp->nk", diff, diff))
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(79)
