@@ -103,6 +103,12 @@ class RunConfig:
             raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if self.knn_k < 1:
             raise ConfigError(f"knn_k must be >= 1, got {self.knn_k}")
+        if self.synth_preset.lower() not in ("a", "b", "custom"):
+            raise ConfigError(f"synth_preset must be a, b or custom, got {self.synth_preset!r}")
+        try:
+            self.resolve_reference_date()
+        except ValueError as exc:
+            raise ConfigError(f"bad reference_date: {exc}") from exc
 
     def tolerance_ladder(self) -> ToleranceLadder:
         return ToleranceLadder(tuple(self.ladder))

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import csv
 import datetime
-import json
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fileio import open_atomic, write_text_atomic
+from .fileio import read_json, write_csv, write_json
 from .geometry import MultiLine, bounding_box, line_count, multiline_length
 from .matcher import MergedFlowline
 
@@ -300,11 +299,10 @@ def apply_scaler(X: np.ndarray, means: np.ndarray, sds: np.ndarray) -> np.ndarra
 
 def save_dataset(ds: Dataset, csv_path, meta_path, seed: int | None = None, extra: dict | None = None) -> None:
     """Write the matrix as CSV plus a JSON sidecar with column provenance."""
-    with open_atomic(csv_path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row_id", *ds.column_names(), "risk"])
-        for i in range(ds.n_rows):
-            writer.writerow([ds.row_ids[i], *[repr(float(v)) for v in ds.X[i]], int(ds.y[i])])
+    write_csv(csv_path, ["row_id", *ds.column_names(), "risk"], (
+        [ds.row_ids[i], *[repr(float(v)) for v in ds.X[i]], int(ds.y[i])]
+        for i in range(ds.n_rows)
+    ))
     sidecar = {
         "columns": [c.to_dict() for c in ds.column_meta],
         "n_rows": ds.n_rows,
@@ -312,13 +310,11 @@ def save_dataset(ds: Dataset, csv_path, meta_path, seed: int | None = None, extr
     }
     if extra:
         sidecar.update(extra)
-    write_text_atomic(meta_path, json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    write_json(meta_path, sidecar)
 
 
 def load_dataset(csv_path, meta_path) -> Dataset:
-    with open(meta_path, encoding="utf-8") as fh:
-        sidecar = json.load(fh)
-    metas = [ColumnMeta.from_dict(d) for d in sidecar["columns"]]
+    metas = [ColumnMeta.from_dict(d) for d in read_json(meta_path)["columns"]]
     row_ids: list[str] = []
     rows: list[list[float]] = []
     ys: list[int] = []

@@ -1,7 +1,14 @@
-"""Artifact writes that an interrupted run cannot leave half done."""
+"""The one codec for run artifacts, written so an interrupted run cannot
+leave a file half done.
+
+JSON artifacts are one line with sorted keys and no padding, which the C
+encoder writes in one pass; CSV artifacts use the csv module's defaults.
+"""
 
 from __future__ import annotations
 
+import csv
+import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -30,3 +37,20 @@ def write_text_atomic(path, text: str) -> None:
     """Write text to path through open_atomic."""
     with open_atomic(path) as fh:
         fh.write(text)
+
+
+def write_json(path, obj) -> None:
+    """Write obj as one line of JSON with sorted keys and a trailing newline."""
+    write_text_atomic(path, json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+def read_json(path):
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header row, then every row of the iterable rows."""
+    with open_atomic(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

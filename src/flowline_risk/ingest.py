@@ -15,7 +15,7 @@ import logging
 from dataclasses import dataclass, field
 
 from .crs import GeoPoint, ProjectionParams, ZONE_HALF_WIDTH_DEG, project
-from .fileio import open_atomic
+from .fileio import read_json, write_csv
 from .geometry import MultiLine, Point2D, PolyLine
 
 log = logging.getLogger(__name__)
@@ -198,8 +198,7 @@ def parse_descriptive(
     projected on load; otherwise they are already metric (x, y).
     """
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = read_json(path)
     except OSError as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -383,8 +382,4 @@ def parse_spills(
 
 def write_diagnostics(path, diagnostics: list[Diagnostic]) -> None:
     """Quarantine rejected rows to a sidecar CSV instead of aborting the run."""
-    with open_atomic(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["file", "row", "reason"])
-        for d in diagnostics:
-            writer.writerow([d.file, d.row, d.reason])
+    write_csv(path, ["file", "row", "reason"], ([d.file, d.row, d.reason] for d in diagnostics))

@@ -10,13 +10,12 @@ maximum are excluded, which is a result, not an error.
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 from .crs import ProjectionParams, project
-from .fileio import open_atomic
+from .fileio import write_csv
 from .geometry import (
     BoundingBox,
     MultiLine,
@@ -264,15 +263,14 @@ def assign_risk(
 
 
 def write_audit_log(path, audit: list[AuditRecord]) -> None:
-    with open_atomic(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["record_id", "step_reached", "n_candidates", "chosen_id", "d_start", "d_end"])
-        for a in audit:
-            writer.writerow([
-                a.record_id,
-                f"{a.step_reached:g}",
-                a.n_candidates,
-                a.chosen_id or "",
-                "" if math.isnan(a.d_start) else f"{a.d_start:.6f}",
-                "" if math.isnan(a.d_end) else f"{a.d_end:.6f}",
-            ])
+    write_csv(path, ["record_id", "step_reached", "n_candidates", "chosen_id", "d_start", "d_end"], (
+        [
+            a.record_id,
+            f"{a.step_reached:g}",
+            a.n_candidates,
+            a.chosen_id or "",
+            "" if math.isnan(a.d_start) else f"{a.d_start:.6f}",
+            "" if math.isnan(a.d_end) else f"{a.d_end:.6f}",
+        ]
+        for a in audit
+    ))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 
-from ..fileio import write_text_atomic
+from ..fileio import read_json, write_json
 from .base import Classifier
 from .ensembles import AdaBoostClassifier, GBDTClassifier, RandomForestClassifier
 from .linear import LinearSVM, LogisticRegressionGD
@@ -53,10 +53,8 @@ def model_from_dict(doc: dict) -> Classifier:
 
 
 def save_model(model: Classifier, path, seed=None, column_meta=None) -> None:
-    write_text_atomic(
-        path, json.dumps(model_to_dict(model, seed, column_meta), indent=2, sort_keys=True) + "\n")
+    write_json(path, model_to_dict(model, seed, column_meta))
 
 
 def load_model(path) -> Classifier:
-    with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+    return model_from_dict(read_json(path))

@@ -38,7 +38,7 @@ from .features import (
     standardize,
     stratified_split,
 )
-from .fileio import open_atomic, write_text_atomic
+from .fileio import read_json, write_csv, write_json
 from .geometry import MultiLine, Point2D, PolyLine
 from .ingest import (
     OperationalFlowline,
@@ -132,7 +132,7 @@ class Manifest:
         self.entries: dict[str, dict] = {}
         if paths.manifest.exists():
             try:
-                self.entries = json.loads(paths.manifest.read_text(encoding="utf-8"))
+                self.entries = read_json(paths.manifest)
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise UnreadableManifest(
                     f"{paths.manifest} is unreadable ({exc}); rerun the pipeline from its first stage"
@@ -144,8 +144,7 @@ class Manifest:
             "sha256": _sha256(path),
             "stage": stage,
         }
-        write_text_atomic(
-            self.paths.manifest, json.dumps(self.entries, indent=2, sort_keys=True) + "\n")
+        write_json(self.paths.manifest, self.entries)
 
     def require(self, name: str) -> Path:
         entry = self.entries.get(name)
@@ -228,14 +227,6 @@ def merged_from_dict(d: dict) -> MergedFlowline:
     )
 
 
-def _dump_json(path: Path, obj) -> None:
-    write_text_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def _load_json(path: Path):
-    return json.loads(path.read_text(encoding="utf-8"))
-
-
 # ---------------------------------------------------------------------------
 # stages
 
@@ -247,7 +238,7 @@ def stage_synth(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
         synth_cfg = config_a(seed=cfg.seed, n_lines=cfg.synth_n_lines)
     elif preset == "b":
         synth_cfg = config_b(seed=cfg.seed, n_lines=cfg.synth_n_lines)
-    else:
+    elif preset == "custom":
         synth_cfg = SynthConfig(
             n_lines=cfg.synth_n_lines,
             area=cfg.synth_area,
@@ -295,7 +286,7 @@ def stage_merge(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
     )
 
     merged_path = paths.artifacts / "merged.json"
-    _dump_json(merged_path, {
+    write_json(merged_path, {
         "records": [merged_to_dict(m) for m in merged],
         "unmatched": unmatched,
     })
@@ -326,7 +317,7 @@ def stage_merge(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
 def stage_attribute(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
     cfg.validate()
     params = cfg.projection_params()
-    merged_doc = _load_json(manifest.require("merged"))
+    merged_doc = read_json(manifest.require("merged"))
     merged = [merged_from_dict(d) for d in merged_doc["records"]]
 
     _, _, spills_path = _input_paths(cfg, paths, manifest)
@@ -335,16 +326,15 @@ def stage_attribute(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict
     attributions = match_spills(spills.records, merged, cfg.tolerance_ladder(), params)
 
     attr_path = paths.artifacts / "attributions.csv"
-    with open_atomic(attr_path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["spill_id", "matched_flowline_id", "distance", "tolerance_used"])
-        for a in attributions:
-            writer.writerow([
-                a.spill_id,
-                a.matched_flowline_id or "",
-                "" if a.matched_flowline_id is None else f"{a.distance:.6f}",
-                f"{a.tolerance_used:g}",
-            ])
+    write_csv(attr_path, ["spill_id", "matched_flowline_id", "distance", "tolerance_used"], (
+        [
+            a.spill_id,
+            a.matched_flowline_id or "",
+            "" if a.matched_flowline_id is None else f"{a.distance:.6f}",
+            f"{a.tolerance_used:g}",
+        ]
+        for a in attributions
+    ))
 
     manifest.record("attributions", attr_path, "attribute")
     matched = sum(1 for a in attributions if a.matched)
@@ -358,7 +348,7 @@ def stage_attribute(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict
 
 def load_labeled(manifest: Manifest) -> list[MergedFlowline]:
     """Merged flowlines with their risk label from the spill attributions."""
-    merged = [merged_from_dict(d) for d in _load_json(manifest.require("merged"))["records"]]
+    merged = [merged_from_dict(d) for d in read_json(manifest.require("merged"))["records"]]
     with open(manifest.require("attributions"), newline="", encoding="utf-8") as fh:
         attributions = [
             SpillAttribution(row["spill_id"], row["matched_flowline_id"] or None,
@@ -459,7 +449,7 @@ def stage_train(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
             manifest.record(f"model_{kind}_{lane}", path, "train")
 
     training_path = paths.artifacts / "training.json"
-    _dump_json(training_path, {
+    write_json(training_path, {
         "split": {
             "seed": cfg.seed,
             "train_fraction": cfg.train_fraction,
@@ -511,7 +501,7 @@ def stage_evaluate(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
     cfg.validate()
     ds = _load_features(manifest)
     features_schema = schema_hash(ds.column_meta)
-    training = _load_json(manifest.require("training"))
+    training = read_json(manifest.require("training"))
     models_by_lane = {
         lane: {
             kind: _load_fitted_model(manifest, f"model_{kind}_{lane}", features_schema)
@@ -534,7 +524,7 @@ def stage_evaluate(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
             rows.append(doc)
 
     metrics_path = paths.artifacts / "metrics.json"
-    _dump_json(metrics_path, {"rows": rows})
+    write_json(metrics_path, {"rows": rows})
     manifest.record("metrics", metrics_path, "evaluate")
     return {"metric_rows": len(rows)}
 
@@ -556,7 +546,7 @@ def stage_cluster(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
                     "so best_k = %d is decided by noise", NO_STRUCTURE_SILHOUETTE, best_k)
 
     clustering_path = paths.artifacts / "clustering.json"
-    _dump_json(clustering_path, {
+    write_json(clustering_path, {
         "k_range": [int(k) for k in k_range],
         "scores": {str(k): sweep[k] for k in sweep},
         "best_k": best_k,

@@ -6,18 +6,16 @@ listed in VOLATILE_FIELDS, which carry wall-clock information only.
 
 from __future__ import annotations
 
-import csv
 import datetime
 import json
-from pathlib import Path
 
 import jsonschema
 
 from . import figures
 from .config import RunConfig
 from .evaluation import eda_summaries
-from .fileio import open_atomic
-from .pipeline import Manifest, RunPaths, _dump_json, _load_json, load_labeled, run_id_for
+from .fileio import read_json, write_csv, write_json
+from .pipeline import Manifest, RunPaths, load_labeled, run_id_for
 
 VOLATILE_FIELDS = ("created_at", "timings")
 
@@ -156,32 +154,11 @@ def append_run_log(paths: RunPaths, stage: str, stats: dict, elapsed_s: float) -
         fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
 
-def _write_metrics_csv(path: Path, rows: list[dict]) -> None:
-    with open_atomic(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["classifier", "pca", "averaging", "accuracy", "precision", "recall", "f1", "undefined"])
-        for r in rows:
-            writer.writerow([
-                r["classifier"], int(r["pca"]), r["averaging"],
-                f"{r['accuracy']:.6f}", f"{r['precision']:.6f}",
-                f"{r['recall']:.6f}", f"{r['f1']:.6f}",
-                ";".join(r.get("undefined", [])),
-            ])
-
-
-def _write_eda_csv(path: Path, table: dict) -> None:
-    with open_atomic(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "risk", "count", "proportion"])
-        for row in table["rows"]:
-            writer.writerow([row["label"], row["risk"], row["count"], f"{row['proportion']:.8f}"])
-
-
 def stage_report(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
     cfg.validate()
     labeled = load_labeled(manifest)
-    metrics = _load_json(manifest.require("metrics"))
-    clustering = _load_json(manifest.require("clustering"))
+    metrics = read_json(manifest.require("metrics"))
+    clustering = read_json(manifest.require("clustering"))
     stage_stats, timings = _read_run_log(paths)
 
     eda = {
@@ -248,12 +225,24 @@ def stage_report(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
     )
 
     # tables
-    _write_metrics_csv(paths.tables / "metrics.csv", metrics["rows"])
+    metrics_header = ["classifier", "pca", "averaging", "accuracy", "precision", "recall", "f1", "undefined"]
+    write_csv(paths.tables / "metrics.csv", metrics_header, (
+        [
+            r["classifier"], int(r["pca"]), r["averaging"],
+            f"{r['accuracy']:.6f}", f"{r['precision']:.6f}",
+            f"{r['recall']:.6f}", f"{r['f1']:.6f}",
+            ";".join(r.get("undefined", [])),
+        ]
+        for r in metrics["rows"]
+    ))
     for name, table in eda.items():
-        _write_eda_csv(paths.tables / f"eda_{name}.csv", table)
+        write_csv(paths.tables / f"eda_{name}.csv", ["label", "risk", "count", "proportion"], (
+            [row["label"], row["risk"], row["count"], f"{row['proportion']:.8f}"]
+            for row in table["rows"]
+        ))
 
     report_path = paths.root / "report.json"
-    _dump_json(report_path, report)
+    write_json(report_path, report)
     manifest.record("report", report_path, "report")
     return {
         "report": str(report_path),

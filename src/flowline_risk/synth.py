@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import datetime
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .crs import GeoPoint, ProjectionParams, project, unproject
-from .fileio import open_atomic
+from .fileio import write_csv, write_json
 from .geometry import Point2D
 
 REFERENCE_DATE = datetime.date(2024, 6, 30)
@@ -386,10 +385,7 @@ def _write_descriptive(path, lines: list[_Line]) -> None:
                 "coordinates": [[[x, y] for x, y in member] for member in members],
             },
         })
-    doc = {"type": "FeatureCollection", "features": features}
-    with open_atomic(path) as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    write_json(path, {"type": "FeatureCollection", "features": features})
 
 
 def _write_operational(path, cfg, lines, rng, truth: GroundTruth, params) -> None:
@@ -398,25 +394,23 @@ def _write_operational(path, cfg, lines, rng, truth: GroundTruth, params) -> Non
     construction_window = (datetime.date(1975, 1, 1), datetime.date(2020, 12, 31))
     window_days = (construction_window[1] - construction_window[0]).days
 
-    with open_atomic(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(OPERATIONAL_HEADER)
+    def rows():
         for line in lines:
+            # The chain's end vertices are the projections of the written
+            # endpoints (see _place_lines).
+            p_start, p_end = Point2D(*line.vertices[0]), Point2D(*line.vertices[-1])
             if cfg.endpoint_jitter_sigma > 0.0:
-                p_start = project(GeoPoint(*line.start_geo), params)
-                p_end = project(GeoPoint(*line.end_geo), params)
                 jx, jy = _truncated_normal(rng, cfg.endpoint_jitter_sigma, size=2)
                 kx, ky = _truncated_normal(rng, cfg.endpoint_jitter_sigma, size=2)
                 start_geo = _round_geo(*_unproject_xy(p_start.x + jx, p_start.y + jy, params))
                 end_geo = _round_geo(*_unproject_xy(p_end.x + kx, p_end.y + ky, params))
+                truth.projected_endpoints[line.op_id] = (
+                    project(GeoPoint(*start_geo), params),
+                    project(GeoPoint(*end_geo), params),
+                )
             else:
-                start_geo = line.start_geo
-                end_geo = line.end_geo
-
-            truth.projected_endpoints[line.op_id] = (
-                project(GeoPoint(*start_geo), params),
-                project(GeoPoint(*end_geo), params),
-            )
+                start_geo, end_geo = line.start_geo, line.end_geo
+                truth.projected_endpoints[line.op_id] = (p_start, p_end)
 
             length_m = sum(
                 math.hypot(x1 - x0, y1 - y0)
@@ -425,7 +419,7 @@ def _write_operational(path, cfg, lines, rng, truth: GroundTruth, params) -> Non
             construction = construction_window[0] + datetime.timedelta(
                 days=int(rng.integers(window_days))
             )
-            writer.writerow([
+            yield [
                 line.op_id,
                 _operator_number(line.operator_idx),
                 f"F{line.desc_id[1:]}",
@@ -442,34 +436,32 @@ def _write_operational(path, cfg, lines, rng, truth: GroundTruth, params) -> Non
                 _operator_name(line.operator_idx),
                 f"{start_geo[0]:.12f}", f"{start_geo[1]:.12f}",
                 f"{end_geo[0]:.12f}", f"{end_geo[1]:.12f}",
-            ])
+            ]
+
+    write_csv(path, OPERATIONAL_HEADER, rows())
 
 
 def _write_spills(path, spills: list[_Spill], params: ProjectionParams) -> None:
     from .ingest import SPILL_HEADER
 
-    with open_atomic(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SPILL_HEADER)
+    def rows():
         for spill in spills:
             lat, lon = _round_geo(*_unproject_xy(*spill.xy, params))
-            writer.writerow([
+            yield [
                 spill.spill_id,
                 spill.operator_name,
                 f"{lat:.12f}", f"{lon:.12f}",
                 spill.root_cause,
                 spill.report_date.isoformat(),
-            ])
+            ]
+
+    write_csv(path, SPILL_HEADER, rows())
 
 
 def _write_ground_truth(path, truth: GroundTruth) -> None:
-    with open_atomic(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "source_id", "true_target_id"])
-        for op_id, desc_id in truth.line_matches.items():
-            writer.writerow(["line_match", op_id, desc_id])
-        for spill_id, op_id in truth.spill_matches.items():
-            writer.writerow(["spill_match", spill_id, op_id])
+    rows = [["line_match", op_id, desc_id] for op_id, desc_id in truth.line_matches.items()]
+    rows += [["spill_match", spill_id, op_id] for spill_id, op_id in truth.spill_matches.items()]
+    write_csv(path, ["kind", "source_id", "true_target_id"], rows)
 
 
 def load_ground_truth(path) -> GroundTruth:

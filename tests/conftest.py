@@ -1,5 +1,5 @@
 import datetime
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -35,6 +35,13 @@ def _materialize(cfg, out_dir) -> SynthRun:
 def synth_a(tmp_path_factory) -> SynthRun:
     """Config A network (well separated), shared across the session."""
     return _materialize(config_a(seed=SYNTH_SEED), tmp_path_factory.mktemp("synth_a"))
+
+
+@pytest.fixture(scope="session")
+def synth_a_unjittered(tmp_path_factory) -> SynthRun:
+    """Config A network whose operational endpoints are the true ones."""
+    cfg = replace(config_a(seed=SYNTH_SEED, n_lines=300), endpoint_jitter_sigma=0.0)
+    return _materialize(cfg, tmp_path_factory.mktemp("synth_a_unjittered"))
 
 
 @pytest.fixture(scope="session")

@@ -198,6 +198,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("key, value", [
         ("scale_factor", "0"), ("train_fraction", "1.5"), ("knn_k", "0"),
+        ("reference_date", "2024-13-45"), ("synth_preset", "aa"),
     ])
     def test_bad_setting_fails_before_any_stage(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path / "run.cfg", **{key: value})
@@ -401,3 +402,18 @@ class TestReportValidation:
         for fig in report["figures"]:
             assert _resolve_ref(report, fig["payload_ref"]) is not None
             assert (out / fig["file"]).exists()
+
+
+class TestArtifactFormat:
+    def test_json_artifacts_are_one_line_with_sorted_keys(self, tmp_path):
+        cfg = write_config(tmp_path / "run.cfg", synth_n_lines=300)
+        out = tmp_path / "run"
+        assert main(["run-all", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        written = sorted(out.rglob("*.json")) + [out / "data" / "descriptive.geojson"]
+        names = {p.name for p in written}
+        assert {"manifest.json", "report.json", "merged.json", "LR_raw.json",
+                "descriptive.geojson"} <= names
+        for path in written:
+            text = path.read_text(encoding="utf-8")
+            canonical = json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+            assert text == canonical, path

@@ -78,13 +78,19 @@ class TestInterpolate:
         with pytest.raises(DegenerateLine):
             interpolate_line(rec)
 
-    def test_generator_projected_pair(self, synth_a):
-        truth = synth_a.truth
-        for rec in synth_a.operational[:100]:
+    @staticmethod
+    def _assert_chords_are_projected_truth(run):
+        # The generator writes coordinates that parse back to the floats it
+        # projected, so the pipeline's chord ends are its ground truth exactly.
+        for rec in run.operational:
             chord = interpolate_line(rec)
-            want_start, want_end = truth.projected_endpoints[rec.source_row_id]
-            assert chord.vertices[0].distance_to(want_start) < 1e-6
-            assert chord.vertices[1].distance_to(want_end) < 1e-6
+            assert chord.vertices == run.truth.projected_endpoints[rec.source_row_id]
+
+    def test_generator_projected_pair(self, synth_a):
+        self._assert_chords_are_projected_truth(synth_a)
+
+    def test_generator_projected_pair_without_jitter(self, synth_a_unjittered):
+        self._assert_chords_are_projected_truth(synth_a_unjittered)
 
 
 class TestMatchFlowlines:
