@@ -101,8 +101,13 @@ class RunConfig:
             raise ConfigError(f"bad projection: {exc}") from exc
         if not 0 < self.train_fraction < 1:
             raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
-        if self.knn_k < 1:
-            raise ConfigError(f"knn_k must be >= 1, got {self.knn_k}")
+        for key in ("knn_k", "gbdt_trees", "gbdt_depth", "adaboost_stumps", "rf_trees", "rf_depth"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if not self.gbdt_shrinkage > 0:
+            raise ConfigError(f"gbdt_shrinkage must be > 0, got {self.gbdt_shrinkage}")
+        if self.rf_mtry < 0:
+            raise ConfigError(f"rf_mtry must be >= 0 (0 means ceil(sqrt(p))), got {self.rf_mtry}")
         if self.synth_preset.lower() not in ("a", "b", "custom"):
             raise ConfigError(f"synth_preset must be a, b or custom, got {self.synth_preset!r}")
         try:

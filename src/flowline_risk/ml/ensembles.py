@@ -6,7 +6,7 @@ import numpy as np
 
 from .base import Classifier, check_binary_labels
 from .linear import sigmoid
-from .trees import DecisionTreeClassifier, RegressionTree, presort
+from .trees import DecisionTreeClassifier, RegressionTree, _SortedRows, rank_keys
 
 _LEAF_CLAMP = 10.0
 _ALPHA_ERR_FLOOR = 1e-10
@@ -51,7 +51,7 @@ class GBDTClassifier(Classifier):
         self.trees = []
         self.stage_scales = []
         self.stage_losses = [log_loss(y, scores)]
-        order = presort(X)
+        data = _SortedRows(X)
 
         for _ in range(self.n_trees):
             p = sigmoid(scores)
@@ -63,7 +63,7 @@ class GBDTClassifier(Classifier):
                 return float(np.clip(value, -_LEAF_CLAMP, _LEAF_CLAMP))
 
             tree = RegressionTree(self.max_depth, self.min_leaf)
-            step = self.shrinkage * tree.fit_predict(X, residual, newton_leaf, order)
+            step = self.shrinkage * tree.fit_predict(X, residual, newton_leaf, data)
 
             # Guard the monotone-loss contract: back off a stage that overshoots.
             prev = self.stage_losses[-1]
@@ -143,11 +143,11 @@ class AdaBoostClassifier(Classifier):
         self.stumps, self.alphas = [], []
         self.round_errors, self.bound_trace = [], []
         bound = 1.0
-        order = presort(X)
+        data = _SortedRows(X)
 
         for _ in range(self.n_stumps):
             stump = DecisionTreeClassifier(max_depth=1, min_leaf=1)
-            stump.fit(X, y, sample_weight=weights, order=order)
+            stump.fit(X, y, sample_weight=weights, data=data)
             pred = stump.predict(X)
             miss = pred != y
             err = float(np.sum(weights[miss]))
@@ -201,6 +201,11 @@ class RandomForestClassifier(Classifier):
     Trees are fitted in order, each drawing from its own SeedSequence
     spawn of the forest seed. Vote ties resolve to class 0, the majority
     class in this domain.
+
+    The training matrix is ranked once per fit (trees.rank_keys, one float
+    sort), and each tree takes its bootstrap rows' keys. A tree that draws
+    mtry < p features sorts only those features' keys at each node; with
+    mtry = p it partitions a presort, rebuilt from the keys by integer sort.
     """
 
     kind = "RF"
@@ -224,13 +229,14 @@ class RandomForestClassifier(Classifier):
         mtry = self.mtry if self.mtry is not None else int(np.ceil(np.sqrt(p)))
         if not 1 <= mtry <= p:
             raise ValueError(f"mtry must be in [1, {p}]")
+        keys = rank_keys(X)
         streams = np.random.SeedSequence(self.seed).spawn(self.n_trees)
         self.trees = []
         for stream in streams:
             rng = np.random.default_rng(stream)
             idx = rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
             tree = DecisionTreeClassifier(self.max_depth, self.min_leaf, mtry=mtry, rng=rng)
-            tree.fit(X[idx], y[idx])
+            tree.fit(X[idx], y[idx], keys=keys[:, idx])
             self.trees.append(tree)
 
     def vote_shares(self, X) -> np.ndarray:

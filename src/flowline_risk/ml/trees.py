@@ -1,17 +1,27 @@
 """CART trees: Gini classification and squared-error regression.
 
 Split search is CART's exhaustive scan over the midpoints of consecutive
-distinct feature values (Breiman et al. 1984) on SLIQ-style presorted
-attribute lists (Mehta, Agrawal & Rissanen 1996):
+distinct feature values (Breiman et al. 1984). A node scores every
+admissible cut of its features in one numpy pass over cumulative sums along
+a sorted block, whose rows hold the node's rows in the stable sort order of
+one feature each. Blocks come from one of two sources:
 
-- Each fit argsorts X once into a p x n matrix of row indices whose row f
-  is the stable sort order of feature f. Boosted ensembles sort once and
-  share the matrix across all their stages.
-- A node that splits partitions the matrix stably into its children's
-  rows in O(p m) for m rows, so no node sorts again.
-- A node scores every admissible cut of every feature in one numpy pass
-  over cumulative sums along the sorted rows.
+- Presorted attribute lists (SLIQ; Mehta, Agrawal & Rissanen 1996) for
+  trees that score every feature at every node: boosting stages, stumps,
+  and trees without a feature draw. Each fit argsorts X once into a p x n
+  matrix of row indices, and a node that splits partitions it stably into
+  its children's blocks in O(p m) for m rows. Boosted ensembles share one
+  presort, and the root's cuts, across all their stages; a forest tree
+  with mtry = p builds its presort from rank keys by integer sort.
+- Rank keys for trees that draw mtry < p features per node (the random
+  forest). Dense ranks of X, kept as small unsigned integers, order rows
+  exactly as their floats do, ties, -0.0 == 0.0 and NaNs last included. A
+  node stable-sorts only its drawn features' keys over its own rows in
+  increasing row order, so it pays for what it scores and its children
+  need only their row lists. A forest ranks its training matrix once per
+  fit and hands each tree the keys of its bootstrap rows.
 
+Both sources give the same block, so a tree grows the same either way.
 Ties between equally good splits resolve to the lowest feature index, then
 the lowest threshold (one row-major argmax over feature and cut), so a fit
 is a pure function of its inputs.
@@ -89,29 +99,61 @@ def presort(X: np.ndarray) -> np.ndarray:
     return np.argsort(np.asarray(X, dtype=float).T, axis=1, kind="stable")
 
 
+def rank_keys(X: np.ndarray) -> np.ndarray:
+    """p x n dense ranks of X's columns, from one stable float sort.
+
+    Equal values share a rank (-0.0 equals 0.0, and every NaN takes the top
+    rank), so the keys of any row list, bootstrap repeats included, stable-
+    sort into the same permutation as its floats. The dtype is the smallest
+    unsigned one that holds n, which numpy sorts by radix for n < 65536.
+    """
+    X = np.asarray(X, dtype=float)
+    order = presort(X)
+    xs = np.take_along_axis(X.T, order, axis=1)
+    steps = (xs[:, 1:] != xs[:, :-1]) & ~np.isnan(xs[:, :-1])  # NaNs sort last
+    ranked = np.zeros(order.shape, dtype=np.min_scalar_type(X.shape[0]))
+    np.cumsum(steps, axis=1, dtype=ranked.dtype, out=ranked[:, 1:])
+    keys = np.empty_like(ranked)
+    np.put_along_axis(keys, order, ranked, axis=1)
+    return keys
+
+
+def sort_keys(keys: np.ndarray) -> np.ndarray:
+    """presort() of the matrix that rank_keys() ranked, by integer sort."""
+    return np.argsort(keys, axis=1, kind="stable")
+
+
 class _SortedRows:
     """One fit's X and its presorted row matrix, cut and partitioned per node.
 
     A node is its row indices in increasing order (what per-node sums run
     over, so their bits match a scan of the node's own rows) and its p x m
-    block of the presorted matrix.
+    block of the presorted matrix. The root's cuts are built once per
+    min_leaf, so boosting stages that share this object share them too.
     """
 
-    def __init__(self, X: np.ndarray, order: np.ndarray | None):
+    def __init__(self, X: np.ndarray, order: np.ndarray | None = None):
         self.X = X
         self.Xt = np.ascontiguousarray(X.T)
         self.order = presort(X) if order is None else order
         self._go_left = np.zeros(X.shape[0], dtype=bool)
+        self._root_cuts: dict[int, _Cuts] = {}
 
     def cuts(self, order: np.ndarray, min_leaf: int, features=None) -> "_Cuts":
         """Admissible cuts of the node's sorted block, restricted to `features`."""
+        if features is None and order is self.order:
+            if min_leaf not in self._root_cuts:
+                self._root_cuts[min_leaf] = self._cuts(order, min_leaf, None)
+            return self._root_cuts[min_leaf]
+        return self._cuts(order, min_leaf, features)
+
+    def _cuts(self, order, min_leaf, features) -> "_Cuts":
         if features is None:
             feats = np.arange(order.shape[0])
         else:
             feats = np.sort(np.asarray(list(features), dtype=np.intp))
             order = order[feats]
-        xs = self.Xt.take(order + (feats * self.Xt.shape[1])[:, None])
-        return _Cuts(feats, order, xs, min_leaf)
+        return _Cuts(feats, order, self.Xt, min_leaf)
 
     def partition(self, order, rows, feature, threshold, deeper: bool):
         """Children's (rows, block); a block only when the children may split."""
@@ -125,18 +167,47 @@ class _SortedRows:
         return (left, order[mask].reshape(p, -1)), (right, order[~mask].reshape(p, -1))
 
 
+class _RankedRows:
+    """One fit's X and rank keys; each node sorts the keys it scores.
+
+    A node's block is its own row list, in increasing order: cuts() stable-
+    sorts the drawn features' keys over those rows, which orders ties by
+    row as the presort does, and partition() only splits the row list.
+    """
+
+    def __init__(self, X: np.ndarray, keys: np.ndarray | None = None):
+        self.X = X
+        self.Xt = np.ascontiguousarray(X.T)
+        self.keys = rank_keys(X) if keys is None else keys
+        self.order = np.arange(X.shape[0])  # the root's block: every row
+
+    def cuts(self, rows: np.ndarray, min_leaf: int, features) -> "_Cuts":
+        """Admissible cuts of the drawn `features` over the node's rows."""
+        feats = np.sort(np.asarray(list(features), dtype=np.intp))
+        local = np.argsort(self.keys[feats[:, None], rows], axis=1, kind="stable")
+        block = rows.take(local)
+        return _Cuts(feats, block, self.Xt, min_leaf)
+
+    def partition(self, block, rows, feature, threshold, deeper: bool):
+        """Children's (rows, block); each child's block is its rows."""
+        go_left = self.X[rows, feature] <= threshold
+        left, right = rows[go_left], rows[~go_left]
+        return (left, left), (right, right)
+
+
 class _Cuts:
     """The cuts of a sorted block that leave min_leaf rows on each side.
 
     Row r of the block is feature feats[r]'s rows in sorted order, with
-    values xs[r]. A cut after sorted position j puts j + 1 rows on the left
+    values xs[r] gathered from the fit's p x n transpose Xt. A cut after sorted position j puts j + 1 rows on the left
     and is admissible where the values on its two sides differ. Scores are
     computed from cumulative sums along the rows: over the whole slab of
     positions when most of them are admissible, else only at a gathered
     list of the admissible ones (a one-hot column has a single cut).
     """
 
-    def __init__(self, feats, block, xs, min_leaf: int):
+    def __init__(self, feats, block, Xt, min_leaf: int):
+        xs = Xt.take(block + (feats * Xt.shape[1])[:, None])
         self.feats, self.block, self.xs = feats, block, xs
         m = block.shape[1]
         ml = max(min_leaf, 1)
@@ -179,8 +250,8 @@ class _Cuts:
         return int(self.feats[row]), float(thr), float(scores.flat[k])
 
 
-def _gini_split(data: _SortedRows, order, rows, y, weights, w_pos, min_leaf, features=None):
-    cuts = data.cuts(order, min_leaf, features)
+def _gini_split(data, block, rows, y, weights, w_pos, min_leaf, features=None):
+    cuts = data.cuts(block, min_leaf, features)
     if cuts.empty:
         return None
     node_w = weights[rows]
@@ -194,9 +265,8 @@ def _gini_split(data: _SortedRows, order, rows, y, weights, w_pos, min_leaf, fea
     wr = total_w - wl
     wpr = cuts.total(cwp) - wpl
 
-    with np.errstate(invalid="ignore", divide="ignore"):
-        pl = np.where(wl > 0, wpl / np.where(wl > 0, wl, 1.0), 0.0)
-        pr = np.where(wr > 0, wpr / np.where(wr > 0, wr, 1.0), 0.0)
+    pl = np.divide(wpl, wl, out=np.zeros_like(wl), where=wl > 0)
+    pr = np.divide(wpr, wr, out=np.zeros_like(wr), where=wr > 0)
     gini_l = 1.0 - pl * pl - (1.0 - pl) * (1.0 - pl)
     gini_r = 1.0 - pr * pr - (1.0 - pr) * (1.0 - pr)
     child = (wl * gini_l + wr * gini_r) / total_w
@@ -254,8 +324,13 @@ class DecisionTreeClassifier(Classifier):
         self.rng = rng
         self.root: _Node | None = None
 
-    def fit(self, X, y, sample_weight=None, order=None):
-        """Grow the tree; `order` is presort(X), when the caller already has it."""
+    def fit(self, X, y, sample_weight=None, keys=None, data=None):
+        """Grow the tree.
+
+        A tree that draws mtry < p features per node sorts rank keys per
+        node; any other tree partitions a presort. `keys` is rank_keys(X)
+        and `data` a _SortedRows of X, when the caller already has them.
+        """
         # Pure-label and single-class inputs are legal here: they produce a
         # single leaf, which bootstrap resamples and boosting rely on.
         X = np.asarray(X, dtype=float)
@@ -265,7 +340,10 @@ class DecisionTreeClassifier(Classifier):
         if sample_weight is None:
             sample_weight = np.full(len(y), 1.0 / len(y))
         weights = np.asarray(sample_weight, dtype=float)
-        data = _SortedRows(X, order)
+        if self.mtry is not None and self.mtry < X.shape[1]:
+            data = _RankedRows(X, keys)
+        elif data is None:
+            data = _SortedRows(X, None if keys is None else sort_keys(keys))
         self.root = self._grow(data, data.order, np.arange(len(y)), y, weights,
                                weights * (y == 1), 0)
         self.fitted = True
@@ -278,7 +356,7 @@ class DecisionTreeClassifier(Classifier):
         proba = w1 / total if total > 0 else 0.0
         return _Node(prediction=1 if w1 > w0 else 0, proba=proba)
 
-    def _grow(self, data, order, rows, y, weights, w_pos, depth) -> _Node:
+    def _grow(self, data, block, rows, y, weights, w_pos, depth) -> _Node:
         node_y = y[rows]
         if depth >= self.max_depth or len(rows) < 2 * self.min_leaf or np.all(node_y == node_y[0]):
             return self._leaf(node_y, weights[rows])
@@ -288,16 +366,16 @@ class DecisionTreeClassifier(Classifier):
             features = sorted(self.rng.choice(p, size=self.mtry, replace=False).tolist())
         else:
             features = None
-        split = _gini_split(data, order, rows, y, weights, w_pos, self.min_leaf, features)
+        split = _gini_split(data, block, rows, y, weights, w_pos, self.min_leaf, features)
         if split is None:
             return self._leaf(node_y, weights[rows])
         f, thr, _ = split
         deeper = depth + 1 < self.max_depth
-        (lrows, lorder), (rrows, rorder) = data.partition(order, rows, f, thr, deeper)
+        (lrows, lblock), (rrows, rblock) = data.partition(block, rows, f, thr, deeper)
         return _Node(
             feature=f, threshold=thr,
-            left=self._grow(data, lorder, lrows, y, weights, w_pos, depth + 1),
-            right=self._grow(data, rorder, rrows, y, weights, w_pos, depth + 1),
+            left=self._grow(data, lblock, lrows, y, weights, w_pos, depth + 1),
+            right=self._grow(data, rblock, rrows, y, weights, w_pos, depth + 1),
         )
 
     def predict_proba(self, X) -> np.ndarray:
@@ -333,17 +411,18 @@ class RegressionTree:
         self.fit_predict(X, targets, leaf_value)
         return self
 
-    def fit_predict(self, X, targets, leaf_value=None, order=None) -> np.ndarray:
+    def fit_predict(self, X, targets, leaf_value=None, data=None) -> np.ndarray:
         """Grow the tree and return its prediction for every training row.
 
-        `order` is presort(X), when the caller already has it.
+        `data` is a _SortedRows of X, when the caller already has one.
         """
         X = np.asarray(X, dtype=float)
         targets = np.asarray(targets, dtype=float)
         if leaf_value is None:
             leaf_value = lambda idx: float(np.mean(targets[idx]))
         fitted = np.empty(len(targets))
-        data = _SortedRows(X, order)
+        if data is None:
+            data = _SortedRows(X)
         self.root = self._grow(data, data.order, np.arange(len(targets)), targets, 0,
                                leaf_value, fitted)
         return fitted

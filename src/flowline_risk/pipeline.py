@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .crs import GeoPoint
 from .evaluation import (
     NO_STRUCTURE_SILHOUETTE,
@@ -441,6 +441,10 @@ def stage_train(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
             "total_variance": float(np.sum(spectrum)),
         }
 
+    for lane, X_train in lanes.items():
+        if cfg.rf_mtry > X_train.shape[1]:
+            raise ConfigError(f"rf_mtry = {cfg.rf_mtry} exceeds the {X_train.shape[1]} "
+                              f"columns of the {lane} lane")
     for lane, X_train in lanes.items():
         for kind, model in _build_models(cfg).items():
             model.fit(X_train, split.train.y)

@@ -199,13 +199,28 @@ class TestExitCodes:
     @pytest.mark.parametrize("key, value", [
         ("scale_factor", "0"), ("train_fraction", "1.5"), ("knn_k", "0"),
         ("reference_date", "2024-13-45"), ("synth_preset", "aa"),
+        ("rf_trees", "0"), ("gbdt_trees", "0"), ("adaboost_stumps", "0"),
+        ("rf_depth", "0"), ("gbdt_depth", "0"), ("gbdt_shrinkage", "0"),
+        ("gbdt_shrinkage", "-1"), ("rf_mtry", "-3"),
     ])
     def test_bad_setting_fails_before_any_stage(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path / "run.cfg", **{key: value})
         out = tmp_path / "r"
         assert main(["run-all", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("config error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert key.replace("_", " ") in err.replace("_", " ")  # names the setting
         assert not out.exists()
+
+    def test_mtry_wider_than_a_lane_fails_before_any_fit(self, tmp_path, capsys):
+        # the raw lane is wide enough for rf_mtry = 4, the 3-column PCA lane is not
+        cfg = write_config(tmp_path / "run.cfg", pca_k=3, rf_mtry=4)
+        out = tmp_path / "r"
+        run_stages(cfg, out, "synth", "merge", "attribute", "featurize")
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error in stage train: rf_mtry = 4 exceeds the 3 columns of the pca lane" in err
+        assert not list((out / "artifacts" / "models").glob("*.json"))
 
     def test_unknown_key_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.cfg", drop_id_lke="true")

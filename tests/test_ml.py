@@ -27,7 +27,8 @@ from flowline_risk.ml import (
     model_from_dict,
     model_to_dict,
 )
-from flowline_risk.ml import kmeans, neighbors
+from flowline_risk.ml import kmeans, neighbors, trees
+from flowline_risk.ml.trees import presort, rank_keys, sort_keys
 
 import cart_oracle
 import knn_oracle
@@ -561,3 +562,175 @@ class TestPresortedSplitsMatchOracle:
         assert cuts.dense and not cuts.ok.flat[0]
         scores = np.full(cuts.ok.shape, np.inf)
         assert cuts.best(scores, maximize=False) == (0, 0.5, np.inf)
+
+
+# ---------------------------------------------------------------------------
+# rank keys and what each ensemble fit sorts
+
+_SPECIALS = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 1.0, -1.0])
+
+
+@st.composite
+def ranked_columns(draw):
+    """n on both sides of the uint8/uint16 and uint16/uint32 key boundaries,
+    with tied, one-hot, constant, signed-zero/infinite/NaN and float columns."""
+    n = draw(st.sampled_from([1, 2, 3, 40, 255, 256, 257, 65535, 65536]))
+    kinds = draw(st.lists(st.sampled_from(["ints", "one-hot", "constant", "specials", "float"]),
+                          min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for kind in kinds:
+        if kind == "ints":
+            columns.append(rng.integers(-2, 3, n).astype(float))
+        elif kind == "one-hot":
+            columns.append((np.arange(n) == rng.integers(0, n)).astype(float))
+        elif kind == "constant":
+            columns.append(np.full(n, rng.choice(_SPECIALS)))
+        elif kind == "specials":
+            columns.append(rng.choice(_SPECIALS, n))
+        else:
+            columns.append(rng.normal(size=n))
+    return np.column_stack(columns), rng
+
+
+class TestRankKeys:
+    @settings(max_examples=60, deadline=None)
+    @given(ranked_columns(), st.sampled_from(["subset", "bootstrap", "all"]))
+    def test_stable_key_sort_is_the_stable_float_sort(self, problem, rows_kind):
+        X, rng = problem
+        n = X.shape[0]
+        keys = rank_keys(X)
+        assert keys.shape == (X.shape[1], n)
+        assert keys.dtype == np.min_scalar_type(n)
+        if rows_kind == "subset":  # a node's rows: increasing, any subset
+            rows = np.flatnonzero(rng.random(n) < rng.random())
+        elif rows_kind == "bootstrap":  # a tree's rows: repeats, any order
+            rows = rng.integers(0, n, size=n)
+        else:
+            rows = np.arange(n)
+        for f in range(X.shape[1]):
+            want = np.argsort(X[rows, f], kind="stable")
+            assert np.array_equal(np.argsort(keys[f, rows], kind="stable"), want)
+        assert np.array_equal(sort_keys(keys), presort(X))
+
+    @settings(max_examples=40, deadline=None)
+    @given(ranked_columns(), st.integers(1, 4))
+    def test_node_block_is_the_partitioned_presort(self, problem, min_leaf):
+        X, rng = problem
+        n, p = X.shape
+        rows = np.flatnonzero(rng.random(n) < rng.random())
+        if not rows.size:
+            rows = np.arange(n)
+        feats = np.sort(rng.choice(p, size=rng.integers(1, p + 1), replace=False))
+        order = presort(X)
+        in_node = np.zeros(n, dtype=bool)
+        in_node[rows] = True
+        want = order[in_node[order]].reshape(p, -1)[feats]
+        got = trees._RankedRows(X).cuts(rows, min_leaf, feats.tolist())
+        assert np.array_equal(got.feats, feats)
+        assert np.array_equal(got.block, want)
+
+    def test_key_dtype_at_the_boundaries(self):
+        for n, dtype in ((255, np.uint8), (256, np.uint16), (65535, np.uint16), (65536, np.uint32)):
+            X = np.arange(n, dtype=float)[::-1, None]
+            keys = rank_keys(X)
+            assert keys.dtype == dtype
+            assert np.array_equal(keys[0], np.arange(n)[::-1])
+
+
+def benchmark_shaped(n: int, seed: int, positive_rate: float = 0.01):
+    """Standardized one-hot, count and continuous columns with rare positives,
+    like the train lane of a preset-a run."""
+    rng = np.random.default_rng(seed)
+    columns = []
+    for j in range(12):
+        if j % 3 == 0:
+            columns.append((rng.integers(0, 6, n) == 0).astype(float))
+        elif j % 3 == 1:
+            columns.append(rng.integers(0, 20, n).astype(float))
+        else:
+            columns.append(rng.lognormal(size=n))
+    X = np.column_stack(columns)
+    X = (X - X.mean(axis=0)) / X.std(axis=0)
+    y = (rng.random(n) < positive_rate).astype(int)
+    y[rng.choice(n, 3, replace=False)] = 1
+    return X, y, probe_rows(X)
+
+
+def count_float_argsorts(monkeypatch) -> list:
+    calls = []
+    argsort = np.argsort
+
+    def counting(a, *args, **kwargs):
+        if np.asarray(a).dtype.kind == "f":
+            calls.append(np.shape(a))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting)
+    return calls
+
+
+def count_root_cuts(monkeypatch, n: int) -> list:
+    calls = []
+
+    class Counting(trees._Cuts):
+        def __init__(self, feats, block, Xt, min_leaf):
+            if block.shape[1] == n:
+                calls.append(block.shape)
+            super().__init__(feats, block, Xt, min_leaf)
+
+    monkeypatch.setattr(trees, "_Cuts", Counting)
+    return calls
+
+
+class TestWhatEachFitSorts:
+    @pytest.mark.parametrize("n_trees", [1, 7])
+    @pytest.mark.parametrize("mtry", [2, 5])
+    def test_one_float_sort_per_forest_fit(self, monkeypatch, n_trees, mtry):
+        X, y = benchmark_shaped(120, seed=81)[:2]
+        X = X[:, :5]
+        calls = count_float_argsorts(monkeypatch)
+        RandomForestClassifier(n_trees, max_depth=4, mtry=mtry, seed=3).fit(X, y)
+        assert len(calls) == 1
+
+    def test_one_root_cut_geometry_per_boosted_fit(self, monkeypatch):
+        X, y, _ = benchmark_shaped(200, seed=82, positive_rate=0.2)
+        calls = count_root_cuts(monkeypatch, len(y))
+        gbdt = GBDTClassifier(n_trees=6, max_depth=2).fit(X, y)
+        assert len(gbdt.trees) == 6 and len(calls) == 1
+        calls.clear()
+        ada = AdaBoostClassifier(n_stumps=6).fit(X, y)
+        assert len(ada.stumps) > 1 and len(calls) == 1
+
+
+class TestEnsemblesMatchOracleAtBenchmarkShape:
+    """n = 300 and 3000 key the forest's ranks as uint16, past what
+    tree_problems draws; rare positives and one-hot columns as in `tall`."""
+
+    @pytest.mark.parametrize("n", [300, 3000])
+    @pytest.mark.parametrize("mtry, bootstrap", [(4, True), (12, True), (4, False)])
+    def test_random_forest(self, n, mtry, bootstrap):
+        X, y, probe = benchmark_shaped(n, seed=n + mtry)
+        args = (3, 8, mtry, 11, 2, bootstrap)
+        new = RandomForestClassifier(*args).fit(X, y)
+        old = cart_oracle.OracleRandomForestClassifier(*args).fit(X, y)
+        assert state_json(new) == state_json(old)
+        assert bits(new.vote_shares(probe)) == bits(old.vote_shares(probe))
+
+    @pytest.mark.parametrize("n", [300, 3000])
+    def test_gbdt(self, n):
+        X, y, probe = benchmark_shaped(n, seed=n + 1)
+        new = GBDTClassifier(5, 3, 0.1).fit(X, y)
+        old = cart_oracle.OracleGBDTClassifier(5, 3, 0.1).fit(X, y)
+        assert state_json(new) == state_json(old)
+        assert new.stage_losses == old.stage_losses
+        assert bits(new.decision_scores(probe)) == bits(old.decision_scores(probe))
+
+    @pytest.mark.parametrize("n", [300, 3000])
+    def test_adaboost(self, n):
+        X, y, probe = benchmark_shaped(n, seed=n + 2)
+        new = AdaBoostClassifier(8).fit(X, y)
+        old = cart_oracle.OracleAdaBoostClassifier(8).fit(X, y)
+        assert state_json(new) == state_json(old)
+        assert new.round_errors == old.round_errors
+        assert bits(new.decision_scores(probe)) == bits(old.decision_scores(probe))
