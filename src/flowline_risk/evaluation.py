@@ -124,33 +124,21 @@ def metric_rows(classifier: str, y_true, y_pred) -> list[MetricRow]:
     cm = confusion(y_true, y_pred)
     accuracy = (cm.tp + cm.tn) / cm.n
 
-    rows = []
-    undefined_pos: list[str] = []
-    p1, r1, f1_1 = _per_class(cm, 1, undefined_pos)
-    rows.append(MetricRow(classifier, "positive-class", accuracy, p1, r1, f1_1,
-                          tuple(undefined_pos)))
-
-    undefined_macro: list[str] = []
-    p0, r0, f1_0 = _per_class(cm, 0, undefined_macro)
-    p1m, r1m, f1_1m = _per_class(cm, 1, undefined_macro)
-    rows.append(MetricRow(
-        classifier, "macro", accuracy,
-        (p0 + p1m) / 2, (r0 + r1m) / 2, (f1_0 + f1_1m) / 2,
-        tuple(undefined_macro),
-    ))
-
+    undefined0: list[str] = []
+    undefined1: list[str] = []
+    p0, r0, f0 = _per_class(cm, 0, undefined0)
+    p1, r1, f1 = _per_class(cm, 1, undefined1)
+    both = tuple(undefined0 + undefined1)
     n0 = cm.tn + cm.fp
     n1 = cm.tp + cm.fn
-    undefined_w: list[str] = []
-    p0w, r0w, f1_0w = _per_class(cm, 0, undefined_w)
-    p1w, r1w, f1_1w = _per_class(cm, 1, undefined_w)
-    rows.append(MetricRow(
-        classifier, "weighted", accuracy,
-        (n0 * p0w + n1 * p1w) / cm.n, (n0 * r0w + n1 * r1w) / cm.n,
-        (n0 * f1_0w + n1 * f1_1w) / cm.n,
-        tuple(undefined_w),
-    ))
-    return rows
+    return [
+        MetricRow(classifier, "positive-class", accuracy, p1, r1, f1, tuple(undefined1)),
+        MetricRow(classifier, "macro", accuracy,
+                  (p0 + p1) / 2, (r0 + r1) / 2, (f0 + f1) / 2, both),
+        MetricRow(classifier, "weighted", accuracy,
+                  (n0 * p0 + n1 * p1) / cm.n, (n0 * r0 + n1 * r1) / cm.n,
+                  (n0 * f0 + n1 * f1) / cm.n, both),
+    ]
 
 
 def metric_table(models: dict, X_test, y_test) -> list[MetricRow]:

@@ -142,11 +142,7 @@ class OneHotEncoder:
             values = table[column]
             if not values:
                 raise EmptyColumn(column)
-            seen: list[str] = []
-            for v in values:
-                if v not in seen:
-                    seen.append(v)
-            self.categories[column] = seen
+            self.categories[column] = list(dict.fromkeys(values))
         return self
 
     def transform(self, table: dict[str, list[str]]) -> tuple[np.ndarray, list[ColumnMeta]]:

@@ -6,7 +6,7 @@ import numpy as np
 
 from .base import Classifier, check_binary_labels
 from .linear import sigmoid
-from .trees import DecisionTreeClassifier, RegressionTree, _SortedRows, rank_keys
+from .trees import DecisionTreeClassifier, RegressionTree, _Rows, rank_keys
 
 _LEAF_CLAMP = 10.0
 _ALPHA_ERR_FLOOR = 1e-10
@@ -51,7 +51,7 @@ class GBDTClassifier(Classifier):
         self.trees = []
         self.stage_scales = []
         self.stage_losses = [log_loss(y, scores)]
-        data = _SortedRows(X)
+        data = _Rows(X)
 
         for _ in range(self.n_trees):
             p = sigmoid(scores)
@@ -143,7 +143,7 @@ class AdaBoostClassifier(Classifier):
         self.stumps, self.alphas = [], []
         self.round_errors, self.bound_trace = [], []
         bound = 1.0
-        data = _SortedRows(X)
+        data = _Rows(X)
 
         for _ in range(self.n_stumps):
             stump = DecisionTreeClassifier(max_depth=1, min_leaf=1)
@@ -203,9 +203,7 @@ class RandomForestClassifier(Classifier):
     class in this domain.
 
     The training matrix is ranked once per fit (trees.rank_keys, one float
-    sort), and each tree takes its bootstrap rows' keys. A tree that draws
-    mtry < p features sorts only those features' keys at each node; with
-    mtry = p it partitions a presort, rebuilt from the keys by integer sort.
+    sort), and each tree takes its bootstrap rows' keys.
     """
 
     kind = "RF"
@@ -236,7 +234,8 @@ class RandomForestClassifier(Classifier):
             rng = np.random.default_rng(stream)
             idx = rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
             tree = DecisionTreeClassifier(self.max_depth, self.min_leaf, mtry=mtry, rng=rng)
-            tree.fit(X[idx], y[idx], keys=keys[:, idx])
+            Xb = X[idx]
+            tree.fit(Xb, y[idx], data=_Rows(Xb, keys[:, idx]))
             self.trees.append(tree)
 
     def vote_shares(self, X) -> np.ndarray:

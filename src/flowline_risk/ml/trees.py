@@ -4,24 +4,17 @@ Split search is CART's exhaustive scan over the midpoints of consecutive
 distinct feature values (Breiman et al. 1984). A node scores every
 admissible cut of its features in one numpy pass over cumulative sums along
 a sorted block, whose rows hold the node's rows in the stable sort order of
-one feature each. Blocks come from one of two sources:
+one feature each.
 
-- Presorted attribute lists (SLIQ; Mehta, Agrawal & Rissanen 1996) for
-  trees that score every feature at every node: boosting stages, stumps,
-  and trees without a feature draw. Each fit argsorts X once into a p x n
-  matrix of row indices, and a node that splits partitions it stably into
-  its children's blocks in O(p m) for m rows. Boosted ensembles share one
-  presort, and the root's cuts, across all their stages; a forest tree
-  with mtry = p builds its presort from rank keys by integer sort.
-- Rank keys for trees that draw mtry < p features per node (the random
-  forest). Dense ranks of X, kept as small unsigned integers, order rows
-  exactly as their floats do, ties, -0.0 == 0.0 and NaNs last included. A
-  node stable-sorts only its drawn features' keys over its own rows in
-  increasing row order, so it pays for what it scores and its children
-  need only their row lists. A forest ranks its training matrix once per
-  fit and hands each tree the keys of its bootstrap rows.
+Each fit ranks X once into dense integer keys that order rows exactly as
+their floats do (ties, -0.0 == 0.0 and NaNs last included). A node whose
+parent scored every feature inherits its block by a stable partition of the
+parent's, in O(p m) for m rows (the presorted attribute lists of SLIQ;
+Mehta, Agrawal & Rissanen 1996). Every other node (the root, and each node
+of a forest tree that draws mtry < p features) stable-sorts the keys it
+scores over its own rows, so it pays only for what it scores. Boosted
+ensembles share one ranking, and the root's cuts, across all their stages.
 
-Both sources give the same block, so a tree grows the same either way.
 Ties between equally good splits resolve to the lowest feature index, then
 the lowest threshold (one row-major argmax over feature and cut), so a fit
 is a pure function of its inputs.
@@ -118,81 +111,55 @@ def rank_keys(X: np.ndarray) -> np.ndarray:
     return keys
 
 
-def sort_keys(keys: np.ndarray) -> np.ndarray:
-    """presort() of the matrix that rank_keys() ranked, by integer sort."""
-    return np.argsort(keys, axis=1, kind="stable")
-
-
-class _SortedRows:
-    """One fit's X and its presorted row matrix, cut and partitioned per node.
+class _Rows:
+    """One fit's X and rank keys, from which each node gets its sorted block.
 
     A node is its row indices in increasing order (what per-node sums run
-    over, so their bits match a scan of the node's own rows) and its p x m
-    block of the presorted matrix. The root's cuts are built once per
-    min_leaf, so boosting stages that share this object share them too.
-    """
-
-    def __init__(self, X: np.ndarray, order: np.ndarray | None = None):
-        self.X = X
-        self.Xt = np.ascontiguousarray(X.T)
-        self.order = presort(X) if order is None else order
-        self._go_left = np.zeros(X.shape[0], dtype=bool)
-        self._root_cuts: dict[int, _Cuts] = {}
-
-    def cuts(self, order: np.ndarray, min_leaf: int, features=None) -> "_Cuts":
-        """Admissible cuts of the node's sorted block, restricted to `features`."""
-        if features is None and order is self.order:
-            if min_leaf not in self._root_cuts:
-                self._root_cuts[min_leaf] = self._cuts(order, min_leaf, None)
-            return self._root_cuts[min_leaf]
-        return self._cuts(order, min_leaf, features)
-
-    def _cuts(self, order, min_leaf, features) -> "_Cuts":
-        if features is None:
-            feats = np.arange(order.shape[0])
-        else:
-            feats = np.sort(np.asarray(list(features), dtype=np.intp))
-            order = order[feats]
-        return _Cuts(feats, order, self.Xt, min_leaf)
-
-    def partition(self, order, rows, feature, threshold, deeper: bool):
-        """Children's (rows, block); a block only when the children may split."""
-        go_left = self.X[rows, feature] <= threshold
-        left, right = rows[go_left], rows[~go_left]
-        if not deeper:
-            return (left, None), (right, None)
-        self._go_left[rows] = go_left
-        mask = self._go_left.take(order)
-        p = order.shape[0]
-        return (left, order[mask].reshape(p, -1)), (right, order[~mask].reshape(p, -1))
-
-
-class _RankedRows:
-    """One fit's X and rank keys; each node sorts the keys it scores.
-
-    A node's block is its own row list, in increasing order: cuts() stable-
-    sorts the drawn features' keys over those rows, which orders ties by
-    row as the presort does, and partition() only splits the row list.
+    over, so their bits match a scan of the node's own rows) plus, when its
+    parent scored every feature, the p x m block it inherits by partition().
+    A node without one stable-sorts the keys of the features it scores over
+    its rows, which orders ties by row as a presort does. The root's cuts of
+    every feature are built once per min_leaf, so boosting stages that share
+    this object share them too.
     """
 
     def __init__(self, X: np.ndarray, keys: np.ndarray | None = None):
         self.X = X
         self.Xt = np.ascontiguousarray(X.T)
         self.keys = rank_keys(X) if keys is None else keys
-        self.order = np.arange(X.shape[0])  # the root's block: every row
+        self.rows = np.arange(X.shape[0])  # the root's rows
+        self._go_left = np.zeros(X.shape[0], dtype=bool)
+        self._root_cuts: dict[int, _Cuts] = {}
 
-    def cuts(self, rows: np.ndarray, min_leaf: int, features) -> "_Cuts":
-        """Admissible cuts of the drawn `features` over the node's rows."""
-        feats = np.sort(np.asarray(list(features), dtype=np.intp))
-        local = np.argsort(self.keys[feats[:, None], rows], axis=1, kind="stable")
-        block = rows.take(local)
-        return _Cuts(feats, block, self.Xt, min_leaf)
+    def cuts(self, rows, block, min_leaf: int, features=None) -> "_Cuts":
+        """Admissible cuts of `features` (default: all) over the node's rows;
+        `block` is the node's inherited block or None."""
+        root = features is None and rows is self.rows
+        if root and min_leaf in self._root_cuts:
+            return self._root_cuts[min_leaf]
+        if features is None:
+            feats = np.arange(self.keys.shape[0])
+        else:
+            feats = np.sort(np.asarray(list(features), dtype=np.intp))
+        if block is None:
+            local = np.argsort(self.keys[feats[:, None], rows], axis=1, kind="stable")
+            block = rows.take(local)
+        cuts = _Cuts(feats, block, self.Xt, min_leaf)
+        if root:
+            self._root_cuts[min_leaf] = cuts
+        return cuts
 
-    def partition(self, block, rows, feature, threshold, deeper: bool):
-        """Children's (rows, block); each child's block is its rows."""
+    def partition(self, rows, block, feature, threshold):
+        """Children's (rows, block). Given the node's block of every feature,
+        each child inherits its share of it; given None, children sort."""
         go_left = self.X[rows, feature] <= threshold
         left, right = rows[go_left], rows[~go_left]
-        return (left, left), (right, right)
+        if block is None:
+            return (left, None), (right, None)
+        self._go_left[rows] = go_left
+        mask = self._go_left.take(block)
+        p = block.shape[0]
+        return (left, block[mask].reshape(p, -1)), (right, block[~mask].reshape(p, -1))
 
 
 class _Cuts:
@@ -250,8 +217,7 @@ class _Cuts:
         return int(self.feats[row]), float(thr), float(scores.flat[k])
 
 
-def _gini_split(data, block, rows, y, weights, w_pos, min_leaf, features=None):
-    cuts = data.cuts(block, min_leaf, features)
+def _gini_split(cuts: _Cuts, rows, y, weights, w_pos):
     if cuts.empty:
         return None
     node_w = weights[rows]
@@ -273,8 +239,7 @@ def _gini_split(data, block, rows, y, weights, w_pos, min_leaf, features=None):
     return cuts.best(parent - child, maximize=True)
 
 
-def _sse_split(data: _SortedRows, order, targets, min_leaf):
-    cuts = data.cuts(order, min_leaf)
+def _sse_split(cuts: _Cuts, targets):
     if cuts.empty:
         return None
     ts = targets.take(cuts.block)
@@ -299,9 +264,9 @@ def best_gini_split(X, y, weights, min_leaf: int, features=None):
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
     weights = np.asarray(weights, dtype=float)
-    data = _SortedRows(X, None)
-    return _gini_split(data, data.order, np.arange(X.shape[0]), y, weights,
-                       weights * (y == 1), min_leaf, features)
+    data = _Rows(X)
+    cuts = data.cuts(data.rows, None, min_leaf, features)
+    return _gini_split(cuts, data.rows, y, weights, weights * (y == 1))
 
 
 class DecisionTreeClassifier(Classifier):
@@ -324,13 +289,8 @@ class DecisionTreeClassifier(Classifier):
         self.rng = rng
         self.root: _Node | None = None
 
-    def fit(self, X, y, sample_weight=None, keys=None, data=None):
-        """Grow the tree.
-
-        A tree that draws mtry < p features per node sorts rank keys per
-        node; any other tree partitions a presort. `keys` is rank_keys(X)
-        and `data` a _SortedRows of X, when the caller already has them.
-        """
+    def fit(self, X, y, sample_weight=None, data=None):
+        """Grow the tree; `data` is a _Rows of X, when the caller has one."""
         # Pure-label and single-class inputs are legal here: they produce a
         # single leaf, which bootstrap resamples and boosting rely on.
         X = np.asarray(X, dtype=float)
@@ -340,12 +300,9 @@ class DecisionTreeClassifier(Classifier):
         if sample_weight is None:
             sample_weight = np.full(len(y), 1.0 / len(y))
         weights = np.asarray(sample_weight, dtype=float)
-        if self.mtry is not None and self.mtry < X.shape[1]:
-            data = _RankedRows(X, keys)
-        elif data is None:
-            data = _SortedRows(X, None if keys is None else sort_keys(keys))
-        self.root = self._grow(data, data.order, np.arange(len(y)), y, weights,
-                               weights * (y == 1), 0)
+        if data is None:
+            data = _Rows(X)
+        self.root = self._grow(data, data.rows, None, y, weights, weights * (y == 1), 0)
         self.fitted = True
         return self
 
@@ -356,7 +313,7 @@ class DecisionTreeClassifier(Classifier):
         proba = w1 / total if total > 0 else 0.0
         return _Node(prediction=1 if w1 > w0 else 0, proba=proba)
 
-    def _grow(self, data, block, rows, y, weights, w_pos, depth) -> _Node:
+    def _grow(self, data, rows, block, y, weights, w_pos, depth) -> _Node:
         node_y = y[rows]
         if depth >= self.max_depth or len(rows) < 2 * self.min_leaf or np.all(node_y == node_y[0]):
             return self._leaf(node_y, weights[rows])
@@ -366,16 +323,19 @@ class DecisionTreeClassifier(Classifier):
             features = sorted(self.rng.choice(p, size=self.mtry, replace=False).tolist())
         else:
             features = None
-        split = _gini_split(data, block, rows, y, weights, w_pos, self.min_leaf, features)
+        cuts = data.cuts(rows, block, self.min_leaf, features)
+        split = _gini_split(cuts, rows, y, weights, w_pos)
         if split is None:
             return self._leaf(node_y, weights[rows])
         f, thr, _ = split
-        deeper = depth + 1 < self.max_depth
-        (lrows, lblock), (rrows, rblock) = data.partition(block, rows, f, thr, deeper)
+        inherit = features is None and depth + 1 < self.max_depth
+        (lrows, lblock), (rrows, rblock) = data.partition(
+            rows, cuts.block if inherit else None, f, thr)
+        del cuts  # freed before the subtrees grow: held per level, it slows forest fits
         return _Node(
             feature=f, threshold=thr,
-            left=self._grow(data, lblock, lrows, y, weights, w_pos, depth + 1),
-            right=self._grow(data, rblock, rrows, y, weights, w_pos, depth + 1),
+            left=self._grow(data, lrows, lblock, y, weights, w_pos, depth + 1),
+            right=self._grow(data, rrows, rblock, y, weights, w_pos, depth + 1),
         )
 
     def predict_proba(self, X) -> np.ndarray:
@@ -414,7 +374,7 @@ class RegressionTree:
     def fit_predict(self, X, targets, leaf_value=None, data=None) -> np.ndarray:
         """Grow the tree and return its prediction for every training row.
 
-        `data` is a _SortedRows of X, when the caller already has one.
+        `data` is a _Rows of X, when the caller already has one.
         """
         X = np.asarray(X, dtype=float)
         targets = np.asarray(targets, dtype=float)
@@ -422,25 +382,27 @@ class RegressionTree:
             leaf_value = lambda idx: float(np.mean(targets[idx]))
         fitted = np.empty(len(targets))
         if data is None:
-            data = _SortedRows(X)
-        self.root = self._grow(data, data.order, np.arange(len(targets)), targets, 0,
-                               leaf_value, fitted)
+            data = _Rows(X)
+        self.root = self._grow(data, data.rows, None, targets, 0, leaf_value, fitted)
         return fitted
 
-    def _grow(self, data, order, rows, targets, depth, leaf_value, fitted) -> _Node:
+    def _grow(self, data, rows, block, targets, depth, leaf_value, fitted) -> _Node:
         if (depth >= self.max_depth or len(rows) < 2 * self.min_leaf
                 or np.ptp(targets[rows]) == 0.0):
             return self._leaf(rows, leaf_value, fitted)
-        split = _sse_split(data, order, targets, self.min_leaf)
+        cuts = data.cuts(rows, block, self.min_leaf)
+        split = _sse_split(cuts, targets)
         if split is None:
             return self._leaf(rows, leaf_value, fitted)
         f, thr = split
-        deeper = depth + 1 < self.max_depth
-        (lrows, lorder), (rrows, rorder) = data.partition(order, rows, f, thr, deeper)
+        inherit = depth + 1 < self.max_depth
+        (lrows, lblock), (rrows, rblock) = data.partition(
+            rows, cuts.block if inherit else None, f, thr)
+        del cuts  # freed before the subtrees grow: held per level, it slows forest fits
         return _Node(
             feature=f, threshold=thr,
-            left=self._grow(data, lorder, lrows, targets, depth + 1, leaf_value, fitted),
-            right=self._grow(data, rorder, rrows, targets, depth + 1, leaf_value, fitted),
+            left=self._grow(data, lrows, lblock, targets, depth + 1, leaf_value, fitted),
+            right=self._grow(data, rrows, rblock, targets, depth + 1, leaf_value, fitted),
         )
 
     @staticmethod

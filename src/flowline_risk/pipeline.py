@@ -232,7 +232,6 @@ def merged_from_dict(d: dict) -> MergedFlowline:
 
 
 def stage_synth(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
-    cfg.validate()
     preset = cfg.synth_preset.lower()
     if preset == "a":
         synth_cfg = config_a(seed=cfg.seed, n_lines=cfg.synth_n_lines)
@@ -269,7 +268,6 @@ def _input_paths(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> tuple[P
 
 
 def stage_merge(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
-    cfg.validate()
     desc_path, op_path, _ = _input_paths(cfg, paths, manifest)
     params = cfg.projection_params()
     reference = cfg.resolve_reference_date()
@@ -315,7 +313,6 @@ def stage_merge(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
 
 
 def stage_attribute(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
-    cfg.validate()
     params = cfg.projection_params()
     merged_doc = read_json(manifest.require("merged"))
     merged = [merged_from_dict(d) for d in merged_doc["records"]]
@@ -367,7 +364,6 @@ def _feature_config(cfg: RunConfig) -> FeatureConfig:
 
 
 def stage_featurize(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
-    cfg.validate()
     ds = assemble(load_labeled(manifest), _feature_config(cfg))
 
     csv_path = paths.artifacts / "features.csv"
@@ -422,7 +418,6 @@ def _require_splittable(y: np.ndarray) -> None:
 
 
 def stage_train(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
-    cfg.validate()
     ds = _load_features(manifest)
     _require_splittable(ds.y)
     split = stratified_split(ds, cfg.train_fraction, cfg.seed)
@@ -502,7 +497,6 @@ def _load_fitted_model(manifest: Manifest, key: str, features_schema: str):
 
 
 def stage_evaluate(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
-    cfg.validate()
     ds = _load_features(manifest)
     features_schema = schema_hash(ds.column_meta)
     training = read_json(manifest.require("training"))
@@ -534,7 +528,6 @@ def stage_evaluate(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
 
 
 def stage_cluster(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
-    cfg.validate()
     ds = _load_features(manifest)
     full_z, _, _, _ = standardize(ds.X)
 

@@ -155,7 +155,6 @@ def append_run_log(paths: RunPaths, stage: str, stats: dict, elapsed_s: float) -
 
 
 def stage_report(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
-    cfg.validate()
     labeled = load_labeled(manifest)
     metrics = read_json(manifest.require("metrics"))
     clustering = read_json(manifest.require("clustering"))

@@ -28,7 +28,7 @@ from flowline_risk.ml import (
     model_to_dict,
 )
 from flowline_risk.ml import kmeans, neighbors, trees
-from flowline_risk.ml.trees import presort, rank_keys, sort_keys
+from flowline_risk.ml.trees import presort, rank_keys
 
 import cart_oracle
 import knn_oracle
@@ -554,11 +554,9 @@ class TestPresortedSplitsMatchOracle:
     def test_infinite_scores_pick_the_first_admissible_cut(self):
         # A slab of mostly admissible cuts is scored whole with the rest
         # masked; when every admissible score is infinite, the mask must not win.
-        from flowline_risk.ml.trees import _SortedRows
-
         X = np.array([[0.0, 5.0], [0.0, 1.0], [1.0, 2.0], [2.0, 3.0], [3.0, 4.0]])
-        data = _SortedRows(X, None)
-        cuts = data.cuts(data.order, min_leaf=1)
+        data = trees._Rows(X)
+        cuts = data.cuts(data.rows, None, min_leaf=1)
         assert cuts.dense and not cuts.ok.flat[0]
         scores = np.full(cuts.ok.shape, np.inf)
         assert cuts.best(scores, maximize=False) == (0, 0.5, np.inf)
@@ -611,7 +609,6 @@ class TestRankKeys:
         for f in range(X.shape[1]):
             want = np.argsort(X[rows, f], kind="stable")
             assert np.array_equal(np.argsort(keys[f, rows], kind="stable"), want)
-        assert np.array_equal(sort_keys(keys), presort(X))
 
     @settings(max_examples=40, deadline=None)
     @given(ranked_columns(), st.integers(1, 4))
@@ -626,9 +623,24 @@ class TestRankKeys:
         in_node = np.zeros(n, dtype=bool)
         in_node[rows] = True
         want = order[in_node[order]].reshape(p, -1)[feats]
-        got = trees._RankedRows(X).cuts(rows, min_leaf, feats.tolist())
+        got = trees._Rows(X).cuts(rows, None, min_leaf, feats.tolist())
         assert np.array_equal(got.feats, feats)
         assert np.array_equal(got.block, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(ranked_columns(), st.integers(0, 3))
+    def test_inherited_block_is_the_sorted_block(self, problem, feature):
+        # a child that inherits its share of the parent's block by partition
+        # holds the block it would get by sorting its own keys
+        X, rng = problem
+        n, p = X.shape
+        feature = min(feature, p - 1)
+        data = trees._Rows(X)
+        parent = np.flatnonzero(rng.random(n) < 0.8)
+        block = data.cuts(parent, None, 1).block
+        threshold = X[rng.integers(0, n), feature]
+        for rows, inherited in data.partition(parent, block, feature, threshold):
+            assert np.array_equal(inherited, data.cuts(rows, None, 1).block)
 
     def test_key_dtype_at_the_boundaries(self):
         for n, dtype in ((255, np.uint8), (256, np.uint16), (65535, np.uint16), (65536, np.uint32)):
@@ -684,13 +696,20 @@ def count_root_cuts(monkeypatch, n: int) -> list:
 
 
 class TestWhatEachFitSorts:
-    @pytest.mark.parametrize("n_trees", [1, 7])
-    @pytest.mark.parametrize("mtry", [2, 5])
-    def test_one_float_sort_per_forest_fit(self, monkeypatch, n_trees, mtry):
+    @pytest.mark.parametrize("model", [
+        pytest.param(RandomForestClassifier(n_trees, max_depth=4, mtry=mtry, seed=3),
+                     id=f"{mtry}-{n_trees}")
+        for mtry in (2, 5) for n_trees in (1, 7)
+    ] + [
+        pytest.param(GBDTClassifier(n_trees=6, max_depth=3), id="GBDT"),
+        pytest.param(AdaBoostClassifier(n_stumps=6), id="ADABOOST"),
+    ])
+    def test_one_float_sort_per_forest_fit(self, monkeypatch, model):
+        # forests and boosted ensembles alike rank X once per fit
         X, y = benchmark_shaped(120, seed=81)[:2]
         X = X[:, :5]
         calls = count_float_argsorts(monkeypatch)
-        RandomForestClassifier(n_trees, max_depth=4, mtry=mtry, seed=3).fit(X, y)
+        model.fit(X, y)
         assert len(calls) == 1
 
     def test_one_root_cut_geometry_per_boosted_fit(self, monkeypatch):
