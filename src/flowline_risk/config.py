@@ -14,10 +14,24 @@ from typing import get_args, get_origin, get_type_hints
 
 from .crs import ProjectionParams
 from .matcher import DEFAULT_LADDER_STEPS, ToleranceLadder
+from .synth import BadSynthSetting, SynthConfig, config_a, config_b
 
 
 class ConfigError(ValueError):
     pass
+
+
+# SynthConfig field -> the run setting a custom preset takes it from.
+_SYNTH_KEYS = {
+    "n_lines": "synth_n_lines",
+    "area": "synth_area",
+    "min_separation": "synth_min_separation",
+    "endpoint_jitter_sigma": "synth_jitter_sigma",
+    "spill_rate": "synth_spill_rate",
+    "spill_lateral_sigma": "synth_spill_lateral_sigma",
+    "n_operators": "synth_n_operators",
+    "operator_reuse_clustering": "synth_operator_clustering",
+}
 
 
 @dataclass
@@ -111,9 +125,26 @@ class RunConfig:
         if self.synth_preset.lower() not in ("a", "b", "custom"):
             raise ConfigError(f"synth_preset must be a, b or custom, got {self.synth_preset!r}")
         try:
+            self.synth_config()
+        except BadSynthSetting as exc:
+            key = _SYNTH_KEYS[exc.name]
+            raise ConfigError(f"{key} must be {exc.requirement}, got {exc.value!r}") from exc
+        try:
             self.resolve_reference_date()
         except ValueError as exc:
             raise ConfigError(f"bad reference_date: {exc}") from exc
+
+    def synth_config(self) -> SynthConfig:
+        """The generator settings the synth stage runs with."""
+        preset = self.synth_preset.lower()
+        if preset == "a":
+            return config_a(seed=self.seed, n_lines=self.synth_n_lines)
+        if preset == "b":
+            return config_b(seed=self.seed, n_lines=self.synth_n_lines)
+        return SynthConfig(
+            seed=self.seed,
+            **{field: getattr(self, key) for field, key in _SYNTH_KEYS.items()},
+        )
 
     def tolerance_ladder(self) -> ToleranceLadder:
         return ToleranceLadder(tuple(self.ladder))

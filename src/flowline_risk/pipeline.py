@@ -67,7 +67,7 @@ from .ml import (
     schema_hash,
 )
 from .numerics import PCAModel, choose_k_by_variance, pca_fit, pca_transform
-from .synth import SynthConfig, config_a, config_b, generate
+from .synth import generate
 
 log = logging.getLogger(__name__)
 
@@ -232,29 +232,19 @@ def merged_from_dict(d: dict) -> MergedFlowline:
 
 
 def stage_synth(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
-    preset = cfg.synth_preset.lower()
-    if preset == "a":
-        synth_cfg = config_a(seed=cfg.seed, n_lines=cfg.synth_n_lines)
-    elif preset == "b":
-        synth_cfg = config_b(seed=cfg.seed, n_lines=cfg.synth_n_lines)
-    elif preset == "custom":
-        synth_cfg = SynthConfig(
-            n_lines=cfg.synth_n_lines,
-            area=cfg.synth_area,
-            min_separation=cfg.synth_min_separation,
-            endpoint_jitter_sigma=cfg.synth_jitter_sigma,
-            spill_rate=cfg.synth_spill_rate,
-            spill_lateral_sigma=cfg.synth_spill_lateral_sigma,
-            n_operators=cfg.synth_n_operators,
-            operator_reuse_clustering=cfg.synth_operator_clustering,
-            seed=cfg.seed,
-        )
+    synth_cfg = cfg.synth_config()
     result = generate(synth_cfg, paths.data, cfg.projection_params())
     manifest.record("descriptive", result.descriptive_path, "synth")
     manifest.record("operational", result.operational_path, "synth")
     manifest.record("spills", result.spills_path, "synth")
     manifest.record("ground_truth", result.ground_truth_path, "synth")
-    return {"n_lines": synth_cfg.n_lines, "preset": preset}
+    return {
+        "n_lines": synth_cfg.n_lines,
+        "preset": cfg.synth_preset.lower(),
+        "placement_attempts": result.attempts,
+        "rejected_before_snap": result.rejected_before_snap,
+        "rejected_after_snap": result.rejected_after_snap,
+    }
 
 
 def _input_paths(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> tuple[Path, Path, Path]:

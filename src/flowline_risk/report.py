@@ -9,8 +9,6 @@ from __future__ import annotations
 import datetime
 import json
 
-import jsonschema
-
 from . import figures
 from .config import RunConfig
 from .evaluation import eda_summaries
@@ -112,7 +110,14 @@ REPORT_SCHEMA = {
 }
 
 
+class UnreadableRunLog(RuntimeError):
+    pass
+
+
 def validate_report(report: dict) -> None:
+    # Imported here: only the report stage pays for loading jsonschema.
+    import jsonschema
+
     jsonschema.validate(report, REPORT_SCHEMA)
     for fig in report["figures"]:
         _resolve_ref(report, fig["payload_ref"])
@@ -128,17 +133,30 @@ def _resolve_ref(report: dict, ref: str):
 
 
 def _read_run_log(paths: RunPaths) -> tuple[dict, dict]:
-    """Latest stats and elapsed seconds per stage from the run log."""
+    """Latest stats and elapsed seconds per stage from the run log.
+
+    A missing log reads as no stages; a line that is not a UTF-8 JSON stage
+    entry raises UnreadableRunLog naming the file and the line.
+    """
     stats: dict[str, dict] = {}
     timings: dict[str, float] = {}
     log_path = paths.artifacts / "run_log.jsonl"
-    if log_path.exists():
-        for line in log_path.read_text(encoding="utf-8").splitlines():
+    if not log_path.exists():
+        return stats, timings
+    for line_no, raw in enumerate(log_path.read_bytes().splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8")
             if not line.strip():
                 continue
             entry = json.loads(line)
-            stats[entry["stage"]] = entry.get("stats", {})
-            timings[entry["stage"]] = entry.get("elapsed_s", 0.0)
+            stage = entry["stage"]
+            stats[stage] = entry.get("stats", {})
+            timings[stage] = entry.get("elapsed_s", 0.0)
+        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise UnreadableRunLog(
+                f"{log_path} line {line_no} is unreadable ({type(exc).__name__}: {exc}); "
+                "rerun the pipeline from its first stage"
+            ) from exc
     return stats, timings
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import datetime
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -47,10 +48,32 @@ _ROOT_CAUSES = ("CORROSION", "EQUIPMENT_FAILURE", "HUMAN_ERROR", "NATURAL_FORCE"
 _DIAMETERS = (2.0, 3.0, 4.0, 6.0, 8.0, 12.0)
 
 _PLACEMENT_ATTEMPTS = 10_000
+# Member-count probabilities (1, 2, 3 members) by min(max_members, 3).
+_MEMBER_PROBS = {1: (1.0,), 2: (0.65, 0.35), 3: (0.6, 0.25, 0.15)}
+
+# Snapping a point through its written degrees (unproject, 12-decimal
+# rounding, project) moves it by under 1e-7 m within 100 km of the central
+# meridian and by under 5 cm anywhere in the projection zone. A junction
+# moves with both ends, and its swing turns with the chain, so it moves by
+# up to (1 + 10 / length) times as much. For chains of _SLACK_MIN_LENGTH or
+# more that stays far below _SNAP_SLACK (tests/test_synth.py measures the
+# margin); shorter chains skip the separation test before snapping.
+_SNAP_SLACK = 1.0
+_SLACK_MIN_LENGTH = 10.0
 
 
 class InfeasiblePacking(RuntimeError):
     """min_separation cannot be honored inside the area."""
+
+
+class BadSynthSetting(ValueError):
+    """A SynthConfig value out of range; `name` is the field."""
+
+    def __init__(self, name: str, requirement: str, value):
+        super().__init__(f"{name} must be {requirement}, got {value!r}")
+        self.name = name
+        self.requirement = requirement
+        self.value = value
 
 
 @dataclass(frozen=True)
@@ -68,18 +91,30 @@ class SynthConfig:
     max_members: int = 3
 
     def __post_init__(self):
-        if self.n_lines < 1:
-            raise ValueError("n_lines must be >= 1")
-        if not 0.0 <= self.spill_rate <= 1.0:
-            raise ValueError("spill_rate must be in [0, 1]")
-        if not 0.0 <= self.operator_reuse_clustering <= 1.0:
-            raise ValueError("operator_reuse_clustering must be in [0, 1]")
-        if self.endpoint_jitter_sigma < 0 or self.spill_lateral_sigma < 0:
-            raise ValueError("sigmas must be >= 0")
-        if self.min_separation < 0:
-            raise ValueError("min_separation must be >= 0")
-        if not 1 <= self.n_operators <= len(_OPERATOR_NAMES):
-            raise ValueError(f"n_operators must be in [1, {len(_OPERATOR_NAMES)}]")
+        lo, hi = self.length_range if len(self.length_range) == 2 else (math.nan, math.nan)
+        checks = (
+            ("n_lines", self.n_lines >= 1, ">= 1"),
+            ("area", math.isfinite(self.area) and self.area > 0, "finite and > 0"),
+            ("min_separation", _finite_non_negative(self.min_separation), "finite and >= 0"),
+            ("endpoint_jitter_sigma", _finite_non_negative(self.endpoint_jitter_sigma),
+             "finite and >= 0"),
+            ("spill_rate", 0.0 <= self.spill_rate <= 1.0, "in [0, 1]"),
+            ("spill_lateral_sigma", _finite_non_negative(self.spill_lateral_sigma),
+             "finite and >= 0"),
+            ("n_operators", 1 <= self.n_operators <= len(_OPERATOR_NAMES),
+             f"in [1, {len(_OPERATOR_NAMES)}]"),
+            ("operator_reuse_clustering", 0.0 <= self.operator_reuse_clustering <= 1.0,
+             "in [0, 1]"),
+            ("length_range", 0.0 < lo <= hi < math.inf, "(low, high) with 0 < low <= high"),
+            ("max_members", self.max_members >= 1, ">= 1"),
+        )
+        for name, ok, requirement in checks:
+            if not ok:
+                raise BadSynthSetting(name, requirement, getattr(self, name))
+
+
+def _finite_non_negative(value: float) -> bool:
+    return math.isfinite(value) and value >= 0
 
 
 def config_a(seed: int = 0, n_lines: int = 1000) -> SynthConfig:
@@ -118,6 +153,9 @@ class SynthResult:
     spills_path: Path
     ground_truth_path: Path
     ground_truth: GroundTruth
+    attempts: int                 # placement attempts, placed ones included
+    rejected_before_snap: int     # outside the area, or too close with the snap slack
+    rejected_after_snap: int      # too close once snapped
 
 
 @dataclass
@@ -182,7 +220,7 @@ def generate(cfg: SynthConfig, out_dir, params: ProjectionParams = ProjectionPar
     origin_y = center.y - cfg.area / 2.0
     margin = max(3.0 * cfg.endpoint_jitter_sigma + 3.0 * cfg.spill_lateral_sigma + 10.0, 50.0)
 
-    lines = _place_lines(cfg, rng, origin_x, origin_y, margin, params)
+    lines, counts = _place_lines(cfg, rng, origin_x, origin_y, margin, params)
     spills = _place_spills(cfg, rng, lines)
 
     truth = GroundTruth()
@@ -205,28 +243,24 @@ def generate(cfg: SynthConfig, out_dir, params: ProjectionParams = ProjectionPar
     _write_spills(spill_path, spills, params)
     _write_ground_truth(gt_path, truth)
 
-    return SynthResult(desc_path, op_path, spill_path, gt_path, truth)
+    return SynthResult(desc_path, op_path, spill_path, gt_path, truth, *counts)
 
 
-def _place_lines(cfg, rng, origin_x, origin_y, margin, params) -> list[_Line]:
+def _place_lines(cfg, rng, origin_x, origin_y, margin, params):
+    """Place every line; returns the lines and the counts of attempts, of
+    rejections before snapping and of rejections after it."""
     grid = _Grid(cell=max(cfg.min_separation, 25.0))
     lines: list[_Line] = []
     lo, hi = margin, cfg.area - margin
     if hi <= lo:
         raise InfeasiblePacking("area too small for the required margins")
+    min_length, max_length = cfg.length_range
+    member_cdf = _member_cdf(cfg.max_members)
 
-    member_choices = list(range(1, cfg.max_members + 1))
-    member_probs = {1: [1.0], 2: [0.65, 0.35], 3: [0.6, 0.25, 0.15]}[min(cfg.max_members, 3)]
-
+    attempts = rejected_before_snap = rejected_after_snap = 0
     for i in range(cfg.n_lines):
-        attempts = 0
-        while True:
+        for _ in range(_PLACEMENT_ATTEMPTS):
             attempts += 1
-            if attempts > _PLACEMENT_ATTEMPTS:
-                raise InfeasiblePacking(
-                    f"could not place line {i} after {_PLACEMENT_ATTEMPTS} attempts"
-                )
-
             bundled = lines and rng.random() < cfg.operator_reuse_clustering
             if bundled:
                 parent = lines[int(rng.integers(len(lines)))]
@@ -235,14 +269,15 @@ def _place_lines(cfg, rng, origin_x, origin_y, margin, params) -> list[_Line]:
                 sx = parent.vertices[0][0] + radius * math.cos(angle)
                 sy = parent.vertices[0][1] + radius * math.sin(angle)
                 direction = parent.direction + math.radians(rng.uniform(-10.0, 10.0))
-                length = float(np.clip(parent.length_m * rng.uniform(0.85, 1.15), *cfg.length_range))
+                length = parent.length_m * rng.uniform(0.85, 1.15)
+                length = float(min(max(length, min_length), max_length))
                 operator_idx = parent.operator_idx
                 location_id = parent.location_id
             else:
                 sx = origin_x + rng.uniform(lo, hi)
                 sy = origin_y + rng.uniform(lo, hi)
                 direction = rng.uniform(0.0, 2.0 * math.pi)
-                length = rng.uniform(*cfg.length_range)
+                length = rng.uniform(min_length, max_length)
                 operator_idx = int(rng.integers(cfg.n_operators))
                 location_id = f"L{i:05d}"
 
@@ -250,6 +285,21 @@ def _place_lines(cfg, rng, origin_x, origin_y, margin, params) -> list[_Line]:
             ey = sy + length * math.sin(direction)
             if not (origin_x + lo <= sx <= origin_x + hi and origin_y + lo <= sy <= origin_y + hi
                     and origin_x + lo <= ex <= origin_x + hi and origin_y + lo <= ey <= origin_y + hi):
+                rejected_before_snap += 1
+                continue
+
+            # Every draw of the attempt comes before its separation test, so
+            # a rejected attempt leaves the stream where the old order did.
+            ts, swings = _chain_draws(rng)
+            n_members = 1 + bisect_right(member_cdf, rng.random())
+            junction_idx = _pick_junctions(rng, len(ts) + 2, n_members)
+
+            # Snapping moves each key point by less than _SNAP_SLACK, so an
+            # attempt already that close fails the exact test below as well.
+            if length >= _SLACK_MIN_LENGTH and grid.too_close(
+                    _key_points(_chain(sx, sy, ex, ey, ts, swings), junction_idx),
+                    cfg.min_separation - _SNAP_SLACK):
+                rejected_before_snap += 1
                 continue
 
             # Snap endpoints through the geographic representation that will
@@ -259,12 +309,10 @@ def _place_lines(cfg, rng, origin_x, origin_y, margin, params) -> list[_Line]:
             p_start = project(GeoPoint(*start_geo), params)
             p_end = project(GeoPoint(*end_geo), params)
 
-            vertices = _build_chain(rng, p_start, p_end)
-            n_members = int(rng.choice(member_choices[:len(member_probs)], p=member_probs))
-            junction_idx = _pick_junctions(rng, len(vertices), n_members)
-
-            key_points = [vertices[0], vertices[-1]] + [vertices[j] for j in junction_idx]
+            vertices = _chain(p_start.x, p_start.y, p_end.x, p_end.y, ts, swings)
+            key_points = _key_points(vertices, junction_idx)
             if grid.too_close(key_points, cfg.min_separation):
+                rejected_after_snap += 1
                 continue
 
             grid.add(key_points)
@@ -276,7 +324,19 @@ def _place_lines(cfg, rng, origin_x, origin_y, margin, params) -> list[_Line]:
                 length_m=length, direction=direction,
             ))
             break
-    return lines
+        else:
+            raise InfeasiblePacking(
+                f"could not place line {i} after {_PLACEMENT_ATTEMPTS} attempts"
+            )
+    return lines, (attempts, rejected_before_snap, rejected_after_snap)
+
+
+def _member_cdf(max_members: int) -> list[float]:
+    """The cumulative sum that Generator.choice(p=) bisects with one uniform
+    draw, so 1 + bisect_right(cdf, rng.random()) is its member-count draw."""
+    cdf = np.cumsum(_MEMBER_PROBS[min(max_members, 3)])
+    cdf /= cdf[-1]
+    return cdf.tolist()
 
 
 def _unproject_xy(x, y, params) -> tuple[float, float]:
@@ -284,21 +344,28 @@ def _unproject_xy(x, y, params) -> tuple[float, float]:
     return g.latitude, g.longitude
 
 
-def _build_chain(rng, p_start: Point2D, p_end: Point2D) -> list[tuple[float, float]]:
+def _chain_draws(rng) -> tuple[np.ndarray, list[float]]:
+    """Interior positions along a chain and the sideways swing at each."""
+    n_interior = int(rng.integers(1, 4))
+    ts = np.sort(rng.uniform(0.15, 0.85, size=n_interior))
+    return ts, [rng.uniform(-2.5, 2.5) for _ in ts]
+
+
+def _chain(ax, ay, bx, by, ts, swings) -> list[tuple[float, float]]:
     """Vertex chain from start to end with a gentle interior zigzag."""
-    ax, ay = p_start.x, p_start.y
-    bx, by = p_end.x, p_end.y
     dx, dy = bx - ax, by - ay
     length = math.hypot(dx, dy)
     nx, ny = -dy / length, dx / length
-    n_interior = int(rng.integers(1, 4))
-    ts = np.sort(rng.uniform(0.15, 0.85, size=n_interior))
     chain = [(ax, ay)]
-    for t in ts:
-        swing = rng.uniform(-2.5, 2.5)
+    for t, swing in zip(ts, swings):
         chain.append((ax + t * dx + swing * nx, ay + t * dy + swing * ny))
     chain.append((bx, by))
     return chain
+
+
+def _key_points(vertices, junction_idx) -> list[tuple[float, float]]:
+    """The points the minimum separation holds between: ends and junctions."""
+    return [vertices[0], vertices[-1]] + [vertices[j] for j in junction_idx]
 
 
 def _pick_junctions(rng, n_vertices: int, n_members: int) -> list[int]:

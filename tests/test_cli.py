@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import shutil
 import subprocess
 from dataclasses import fields
 import sys
@@ -212,6 +213,21 @@ class TestExitCodes:
         assert key.replace("_", " ") in err.replace("_", " ")  # names the setting
         assert not out.exists()
 
+    @pytest.mark.parametrize("preset, key, value", [
+        ("custom", "synth_spill_rate", "1.5"), ("custom", "synth_area", "nan"),
+        ("custom", "synth_area", "-100"), ("custom", "synth_n_lines", "0"),
+        ("a", "synth_n_lines", "0"), ("b", "synth_n_lines", "-3"),
+        ("custom", "synth_min_separation", "inf"), ("custom", "synth_jitter_sigma", "-1"),
+        ("custom", "synth_spill_lateral_sigma", "nan"), ("custom", "synth_n_operators", "0"),
+        ("custom", "synth_operator_clustering", "1.5"),
+    ])
+    def test_bad_synth_setting_fails_before_any_stage(self, tmp_path, capsys, preset, key, value):
+        cfg = write_config(tmp_path / "run.cfg", synth_preset=preset, **{key: value})
+        out = tmp_path / "r"
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {key} must be ")
+        assert not out.exists()
+
     def test_mtry_wider_than_a_lane_fails_before_any_fit(self, tmp_path, capsys):
         # the raw lane is wide enough for rf_mtry = 4, the 3-column PCA lane is not
         cfg = write_config(tmp_path / "run.cfg", pca_k=3, rf_mtry=4)
@@ -234,6 +250,67 @@ class TestExitCodes:
         proc = run_cli("synth", "--config", str(cfg), "--out", str(tmp_path / "r"),
                        "--ladder", "5,4,3")
         assert proc.returncode == EXIT_CONFIG
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """One finished run-all; tests copy it before changing anything."""
+    root = tmp_path_factory.mktemp("finished")
+    cfg = write_config(root / "run.cfg")
+    out = root / "run"
+    assert main(["run-all", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    return cfg, out
+
+
+class TestRunLog:
+    def test_synth_placement_counts_reach_the_log_and_the_cli_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "run.cfg", synth_n_lines=80)
+        out = tmp_path / "r"
+        run_stages(cfg, out, "synth")
+        (entry,) = [json.loads(line) for line in
+                    (out / "artifacts" / "run_log.jsonl").read_text().splitlines()]
+        stats = entry["stats"]
+        assert stats["placement_attempts"] == (
+            80 + stats["rejected_before_snap"] + stats["rejected_after_snap"])
+        printed = capsys.readouterr().out
+        for key in ("placement_attempts", "rejected_before_snap", "rejected_after_snap"):
+            assert f"{key}={stats[key]}" in printed
+
+    @pytest.mark.parametrize("damage, line_no", [
+        ("truncated", 8), ("not_utf8", 1), ("not_json", 3), ("not_an_entry", 2),
+    ])
+    def test_unreadable_log_is_a_named_stage_failure(self, finished_run, tmp_path, capsys,
+                                                     damage, line_no):
+        cfg, finished = finished_run
+        out = tmp_path / "run"
+        shutil.copytree(finished, out)
+        log = out / "artifacts" / "run_log.jsonl"
+        lines = log.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 8  # one entry per stage of run-all
+        if damage == "truncated":
+            lines[-1] = lines[-1][:len(lines[-1]) // 2]
+        elif damage == "not_utf8":
+            lines[0] = b"\xff\xfe" + lines[0]
+        elif damage == "not_json":
+            lines[2] = b"garbage\n"
+        else:
+            lines[1] = b'["merge"]\n'
+        log.write_bytes(b"".join(lines))
+        capsys.readouterr()
+        assert main(["report", "--config", str(cfg), "--out", str(out)]) == EXIT_STAGE
+        err = capsys.readouterr().err
+        assert f"UnreadableRunLog: {log} line {line_no} is unreadable" in err
+        assert "Traceback" not in err
+
+    def test_missing_log_gives_a_report_without_timings(self, finished_run, tmp_path):
+        cfg, finished = finished_run
+        out = tmp_path / "run"
+        shutil.copytree(finished, out)
+        (out / "artifacts" / "run_log.jsonl").unlink()
+        assert main(["report", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert report["timings"] == {}
+        assert report["match_stats"] == {"merge": {}, "attribute": {}, "featurize": {}}
 
 
 class TestStageChaining:
@@ -400,6 +477,14 @@ class TestEachResultOnce:
 
 
 class TestReportValidation:
+    def test_only_the_report_loads_jsonschema(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, flowline_risk.cli; print('jsonschema' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert proc.stdout.strip() == "False", proc.stderr
+
     def test_schema_validates(self, tmp_path):
         from flowline_risk.report import validate_report
         cfg = write_config(tmp_path / "run.cfg", synth_n_lines=300)

@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+
+import crs_oracle
 
 from flowline_risk.crs import (
     GeoPoint,
@@ -151,3 +155,51 @@ class TestParams:
             GeoPoint(91.0, 0.0)
         with pytest.raises(ValueError):
             GeoPoint(0.0, 181.0)
+
+
+def _bits(point) -> tuple[str, str]:
+    return tuple(float(v).hex() for v in vars(point).values())
+
+
+def _outcome(fn, *args):
+    try:
+        return _bits(fn(*args))
+    except (OutOfZone, NonConvergence, ValueError) as exc:
+        return type(exc).__name__
+
+
+_PARAMS = st.builds(
+    ProjectionParams,
+    central_meridian=st.floats(-169.0, 169.0),  # so that |longitude| <= 179.5
+    scale_factor=st.floats(0.5, 1.0),
+    false_easting=st.floats(0.0, 1e6),
+    false_northing=st.floats(-1e7, 1e7),
+    semi_major_axis=st.floats(6.3e6, 6.4e6),
+    flattening=st.floats(0.0, 0.01),
+)
+
+
+class TestCachedConstants:
+    """Constants cached on ProjectionParams give the bits of the per-call
+    formulas kept in tests/crs_oracle.py."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(params=_PARAMS, lat=st.floats(-89.99, 89.99), dlon=st.floats(-10.5, 10.5))
+    def test_project_bit_equal(self, params, lat, dlon):
+        g = GeoPoint(lat, params.central_meridian + dlon)
+        assert _outcome(project, g, params) == _outcome(crs_oracle.project, g, params)
+
+    @settings(max_examples=300, deadline=None)
+    @given(params=_PARAMS, x=st.floats(-1.2e6, 1.2e6), y=st.floats(-1e7, 1e7))
+    def test_unproject_bit_equal(self, params, x, y):
+        q = Point2D(params.false_easting + x, params.false_northing + y)
+        assert _outcome(unproject, q, params) == _outcome(crs_oracle.unproject, q, params)
+
+    def test_default_params_bit_equal_on_a_sweep(self):
+        rng = np.random.default_rng(11)
+        for lat, dlon in zip(rng.uniform(-84.0, 84.0, 5000), rng.uniform(-9.9, 9.9, 5000)):
+            g = GeoPoint(lat, PARAMS.central_meridian + dlon)
+            q = project(g)
+            assert _bits(q) == _bits(crs_oracle.project(g))
+            assert _bits(unproject(q)) == _bits(crs_oracle.unproject(q))
+            assert meridian_arc(lat, PARAMS) == crs_oracle.meridian_arc(lat, PARAMS)

@@ -1,8 +1,18 @@
 import math
+import tempfile
+from bisect import bisect_right
+from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flowline_risk import fileio
+import synth_oracle
+from flowline_risk import fileio, synth
+from flowline_risk.crs import GeoPoint, OutOfZone, ProjectionParams, project
 from flowline_risk.geometry import endpoint_set
 from flowline_risk.ingest import parse_descriptive, parse_operational, parse_spills
 from flowline_risk.matcher import match_flowlines
@@ -114,6 +124,21 @@ class TestGenerate:
         with pytest.raises(ValueError):
             SynthConfig(n_lines=10, endpoint_jitter_sigma=-1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_lines", 0), ("area", math.nan), ("area", math.inf), ("area", 0.0),
+        ("min_separation", math.nan), ("min_separation", -1.0),
+        ("endpoint_jitter_sigma", math.inf), ("spill_rate", math.nan),
+        ("spill_lateral_sigma", -0.5), ("n_operators", 0),
+        ("operator_reuse_clustering", 1.5), ("length_range", (300.0, 80.0)),
+        ("length_range", (0.0, 80.0)), ("length_range", (-5.0, 80.0)),
+        ("length_range", (80.0, math.inf)), ("length_range", ()), ("max_members", 0),
+    ])
+    def test_out_of_range_setting_is_named(self, field, value):
+        with pytest.raises(synth.BadSynthSetting) as info:
+            SynthConfig(**{"n_lines": 10, field: value})
+        assert info.value.name == field
+        assert str(info.value).startswith(f"{field} must be ")
+
 
 class TestPresets:
     def test_config_a_shape(self):
@@ -161,3 +186,138 @@ class TestAtomicWrites:
         assert [str(c) for c in calls] == [str(p) for p in paths[:n_done + 1]]
         assert paths[n_done].read_bytes() == before[n_done]
         assert not list(tmp_path.rglob("*.tmp"))
+
+
+def _file_bytes(result) -> list[bytes]:
+    return [p.read_bytes() for p in (result.descriptive_path, result.operational_path,
+                                     result.spills_path, result.ground_truth_path)]
+
+
+def _generate_with_oracle(cfg, out_dir, params=ProjectionParams()):
+    """generate() with the placement that snaps every attempt inside the area."""
+    def place(*args):
+        return synth_oracle._place_lines(*args), (0, 0, 0)
+    with mock.patch.object(synth, "_place_lines", place):
+        return generate(cfg, out_dir, params)
+
+
+def _integrate_inputs(seed: int) -> SynthConfig:
+    # The inputs of the benchmark's integrate workload.
+    return replace(config_b(seed=seed, n_lines=8000), spill_rate=0.10)
+
+
+class TestPlacementOracle:
+    """Rejecting attempts before the snap changes no byte the generator writes."""
+
+    CASES = {
+        "preset_a": config_a(seed=42, n_lines=1000),
+        "preset_b": config_b(seed=42, n_lines=1000),
+        "no_separation": SynthConfig(n_lines=300, area=6000.0, min_separation=0.0, seed=5),
+        "zero_jitter": replace(config_b(seed=6, n_lines=600), endpoint_jitter_sigma=0.0),
+        "one_member": SynthConfig(n_lines=300, area=8000.0, seed=7, max_members=1),
+        "two_members": replace(config_b(seed=8, n_lines=600), max_members=2),
+        # chains shorter than the slack's floor skip the early test
+        "short_chains": SynthConfig(n_lines=300, area=3000.0, min_separation=15.0,
+                                    length_range=(2.0, 40.0), seed=9),
+        # bundles up to 600 km from the central meridian, where the snap moves most
+        "wide_area": SynthConfig(n_lines=400, area=1.2e6, min_separation=10.0,
+                                 operator_reuse_clustering=0.9, seed=10),
+        **{f"integrate_seed_{s}": _integrate_inputs(s) for s in (1, 2, 3)},
+    }
+
+    # The integrate workload's set-up on seed 1: unproject calls with the
+    # early test and with the oracle, and the new placement's counts.
+    PINNED = {"integrate_seed_1": ((35_478, 57_226), (20_429, 11_224, 1_205))}
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_same_bytes_as_snapping_every_attempt(self, tmp_path, name):
+        cfg = self.CASES[name]
+        results, calls = [], []
+        for label, run in (("new", generate), ("old", _generate_with_oracle)):
+            count = [0]
+
+            def counted(*args, real=synth.unproject):
+                count[0] += 1
+                return real(*args)
+            with mock.patch.object(synth, "unproject", counted):
+                results.append(run(cfg, tmp_path / label))
+            calls.append(count[0])
+        new, old = results
+        assert _file_bytes(new) == _file_bytes(old)
+        assert new.attempts - new.rejected_before_snap - new.rejected_after_snap == cfg.n_lines
+        assert calls[0] <= calls[1]
+        if name in self.PINNED:
+            counts = (new.attempts, new.rejected_before_snap, new.rejected_after_snap)
+            assert (tuple(calls), counts) == self.PINNED[name]
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n_lines=st.integers(1, 60),
+        area=st.floats(800.0, 5000.0),
+        min_separation=st.floats(0.0, 40.0),
+        jitter=st.sampled_from([0.0, 5.0]),
+        clustering=st.floats(0.0, 1.0),
+        max_members=st.integers(1, 4),
+        low=st.floats(1.0, 120.0),
+        spread=st.floats(0.0, 200.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_bytes_on_custom_configs(self, n_lines, area, min_separation, jitter,
+                                          clustering, max_members, low, spread, seed):
+        cfg = SynthConfig(
+            n_lines=n_lines, area=area, min_separation=min_separation,
+            endpoint_jitter_sigma=jitter, operator_reuse_clustering=clustering,
+            max_members=max_members, length_range=(low, low + spread), seed=seed,
+        )
+        outcomes = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for label, run in (("new", generate), ("old", _generate_with_oracle)):
+                try:
+                    outcomes.append(_file_bytes(run(cfg, Path(tmp) / label)))
+                except InfeasiblePacking as exc:
+                    outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+
+class TestPlacementDraws:
+    @pytest.mark.parametrize("max_members", [1, 2, 3, 5])
+    def test_member_draw_is_generator_choice(self, max_members):
+        # Pins numpy's Generator.choice(p=): one uniform double, bisected
+        # (right side) in the normalised cumulative sum of p.
+        probs = list(synth._MEMBER_PROBS[min(max_members, 3)])
+        choices = list(range(1, len(probs) + 1))
+        cdf = synth._member_cdf(max_members)
+        for seed in range(1000):
+            ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(20):
+                assert 1 + bisect_right(cdf, ours.random()) == int(numpys.choice(choices, p=probs))
+            assert ours.random() == numpys.random()  # the streams stay aligned
+
+    def test_snap_moves_key_points_far_less_than_the_slack(self):
+        # Chains across the projection zone, at every length the early test
+        # admits; every interior vertex is treated as a junction.
+        params = ProjectionParams()
+        rng = np.random.default_rng(2024)
+        worst = 0.0
+        for lat in np.linspace(-84.0, 84.0, 29):
+            for dlon in np.linspace(-9.9, 9.9, 23):
+                start = project(GeoPoint(lat, params.central_meridian + dlon), params)
+                sx, sy = start.x, start.y
+                length = rng.uniform(synth._SLACK_MIN_LENGTH, 300.0)
+                direction = rng.uniform(0.0, 2.0 * math.pi)
+                ex, ey = sx + length * math.cos(direction), sy + length * math.sin(direction)
+                ts, swings = synth._chain_draws(rng)
+                try:
+                    snapped = [
+                        project(GeoPoint(*synth._round_geo(*synth._unproject_xy(x, y, params))),
+                                params)
+                        for x, y in ((sx, sy), (ex, ey))
+                    ]
+                except (OutOfZone, ValueError):
+                    continue
+                before = synth._chain(sx, sy, ex, ey, ts, swings)
+                (a, b) = snapped
+                after = synth._chain(a.x, a.y, b.x, b.y, ts, swings)
+                worst = max(worst, max(math.hypot(bx - ax, by - ay)
+                                       for (ax, ay), (bx, by) in zip(before, after)))
+        assert 0.0 < worst and 4.0 * worst <= synth._SNAP_SLACK, worst
