@@ -7,6 +7,7 @@ honors lives here, echoed verbatim into the report.
 from __future__ import annotations
 
 import datetime
+import math
 import types
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -115,11 +116,20 @@ class RunConfig:
             raise ConfigError(f"bad projection: {exc}") from exc
         if not 0 < self.train_fraction < 1:
             raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
-        for key in ("knn_k", "gbdt_trees", "gbdt_depth", "adaboost_stumps", "rf_trees", "rf_depth"):
+        for key in ("lr_epochs", "knn_k", "svm_epochs", "gbdt_trees", "gbdt_depth",
+                    "adaboost_stumps", "rf_trees", "rf_depth"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
-        if not self.gbdt_shrinkage > 0:
-            raise ConfigError(f"gbdt_shrinkage must be > 0, got {self.gbdt_shrinkage}")
+        for key in ("lr_rate", "svm_c", "gbdt_shrinkage"):
+            if not 0 < getattr(self, key) < math.inf:
+                raise ConfigError(f"{key} must be finite and > 0, got {getattr(self, key)}")
+        if not 0 <= self.lr_l2 < math.inf:
+            raise ConfigError(f"lr_l2 must be finite and >= 0, got {self.lr_l2}")
+        if self.pca_k < 0:
+            raise ConfigError(f"pca_k must be >= 0 (0 means the variance rule), got {self.pca_k}")
+        if not 0 < self.pca_variance_threshold <= 1:
+            raise ConfigError("pca_variance_threshold must be in (0, 1], "
+                              f"got {self.pca_variance_threshold}")
         if self.rf_mtry < 0:
             raise ConfigError(f"rf_mtry must be >= 0 (0 means ceil(sqrt(p))), got {self.rf_mtry}")
         if self.synth_preset.lower() not in ("a", "b", "custom"):

@@ -6,7 +6,7 @@ import numpy as np
 
 from .base import Classifier, check_binary_labels
 from .linear import sigmoid
-from .trees import DecisionTreeClassifier, RegressionTree, _Rows, rank_keys
+from .trees import DecisionTreeClassifier, RegressionTree, _Rows
 
 _LEAF_CLAMP = 10.0
 _ALPHA_ERR_FLOOR = 1e-10
@@ -202,8 +202,9 @@ class RandomForestClassifier(Classifier):
     spawn of the forest seed. Vote ties resolve to class 0, the majority
     class in this domain.
 
-    The training matrix is ranked once per fit (trees.rank_keys, one float
-    sort), and each tree takes its bootstrap rows' keys.
+    The training matrix is ranked (trees.rank_keys, one float sort) and its
+    binary columns found once per fit, and each tree takes its bootstrap
+    rows of both, so a column is binary for every tree or for none.
     """
 
     kind = "RF"
@@ -227,15 +228,15 @@ class RandomForestClassifier(Classifier):
         mtry = self.mtry if self.mtry is not None else int(np.ceil(np.sqrt(p)))
         if not 1 <= mtry <= p:
             raise ValueError(f"mtry must be in [1, {p}]")
-        keys = rank_keys(X)
+        data = _Rows(X)
         streams = np.random.SeedSequence(self.seed).spawn(self.n_trees)
         self.trees = []
         for stream in streams:
             rng = np.random.default_rng(stream)
             idx = rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
             tree = DecisionTreeClassifier(self.max_depth, self.min_leaf, mtry=mtry, rng=rng)
-            Xb = X[idx]
-            tree.fit(Xb, y[idx], data=_Rows(Xb, keys[:, idx]))
+            sample = data.take(idx)
+            tree.fit(sample.X, y[idx], data=sample)
             self.trees.append(tree)
 
     def vote_shares(self, X) -> np.ndarray:

@@ -64,7 +64,10 @@ def _lloyd(X, centroids, max_iter):
                 centroids[j] = X[worst]
                 assignments[worst] = j
                 assigned_d2[worst] = -1.0
-    d2 = _squared_distances(X, centroids)
+    else:
+        # max_iter ran out: the last step moved the centroids. On a fixpoint
+        # they have not moved since d2 was computed, so it is reused.
+        d2 = _squared_distances(X, centroids)
     assignments = np.argmin(d2, axis=1)
     inertia = float(np.sum(d2[np.arange(len(X)), assignments]))
     return centroids, assignments, inertia, history

@@ -1,23 +1,35 @@
 """CART trees: Gini classification and squared-error regression.
 
 Split search is CART's exhaustive scan over the midpoints of consecutive
-distinct feature values (Breiman et al. 1984). A node scores every
-admissible cut of its features in one numpy pass over cumulative sums along
-a sorted block, whose rows hold the node's rows in the stable sort order of
-one feature each.
+distinct feature values (Breiman et al. 1984). A cut is scored by the part of
+its criterion that varies with the cut, and the highest score wins:
+sl^2/nl + sr^2/nr for squared error, from the left and right target sums and
+row counts (the least-squares improvement of Friedman 2001), and
+wpl^2/wl + wpr^2/wr for weighted Gini over {0, 1} labels, from the side
+weights and positive weights (0 for a side of zero weight).
 
-Each fit ranks X once into dense integer keys that order rows exactly as
-their floats do (ties, -0.0 == 0.0 and NaNs last included). A node whose
-parent scored every feature inherits its block by a stable partition of the
-parent's, in O(p m) for m rows (the presorted attribute lists of SLIQ;
-Mehta, Agrawal & Rissanen 1996). Every other node (the root, and each node
-of a forest tree that draws mtry < p features) stable-sorts the keys it
-scores over its own rows, so it pays only for what it scores. Boosted
-ensembles share one ranking, and the root's cuts, across all their stages.
+A node scores the cuts of most features in one numpy pass over cumulative
+sums along a sorted block, whose rows hold the node's rows in the stable sort
+order of one feature each. Each fit ranks X once into dense integer keys that
+order rows exactly as their floats do (ties, -0.0 == 0.0 and NaNs last
+included). A node whose parent scored every feature inherits its block by a
+stable partition of the parent's, in O(p m) for m rows (the presorted
+attribute lists of SLIQ; Mehta, Agrawal & Rissanen 1996). Every other node
+(the root, and each node of a forest tree that draws mtry < p features)
+stable-sorts the keys it scores over its own rows, so it pays only for what
+it scores. Boosted ensembles share one ranking, and the root's cuts, across
+all their stages.
+
+A binary column, one with exactly two distinct finite values in the fit
+matrix (for a forest, the forest's matrix), has one cut and no place in the
+blocks. A node scores all the binary
+columns it considers from one sum over its rows of the values on each
+column's low side, as SPRINT's count matrix does for categorical columns
+(Shafer, Agrawal & Mehta 1996). Constant columns and columns with NaNs stay
+sorted.
 
 Ties between equally good splits resolve to the lowest feature index, then
-the lowest threshold (one row-major argmax over feature and cut), so a fit
-is a pure function of its inputs.
+the lowest threshold, so a fit is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -112,46 +124,78 @@ def rank_keys(X: np.ndarray) -> np.ndarray:
 
 
 class _Rows:
-    """One fit's X and rank keys, from which each node gets its sorted block.
+    """One fit's X, rank keys and binary columns, from which each node gets its cuts.
 
     A node is its row indices in increasing order (what per-node sums run
     over, so their bits match a scan of the node's own rows) plus, when its
-    parent scored every feature, the p x m block it inherits by partition().
+    parent scored every feature, the sorted block it inherits by partition().
     A node without one stable-sorts the keys of the features it scores over
-    its rows, which orders ties by row as a presort does. The root's cuts of
-    every feature are built once per min_leaf, so boosting stages that share
-    this object share them too.
+    its rows, which orders ties by row as a presort does. Binary columns
+    (exactly two distinct finite values in X, or in the matrix take() drew
+    X's rows from) are in no block: each keeps a low-side indicator per row
+    and the midpoint of its two values. The root's
+    cuts of every feature are built once per min_leaf, so boosting stages that
+    share this object share them too.
     """
 
-    def __init__(self, X: np.ndarray, keys: np.ndarray | None = None):
+    def __init__(self, X: np.ndarray, keys: np.ndarray | None = None, binary=None):
+        """`keys` and `binary` (is_binary, low, mids) describe X, when the
+        caller has them from the matrix that X's rows were drawn from."""
         self.X = X
         self.Xt = np.ascontiguousarray(X.T)
         self.keys = rank_keys(X) if keys is None else keys
         self.rows = np.arange(X.shape[0])  # the root's rows
+        if binary is None:
+            lo = np.min(X, axis=0, initial=np.inf)  # NaN in a column makes both NaN
+            hi = np.max(X, axis=0, initial=-np.inf)
+            is_binary = (np.isfinite(lo) & np.isfinite(hi) & (lo < hi)
+                         & np.all((X == lo) | (X == hi), axis=0))
+            # (a + b) / 2 of the two values has the bits of the sorted path's midpoint
+            binary = (is_binary, np.ascontiguousarray((X[:, is_binary] == lo[is_binary]).T),
+                      (lo[is_binary] + hi[is_binary]) / 2.0)
+        self.is_binary, self.low, self.mids = binary
+        self.sorted = np.flatnonzero(~self.is_binary)
+        self.binary = np.flatnonzero(self.is_binary)
+        self._low_row = np.cumsum(self.is_binary) - 1  # a binary feature's row of low
+        low_count = np.count_nonzero(self.low, axis=1)
+        self._fewest = np.minimum(low_count, X.shape[0] - low_count)  # rows on a side
         self._go_left = np.zeros(X.shape[0], dtype=bool)
         self._root_cuts: dict[int, _Cuts] = {}
 
+    def take(self, idx) -> "_Rows":
+        """Rows idx of X (repeats allowed) as a fit of their own, keeping
+        X's ranking and binary columns."""
+        return _Rows(self.X[idx], self.keys[:, idx],
+                     (self.is_binary, self.low[:, idx], self.mids))
+
     def cuts(self, rows, block, min_leaf: int, features=None) -> "_Cuts":
         """Admissible cuts of `features` (default: all) over the node's rows;
-        `block` is the node's inherited block or None."""
+        `block` is the node's inherited block of the sorted features or None."""
         root = features is None and rows is self.rows
         if root and min_leaf in self._root_cuts:
             return self._root_cuts[min_leaf]
         if features is None:
-            feats = np.arange(self.keys.shape[0])
+            feats, low_rows = self.sorted, np.arange(self.binary.size)
         else:
             feats = np.sort(np.asarray(list(features), dtype=np.intp))
+            binary = self.is_binary[feats]
+            feats, low_rows = feats[~binary], self._low_row[feats[binary]]
+        # a binary column with fewer than min_leaf rows on a side in the
+        # whole fit has no admissible cut at any node
+        low_rows = low_rows[self._fewest[low_rows] >= max(min_leaf, 1)]
         if block is None:
             local = np.argsort(self.keys[feats[:, None], rows], axis=1, kind="stable")
             block = rows.take(local)
-        cuts = _Cuts(feats, block, self.Xt, min_leaf)
+        cuts = _Cuts(_SortedCuts(feats, block, self.Xt, min_leaf),
+                     _BinaryCuts(self.binary[low_rows], self.low[low_rows].take(rows, axis=1),
+                                 self.mids[low_rows], rows, min_leaf))
         if root:
             self._root_cuts[min_leaf] = cuts
         return cuts
 
     def partition(self, rows, block, feature, threshold):
-        """Children's (rows, block). Given the node's block of every feature,
-        each child inherits its share of it; given None, children sort."""
+        """Children's (rows, block). Given the node's block of every sorted
+        feature, each child inherits its share of it; given None, children sort."""
         go_left = self.X[rows, feature] <= threshold
         left, right = rows[go_left], rows[~go_left]
         if block is None:
@@ -159,99 +203,163 @@ class _Rows:
         self._go_left[rows] = go_left
         mask = self._go_left.take(block)
         p = block.shape[0]
-        return (left, block[mask].reshape(p, -1)), (right, block[~mask].reshape(p, -1))
+        return ((left, block[mask].reshape(p, left.size)),
+                (right, block[~mask].reshape(p, right.size)))
 
 
 class _Cuts:
+    """A node's candidate cuts: those of its sorted block and those of its
+    binary columns. parts holds the kinds that have an admissible cut."""
+
+    def __init__(self, sorted_cuts: "_SortedCuts", binary_cuts: "_BinaryCuts"):
+        self.sorted, self.binary = sorted_cuts, binary_cuts
+        self.block = sorted_cuts.block
+        self.parts = [c for c in (sorted_cuts, binary_cuts) if not c.empty]
+
+    def best(self, scores) -> tuple[int, float, int, int]:
+        """(feature, threshold, part, k) of the best cut over the parts, given
+        each part's scores: the highest score, then the lowest feature, then
+        the lowest threshold. The cut is cut k of parts[part]."""
+        best = None
+        for i, (cuts, part_scores) in enumerate(zip(self.parts, scores)):
+            score, f, thr, k = cuts.best(part_scores)
+            if best is None or score > best[0] or (score == best[0] and f < best[1]):
+                best = (score, f, thr, i, k)
+        _, f, thr, part, k = best
+        return int(f), float(thr), part, k
+
+
+class _SortedCuts:
     """The cuts of a sorted block that leave min_leaf rows on each side.
 
     Row r of the block is feature feats[r]'s rows in sorted order, with
-    values xs[r] gathered from the fit's p x n transpose Xt. A cut after sorted position j puts j + 1 rows on the left
-    and is admissible where the values on its two sides differ. Scores are
-    computed from cumulative sums along the rows: over the whole slab of
-    positions when most of them are admissible, else only at a gathered
-    list of the admissible ones (a one-hot column has a single cut).
+    values xs[r] gathered from the fit's p x n transpose Xt. A cut after
+    sorted position j puts j + 1 rows on the left and is admissible where the
+    values on its two sides differ. Sums come from cumulative sums along the
+    rows: over the whole slab of positions when most of them are admissible,
+    else only at a gathered list of the admissible ones.
     """
 
     def __init__(self, feats, block, Xt, min_leaf: int):
         xs = Xt.take(block + (feats * Xt.shape[1])[:, None])
         self.feats, self.block, self.xs = feats, block, xs
-        m = block.shape[1]
+        self.m = m = block.shape[1]
         ml = max(min_leaf, 1)
         self.lo, self.hi = ml - 1, m - ml  # admissible last-left positions
         self.ok = xs[:, self.lo:self.hi] != xs[:, self.lo + 1:self.hi + 1]
         n_ok = np.count_nonzero(self.ok)
         self.empty = n_ok == 0
         self.dense = 2 * n_ok >= self.ok.size
-        if not self.dense:
+        if self.dense:
+            self.admissible = np.flatnonzero(self.ok)
+        else:
             fi, j = np.nonzero(self.ok)
             self.fi, self.at = fi, fi * m + j + self.lo
 
-    def left(self, sums: np.ndarray) -> np.ndarray:
-        """Each cut's cumulative sum through its last left row."""
-        return sums[:, self.lo:self.hi] if self.dense else sums.take(self.at)
-
-    def total(self, sums: np.ndarray) -> np.ndarray:
-        """Each cut's row total, aligned with left()."""
-        return sums[:, -1:] if self.dense else sums[:, -1].take(self.fi)
+    def sides(self, values: np.ndarray):
+        """Sums of values (n, or q x n) over each cut's left and right rows."""
+        cs = np.cumsum(values.take(self.block, axis=-1), axis=-1)
+        if self.dense:
+            left, total = cs[..., self.lo:self.hi], cs[..., -1:]
+        else:
+            flat = cs.reshape(cs.shape[:-2] + (-1,))
+            left, total = flat[..., self.at], cs[..., -1][..., self.fi]
+        return left, total - left
 
     def left_sizes(self) -> np.ndarray:
         if self.dense:
             return np.arange(self.lo + 1, self.hi + 1, dtype=float)
-        return (self.at % self.block.shape[1] + 1).astype(float)
+        return (self.at % self.m + 1).astype(float)
 
-    def best(self, scores: np.ndarray, maximize: bool) -> tuple[int, float, float]:
-        """(feature, midpoint threshold, score) of the first best cut in
-        row-major (feature, cut) order."""
-        pick = np.argmax if maximize else np.argmin
+    def best(self, scores: np.ndarray):
+        """(score, feature, midpoint threshold, k) of the first best cut in
+        row-major (feature, cut) order; k indexes scores flat."""
         if self.dense:
-            k = int(pick(np.where(self.ok, scores, -np.inf if maximize else np.inf)))
-            if not self.ok.flat[k]:  # every admissible score is infinite
-                k = int(np.flatnonzero(self.ok)[pick(scores[self.ok])])
+            k = int(self.admissible[np.argmax(scores.take(self.admissible))])
             row, j = divmod(k, self.ok.shape[1])
-            at = row * self.block.shape[1] + j + self.lo
+            at = row * self.m + j + self.lo
         else:
-            k = int(pick(scores))
+            k = int(np.argmax(scores))
             row, at = self.fi[k], self.at[k]
         thr = (self.xs.take(at) + self.xs.take(at + 1)) / 2.0
-        return int(self.feats[row]), float(thr), float(scores.flat[k])
+        return scores.flat[k], self.feats[row], thr, k
 
 
-def _gini_split(cuts: _Cuts, rows, y, weights, w_pos):
-    if cuts.empty:
+class _BinaryCuts:
+    """The one cut of each of a node's binary columns, where it leaves
+    min_leaf rows on each side. low[r] marks which of the node's rows (in row
+    order) are on feature feats[r]'s low side; sums over them are one numpy
+    reduction per column, not a BLAS product, so their bits do not depend on
+    the BLAS thread count."""
+
+    def __init__(self, feats, low, mids, rows, min_leaf: int):
+        nl = low.sum(axis=1)
+        ml = max(min_leaf, 1)
+        keep = (nl >= ml) & (rows.size - nl >= ml)
+        self.feats, self.low, self.mids, self.rows = feats[keep], low[keep], mids[keep], rows
+        self.nl = nl[keep].astype(float)
+        self.m = rows.size
+        self.empty = not self.feats.size
+
+    def sides(self, values: np.ndarray):
+        """Sums of values (n, or q x n) over each cut's left and right rows.
+
+        Each sum runs along one C-ordered row of the m values times the low
+        side's 0/1 indicator, so it has the bits of np.sum over that row alone."""
+        node = values.take(self.rows, axis=-1)
+        left = np.multiply(self.low, node[..., None, :], order="C").sum(axis=-1)
+        return left, node.sum(axis=-1, keepdims=True) - left
+
+    def left_sizes(self) -> np.ndarray:
+        return self.nl
+
+    def best(self, scores: np.ndarray):
+        k = int(np.argmax(scores))
+        return scores[k], self.feats[k], self.mids[k], k
+
+
+def _squares_over(num, den):
+    """num^2 / den, and 0 where den is not positive (a side of zero weight)."""
+    return np.divide(num * num, den, out=np.zeros(den.shape), where=den > 0)
+
+
+def _gini_split(cuts: _Cuts, rows, wv):
+    """(feature, threshold, (wl, wpl, wr, wpr) at the cut) maximizing
+    wpl^2/wl + wpr^2/wr, which is maximizing the weighted Gini decrease;
+    wv stacks the weights and the positive-class weights (2 x n)."""
+    if not cuts.parts:
         return None
-    node_w = weights[rows]
-    total_w = float(np.sum(node_w))
-    parent = gini_impurity(y[rows], node_w)
-
-    cw = np.cumsum(weights.take(cuts.block), axis=1)
-    cwp = np.cumsum(w_pos.take(cuts.block), axis=1)
-    wl = cuts.left(cw)
-    wpl = cuts.left(cwp)
-    wr = total_w - wl
-    wpr = cuts.total(cwp) - wpl
-
-    pl = np.divide(wpl, wl, out=np.zeros_like(wl), where=wl > 0)
-    pr = np.divide(wpr, wr, out=np.zeros_like(wr), where=wr > 0)
-    gini_l = 1.0 - pl * pl - (1.0 - pl) * (1.0 - pl)
-    gini_r = 1.0 - pr * pr - (1.0 - pr) * (1.0 - pr)
-    child = (wl * gini_l + wr * gini_r) / total_w
-    return cuts.best(parent - child, maximize=True)
+    total_w = float(np.sum(wv[0][rows]))
+    sides, scores = [], []
+    for part in cuts.parts:
+        (wl, wpl), (_, wpr) = part.sides(wv)
+        wr = total_w - wl
+        sides.append((wl, wpl, wr, wpr))
+        scores.append(_squares_over(wpl, wl) + _squares_over(wpr, wr))
+    f, thr, part, k = cuts.best(scores)
+    return f, thr, tuple(a.flat[k] for a in sides[part])
 
 
 def _sse_split(cuts: _Cuts, targets):
-    if cuts.empty:
+    """(feature, threshold) maximizing sl^2/nl + sr^2/nr, which is
+    minimizing the children's summed squared error."""
+    if not cuts.parts:
         return None
-    ts = targets.take(cuts.block)
-    cs = np.cumsum(ts, axis=1)
-    cs2 = np.cumsum(ts * ts, axis=1)
-    nl = cuts.left_sizes()
-    nr = cuts.block.shape[1] - nl
-    sl = cuts.left(cs)
-    sr = cuts.total(cs) - sl
-    left2 = cuts.left(cs2)
-    sse = (left2 - sl * sl / nl) + (cuts.total(cs2) - left2 - sr * sr / nr)
-    return cuts.best(sse, maximize=False)[:2]
+    scores = []
+    for part in cuts.parts:
+        sl, sr = part.sides(targets)
+        nl = part.left_sizes()
+        scores.append(sl * sl / nl + sr * sr / (part.m - nl))
+    return cuts.best(scores)[:2]
+
+
+def _gini_gain(wl, wpl, wr, wpr, total_w, parent) -> float:
+    """Weighted Gini decrease of a cut with these side weights."""
+    pl = wpl / wl if wl > 0 else 0.0
+    pr = wpr / wr if wr > 0 else 0.0
+    gini_l = 1.0 - pl * pl - (1.0 - pl) * (1.0 - pl)
+    gini_r = 1.0 - pr * pr - (1.0 - pr) * (1.0 - pr)
+    return float(parent - (wl * gini_l + wr * gini_r) / total_w)
 
 
 def best_gini_split(X, y, weights, min_leaf: int, features=None):
@@ -266,7 +374,11 @@ def best_gini_split(X, y, weights, min_leaf: int, features=None):
     weights = np.asarray(weights, dtype=float)
     data = _Rows(X)
     cuts = data.cuts(data.rows, None, min_leaf, features)
-    return _gini_split(cuts, data.rows, y, weights, weights * (y == 1))
+    split = _gini_split(cuts, data.rows, np.stack([weights, weights * (y == 1)]))
+    if split is None:
+        return None
+    f, thr, sides = split
+    return f, thr, _gini_gain(*sides, float(np.sum(weights)), gini_impurity(y, weights))
 
 
 class DecisionTreeClassifier(Classifier):
@@ -302,7 +414,7 @@ class DecisionTreeClassifier(Classifier):
         weights = np.asarray(sample_weight, dtype=float)
         if data is None:
             data = _Rows(X)
-        self.root = self._grow(data, data.rows, None, y, weights, weights * (y == 1), 0)
+        self.root = self._grow(data, data.rows, None, y, np.stack([weights, weights * (y == 1)]), 0)
         self.fitted = True
         return self
 
@@ -313,10 +425,10 @@ class DecisionTreeClassifier(Classifier):
         proba = w1 / total if total > 0 else 0.0
         return _Node(prediction=1 if w1 > w0 else 0, proba=proba)
 
-    def _grow(self, data, rows, block, y, weights, w_pos, depth) -> _Node:
+    def _grow(self, data, rows, block, y, wv, depth) -> _Node:
         node_y = y[rows]
         if depth >= self.max_depth or len(rows) < 2 * self.min_leaf or np.all(node_y == node_y[0]):
-            return self._leaf(node_y, weights[rows])
+            return self._leaf(node_y, wv[0][rows])
 
         p = data.X.shape[1]
         if self.mtry is not None and self.mtry < p:
@@ -324,9 +436,9 @@ class DecisionTreeClassifier(Classifier):
         else:
             features = None
         cuts = data.cuts(rows, block, self.min_leaf, features)
-        split = _gini_split(cuts, rows, y, weights, w_pos)
+        split = _gini_split(cuts, rows, wv)
         if split is None:
-            return self._leaf(node_y, weights[rows])
+            return self._leaf(node_y, wv[0][rows])
         f, thr, _ = split
         inherit = features is None and depth + 1 < self.max_depth
         (lrows, lblock), (rrows, rblock) = data.partition(
@@ -334,8 +446,8 @@ class DecisionTreeClassifier(Classifier):
         del cuts  # freed before the subtrees grow: held per level, it slows forest fits
         return _Node(
             feature=f, threshold=thr,
-            left=self._grow(data, lrows, lblock, y, weights, w_pos, depth + 1),
-            right=self._grow(data, rrows, rblock, y, weights, w_pos, depth + 1),
+            left=self._grow(data, lrows, lblock, y, wv, depth + 1),
+            right=self._grow(data, rrows, rblock, y, wv, depth + 1),
         )
 
     def predict_proba(self, X) -> np.ndarray:

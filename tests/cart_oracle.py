@@ -2,9 +2,15 @@
 
 These are the package's original split searches and tree growers: at every
 node, each feature is argsorted again and scanned on its own, and the best
-candidate is kept by comparing (score, feature, threshold) tuples. Slow but
-simple to audit, so the tests check that the presorted, one-pass trees and
-the ensembles built on them produce identical fitted states and predictions.
+candidate is kept by comparing (score, feature, threshold) tuples. They score
+cuts as the package does (the squared-sum forms, and one sum over the node's
+rows for a binary column), so the tests check that the presorted, one-pass
+trees and the ensembles built on them produce identical fitted states and
+predictions. Slow but simple to audit.
+
+The score formulas used before the squared-sum forms are kept as `old_*`,
+with the per-feature search that applied them to every column, so a test can
+bound how far a split chosen now is from the best split by the old scores.
 """
 
 from __future__ import annotations
@@ -40,71 +46,172 @@ def _traverse(node: _Node, X: np.ndarray) -> list[_Node]:
     return out
 
 
-def best_gini_split(X, y, weights, min_leaf: int, features=None):
+def binary_columns(X) -> dict:
+    """{feature: (low value, threshold)} of the columns of X that hold exactly
+    two distinct finite values; the threshold is their midpoint."""
+    out = {}
+    for f in range(X.shape[1]):
+        values = np.unique(X[:, f])  # -0.0 and 0.0 are one value
+        if values.size == 2 and np.all(np.isfinite(values)):
+            out[f] = (values[0], (values[0] + values[1]) / 2.0)
+    return out
+
+
+def _sorted_cuts(x, n, min_leaf):
+    """Stable sort order of x, its sorted values, and its admissible cuts as
+    left-side sizes."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    cut = np.flatnonzero(xs[:-1] != xs[1:]) + 1  # left-side sizes
+    cut = cut[(cut >= min_leaf) & (n - cut >= min_leaf)]
+    return order, xs, cut
+
+
+def _low_side(x, low_value, n, min_leaf):
+    """The rows on a binary column's low side, or None when its cut leaves
+    fewer than min_leaf rows on a side."""
+    low = x == low_value
+    nl = int(np.count_nonzero(low))
+    return low if min(nl, n - nl) >= max(min_leaf, 1) else None
+
+
+def gini_scores(wl, wpl, wr, wpr):
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return (np.where(wl > 0, wpl * wpl / np.where(wl > 0, wl, 1.0), 0.0)
+                + np.where(wr > 0, wpr * wpr / np.where(wr > 0, wr, 1.0), 0.0))
+
+
+def sse_scores(sl, sr, nl, nr):
+    return sl * sl / nl + sr * sr / nr
+
+
+def old_gini_gains(wl, wpl, wr, wpr, total_w, parent):
+    """The Gini gains the package scored cuts by before the squared-sum form."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        pl = np.where(wl > 0, wpl / np.where(wl > 0, wl, 1.0), 0.0)
+        pr = np.where(wr > 0, wpr / np.where(wr > 0, wr, 1.0), 0.0)
+    gini_l = 1.0 - pl * pl - (1.0 - pl) * (1.0 - pl)
+    gini_r = 1.0 - pr * pr - (1.0 - pr) * (1.0 - pr)
+    child = (wl * gini_l + wr * gini_r) / total_w
+    return parent - child
+
+
+def old_sse(left2, total2, sl, sr, nl, nr):
+    """The child SSE the package scored cuts by before the squared-sum form,
+    from the left and total sums of squared targets."""
+    return (left2 - sl * sl / nl) + (total2 - left2 - sr * sr / nr)
+
+
+def best_gini_split(X, y, weights, min_leaf: int, features=None, binary=None):
     """Best (feature, threshold, gain) over the given feature subset.
 
     Gain is the weighted impurity decrease; returns None when no candidate
     respects the min_leaf count on both sides. Splits with zero gain are
     still candidates, which is what lets depth-limited trees carve XOR.
+    `binary` is binary_columns() of the fit's matrix (default: of X).
     """
     n, p = X.shape
     features = range(p) if features is None else features
+    binary = binary_columns(X) if binary is None else binary
     total_w = float(np.sum(weights))
     w_pos = weights * (y == 1)
-    parent = gini_impurity(y, weights)
+    total_p = np.sum(w_pos)
 
-    best = None  # (neg_gain, feature, threshold) ordering key
+    best, sides = None, None  # (neg_score, feature, threshold) ordering key
     for f in features:
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        w_sorted = weights[order]
-        wp_sorted = w_pos[order]
-
-        cut = np.flatnonzero(xs[:-1] != xs[1:]) + 1  # left-side sizes
-        if cut.size == 0:
-            continue
-        ok = (cut >= min_leaf) & (n - cut >= min_leaf)
-        cut = cut[ok]
-        if cut.size == 0:
-            continue
-
-        cw = np.cumsum(w_sorted)
-        cwp = np.cumsum(wp_sorted)
-        wl = cw[cut - 1]
-        wpl = cwp[cut - 1]
-        wr = total_w - wl
-        wpr = cwp[-1] - wpl
-
-        with np.errstate(invalid="ignore", divide="ignore"):
-            pl = np.where(wl > 0, wpl / np.where(wl > 0, wl, 1.0), 0.0)
-            pr = np.where(wr > 0, wpr / np.where(wr > 0, wr, 1.0), 0.0)
-        gini_l = 1.0 - pl * pl - (1.0 - pl) * (1.0 - pl)
-        gini_r = 1.0 - pr * pr - (1.0 - pr) * (1.0 - pr)
-        child = (wl * gini_l + wr * gini_r) / total_w
-        gains = parent - child
-
-        k = int(np.argmax(gains))
-        thr = (xs[cut[k] - 1] + xs[cut[k]]) / 2.0
-        cand = (-float(gains[k]), f, float(thr))
+        if f in binary:
+            low_value, thr = binary[f]
+            low = _low_side(X[:, f], low_value, n, min_leaf)
+            if low is None:
+                continue
+            wl = np.sum(low * weights)
+            wpl = np.sum(low * w_pos)
+            wr, wpr = total_w - wl, total_p - wpl
+            score = gini_scores(wl, wpl, wr, wpr)
+            cand_sides = (wl, wpl, wr, wpr)
+        else:
+            order, xs, cut = _sorted_cuts(X[:, f], n, min_leaf)
+            if cut.size == 0:
+                continue
+            cw = np.cumsum(weights[order])
+            cwp = np.cumsum(w_pos[order])
+            wl = cw[cut - 1]
+            wpl = cwp[cut - 1]
+            wr = total_w - wl
+            wpr = cwp[-1] - wpl
+            scores = gini_scores(wl, wpl, wr, wpr)
+            k = int(np.argmax(scores))
+            score, thr = scores[k], (xs[cut[k] - 1] + xs[cut[k]]) / 2.0
+            cand_sides = (wl[k], wpl[k], wr[k], wpr[k])
+        cand = (-float(score), f, float(thr))
         if best is None or cand < best:
-            best = cand
+            best, sides = cand, cand_sides
 
     if best is None:
         return None
-    neg_gain, f, thr = best
-    return f, thr, -neg_gain
+    _, f, thr = best
+    with np.errstate(invalid="ignore", divide="ignore"):  # a node of zero weight
+        gain = old_gini_gains(*(np.array([s]) for s in sides), total_w, gini_impurity(y, weights))
+    return f, thr, float(gain[0])
+
+
+def old_gini_candidates(X, y, weights, min_leaf: int) -> dict:
+    """{(feature, threshold): gain} of every admissible cut of X, each column
+    sorted and scored as the package did before binary columns were summed
+    and before the squared-sum form."""
+    n, p = X.shape
+    total_w = float(np.sum(weights))
+    w_pos = weights * (y == 1)
+    parent = gini_impurity(y, weights)
+    out = {}
+    for f in range(p):
+        order, xs, cut = _sorted_cuts(X[:, f], n, min_leaf)
+        if cut.size == 0:
+            continue
+        cw = np.cumsum(weights[order])
+        cwp = np.cumsum(w_pos[order])
+        wl = cw[cut - 1]
+        wpl = cwp[cut - 1]
+        gains = old_gini_gains(wl, wpl, total_w - wl, cwp[-1] - wpl, total_w, parent)
+        for c, gain in zip(cut, gains):
+            out[(f, float((xs[c - 1] + xs[c]) / 2.0))] = float(gain)
+    return out
+
+
+def old_sse_candidates(X, t, min_leaf: int) -> dict:
+    """{(feature, threshold): child SSE} of every admissible cut of X, each
+    column sorted and scored as the package did before binary columns were
+    summed and before the squared-sum form."""
+    n, p = X.shape
+    out = {}
+    for f in range(p):
+        order, xs, cut = _sorted_cuts(X[:, f], n, min_leaf)
+        if cut.size == 0:
+            continue
+        ts = t[order]
+        cs = np.cumsum(ts)
+        cs2 = np.cumsum(ts * ts)
+        nl = cut.astype(float)
+        sl = cs[cut - 1]
+        sse = old_sse(cs2[cut - 1], cs2[-1], sl, cs[-1] - sl, nl, n - nl)
+        for c, value in zip(cut, sse):
+            out[(f, float((xs[c - 1] + xs[c]) / 2.0))] = float(value)
+    return out
 
 
 class OracleDecisionTreeClassifier(DecisionTreeClassifier):
     """DecisionTreeClassifier grown with the per-feature search above."""
 
-    def fit(self, X, y, sample_weight=None):
+    def fit(self, X, y, sample_weight=None, binary=None):
+        """`binary` is binary_columns() of the matrix X's rows were drawn
+        from (default: of X)."""
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=int)
         if X.ndim != 2 or X.shape[0] != y.shape[0]:
             raise ValueError("X must be n x p with one label per row")
         if sample_weight is None:
             sample_weight = np.full(len(y), 1.0 / len(y))
+        self.binary = binary_columns(X) if binary is None else binary
         self.root = self._grow(X, y, np.asarray(sample_weight, dtype=float), 0)
         self.fitted = True
         return self
@@ -118,7 +225,7 @@ class OracleDecisionTreeClassifier(DecisionTreeClassifier):
             features = sorted(self.rng.choice(p, size=self.mtry, replace=False).tolist())
         else:
             features = None
-        split = best_gini_split(X, y, weights, self.min_leaf, features)
+        split = best_gini_split(X, y, weights, self.min_leaf, features, self.binary)
         if split is None:
             return self._leaf(y, weights)
         f, thr, _ = split
@@ -145,6 +252,7 @@ class OracleRegressionTree(RegressionTree):
         targets = np.asarray(targets, dtype=float)
         if leaf_value is None:
             leaf_value = lambda idx: float(np.mean(targets[idx]))
+        self.binary = binary_columns(X)
         self.root = self._grow(X, targets, np.arange(len(targets)), 0, leaf_value)
         return self
 
@@ -165,25 +273,28 @@ class OracleRegressionTree(RegressionTree):
 
     def _best_sse_split(self, X, t):
         n, p = X.shape
+        total = np.sum(t)
         best = None
         for f in range(p):
-            order = np.argsort(X[:, f], kind="stable")
-            xs = X[order, f]
-            ts = t[order]
-            cut = np.flatnonzero(xs[:-1] != xs[1:]) + 1
-            cut = cut[(cut >= self.min_leaf) & (n - cut >= self.min_leaf)]
-            if cut.size == 0:
-                continue
-            cs = np.cumsum(ts)
-            cs2 = np.cumsum(ts * ts)
-            nl = cut.astype(float)
-            nr = n - nl
-            sl = cs[cut - 1]
-            sr = cs[-1] - sl
-            sse = (cs2[cut - 1] - sl * sl / nl) + (cs2[-1] - cs2[cut - 1] - sr * sr / nr)
-            k = int(np.argmin(sse))
-            thr = (xs[cut[k] - 1] + xs[cut[k]]) / 2.0
-            cand = (float(sse[k]), f, float(thr))
+            if f in self.binary:
+                low_value, thr = self.binary[f]
+                low = _low_side(X[:, f], low_value, n, self.min_leaf)
+                if low is None:
+                    continue
+                sl = np.sum(low * t)
+                nl = float(np.count_nonzero(low))
+                score = sse_scores(sl, total - sl, nl, n - nl)
+            else:
+                order, xs, cut = _sorted_cuts(X[:, f], n, self.min_leaf)
+                if cut.size == 0:
+                    continue
+                cs = np.cumsum(t[order])
+                nl = cut.astype(float)
+                sl = cs[cut - 1]
+                scores = sse_scores(sl, cs[-1] - sl, nl, n - nl)
+                k = int(np.argmax(scores))
+                score, thr = scores[k], (xs[cut[k] - 1] + xs[cut[k]]) / 2.0
+            cand = (-float(score), f, float(thr))
             if best is None or cand < best:
                 best = cand
         if best is None:
@@ -274,11 +385,12 @@ class OracleRandomForestClassifier(RandomForestClassifier):
         mtry = self.mtry if self.mtry is not None else int(np.ceil(np.sqrt(p)))
         if not 1 <= mtry <= p:
             raise ValueError(f"mtry must be in [1, {p}]")
+        binary = binary_columns(X)
         streams = np.random.SeedSequence(self.seed).spawn(self.n_trees)
         self.trees = []
         for stream in streams:
             rng = np.random.default_rng(stream)
             idx = rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
             tree = OracleDecisionTreeClassifier(self.max_depth, self.min_leaf, mtry=mtry, rng=rng)
-            tree.fit(X[idx], y[idx])
+            tree.fit(X[idx], y[idx], binary=binary)
             self.trees.append(tree)

@@ -202,7 +202,11 @@ class TestExitCodes:
         ("reference_date", "2024-13-45"), ("synth_preset", "aa"),
         ("rf_trees", "0"), ("gbdt_trees", "0"), ("adaboost_stumps", "0"),
         ("rf_depth", "0"), ("gbdt_depth", "0"), ("gbdt_shrinkage", "0"),
-        ("gbdt_shrinkage", "-1"), ("rf_mtry", "-3"),
+        ("gbdt_shrinkage", "-1"), ("gbdt_shrinkage", "inf"), ("rf_mtry", "-3"),
+        ("pca_k", "-3"), ("pca_variance_threshold", "0"), ("pca_variance_threshold", "1.5"),
+        ("pca_variance_threshold", "nan"), ("lr_epochs", "0"), ("lr_rate", "-1"),
+        ("lr_rate", "nan"), ("lr_rate", "0"), ("lr_l2", "-5"), ("lr_l2", "inf"),
+        ("svm_c", "-1"), ("svm_c", "nan"), ("svm_epochs", "0"),
     ])
     def test_bad_setting_fails_before_any_stage(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path / "run.cfg", **{key: value})

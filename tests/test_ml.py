@@ -345,6 +345,24 @@ class TestKMeans:
         assert np.array_equal(a.assignments, b.assignments)
         assert a.inertia == b.inertia
 
+    @pytest.mark.parametrize("max_iter, runs_out", [(300, False), (2, True), (0, True)])
+    def test_one_distance_pass_per_lloyd_step(self, monkeypatch, max_iter, runs_out):
+        # A fixpoint reuses the last step's distances; only a loop that ran
+        # out of steps (moving the centroids last) computes them once more.
+        rng = np.random.default_rng(80)
+        X = rng.normal(size=(200, 3))
+        seeds = kmeans._kmeanspp_seed(X, 4, np.random.default_rng(5))
+        distances = kmeans._squared_distances
+        calls = []
+        monkeypatch.setattr(kmeans, "_squared_distances",
+                            lambda *args: calls.append(1) or distances(*args))
+        centroids, assignments, inertia, history = kmeans._lloyd(X, seeds.copy(), max_iter)
+        assert len(calls) == len(history) + runs_out
+        assert (len(history) == max_iter) if runs_out else (len(history) < max_iter)
+        d2 = distances(X, centroids)
+        assert np.array_equal(assignments, np.argmin(d2, axis=1))
+        assert inertia == float(np.sum(d2[np.arange(len(X)), assignments]))
+
 
 class TestSerialization:
     @pytest.mark.parametrize("factory", [
@@ -552,14 +570,140 @@ class TestPresortedSplitsMatchOracle:
         assert bits(new.vote_shares(probe)) == bits(old.vote_shares(probe))
 
     def test_infinite_scores_pick_the_first_admissible_cut(self):
-        # A slab of mostly admissible cuts is scored whole with the rest
-        # masked; when every admissible score is infinite, the mask must not win.
+        # A slab of mostly admissible cuts is scored whole, and only its
+        # admissible positions compete; when every admissible score is
+        # -inf, an inadmissible position must not win.
         X = np.array([[0.0, 5.0], [0.0, 1.0], [1.0, 2.0], [2.0, 3.0], [3.0, 4.0]])
         data = trees._Rows(X)
         cuts = data.cuts(data.rows, None, min_leaf=1)
-        assert cuts.dense and not cuts.ok.flat[0]
-        scores = np.full(cuts.ok.shape, np.inf)
-        assert cuts.best(scores, maximize=False) == (0, 0.5, np.inf)
+        assert cuts.sorted.dense and not cuts.sorted.ok.flat[0]
+        scores = np.full(cuts.sorted.ok.shape, -np.inf)
+        assert cuts.best([scores]) == (0, 0.5, 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# split choices against the old score formulas
+
+# unit roundoff; a split's old score may trail the old best by NEAR_TIE
+# times m u times the node's scale (m rows; sum of t^2, or the node weight)
+U = np.finfo(float).eps / 2
+NEAR_TIE = 4.0
+
+
+@st.composite
+def near_tie_problems(draw):
+    """A node of a fit: tied, one-hot, two-valued, constant, signed-zero and
+    copied columns at any scale, weights partly zero, and targets at any scale."""
+    n = draw(st.integers(2, 80))
+    p = draw(st.integers(1, 10))
+    kinds = draw(st.lists(st.sampled_from(
+        ["ints", "one-hot", "two-valued", "constant", "signed-zero", "copy", "float"]),
+        min_size=p, max_size=p))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for kind in kinds:
+        if kind == "ints":
+            column = rng.integers(0, draw(st.integers(1, 4)) + 1, n).astype(float)
+        elif kind == "one-hot":
+            column = (rng.random(n) < rng.random()).astype(float)
+        elif kind == "two-valued":
+            column = rng.choice(rng.normal(size=2), n)
+        elif kind == "constant":
+            column = np.full(n, float(rng.integers(-2, 3)))
+        elif kind == "signed-zero":
+            column = rng.choice([-0.0, 0.0, draw(st.sampled_from([0.0, 1.0, -1.0]))], n)
+        elif kind == "copy" and columns:
+            column = columns[rng.integers(len(columns))].copy()
+            column[rng.random(n) < 0.2] = rng.normal()  # equal on part of the rows
+        else:
+            column = rng.normal(size=n)
+        columns.append(column * 10.0 ** draw(st.integers(-6, 6)))
+    X = np.column_stack(columns)
+    y = rng.integers(0, 2, n)
+    scale = 10.0 ** draw(st.integers(-8, 8))
+    targets = scale * draw(st.sampled_from([y - 0.5, y - rng.random(n), rng.normal(size=n)]))
+    rows = np.flatnonzero(rng.random(n) < draw(st.sampled_from([1.0, 0.6])))
+    if rows.size < 2:
+        rows = np.arange(n)
+    weights = rng.random(n) * (rng.random(n) < draw(st.sampled_from([1.0, 0.7, 0.3])))
+    weights[rng.choice(rows)] = 1.0  # the node's weight is positive
+    weights = weights / weights.sum() if draw(st.booleans()) else np.full(n, 1.0 / n)
+    mtry = draw(st.none() | st.integers(1, p))
+    features = None if mtry is None else sorted(rng.choice(p, mtry, replace=False).tolist())
+    return X, y, weights, targets, rows, features, draw(st.integers(1, 3))
+
+
+def near_tie_gaps(problem) -> tuple[float, float]:
+    """How far the old score of each new split choice (Gini, then squared
+    error) trails the old best at the node, in units of m u times the scale;
+    nan where the node has no admissible cut."""
+    X, y, weights, targets, rows, features, min_leaf = problem
+    data = trees._Rows(X)
+    allowed = set(range(X.shape[1]) if features is None else features)
+    m = rows.size
+    gaps = []
+    for kind in ("gini", "sse"):
+        cuts = data.cuts(rows, None, min_leaf, features)
+        if kind == "gini":
+            split = trees._gini_split(cuts, rows, np.stack([weights, weights * (y == 1)]))
+            old = cart_oracle.old_gini_candidates(X[rows], y[rows], weights[rows], min_leaf)
+            sign, scale = -1.0, 1.0  # gains: the weighted decrease over the node weight
+        else:
+            split = trees._sse_split(cuts, targets)
+            old = cart_oracle.old_sse_candidates(X[rows], targets[rows], min_leaf)
+            sign, scale = 1.0, float(np.sum(targets[rows] ** 2))
+        old = {cut: sign * score for cut, score in old.items() if cut[0] in allowed}
+        assert (split is None) == (not old)
+        if split is None:
+            gaps.append(np.nan)
+            continue
+        chosen = old[split[:2]]  # the same cut, threshold bits included
+        gaps.append((chosen - min(old.values())) / (m * U * scale))
+    return gaps[0], gaps[1]
+
+
+class TestSplitChoicesAreOldNearBest:
+    """The squared-sum scores and the binary columns' sums change a split
+    only where the old scores nearly tie (tests/cart_oracle.py's old_*)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(near_tie_problems())
+    def test_old_score_of_the_new_choice_is_near_the_old_best(self, problem):
+        for gap in near_tie_gaps(problem):
+            assert np.isnan(gap) or 0.0 <= gap <= NEAR_TIE
+
+    @pytest.mark.parametrize("m", [2, 8, 9, 2800, 8193])
+    @pytest.mark.parametrize("nb", [1, 32])
+    @pytest.mark.parametrize("q", [None, 2])
+    def test_binary_sums_are_per_column_sums(self, m, nb, q):
+        # what the oracle sums for one binary column at a time, whatever the
+        # number of columns and quantities summed together
+        rng = np.random.default_rng(m * nb)
+        rows = np.sort(rng.choice(2 * m, m, replace=False))
+        values = rng.normal(size=2 * m if q is None else (q, 2 * m)) * rng.lognormal(size=2 * m)
+        low = rng.random((nb, m)) < 0.5
+        low[:, 0], low[:, -1] = True, False
+        cuts = trees._BinaryCuts(np.arange(nb), low, np.zeros(nb), rows, 1)
+        left, right = cuts.sides(values)
+        for v, got_left, got_right in zip(np.atleast_2d(values), np.atleast_2d(left),
+                                          np.atleast_2d(right)):
+            node = v[rows]
+            want = np.array([np.sum(side * node) for side in low])
+            assert bits(got_left) == bits(want)
+            assert bits(got_right) == bits(np.sum(node) - want)
+
+    def test_binary_and_sorted_ties_go_to_the_lower_feature(self):
+        # the same cut of a binary column and of a three-valued one: equal
+        # new scores, so the lower feature wins in either order
+        x = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 0.0])
+        three = np.where(x == 1.0, 2.0, 0.0)
+        three[0] = -1.0  # a third value, alone: min_leaf 2 rules out cutting it off
+        y = np.array([0, 1, 1, 1, 1, 0])
+        weights = np.full(6, 1 / 6)
+        for X, want in ((np.column_stack([x, three]), 0), (np.column_stack([three, x]), 0)):
+            got = best_gini_split(X, y, weights, min_leaf=2)
+            assert got == cart_oracle.best_gini_split(X, y, weights, min_leaf=2)
+            assert got[0] == want
 
 
 # ---------------------------------------------------------------------------
@@ -622,9 +766,13 @@ class TestRankKeys:
         order = presort(X)
         in_node = np.zeros(n, dtype=bool)
         in_node[rows] = True
+        data = trees._Rows(X)
+        binary = [np.unique(X[:, f]).size == 2 and np.all(np.isfinite(X[:, f])) for f in range(p)]
+        assert data.is_binary.tolist() == binary
+        got = data.cuts(rows, None, min_leaf, feats.tolist())
+        feats = feats[~data.is_binary[feats]]  # binary columns are in no block
         want = order[in_node[order]].reshape(p, -1)[feats]
-        got = trees._Rows(X).cuts(rows, None, min_leaf, feats.tolist())
-        assert np.array_equal(got.feats, feats)
+        assert np.array_equal(got.sorted.feats, feats)
         assert np.array_equal(got.block, want)
 
     @settings(max_examples=40, deadline=None)
@@ -685,13 +833,13 @@ def count_float_argsorts(monkeypatch) -> list:
 def count_root_cuts(monkeypatch, n: int) -> list:
     calls = []
 
-    class Counting(trees._Cuts):
+    class Counting(trees._SortedCuts):
         def __init__(self, feats, block, Xt, min_leaf):
             if block.shape[1] == n:
                 calls.append(block.shape)
             super().__init__(feats, block, Xt, min_leaf)
 
-    monkeypatch.setattr(trees, "_Cuts", Counting)
+    monkeypatch.setattr(trees, "_SortedCuts", Counting)
     return calls
 
 
