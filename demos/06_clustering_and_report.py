@@ -21,7 +21,7 @@ th = rng.uniform(0, 2 * np.pi, 240)
 X = np.column_stack([r * np.cos(th), r * np.sin(th)])
 X[120:, 0] += 15.0
 
-best_k, scores, models = silhouette_sweep(X, range(2, 6), seed=3)
+best_k, scores, models, _ = silhouette_sweep(X, range(2, 6), seed=3)
 print("silhouette by k:", {k: round(v, 3) for k, v in scores.items()})
 print("selected k     :", best_k)
 print("inertia        :", round(models[best_k].inertia, 2))

@@ -8,12 +8,14 @@ precision or recall is the finding, not a nuisance.
 from __future__ import annotations
 
 import datetime
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .matcher import MergedFlowline
 from .ml.kmeans import KMeansModel, fit_kmeans
+from .workers import map_jobs
 
 AVERAGING_MODES = ("positive-class", "macro", "weighted")
 
@@ -221,15 +223,27 @@ def structure_found(scores: dict[int, float]) -> bool:
     return any(s > NO_STRUCTURE_SILHOUETTE for s in scores.values())
 
 
+def _timed_kmeans(job):
+    """An (X, k, seed) job's k-means model and its fit's seconds."""
+    X, k, seed = job
+    started = time.perf_counter()
+    model = fit_kmeans(X, k, seed=seed)
+    return model, time.perf_counter() - started
+
+
 def silhouette_sweep(
     X, k_range=range(2, 6), seed: int = 0
-) -> tuple[int, dict[int, float], dict[int, KMeansModel]]:
-    """Best k, silhouette per k and fitted k-means model per k; ties go to the smaller k."""
+) -> tuple[int, dict[int, float], dict[int, KMeansModel], dict[int, float]]:
+    """Best k, silhouette per k, fitted k-means model per k and seconds per
+    fit; ties go to the smaller k. The fits are independent jobs
+    (workers.map_jobs), largest k first, since it takes longest."""
     X = np.asarray(X, dtype=float)
-    models = {k: fit_kmeans(X, k, seed=seed) for k in k_range}
+    by_size = sorted(k_range, reverse=True)
+    fits = dict(zip(by_size, map_jobs(_timed_kmeans, [(X, k, seed) for k in by_size])))
+    models = {k: fits[k][0] for k in k_range}
     scores = dict(zip(models, silhouettes(X, [m.assignments for m in models.values()])))
     best_k = max(sorted(scores), key=lambda k: (scores[k], -k))
-    return best_k, scores, models
+    return best_k, scores, models, {k: fits[k][1] for k in k_range}
 
 
 @dataclass(frozen=True)

@@ -203,8 +203,9 @@ class RandomForestClassifier(Classifier):
     class in this domain.
 
     The training matrix is ranked (trees.rank_keys, one float sort) and its
-    binary columns found once per fit, and each tree takes its bootstrap
-    rows of both, so a column is binary for every tree or for none.
+    binary and constant columns found once per fit, and each tree takes its
+    bootstrap rows of both, so a column is binary, or constant, for every
+    tree or for none.
     """
 
     kind = "RF"

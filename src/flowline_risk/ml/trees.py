@@ -25,8 +25,9 @@ matrix (for a forest, the forest's matrix), has one cut and no place in the
 blocks. A node scores all the binary
 columns it considers from one sum over its rows of the values on each
 column's low side, as SPRINT's count matrix does for categorical columns
-(Shafer, Agrawal & Mehta 1996). Constant columns and columns with NaNs stay
-sorted.
+(Shafer, Agrawal & Mehta 1996). A constant column (one finite value in the
+fit matrix) has no cut at any node and is in no block either. Columns with
+NaNs stay sorted.
 
 Ties between equally good splits resolve to the lowest feature index, then
 the lowest threshold, so a fit is a pure function of its inputs.
@@ -133,28 +134,31 @@ class _Rows:
     its rows, which orders ties by row as a presort does. Binary columns
     (exactly two distinct finite values in X, or in the matrix take() drew
     X's rows from) are in no block: each keeps a low-side indicator per row
-    and the midpoint of its two values. The root's
+    and the midpoint of its two values. Constant columns (one finite value
+    there) are in no block and have no cuts. The root's
     cuts of every feature are built once per min_leaf, so boosting stages that
     share this object share them too.
     """
 
-    def __init__(self, X: np.ndarray, keys: np.ndarray | None = None, binary=None):
-        """`keys` and `binary` (is_binary, low, mids) describe X, when the
-        caller has them from the matrix that X's rows were drawn from."""
+    def __init__(self, X: np.ndarray, keys: np.ndarray | None = None, columns=None):
+        """`keys` and `columns` (is_binary, is_constant, low, mids) describe
+        X, when the caller has them from the matrix that X's rows were drawn from."""
         self.X = X
         self.Xt = np.ascontiguousarray(X.T)
         self.keys = rank_keys(X) if keys is None else keys
         self.rows = np.arange(X.shape[0])  # the root's rows
-        if binary is None:
+        if columns is None:
             lo = np.min(X, axis=0, initial=np.inf)  # NaN in a column makes both NaN
             hi = np.max(X, axis=0, initial=-np.inf)
-            is_binary = (np.isfinite(lo) & np.isfinite(hi) & (lo < hi)
-                         & np.all((X == lo) | (X == hi), axis=0))
+            finite = np.isfinite(lo) & np.isfinite(hi)
+            is_binary = finite & (lo < hi) & np.all((X == lo) | (X == hi), axis=0)
             # (a + b) / 2 of the two values has the bits of the sorted path's midpoint
-            binary = (is_binary, np.ascontiguousarray((X[:, is_binary] == lo[is_binary]).T),
-                      (lo[is_binary] + hi[is_binary]) / 2.0)
-        self.is_binary, self.low, self.mids = binary
-        self.sorted = np.flatnonzero(~self.is_binary)
+            columns = (is_binary, finite & (lo == hi),
+                       np.ascontiguousarray((X[:, is_binary] == lo[is_binary]).T),
+                       (lo[is_binary] + hi[is_binary]) / 2.0)
+        self.is_binary, self.is_constant, self.low, self.mids = columns
+        self._in_block = ~(self.is_binary | self.is_constant)
+        self.sorted = np.flatnonzero(self._in_block)
         self.binary = np.flatnonzero(self.is_binary)
         self._low_row = np.cumsum(self.is_binary) - 1  # a binary feature's row of low
         low_count = np.count_nonzero(self.low, axis=1)
@@ -164,9 +168,9 @@ class _Rows:
 
     def take(self, idx) -> "_Rows":
         """Rows idx of X (repeats allowed) as a fit of their own, keeping
-        X's ranking and binary columns."""
+        X's ranking, binary and constant columns."""
         return _Rows(self.X[idx], self.keys[:, idx],
-                     (self.is_binary, self.low[:, idx], self.mids))
+                     (self.is_binary, self.is_constant, self.low[:, idx], self.mids))
 
     def cuts(self, rows, block, min_leaf: int, features=None) -> "_Cuts":
         """Admissible cuts of `features` (default: all) over the node's rows;
@@ -178,8 +182,8 @@ class _Rows:
             feats, low_rows = self.sorted, np.arange(self.binary.size)
         else:
             feats = np.sort(np.asarray(list(features), dtype=np.intp))
-            binary = self.is_binary[feats]
-            feats, low_rows = feats[~binary], self._low_row[feats[binary]]
+            low_rows = self._low_row[feats[self.is_binary[feats]]]
+            feats = feats[self._in_block[feats]]
         # a binary column with fewer than min_leaf rows on a side in the
         # whole fit has no admissible cut at any node
         low_rows = low_rows[self._fewest[low_rows] >= max(min_leaf, 1)]

@@ -13,6 +13,7 @@ import datetime
 import hashlib
 import json
 import logging
+import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -68,6 +69,7 @@ from .ml import (
 )
 from .numerics import PCAModel, choose_k_by_variance, pca_fit, pca_transform
 from .synth import generate
+from .workers import map_jobs, worker_count
 
 log = logging.getLogger(__name__)
 
@@ -385,6 +387,18 @@ def _build_models(cfg: RunConfig) -> dict:
     }
 
 
+# The train stage's fits, largest first, so that the shortest start last.
+_FIT_ORDER = ("RF", "GBDT", "ADABOOST", "LR", "SVM")
+
+
+def _timed_fit(job):
+    """A (model, X, y) job's fitted model and its fit's seconds."""
+    model, X, y = job
+    started = time.perf_counter()
+    model.fit(X, y)
+    return model, time.perf_counter() - started
+
+
 def _pca_by_config(cfg: RunConfig, Z: np.ndarray, min_k: int = 1) -> tuple[PCAModel, np.ndarray]:
     """PCA of Z cut to k components, and Z's full variance spectrum, from one
     eigendecomposition; k is cfg.pca_k, else the variance rule, at least min_k."""
@@ -430,9 +444,16 @@ def stage_train(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
         if cfg.rf_mtry > X_train.shape[1]:
             raise ConfigError(f"rf_mtry = {cfg.rf_mtry} exceeds the {X_train.shape[1]} "
                               f"columns of the {lane} lane")
-    for lane, X_train in lanes.items():
-        for kind, model in _build_models(cfg).items():
-            model.fit(X_train, split.train.y)
+    # Every fit is a job of its own; the models are saved in _build_models order.
+    models = {lane: _build_models(cfg) for lane in lanes}
+    jobs = [(kind, lane) for kind in _FIT_ORDER for lane in lanes]
+    fits = dict(zip(jobs, map_jobs(_timed_fit, [
+        (models[lane][kind], lanes[lane], split.train.y) for kind, lane in jobs])))
+    fit_s = {}
+    for lane in lanes:
+        for kind in models[lane]:
+            model, seconds = fits[kind, lane]
+            fit_s[f"{kind}_{lane}"] = seconds
             path = paths.models / f"{kind}_{lane}.json"
             save_model(model, path, seed=cfg.seed, column_meta=ds.column_meta)
             manifest.record(f"model_{kind}_{lane}", path, "train")
@@ -455,6 +476,8 @@ def stage_train(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
         "train_rows": split.train.n_rows,
         "test_rows": split.test.n_rows,
         "pca_k": None if pca_info is None else pca_info["k"],
+        "fit_s": fit_s,
+        "workers": worker_count(len(jobs)),
     }
 
 
@@ -525,7 +548,7 @@ def stage_cluster(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
     scores = pca_transform(model, full_z)
 
     k_range = range(cfg.cluster_k_min, cfg.cluster_k_max + 1)
-    best_k, sweep, fits = silhouette_sweep(scores, k_range, seed=cfg.seed)
+    best_k, sweep, fits, fit_s = silhouette_sweep(scores, k_range, seed=cfg.seed)
     km = fits[best_k]
     found = structure_found(sweep)
     if not found:
@@ -546,4 +569,5 @@ def stage_cluster(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
         "actual": ds.y.tolist(),
     })
     manifest.record("clustering", clustering_path, "cluster")
-    return {"best_k": best_k, "scores": sweep}
+    return {"best_k": best_k, "scores": sweep, "fit_s": fit_s,
+            "workers": worker_count(len(k_range))}

@@ -1,16 +1,18 @@
 import json
 import logging
 import math
+import os
 import shutil
 import subprocess
 from dataclasses import fields
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
-from flowline_risk import cli, fileio, numerics
+from flowline_risk import cli, fileio, numerics, pipeline
 from flowline_risk.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
 from flowline_risk.config import ConfigError, RunConfig, load_config
 from flowline_risk.evaluation import metric_rows
@@ -27,6 +29,9 @@ from flowline_risk.ingest import parse_descriptive, parse_operational, parse_spi
 from flowline_risk.matcher import assign_risk, match_flowlines, match_spills
 from flowline_risk.ml import KNNClassifier, fit_kmeans, schema_hash
 from flowline_risk.pipeline import _pca_by_config, merged_from_dict, merged_to_dict
+
+from test_acceptance import _rerun_comparable_files
+from test_workers import child_pids, on_cpus
 
 
 def run_cli(*args):
@@ -379,6 +384,7 @@ class TestStageChaining:
 
 class TestEachResultOnce:
     def test_one_eigendecomposition_per_pca_stage(self, tmp_path, monkeypatch):
+        on_cpus(monkeypatch, 1)  # a Mock counts only the calls made in this process
         eigen = count_calls(monkeypatch, numerics.sym_eigen)
         kmeans = count_calls(monkeypatch, fit_kmeans)
         per_stage = {}
@@ -521,3 +527,123 @@ class TestArtifactFormat:
             text = path.read_text(encoding="utf-8")
             canonical = json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
             assert text == canonical, path
+
+
+def cli_on_cpus(cpus: int, *args, patch: str = "") -> list[str]:
+    """A command line that runs the CLI with os.sched_getaffinity reporting
+    `cpus` CPUs, after running the statements in `patch`."""
+    script = ("import os, sys\n"
+              "from flowline_risk import cli, pipeline\n"
+              f"os.sched_getaffinity = lambda pid: set(range({cpus}))\n"
+              f"{patch}\n"
+              "sys.exit(cli.main(sys.argv[1:]))\n")
+    return [sys.executable, "-c", script, *args]
+
+
+def processes_naming(text: str) -> list[int]:
+    """Live processes whose command line contains text; forked workers share
+    their parent's."""
+    pids = []
+    for entry in Path("/proc").iterdir():
+        try:
+            if entry.name.isdigit() and text.encode() in (entry / "cmdline").read_bytes():
+                pids.append(int(entry.name))
+        except OSError:  # gone meanwhile
+            pass
+    return pids
+
+
+class TestWorkerProcesses:
+    """Train and cluster fit in forked workers (flowline_risk.workers); the
+    worker count changes no artifact, and no worker outlives its stage."""
+
+    @pytest.mark.parametrize("overrides", [
+        {"synth_n_lines": 300},
+        {"synth_n_lines": 200, "drop_id_like": "false"},  # default width, p = 439
+    ], ids=["preset-a-300", "default-width"])
+    def test_one_or_two_workers_write_the_same_files(self, tmp_path, monkeypatch, overrides):
+        cfg = write_config(tmp_path / "run.cfg", **overrides)
+        runs = {}
+        for cpus in (1, 2):
+            on_cpus(monkeypatch, cpus)
+            out = tmp_path / f"cpus{cpus}"
+            assert main(["run-all", "--config", str(cfg), "--out", str(out), "--pca", "on"]) == EXIT_OK
+            runs[cpus] = _rerun_comparable_files(out)
+            stats = {}
+            for line in (out / "artifacts" / "run_log.jsonl").read_text().splitlines():
+                entry = json.loads(line)
+                stats[entry["stage"]] = entry["stats"]
+            assert stats["train"]["workers"] == stats["cluster"]["workers"] == cpus
+            assert sorted(stats["train"]["fit_s"]) == sorted(
+                f"{kind}_{lane}" for kind in ("LR", "SVM", "GBDT", "ADABOOST", "RF")
+                for lane in ("raw", "pca"))
+            assert sorted(stats["cluster"]["fit_s"]) == ["2", "3", "4", "5"]
+        assert runs[1] == runs[2]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_failing_fit_exits_3_with_its_error(self, tmp_path, monkeypatch, capsys, cpus):
+        cfg = write_config(tmp_path / "run.cfg")
+        out = tmp_path / "run"
+        run_stages(cfg, out, "synth", "merge", "attribute", "featurize")
+        fit = pipeline._timed_fit
+
+        def gbdt_fails(job):
+            if job[0].kind == "GBDT":
+                raise FloatingPointError("GBDT diverged")
+            return fit(job)
+        monkeypatch.setattr(pipeline, "_timed_fit", gbdt_fails)
+        on_cpus(monkeypatch, cpus)
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_STAGE
+        assert "stage train failed: FloatingPointError: GBDT diverged" in capsys.readouterr().err
+        assert not child_pids()
+
+    def test_a_killed_worker_exits_3_without_a_hang(self, tmp_path):
+        cfg = write_config(tmp_path / "run.cfg")
+        out = tmp_path / "run"
+        run_stages(cfg, out, "synth", "merge", "attribute", "featurize")
+        kill = ("fit = pipeline._timed_fit\n"
+                "pipeline._timed_fit = lambda job: os._exit(9) if job[0].kind == 'RF' else fit(job)")
+        started = time.perf_counter()
+        proc = subprocess.run(cli_on_cpus(2, "train", "--config", str(cfg), "--out", str(out),
+                                          patch=kill),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_STAGE, proc.stderr
+        assert time.perf_counter() - started < 60.0
+        assert "stage train failed: BrokenProcessPool" in proc.stderr
+        assert not processes_naming(str(out))
+
+    def test_a_killed_cli_leaves_no_worker(self, tmp_path):
+        cfg = write_config(tmp_path / "run.cfg")
+        out = tmp_path / "run"
+        run_stages(cfg, out, "synth", "merge", "attribute", "featurize")
+        stall = "import time\npipeline._timed_fit = lambda job: time.sleep(600)"
+        proc = subprocess.Popen(cli_on_cpus(2, "train", "--config", str(cfg), "--out", str(out),
+                                            patch=stall))
+        try:
+            deadline = time.monotonic() + 60.0
+            while len(processes_naming(str(out))) < 3 and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert len(processes_naming(str(out))) == 3  # the CLI and its two workers
+        finally:
+            proc.kill()
+            proc.wait(timeout=60)
+        deadline = time.monotonic() + 30.0
+        while processes_naming(str(out)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not processes_naming(str(out))
+
+    def test_each_done_line_once_with_stdout_in_a_file(self, tmp_path):
+        cfg = write_config(tmp_path / "run.cfg")
+        log = tmp_path / "stdout.txt"
+        # block-buffered, so lines printed before a fork sit in the buffer the workers inherit
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        with open(log, "w") as fh:
+            proc = subprocess.run(cli_on_cpus(2, "run-all", "--config", str(cfg),
+                                              "--out", str(tmp_path / "run")),
+                                  stdout=fh, stderr=subprocess.PIPE, env=env, timeout=300)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        lines = log.read_text().splitlines()
+        for stage in cli.RUN_ALL_ORDER:
+            assert sum(line.startswith(f"[{stage}] done") for line in lines) == 1, stage
+        assert len(lines) == len(cli.RUN_ALL_ORDER)

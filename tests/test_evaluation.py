@@ -181,25 +181,25 @@ class TestSilhouette:
 class TestSilhouetteSweep:
     def test_two_blob_selects_two(self):
         X, _ = two_blobs(seed=87)
-        best, scores, _ = silhouette_sweep(X, range(2, 6), seed=87)
+        best, scores, _, _ = silhouette_sweep(X, range(2, 6), seed=87)
         assert best == 2
         assert len(scores) == 4
 
     def test_three_blob_selects_three(self):
         X, _ = three_blobs(seed=88)
-        best, _, _ = silhouette_sweep(X, range(2, 6), seed=88)
+        best, _, _, _ = silhouette_sweep(X, range(2, 6), seed=88)
         assert best == 3
 
     def test_tie_goes_to_smaller_k(self):
         with mock.patch("flowline_risk.evaluation.silhouettes", return_value=[0.5, 0.5, 0.3, 0.2]):
             X, _ = two_blobs(seed=89)
-            best, scores, _ = silhouette_sweep(X, range(2, 6), seed=89)
+            best, scores, _, _ = silhouette_sweep(X, range(2, 6), seed=89)
         assert best == 2
 
     def test_one_kernel_call_for_the_whole_sweep(self):
         X, _ = three_blobs(seed=90)
         with mock.patch("flowline_risk.evaluation.silhouettes", wraps=silhouettes) as kernel:
-            _, scores, models = silhouette_sweep(X, range(2, 6), seed=90)
+            _, scores, models, _ = silhouette_sweep(X, range(2, 6), seed=90)
         assert kernel.call_count == 1
         for k, model in models.items():
             assert scores[k] == pytest.approx(
@@ -215,12 +215,12 @@ class TestStructureFound:
 
     def test_two_blobs_have_structure(self):
         X, _ = two_blobs(seed=92)
-        _, scores, _ = silhouette_sweep(X, range(2, 6), seed=92)
+        _, scores, _, _ = silhouette_sweep(X, range(2, 6), seed=92)
         assert structure_found(scores)
 
     def test_uniform_noise_has_none(self):
         X = np.random.default_rng(93).random((400, 8))
-        _, scores, _ = silhouette_sweep(X, range(2, 6), seed=93)
+        _, scores, _, _ = silhouette_sweep(X, range(2, 6), seed=93)
         assert not structure_found(scores)
 
 

@@ -437,6 +437,22 @@ def tree_problems(draw):
     return X, y, weights
 
 
+@st.composite
+def mostly_constant_problems(draw):
+    """tree_problems with up to three times as many constant columns (signed
+    zeros mixed in one column included) shuffled in among their columns."""
+    X, y, weights = draw(tree_problems())
+    n, p = X.shape
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    constants = []
+    for _ in range(draw(st.integers(1, 3 * p))):
+        value = draw(st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e300, "signed zeros"]))
+        constants.append(np.where(rng.random(n) < 0.5, -0.0, 0.0) if value == "signed zeros"
+                         else np.full(n, value))
+    X = np.column_stack([X] + constants)
+    return X[:, rng.permutation(X.shape[1])], y, weights
+
+
 def state_json(model) -> str:
     return json.dumps(model.state_dict(), sort_keys=True)
 
@@ -568,6 +584,35 @@ class TestPresortedSplitsMatchOracle:
         assert state_json(new) == state_json(old)
         probe = probe_rows(X)
         assert bits(new.vote_shares(probe)) == bits(old.vote_shares(probe))
+
+    @settings(max_examples=40, deadline=None)
+    @given(mostly_constant_problems(), st.integers(1, 4), st.integers(0, 2**16), st.data())
+    def test_constant_columns(self, problem, max_depth, seed, data):
+        # constant columns are in no sorted block; mtry draws take some,
+        # none or only them
+        X, y, weights = problem
+        p = X.shape[1]
+        mtry = data.draw(st.integers(1, p))
+        tree_mtry = data.draw(st.none() | st.just(mtry))
+        pairs = [
+            (DecisionTreeClassifier(max_depth, 2, tree_mtry, np.random.default_rng(seed)),
+             cart_oracle.OracleDecisionTreeClassifier(
+                 max_depth, 2, tree_mtry, np.random.default_rng(seed))),
+            (RandomForestClassifier(3, max_depth, mtry, seed),
+             cart_oracle.OracleRandomForestClassifier(3, max_depth, mtry, seed)),
+            (GBDTClassifier(3, max_depth, 0.5), cart_oracle.OracleGBDTClassifier(3, max_depth, 0.5)),
+            (AdaBoostClassifier(4), cart_oracle.OracleAdaBoostClassifier(4)),
+        ]
+        probe = probe_rows(X)
+        for new, old in pairs:
+            if isinstance(new, DecisionTreeClassifier):
+                new.fit(X, y, sample_weight=weights)
+                old.fit(X, y, sample_weight=weights)
+            else:
+                new.fit(X, y)
+                old.fit(X, y)
+            assert state_json(new) == state_json(old)
+            assert bits(new.predict(probe)) == bits(old.predict(probe))
 
     def test_infinite_scores_pick_the_first_admissible_cut(self):
         # A slab of mostly admissible cuts is scored whole, and only its
@@ -767,10 +812,13 @@ class TestRankKeys:
         in_node = np.zeros(n, dtype=bool)
         in_node[rows] = True
         data = trees._Rows(X)
-        binary = [np.unique(X[:, f]).size == 2 and np.all(np.isfinite(X[:, f])) for f in range(p)]
-        assert data.is_binary.tolist() == binary
+        distinct = [np.unique(X[:, f]).size if np.all(np.isfinite(X[:, f])) else 0
+                    for f in range(p)]
+        assert data.is_binary.tolist() == [d == 2 for d in distinct]
+        assert data.is_constant.tolist() == [d == 1 for d in distinct]
         got = data.cuts(rows, None, min_leaf, feats.tolist())
-        feats = feats[~data.is_binary[feats]]  # binary columns are in no block
+        # binary and constant columns are in no block
+        feats = feats[~(data.is_binary | data.is_constant)[feats]]
         want = order[in_node[order]].reshape(p, -1)[feats]
         assert np.array_equal(got.sorted.feats, feats)
         assert np.array_equal(got.block, want)
