@@ -21,16 +21,17 @@ for name, cfg in (("A", config_a(seed=11, n_lines=400)),
     desc = parse_descriptive(result.descriptive_path).records
     ops = parse_operational(result.operational_path, reference_date=REFERENCE_DATE).records
 
+    # The audit is the record of each decision: which line was chosen, at
+    # which step, and how far its endpoints lie.
     merged, unmatched, audit = match_flowlines(ops, desc, ToleranceLadder())
     truth = result.ground_truth.line_matches
-    wrong = [m for m in merged if truth[m.operational.source_row_id] != m.descriptive_id]
+    wrong = [a for a in audit if a.chosen_id is not None and truth[a.record_id] != a.chosen_id]
 
     print(f"preset {name}: matched {len(merged)}/{len(ops)}, "
           f"unmatched {len(unmatched)}, wrong {len(wrong)}")
     steps = Counter(f"{a.step_reached:g} m" for a in audit if a.chosen_id is not None)
     print("  binding step histogram:", dict(sorted(steps.items(), key=lambda kv: float(kv[0].split()[0]))))
-    for m in wrong[:3]:
-        a = next(x for x in audit if x.record_id == m.operational.source_row_id)
+    for a in wrong[:3]:
         print(f"  audit of miss {a.record_id}: chose {a.chosen_id} "
               f"(true {truth[a.record_id]}) at step {a.step_reached:g} m, "
               f"{a.n_candidates} spatial candidates")

@@ -64,14 +64,14 @@ class ToleranceLadder:
 
 @dataclass(frozen=True)
 class MergedFlowline:
-    """Operational attributes bound to descriptive geometry, plus match audit."""
+    """Operational attributes bound to descriptive geometry.
+
+    How the record was matched is in its AuditRecord only. The descriptive
+    operator normalizes to the operational one, or the record would not
+    have bound."""
 
     operational: OperationalFlowline
-    descriptive_id: str
     geometry: MultiLine
-    operator_name: str
-    match_tolerance: float
-    endpoint_distances: tuple[float, float]
     risk: int = 0
 
     @property
@@ -198,16 +198,9 @@ def match_flowlines(
             audit.append(AuditRecord(rec.source_row_id, ladder.maximum, n_candidates, None, math.nan, math.nan))
             continue
         _, d_start, d_end, i = hit
-        desc = descriptive[i]
-        merged.append(MergedFlowline(
-            operational=rec,
-            descriptive_id=desc.source_row_id,
-            geometry=desc.geometry,
-            operator_name=desc.operator_name,
-            match_tolerance=steps[k_bind],
-            endpoint_distances=(d_start, d_end),
-        ))
-        audit.append(AuditRecord(rec.source_row_id, steps[k_bind], n_candidates, desc.source_row_id, d_start, d_end))
+        merged.append(MergedFlowline(rec, descriptive[i].geometry))
+        audit.append(AuditRecord(rec.source_row_id, steps[k_bind], n_candidates,
+                                 descriptive[i].source_row_id, d_start, d_end))
 
     return merged, unmatched, audit
 
@@ -227,7 +220,7 @@ def match_spills(
     the ladder maximum means the spill stays unattributed.
     """
     index = _geometry_index([m.geometry for m in merged])
-    merged_ops = [normalize_operator(m.operator_name) for m in merged]
+    merged_ops = [normalize_operator(m.operational.operator_name) for m in merged]
 
     attributions: list[SpillAttribution] = []
     for spill in spills:

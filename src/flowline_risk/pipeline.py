@@ -14,6 +14,7 @@ import hashlib
 import json
 import logging
 import time
+from collections import Counter
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -210,22 +211,14 @@ def _operational_from_dict(d: dict) -> OperationalFlowline:
 def merged_to_dict(m: MergedFlowline) -> dict:
     return {
         "operational": _operational_to_dict(m.operational),
-        "descriptive_id": m.descriptive_id,
         "geometry": _geometry_to_coords(m.geometry),
-        "operator_name": m.operator_name,
-        "match_tolerance": m.match_tolerance,
-        "endpoint_distances": list(m.endpoint_distances),
     }
 
 
 def merged_from_dict(d: dict) -> MergedFlowline:
     return MergedFlowline(
         operational=_operational_from_dict(d["operational"]),
-        descriptive_id=d["descriptive_id"],
         geometry=_geometry_from_coords(d["geometry"]),
-        operator_name=d["operator_name"],
-        match_tolerance=float(d["match_tolerance"]),
-        endpoint_distances=tuple(d["endpoint_distances"]),
     )
 
 
@@ -275,24 +268,7 @@ def stage_merge(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
         whole_geometry=cfg.match_whole_geometry,
     )
 
-    merged_path = paths.artifacts / "merged.json"
-    write_json(merged_path, {
-        "records": [merged_to_dict(m) for m in merged],
-        "unmatched": unmatched,
-    })
-    audit_path = paths.artifacts / "merge_audit.csv"
-    write_audit_log(audit_path, audit)
-
-    manifest.record("merged", merged_path, "merge")
-    manifest.record("merge_audit", audit_path, "merge")
-    manifest.record("diagnostics", diag_path, "merge")
-
-    by_step: dict[str, int] = {}
-    for a in audit:
-        if a.chosen_id is not None:
-            key = f"{a.step_reached:g}"
-            by_step[key] = by_step.get(key, 0) + 1
-    return {
+    stats = {
         "descriptive_total": desc.accepted + desc.rejected,
         "descriptive_accepted": desc.accepted,
         "operational_total": operational.accepted + operational.rejected,
@@ -300,8 +276,18 @@ def stage_merge(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
         "rejected_rows": len(diagnostics),
         "matched": len(merged),
         "unmatched": len(unmatched),
-        "matched_by_step": by_step,
+        "matched_by_step": Counter(f"{a.step_reached:g}" for a in audit if a.chosen_id is not None),
     }
+
+    merged_path = paths.artifacts / "merged.json"
+    write_json(merged_path, {"records": [merged_to_dict(m) for m in merged], "stats": stats})
+    audit_path = paths.artifacts / "merge_audit.csv"
+    write_audit_log(audit_path, audit)
+
+    manifest.record("merged", merged_path, "merge")
+    manifest.record("merge_audit", audit_path, "merge")
+    manifest.record("diagnostics", diag_path, "merge")
+    return stats
 
 
 def stage_attribute(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
@@ -311,6 +297,8 @@ def stage_attribute(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict
 
     _, _, spills_path = _input_paths(cfg, paths, manifest)
     spills = parse_spills(spills_path, params=params, reference_date=cfg.resolve_reference_date())
+    diag_path = paths.artifacts / "spill_diagnostics.csv"
+    write_diagnostics(diag_path, spills.diagnostics)
 
     attributions = match_spills(spills.records, merged, cfg.tolerance_ladder(), params)
 
@@ -326,25 +314,46 @@ def stage_attribute(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict
     ))
 
     manifest.record("attributions", attr_path, "attribute")
+    manifest.record("spill_diagnostics", diag_path, "attribute")
+    return attribute_stats(attributions, spills.rejected,
+                            sum(m.risk for m in assign_risk(merged, attributions)))
+
+
+def attribute_stats(attributions: list[SpillAttribution], rejected: int, high_risk: int) -> dict:
+    """The attribute stage's stats, from its attributions, the number of spill
+    rows the parser rejected and the number of lines labeled high risk."""
     matched = sum(1 for a in attributions if a.matched)
     return {
-        "spills_total": spills.accepted + spills.rejected,
+        "spills_total": len(attributions) + rejected,
         "spills_attributed": matched,
         "spills_unattributed": len(attributions) - matched,
-        "high_risk_lines": sum(m.risk for m in assign_risk(merged, attributions)),
+        "high_risk_lines": high_risk,
     }
 
 
-def load_labeled(manifest: Manifest) -> list[MergedFlowline]:
-    """Merged flowlines with their risk label from the spill attributions."""
-    merged = [merged_from_dict(d) for d in read_json(manifest.require("merged"))["records"]]
+def featurize_stats(rows: int, columns: int, positives: int) -> dict:
+    """The featurize stage's stats, from the shape of its design matrix and
+    the number of rows labeled high risk."""
+    return {
+        "rows": rows,
+        "columns": columns,
+        "positives": positives,
+        "positive_rate": positives / rows,
+    }
+
+
+def load_labeled(manifest: Manifest) -> tuple[list[MergedFlowline], list[SpillAttribution], dict]:
+    """Merged flowlines with their risk label, the spill attributions that
+    label them, and the merge stage's stats."""
+    merged_doc = read_json(manifest.require("merged"))
     with open(manifest.require("attributions"), newline="", encoding="utf-8") as fh:
         attributions = [
             SpillAttribution(row["spill_id"], row["matched_flowline_id"] or None,
                              float(row["distance"] or "nan"), float(row["tolerance_used"]))
             for row in csv.DictReader(fh)
         ]
-    return assign_risk(merged, attributions)
+    merged = [merged_from_dict(d) for d in merged_doc["records"]]
+    return assign_risk(merged, attributions), attributions, merged_doc["stats"]
 
 
 def _feature_config(cfg: RunConfig) -> FeatureConfig:
@@ -356,7 +365,7 @@ def _feature_config(cfg: RunConfig) -> FeatureConfig:
 
 
 def stage_featurize(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
-    ds = assemble(load_labeled(manifest), _feature_config(cfg))
+    ds = assemble(load_labeled(manifest)[0], _feature_config(cfg))
 
     csv_path = paths.artifacts / "features.csv"
     meta_path = paths.artifacts / "features.meta.json"
@@ -364,12 +373,7 @@ def stage_featurize(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict
                  extra={"drop_id_like": cfg.drop_id_like})
     manifest.record("features", csv_path, "featurize")
     manifest.record("features_meta", meta_path, "featurize")
-    return {
-        "rows": ds.n_rows,
-        "columns": ds.n_cols,
-        "positives": int(np.sum(ds.y)),
-        "positive_rate": float(np.mean(ds.y)),
-    }
+    return featurize_stats(ds.n_rows, ds.n_cols, int(np.sum(ds.y)))
 
 
 def _load_features(manifest: Manifest) -> Dataset:

@@ -6,6 +6,7 @@ listed in VOLATILE_FIELDS, which carry wall-clock information only.
 
 from __future__ import annotations
 
+import csv
 import datetime
 import json
 
@@ -13,7 +14,14 @@ from . import figures
 from .config import RunConfig
 from .evaluation import eda_summaries
 from .fileio import read_json, write_csv, write_json
-from .pipeline import Manifest, RunPaths, load_labeled, run_id_for
+from .pipeline import (
+    Manifest,
+    RunPaths,
+    attribute_stats,
+    featurize_stats,
+    load_labeled,
+    run_id_for,
+)
 
 VOLATILE_FIELDS = ("created_at", "timings")
 
@@ -132,17 +140,16 @@ def _resolve_ref(report: dict, ref: str):
     return node
 
 
-def _read_run_log(paths: RunPaths) -> tuple[dict, dict]:
-    """Latest stats and elapsed seconds per stage from the run log.
+def _read_timings(paths: RunPaths) -> dict:
+    """Latest elapsed seconds per stage from the run log.
 
     A missing log reads as no stages; a line that is not a UTF-8 JSON stage
     entry raises UnreadableRunLog naming the file and the line.
     """
-    stats: dict[str, dict] = {}
     timings: dict[str, float] = {}
     log_path = paths.artifacts / "run_log.jsonl"
     if not log_path.exists():
-        return stats, timings
+        return timings
     for line_no, raw in enumerate(log_path.read_bytes().splitlines(), start=1):
         try:
             line = raw.decode("utf-8")
@@ -150,14 +157,26 @@ def _read_run_log(paths: RunPaths) -> tuple[dict, dict]:
                 continue
             entry = json.loads(line)
             stage = entry["stage"]
-            stats[stage] = entry.get("stats", {})
             timings[stage] = entry.get("elapsed_s", 0.0)
         except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
             raise UnreadableRunLog(
                 f"{log_path} line {line_no} is unreadable ({type(exc).__name__}: {exc}); "
                 "rerun the pipeline from its first stage"
             ) from exc
-    return stats, timings
+    return timings
+
+
+def _match_stats(manifest: Manifest, attributions: list, merge_stats: dict, high_risk: int) -> dict:
+    """The stats the merge, attribute and featurize stages returned, rebuilt
+    from the hashed artifacts they wrote rather than from the run log."""
+    with open(manifest.require("spill_diagnostics"), newline="", encoding="utf-8") as fh:
+        rejected = sum(1 for _ in csv.DictReader(fh))
+    meta = read_json(manifest.require("features_meta"))
+    return {
+        "merge": merge_stats,
+        "attribute": attribute_stats(attributions, rejected, high_risk),
+        "featurize": featurize_stats(meta["n_rows"], len(meta["columns"]), high_risk),
+    }
 
 
 def append_run_log(paths: RunPaths, stage: str, stats: dict, elapsed_s: float) -> None:
@@ -173,10 +192,11 @@ def append_run_log(paths: RunPaths, stage: str, stats: dict, elapsed_s: float) -
 
 
 def stage_report(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
-    labeled = load_labeled(manifest)
+    labeled, attributions, merge_stats = load_labeled(manifest)
+    match_stats = _match_stats(manifest, attributions, merge_stats, sum(m.risk for m in labeled))
     metrics = read_json(manifest.require("metrics"))
     clustering = read_json(manifest.require("clustering"))
-    stage_stats, timings = _read_run_log(paths)
+    timings = _read_timings(paths)
 
     eda = {
         name: table.to_dict()
@@ -200,11 +220,7 @@ def stage_report(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
         "run_id": run_id_for(cfg),
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "config": cfg.echo(),
-        "match_stats": {
-            "merge": stage_stats.get("merge", {}),
-            "attribute": stage_stats.get("attribute", {}),
-            "featurize": stage_stats.get("featurize", {}),
-        },
+        "match_stats": match_stats,
         "eda": eda,
         "metrics": metrics,
         "clustering": clustering,

@@ -37,12 +37,13 @@ def map_jobs(fn, jobs: list) -> list:
     job to fail, in job order, raises its exception here; a worker that dies
     raises BrokenProcessPool. Either way the pool is shut down, with the jobs
     not yet started cancelled, before this returns or raises."""
+    # Garbage the earlier stages left would otherwise stay allocated through
+    # the jobs; a forked worker would inherit it, and its own collections
+    # would free it again, copying its pages.
+    gc.collect()
     workers = worker_count(len(jobs))
     if workers == 1:
         return [fn(job) for job in jobs]
-    # Garbage left for a later collection would be inherited, and each
-    # worker's own collections would free it again, copying its pages.
-    gc.collect()
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                initializer=_inherit, initargs=(fn, jobs))
     try:

@@ -104,14 +104,7 @@ def match_flowlines(
         else:
             i, d_start, d_end = hit
             desc = descriptive[i]
-            merged.append(MergedFlowline(
-                operational=rec,
-                descriptive_id=desc.source_row_id,
-                geometry=desc.geometry,
-                operator_name=desc.operator_name,
-                match_tolerance=step_reached,
-                endpoint_distances=(d_start, d_end),
-            ))
+            merged.append(MergedFlowline(operational=rec, geometry=desc.geometry))
             audit.append(AuditRecord(rec.source_row_id, step_reached, n_candidates, desc.source_row_id, d_start, d_end))
 
     return merged, unmatched, audit
@@ -130,7 +123,7 @@ def match_spills(
     the spill stays unattributed.
     """
     index = _geometry_index([m.geometry for m in merged])
-    merged_ops = [normalize_operator(m.operator_name) for m in merged]
+    merged_ops = [normalize_operator(m.operational.operator_name) for m in merged]
 
     attributions: list[SpillAttribution] = []
     for spill in spills:

@@ -319,7 +319,28 @@ class TestRunLog:
         assert main(["report", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         report = json.loads((out / "report.json").read_text())
         assert report["timings"] == {}
-        assert report["match_stats"] == {"merge": {}, "attribute": {}, "featurize": {}}
+        # match_stats come from hashed artifacts, so they survive the log.
+        assert _rerun_comparable_files(out) == _rerun_comparable_files(finished)
+
+    def test_match_stats_are_the_logged_stats_and_ignore_log_edits(self, finished_run, tmp_path):
+        cfg, finished = finished_run
+        logged = {}
+        for line in (finished / "artifacts" / "run_log.jsonl").read_text().splitlines():
+            entry = json.loads(line)
+            logged[entry["stage"]] = entry["stats"]
+        report = json.loads((finished / "report.json").read_text())
+        assert report["match_stats"] == {stage: logged[stage]
+                                         for stage in ("merge", "attribute", "featurize")}
+
+        out = tmp_path / "run"
+        shutil.copytree(finished, out)
+        log = out / "artifacts" / "run_log.jsonl"
+        edited = [json.loads(line) for line in log.read_text().splitlines()]
+        for entry in edited:
+            entry["stats"] = {"edited": True}
+        log.write_text("".join(json.dumps(entry) + "\n" for entry in edited))
+        assert main(["report", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert _rerun_comparable_files(out) == _rerun_comparable_files(finished)
 
 
 class TestStageChaining:
@@ -365,6 +386,28 @@ class TestStageChaining:
 
         code = main(["attribute", "--config", str(cfg), "--out", str(out)])
         assert code == EXIT_STAGE
+
+    def test_rejected_spill_rows_land_in_spill_diagnostics(self, finished_run, tmp_path):
+        _, finished = finished_run
+        inputs = tmp_path / "inputs"
+        shutil.copytree(finished / "data", inputs)
+        spills = inputs / "spills.csv"
+        n_rows = len(spills.read_text().splitlines()) - 1
+        with open(spills, "a", encoding="utf-8") as fh:
+            fh.write("S_BAD,Acme Energy LLC,not-a-lat,-105.0,CORROSION,2020-01-01\n")
+        cfg = write_config(tmp_path / "run.cfg", descriptive_path=inputs / "descriptive.geojson",
+                           operational_path=inputs / "operational.csv", spills_path=spills)
+        out = tmp_path / "run"
+        assert main(["run-all", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+
+        diag = out / "artifacts" / "spill_diagnostics.csv"
+        assert diag.read_text().splitlines() == [
+            "file,row,reason", f"{spills},{n_rows + 1},\"bad spill coordinates ('not-a-lat', '-105.0')\""]
+        assert json.loads((out / "artifacts" / "manifest.json").read_text())[
+            "spill_diagnostics"]["stage"] == "attribute"
+        attribute = json.loads((out / "report.json").read_text())["match_stats"]["attribute"]
+        assert attribute["spills_total"] == n_rows + 1
+        assert attribute["spills_attributed"] + attribute["spills_unattributed"] == n_rows
 
     def test_individual_stage_chain(self, tmp_path):
         cfg = write_config(tmp_path / "run.cfg", synth_n_lines=80)
@@ -460,6 +503,16 @@ class TestEachResultOnce:
                     for r in metric_rows("KNN", split.test.y, knn.predict(X_test))]
             assert want == [r for r in rows
                             if r["classifier"] == "KNN" and r["pca"] == (lane == "pca")]
+
+    def test_merged_json_keeps_only_what_later_stages_read(self, finished_run):
+        _, out = finished_run
+        doc = json.loads((out / "artifacts" / "merged.json").read_text())
+        assert sorted(doc) == ["records", "stats"]
+        assert doc["records"] and {tuple(sorted(r)) for r in doc["records"]} == {
+            ("geometry", "operational")}
+        assert sorted(doc["stats"]) == [
+            "descriptive_accepted", "descriptive_total", "matched", "matched_by_step",
+            "operational_accepted", "operational_total", "rejected_rows", "unmatched"]
 
     def test_merged_record_codec_round_trips(self, synth_a):
         merged, _, _ = match_flowlines(synth_a.operational, synth_a.descriptive)

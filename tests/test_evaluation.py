@@ -295,7 +295,7 @@ def make_merged(fluid, material, diameter, operator_number, construction, risk):
     g = multiline([(0.0, 0.0), (10.0, 0.0)])
     op = make_operational(fluid_type=fluid, material=material, diameter_inches=diameter,
                           operator_number=operator_number, construction_date=construction)
-    return MergedFlowline(op, "D1", g, op.operator_name, 0.0, (0.0, 0.0), risk=risk)
+    return MergedFlowline(op, g, risk=risk)
 
 
 class TestEdaSummaries:

@@ -32,8 +32,8 @@ REF = datetime.date(2020, 1, 1)
 
 def merged_record(row_id="OP1", risk=0, **op_kw):
     g = multiline([(0.0, 0.0), (3.0, 4.0)])
-    return MergedFlowline(make_operational(row_id=row_id, **op_kw), "D1", g,
-                          "Acme Energy LLC", 0.0, (0.0, 0.0), risk=risk)
+    return MergedFlowline(make_operational(row_id=row_id, operator="Acme Energy LLC", **op_kw), g,
+                          risk=risk)
 
 
 class TestLineAge:

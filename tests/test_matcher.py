@@ -105,8 +105,8 @@ class TestMatchFlowlines:
              (chord.vertices[1].x, chord.vertices[1].y)]))]
         merged, unmatched, audit = match_flowlines(ops, desc)
         assert len(merged) == 1 and not unmatched
-        assert merged[0].match_tolerance == 0.0
-        assert merged[0].endpoint_distances == (0.0, 0.0)
+        assert (audit[0].chosen_id, audit[0].step_reached) == ("D1", 0.0)
+        assert (audit[0].d_start, audit[0].d_end) == (0.0, 0.0)
 
     def test_operator_mismatch_excludes_sole_candidate(self):
         ops = [operational("OP1", 0.0, 0.0, 100.0, 0.0)]
@@ -123,10 +123,9 @@ class TestMatchFlowlines:
             descriptive("D1", [[(0.0, 3.0), (100.0, 3.0)]], operator="Rival Oil Co"),
             descriptive("D2", [[(0.0, 10.0), (100.0, 10.0)]]),
         ]
-        merged, unmatched, _ = match_flowlines(ops, desc)
+        merged, unmatched, audit = match_flowlines(ops, desc)
         assert len(merged) == 1
-        assert merged[0].descriptive_id == "D2"
-        assert merged[0].match_tolerance == 10.0
+        assert (audit[0].chosen_id, audit[0].step_reached) == ("D2", 10.0)
 
     def test_min_summed_distance_wins_then_row_id(self):
         ops = [operational("OP1", 0.0, 0.0, 100.0, 0.0)]
@@ -134,16 +133,16 @@ class TestMatchFlowlines:
             descriptive("D2", [[(0.0, 4.0), (100.0, 4.0)]]),
             descriptive("D1", [[(0.0, 2.0), (100.0, 2.0)]]),
         ]
-        merged, _, _ = match_flowlines(ops, desc)
-        assert merged[0].descriptive_id == "D1"
+        _, _, audit = match_flowlines(ops, desc)
+        assert audit[0].chosen_id == "D1"
 
         # exact tie on summed distance: smaller row id wins
         desc_tie = [
             descriptive("D9", [[(0.0, 2.0), (100.0, 2.0)]]),
             descriptive("D3", [[(0.0, -2.0), (100.0, -2.0)]]),
         ]
-        merged, _, _ = match_flowlines(ops, desc_tie)
-        assert merged[0].descriptive_id == "D3"
+        _, _, audit = match_flowlines(ops, desc_tie)
+        assert audit[0].chosen_id == "D3"
 
     def test_duplicate_row_id_tie_goes_to_file_order(self):
         # Two features share row id D1 and tie on summed distance; the one
@@ -179,23 +178,24 @@ class TestMatchFlowlines:
     def test_invariants_on_config_a(self, synth_a):
         merged, unmatched, audit = match_flowlines(synth_a.operational, synth_a.descriptive)
         assert len(audit) == len(synth_a.operational)
-        for m in merged:
-            d_start, d_end = m.endpoint_distances
-            assert d_start <= m.match_tolerance and d_end <= m.match_tolerance
+        chosen = [a for a in audit if a.chosen_id is not None]
+        assert [a.record_id for a in chosen] == [m.flowline_id for m in merged]
+        for a in chosen:
+            assert a.d_start <= a.step_reached and a.d_end <= a.step_reached
         ops = {d.source_row_id: d.operator_name for d in synth_a.descriptive}
         from flowline_risk.ingest import normalize_operator
-        for m in merged:
+        for m, a in zip(merged, chosen):
             assert normalize_operator(m.operational.operator_name) == \
-                normalize_operator(ops[m.descriptive_id])
+                normalize_operator(ops[a.chosen_id])
 
     def test_ladder_extension_monotonicity(self, synth_b):
         short = ToleranceLadder((0.0, 1.0, 2.0, 5.0, 10.0))
         extended = ToleranceLadder((0.0, 1.0, 2.0, 5.0, 10.0, 15.0, 25.0))
         ops = synth_b.operational[:300]
-        merged_short, _, _ = match_flowlines(ops, synth_b.descriptive, short)
-        merged_ext, _, _ = match_flowlines(ops, synth_b.descriptive, extended)
-        chosen_short = {m.operational.source_row_id: m.descriptive_id for m in merged_short}
-        chosen_ext = {m.operational.source_row_id: m.descriptive_id for m in merged_ext}
+        _, _, audit_short = match_flowlines(ops, synth_b.descriptive, short)
+        _, _, audit_ext = match_flowlines(ops, synth_b.descriptive, extended)
+        chosen_short = {a.record_id: a.chosen_id for a in audit_short if a.chosen_id is not None}
+        chosen_ext = {a.record_id: a.chosen_id for a in audit_ext}
         for op_id, desc_id in chosen_short.items():
             assert chosen_ext[op_id] == desc_id  # never unmatched, never changed
 
@@ -203,7 +203,7 @@ class TestMatchFlowlines:
         ops = synth_b.operational[:200]
         a = match_flowlines(ops, synth_b.descriptive)
         b = match_flowlines(ops, synth_b.descriptive)
-        assert [m.descriptive_id for m in a[0]] == [m.descriptive_id for m in b[0]]
+        assert a[0] == b[0]
         assert a[1] == b[1]
         assert a[2] == b[2]
 
@@ -216,8 +216,8 @@ class TestMatchSpills:
 
     def test_spill_on_line_binds_at_zero(self):
         desc = descriptive("D1", [[(0.0, 0.0), (100.0, 0.0)]])
-        merged = [MergedFlowline(make_operational(row_id="OP1"), "D1", desc.geometry,
-                                 desc.operator_name, 0.0, (0.0, 0.0))]
+        merged = [MergedFlowline(make_operational(row_id="OP1", operator=desc.operator_name),
+                                 desc.geometry)]
         att = match_spills([spill("S1", 50.0, 0.0)], merged)
         assert att[0].matched_flowline_id == "OP1"
         assert att[0].tolerance_used == 0.0
@@ -225,15 +225,15 @@ class TestMatchSpills:
 
     def test_far_spill_unmatched(self):
         desc = descriptive("D1", [[(0.0, 0.0), (100.0, 0.0)]])
-        merged = [MergedFlowline(make_operational(row_id="OP1"), "D1", desc.geometry,
-                                 desc.operator_name, 0.0, (0.0, 0.0))]
+        merged = [MergedFlowline(make_operational(row_id="OP1", operator=desc.operator_name),
+                                 desc.geometry)]
         att = match_spills([spill("S1", 50.0, 30.0)], merged)
         assert att[0].matched_flowline_id is None
 
     def test_operator_gate(self):
         desc = descriptive("D1", [[(0.0, 0.0), (100.0, 0.0)]])
-        merged = [MergedFlowline(make_operational(row_id="OP1"), "D1", desc.geometry,
-                                 desc.operator_name, 0.0, (0.0, 0.0))]
+        merged = [MergedFlowline(make_operational(row_id="OP1", operator=desc.operator_name),
+                                 desc.geometry)]
         att = match_spills([spill("S1", 50.0, 5.0, operator="Rival Oil Co")], merged)
         assert att[0].matched_flowline_id is None
 
@@ -266,16 +266,17 @@ class TestOneQueryPerRecord:
             make_operational(row_id="OP4", lat=39.0, lon=-105.0, lat2=39.0, lon2=-105.0),
         ]
         desc = [descriptive("D1", [[(0.0, 0.0), (100.0, 0.0)]])]
-        merged, unmatched, _ = match_flowlines(ops, desc)
-        assert [m.match_tolerance for m in merged] == [1.0, 10.0]
+        merged, unmatched, audit = match_flowlines(ops, desc)
+        assert [(a.chosen_id, a.step_reached) for a in audit[:2]] == [("D1", 1.0), ("D1", 10.0)]
+        assert [m.flowline_id for m in merged] == ["OP1", "OP2"]
         assert unmatched == ["OP3", "OP4"]
         # one query per non-degenerate record, at the ladder maximum
         assert query_radii == [25.0, 25.0, 25.0]
 
     def test_match_spills(self, query_radii):
         desc = descriptive("D1", [[(0.0, 0.0), (100.0, 0.0)]])
-        merged = [MergedFlowline(make_operational(row_id="OP1"), "D1", desc.geometry,
-                                 desc.operator_name, 0.0, (0.0, 0.0))]
+        merged = [MergedFlowline(make_operational(row_id="OP1", operator=desc.operator_name),
+                                 desc.geometry)]
         spills = [spill("S1", 50.0, 0.0), spill("S2", 50.0, 12.0), spill("S3", 50.0, 60.0)]
         att = match_spills(spills, merged, ToleranceLadder((0.0, 5.0, 15.0)))
         assert [a.tolerance_used for a in att] == [0.0, 15.0, 15.0]
@@ -368,8 +369,7 @@ def spill_scenes(draw, **network_kw):
     params, _, desc = draw(networks(**network_kw))
     lines = draw(st.lists(st.sampled_from(desc), max_size=6)) if desc else []
     flowline_ids = draw(st.permutations(range(6, 6 + len(lines))))
-    merged = [MergedFlowline(make_operational(row_id=f"OP{k}"), d.source_row_id, d.geometry,
-                             d.operator_name, 0.0, (0.0, 0.0))
+    merged = [MergedFlowline(make_operational(row_id=f"OP{k}", operator=d.operator_name), d.geometry)
               for d, k in zip(lines, flowline_ids)]
     anchors = [v for m in merged for line in m.geometry.lines for v in line.vertices] \
         or [project(GeoPoint(39.0, -105.0), params)]
@@ -485,8 +485,8 @@ class TestAssignRisk:
     def _merged_pair(self):
         g = multiline([(0.0, 0.0), (100.0, 0.0)])
         return [
-            MergedFlowline(make_operational(row_id="OP1"), "D1", g, "Acme", 0.0, (0.0, 0.0)),
-            MergedFlowline(make_operational(row_id="OP2"), "D2", g, "Acme", 0.0, (0.0, 0.0)),
+            MergedFlowline(make_operational(row_id="OP1", operator="Acme"), g),
+            MergedFlowline(make_operational(row_id="OP2", operator="Acme"), g),
         ]
 
     def test_no_attributions(self):

@@ -78,10 +78,10 @@ class TestGenerate:
         merged, unmatched, audit = match_flowlines(ops.records, desc.records)
         assert not unmatched
         assert len(merged) == 10
-        for m in merged:
-            assert m.match_tolerance == 0.0
-            assert m.endpoint_distances == (0.0, 0.0)
-            assert result.ground_truth.line_matches[m.operational.source_row_id] == m.descriptive_id
+        for a in audit:
+            assert a.step_reached == 0.0
+            assert (a.d_start, a.d_end) == (0.0, 0.0)
+            assert result.ground_truth.line_matches[a.record_id] == a.chosen_id
 
     def test_zero_spill_rate(self, tmp_path):
         cfg = SynthConfig(n_lines=5, area=4000.0, min_separation=60.0, spill_rate=0.0, seed=4)

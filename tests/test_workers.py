@@ -1,3 +1,4 @@
+import gc
 import multiprocessing
 import os
 import time
@@ -37,6 +38,24 @@ def second_job_kills_its_worker(i):
         os._exit(7)
     time.sleep(0.2)
     return i
+
+
+EVENTS: list = []
+
+
+def record_job(event):
+    EVENTS.append(event)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_garbage_is_collected_once_before_the_first_job(monkeypatch, cpus):
+    # Forked workers append to their own copy of EVENTS, so with two
+    # workers only the parent's collection is seen here.
+    on_cpus(monkeypatch, cpus)
+    EVENTS.clear()
+    monkeypatch.setattr(gc, "collect", lambda *args: EVENTS.append("collect"))
+    map_jobs(record_job, ["job 0", "job 1"])
+    assert EVENTS == (["collect", "job 0", "job 1"] if cpus == 1 else ["collect"])
 
 
 def test_worker_count(monkeypatch):
