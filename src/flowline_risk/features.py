@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fileio import read_json, write_csv, write_json
+from .fileio import write_csv, write_json
 from .geometry import MultiLine, bounding_box, line_count, multiline_length
 from .matcher import MergedFlowline
 
@@ -309,8 +309,9 @@ def save_dataset(ds: Dataset, csv_path, meta_path, seed: int | None = None, extr
     write_json(meta_path, sidecar)
 
 
-def load_dataset(csv_path, meta_path) -> Dataset:
-    metas = [ColumnMeta.from_dict(d) for d in read_json(meta_path)["columns"]]
+def load_dataset(csv_path, sidecar: dict) -> Dataset:
+    """The matrix save_dataset wrote, given its CSV and its JSON sidecar as read."""
+    metas = [ColumnMeta.from_dict(d) for d in sidecar["columns"]]
     row_ids: list[str] = []
     rows: list[list[float]] = []
     ys: list[int] = []

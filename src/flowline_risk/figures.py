@@ -6,7 +6,7 @@ output for a given payload, valid XML checked by the test suite.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
+from html import escape
 
 from .fileio import write_text_atomic
 
@@ -35,7 +35,7 @@ def _header(width=_W, height=_H) -> list[str]:
 def _title(parts: list[str], text: str, width=_W) -> None:
     parts.append(
         f'<text x="{width // 2}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15" fill="#111111">{escape(text)}</text>'
+        f'font-family="sans-serif" font-size="15" fill="#111111">{escape(text, quote=False)}</text>'
     )
 
 
@@ -45,7 +45,7 @@ def _legend(parts: list[str], items: list[tuple[str, str]], x: int, y: int) -> N
         parts.append(f'<rect x="{x}" y="{yy}" width="12" height="12" fill="{color}"/>')
         parts.append(
             f'<text x="{x + 18}" y="{yy + 10}" font-family="sans-serif" '
-            f'font-size="11" fill="#111111">{escape(label)}</text>'
+            f'font-size="11" fill="#111111">{escape(label, quote=False)}</text>'
         )
 
 
@@ -134,7 +134,7 @@ def render_bar_chart(table: dict, title: str, path) -> None:
         shown = label if len(label) <= 12 else label[:11] + "~"
         parts.append(
             f'<text x="{_fmt(cx)}" y="{y1 + 16}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="10" fill="#111111">{escape(shown)}</text>'
+            f'font-family="sans-serif" font-size="10" fill="#111111">{escape(shown, quote=False)}</text>'
         )
     for frac in (0.0, 0.5, 1.0):
         yy = y1 - plot_h * frac
@@ -202,7 +202,7 @@ def render_pca_clusters(scores, predicted, actual, path) -> None:
         _axes(parts, x0, y0, x1, y1)
         parts.append(
             f'<text x="{offset_x + _W // 2}" y="{_H - 12}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" fill="#111111">{escape(caption)}</text>'
+            f'font-family="sans-serif" font-size="12" fill="#111111">{escape(caption, quote=False)}</text>'
         )
         for (sx, sy), label in zip(scores, labels):
             px = x0 + (sx - min_x) / span_x * (x1 - x0)

@@ -2,7 +2,8 @@
 leave a file half done.
 
 JSON artifacts are one line with sorted keys and no padding, which the C
-encoder writes in one pass; CSV artifacts use the csv module's defaults.
+encoder writes one top-level list item at a time; CSV artifacts use the csv
+module's defaults.
 """
 
 from __future__ import annotations
@@ -39,13 +40,45 @@ def write_text_atomic(path, text: str) -> None:
         fh.write(text)
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _json_pieces(obj, depth: int):
+    """The text json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    gives, in pieces: down to `depth` levels, each value of a dict with
+    string keys and each item of a list is encoded on its own."""
+    if depth and isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
+        yield "{"
+        for n, key in enumerate(sorted(obj)):
+            yield ("," if n else "") + _ENCODER.encode(key) + ":"
+            yield from _json_pieces(obj[key], depth - 1)
+        yield "}"
+    elif depth and isinstance(obj, list):
+        yield "["
+        for n, item in enumerate(obj):
+            if n:
+                yield ","
+            yield from _json_pieces(item, depth - 1)
+        yield "]"
+    else:
+        yield _ENCODER.encode(obj)
+
+
 def write_json(path, obj) -> None:
-    """Write obj as one line of JSON with sorted keys and a trailing newline."""
-    write_text_atomic(path, json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+    """Write obj as one line of JSON with sorted keys and a trailing newline.
+
+    The document is written piece by piece, each item of a top-level list
+    such as merged.json's records on its own, so it never sits in memory
+    as one string next to its encoded copy; for merged.json that pair
+    would set the merge stage's peak.
+    """
+    with open_atomic(path) as fh:
+        fh.writelines(_json_pieces(obj, 2))
+        fh.write("\n")
 
 
-def read_json(path):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+def read_json(path, object_hook=None):
+    return json.loads(Path(path).read_text(encoding="utf-8"), object_hook=object_hook)
 
 
 def write_csv(path, header, rows) -> None:

@@ -2,8 +2,9 @@
 
 Both joins bind each record at the smallest step of an ascending tolerance
 ladder that has a candidate whose normalized operator name agrees. One index
-query at the ladder maximum finds every candidate, and each one's exact
-distance gives the first step it qualifies at. A nearer candidate of another
+query per record at the ladder maximum, made for a block of records at a
+time, finds every candidate, and each one's exact distance gives the first
+step it qualifies at. A nearer candidate of another
 operator never consumes a match. Records with no candidate up to the ladder
 maximum are excluded, which is a result, not an error.
 """
@@ -14,21 +15,19 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .crs import ProjectionParams, project
 from .fileio import write_csv
-from .geometry import (
-    BoundingBox,
-    MultiLine,
-    Point2D,
-    PolyLine,
-    bounding_box,
-    endpoint_set,
-    point_to_multiline_distance,
-)
+from .geometry import MultiLine, PolyLine
 from .ingest import DescriptiveFlowline, OperationalFlowline, SpillRecord, normalize_operator
-from .spatial_index import IndexEntry, SpatialIndex
+from .spatial_index import SpatialIndex, expand_ranges
 
 DEFAULT_LADDER_STEPS = (0.0, 1.0, 2.0, 5.0, 10.0, 15.0, 20.0, 25.0)
+
+# Records per batched index query: every numpy transient of a join is
+# bounded by one block of queries and their candidates.
+QUERY_BLOCK = 256
 
 
 class DegenerateLine(ValueError):
@@ -116,23 +115,98 @@ def interpolate_line(
     return PolyLine((start, end))
 
 
-def _endpoint_index(endpoints: list[list[Point2D]]) -> SpatialIndex:
-    # One degenerate box per endpoint-set point; item_id is the record index.
-    entries = []
-    for i, points in enumerate(endpoints):
-        for p in points:
-            entries.append(IndexEntry(i, BoundingBox(p.x, p.y, p.x, p.y)))
-    return SpatialIndex.build(entries)
+def _segments(geometries: list[MultiLine], endpoints_only: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Every segment of each geometry as flat (ax, ay, bx, by) rows, and the
+    first row of each geometry (n + 1 offsets).
+
+    With endpoints_only, each point of the geometry's endpoint set is a
+    zero-length segment, which measures as the distance to that point.
+    """
+    flat, first = [], [0]
+    for g in geometries:
+        for line in g.lines:
+            v = line.vertices
+            if endpoints_only:
+                a, b = v[0], v[-1]
+                flat.extend((a.x, a.y, a.x, a.y, b.x, b.y, b.x, b.y))
+            else:
+                for a, b in zip(v, v[1:]):
+                    flat.extend((a.x, a.y, b.x, b.y))
+        first.append(len(flat) // 4)
+    return np.array(flat, dtype=np.float64).reshape(-1, 4), np.array(first, dtype=np.int64)
 
 
-def _geometry_index(items: list[MultiLine]) -> SpatialIndex:
-    return SpatialIndex.build(
-        [IndexEntry(i, bounding_box(g)) for i, g in enumerate(items)]
-    )
+def _bounding_boxes(segments: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Each geometry's bounding box, the hull of its segments' ends."""
+    if len(first) == 1:
+        return np.zeros((0, 4))
+    starts = first[:-1]
+    return np.column_stack([
+        np.minimum.reduceat(np.minimum(segments[:, 0], segments[:, 2]), starts),
+        np.minimum.reduceat(np.minimum(segments[:, 1], segments[:, 3]), starts),
+        np.maximum.reduceat(np.maximum(segments[:, 0], segments[:, 2]), starts),
+        np.maximum.reduceat(np.maximum(segments[:, 1], segments[:, 3]), starts),
+    ])
 
 
-def _min_endpoint_distance(p: Point2D, endpoints: list[Point2D]) -> float:
-    return min(p.distance_to(q) for q in endpoints)
+def segment_distances(px: np.ndarray, py: np.ndarray, segments: np.ndarray, first: np.ndarray,
+                      shape: np.ndarray) -> np.ndarray:
+    """Distance from each point (px[j], py[j]) to geometry shape[j], whose
+    segments are rows first[shape[j]]:first[shape[j] + 1] of `segments`.
+
+    Bit for bit what geometry.point_to_multiline_distance returns: each
+    segment's distance takes the float operations of
+    point_to_segment_distance in the same order, then math.hypot.
+    """
+    if not len(shape):
+        return np.zeros(0)
+    pair, rows = expand_ranges(first[shape], first[shape + 1])
+    x, y = px[pair], py[pair]
+    ax, ay, bx, by = segments[rows].T
+    dx, dy = bx - ax, by - ay
+    seg2 = dx * dx + dy * dy
+    ux, uy = x - ax, y - ay
+    with np.errstate(all="ignore"):
+        t = (ux * dx + uy * dy) / seg2
+        to_a = (seg2 == 0.0) | (t <= 0.0)
+        to_b = ~to_a & (t >= 1.0)
+        ux = np.where(to_a, ux, np.where(to_b, x - bx, x - (ax + t * dx)))
+        uy = np.where(to_a, uy, np.where(to_b, y - by, y - (ay + t * dy)))
+    d = np.fromiter(map(math.hypot, ux.tolist(), uy.tolist()), np.float64, len(ux))
+    counts = first[shape + 1] - first[shape]
+    return np.minimum.reduceat(d, np.cumsum(counts) - counts)
+
+
+def _candidate_pairs(index: SpatialIndex, owner: np.ndarray | None, n_shapes: int,
+                     xs: np.ndarray, ys: np.ndarray, r: float):
+    """Per block of QUERY_BLOCK points, the distinct (point, geometry) pairs
+    with an index entry in the point's closed square of half-width r, in
+    ascending point position. owner maps index entries to geometries; None
+    means entry i is geometry i."""
+    for lo in range(0, len(xs), QUERY_BLOCK):
+        q, e = index.query_points(xs[lo:lo + QUERY_BLOCK], ys[lo:lo + QUERY_BLOCK], r)
+        if owner is not None:
+            q, e = np.divmod(np.unique(q * n_shapes + owner[e]), n_shapes)
+        yield q + lo, e
+
+
+def _first_per_point(q: np.ndarray, *keys: np.ndarray) -> np.ndarray:
+    """Position of each point's least pair by keys, most significant first."""
+    order = np.lexsort((*reversed(keys), q))
+    q = q[order]
+    return order[np.r_[True, q[1:] != q[:-1]]] if len(q) else order
+
+
+def _ranks(keys: list) -> np.ndarray:
+    """Each key's position among the distinct keys in sorted order."""
+    rank = {k: r for r, k in enumerate(sorted(set(keys)))}
+    return np.array([rank[k] for k in keys], dtype=np.int64)
+
+
+def _operator_codes(names, codes: dict) -> np.ndarray:
+    """Normalized operator names as integers; a new name gets the next code."""
+    return np.array([codes.setdefault(normalize_operator(n), len(codes)) for n in names],
+                    dtype=np.int64)
 
 
 def match_flowlines(
@@ -156,52 +230,58 @@ def match_flowlines(
     Returns (merged records in input order, unmatched operational ids,
     audit trail counting candidates of any operator at the bound step).
     """
+    segments, first = _segments([d.geometry for d in descriptive], endpoints_only=not whole_geometry)
     if whole_geometry:
-        shapes = [d.geometry for d in descriptive]
-        index = _geometry_index(shapes)
-        distance_fn = point_to_multiline_distance
+        index, owner = SpatialIndex.build(_bounding_boxes(segments, first)), None
     else:
-        shapes = [endpoint_set(d.geometry) for d in descriptive]
-        index = _endpoint_index(shapes)
-        distance_fn = _min_endpoint_distance
-    desc_ops = [normalize_operator(d.operator_name) for d in descriptive]
+        # An endpoint's index box is its zero-length segment.
+        index, owner = SpatialIndex.build(segments), np.repeat(np.arange(len(descriptive)), np.diff(first))
+    codes: dict = {}
+    desc_ops = _operator_codes((d.operator_name for d in descriptive), codes)
+    row_ranks = _ranks([d.source_row_id for d in descriptive])
     steps = ladder.steps
+
+    lines, ends = [], []  # records whose projected endpoints stay apart
+    for n, rec in enumerate(operational):
+        try:
+            start, end = interpolate_line(rec, params).vertices
+        except DegenerateLine:
+            continue
+        lines.append(n)
+        ends.extend((start.x, start.y, end.x, end.y))
+    lines = np.array(lines, dtype=np.int64)
+    sx, sy, ex, ey = np.array(ends, dtype=np.float64).reshape(-1, 4).T
+    line_ops = _operator_codes((operational[n].operator_name for n in lines.tolist()), codes)
+
+    # Per operational record; a degenerate record keeps no candidate.
+    hit = np.full(len(operational), -1)
+    k_bind = np.full(len(operational), len(steps) - 1)
+    n_candidates = np.zeros(len(operational), dtype=np.int64)
+    d_start = np.full(len(operational), math.nan)
+    d_end = np.full(len(operational), math.nan)
+    for q, i in _candidate_pairs(index, owner, len(descriptive), sx, sy, ladder.maximum):
+        ds = segment_distances(sx[q], sy[q], segments, first, i)
+        de = segment_distances(ex[q], ey[q], segments, first, i)
+        k = np.searchsorted(steps, np.maximum(ds, de))
+        ok = k < len(steps)
+        q, i, ds, de, k = q[ok], i[ok], ds[ok], de[ok], k[ok]
+        gated = np.flatnonzero(desc_ops[i] == line_ops[q])
+        best = gated[_first_per_point(q[gated], k[gated], (ds + de)[gated], row_ranks[i[gated]], i[gated])]
+        r, b = lines[q], lines[q[best]]
+        hit[b], k_bind[b], d_start[b], d_end[b] = i[best], k[best], ds[best], de[best]
+        n_candidates += np.bincount(r[k <= k_bind[r]], minlength=len(operational))
 
     merged: list[MergedFlowline] = []
     unmatched: list[str] = []
     audit: list[AuditRecord] = []
-
-    for rec in operational:
-        try:
-            start, end = interpolate_line(rec, params).vertices
-        except DegenerateLine:
+    for rec, i, k, count, ds, de in zip(operational, hit.tolist(), k_bind.tolist(), n_candidates.tolist(),
+                                        d_start.tolist(), d_end.tolist()):
+        if i < 0:
             unmatched.append(rec.source_row_id)
-            audit.append(AuditRecord(rec.source_row_id, ladder.maximum, 0, None, math.nan, math.nan))
-            continue
-        op_norm = normalize_operator(rec.operator_name)
-
-        # (first admissible step index, d_start, d_end, descriptive index)
-        candidates = []
-        for i in index.query_radius(start, ladder.maximum):
-            d_start = distance_fn(start, shapes[i])
-            d_end = distance_fn(end, shapes[i])
-            k = bisect_left(steps, max(d_start, d_end))
-            if k < len(steps):
-                candidates.append((k, d_start, d_end, i))
-        hit = min((c for c in candidates if desc_ops[c[3]] == op_norm), default=None,
-                  key=lambda c: (c[0], c[1] + c[2], descriptive[c[3]].source_row_id, c[3]))
-        k_bind = len(steps) - 1 if hit is None else hit[0]
-        n_candidates = sum(1 for c in candidates if c[0] <= k_bind)
-
-        if hit is None:
-            unmatched.append(rec.source_row_id)
-            audit.append(AuditRecord(rec.source_row_id, ladder.maximum, n_candidates, None, math.nan, math.nan))
-            continue
-        _, d_start, d_end, i = hit
-        merged.append(MergedFlowline(rec, descriptive[i].geometry))
-        audit.append(AuditRecord(rec.source_row_id, steps[k_bind], n_candidates,
-                                 descriptive[i].source_row_id, d_start, d_end))
-
+            audit.append(AuditRecord(rec.source_row_id, ladder.maximum, count, None, math.nan, math.nan))
+        else:
+            merged.append(MergedFlowline(rec, descriptive[i].geometry))
+            audit.append(AuditRecord(rec.source_row_id, steps[k], count, descriptive[i].source_row_id, ds, de))
     return merged, unmatched, audit
 
 
@@ -219,24 +299,33 @@ def match_spills(
     used is the first ladder step at or above its distance. Nothing within
     the ladder maximum means the spill stays unattributed.
     """
-    index = _geometry_index([m.geometry for m in merged])
-    merged_ops = [normalize_operator(m.operational.operator_name) for m in merged]
+    segments, first = _segments([m.geometry for m in merged])
+    index = SpatialIndex.build(_bounding_boxes(segments, first))
+    codes: dict = {}
+    merged_ops = _operator_codes((m.operational.operator_name for m in merged), codes)
+    id_ranks = _ranks([m.flowline_id for m in merged])
+
+    points = [project(s.location, params) for s in spills]
+    px = np.array([p.x for p in points], dtype=np.float64)
+    py = np.array([p.y for p in points], dtype=np.float64)
+    spill_ops = _operator_codes((s.operator_name for s in spills), codes)
+
+    nearest = np.full(len(spills), -1)
+    distance = np.full(len(spills), math.inf)
+    for q, i in _candidate_pairs(index, None, len(merged), px, py, ladder.maximum):
+        gated = merged_ops[i] == spill_ops[q]
+        q, i = q[gated], i[gated]
+        d = segment_distances(px[q], py[q], segments, first, i)
+        best = _first_per_point(q, d, id_ranks[i], i)
+        nearest[q[best]], distance[q[best]] = i[best], d[best]
 
     attributions: list[SpillAttribution] = []
-    for spill in spills:
-        p = project(spill.location, params)
-        spill_op = normalize_operator(spill.operator_name)
-        candidates = [
-            (point_to_multiline_distance(p, merged[i].geometry), merged[i].flowline_id, i)
-            for i in index.query_radius(p, ladder.maximum)
-            if merged_ops[i] == spill_op
-        ]
-        d, flowline_id, _ = min(candidates, default=(math.inf, None, None))
+    for spill, i, d in zip(spills, nearest.tolist(), distance.tolist()):
         k = bisect_left(ladder.steps, d)
         if k == len(ladder.steps):
             attributions.append(SpillAttribution(spill.spill_id, None, math.nan, ladder.maximum))
         else:
-            attributions.append(SpillAttribution(spill.spill_id, flowline_id, d, ladder.steps[k]))
+            attributions.append(SpillAttribution(spill.spill_id, merged[i].flowline_id, d, ladder.steps[k]))
     return attributions
 
 

@@ -87,6 +87,30 @@ class UnreadableManifest(RuntimeError):
     pass
 
 
+class StaleArtifact(KeyError):
+    """A JSON artifact lacks a key its reader needs: another version of its
+    stage wrote it in another layout."""
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
+class ArtifactObject(dict):
+    """A JSON object read from a run artifact; a missing key raises
+    StaleArtifact naming the artifact and the stage that writes it."""
+
+    __slots__ = ("_source",)
+
+    def __init__(self, items: dict, source: tuple[str, str]):
+        super().__init__(items)
+        self._source = source
+
+    def __missing__(self, key):
+        name, stage = self._source
+        raise StaleArtifact(f"artifact {name!r} has no {key!r}: it was written in another layout; "
+                            f"rerun stage {stage!r} and the stages after it")
+
+
 @dataclass
 class RunPaths:
     root: Path
@@ -161,6 +185,13 @@ class Manifest:
                 f"artifact {name!r} changed on disk since stage {entry['stage']!r} wrote it"
             )
         return path
+
+    def read_json(self, name: str):
+        """Artifact `name` as JSON, checked as require() checks it; each of
+        its objects is an ArtifactObject."""
+        path = self.require(name)
+        source = (name, self.entries[name]["stage"])
+        return read_json(path, object_hook=lambda d: ArtifactObject(d, source))
 
 
 def run_id_for(cfg: RunConfig) -> str:
@@ -292,7 +323,7 @@ def stage_merge(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
 
 def stage_attribute(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
     params = cfg.projection_params()
-    merged_doc = read_json(manifest.require("merged"))
+    merged_doc = manifest.read_json("merged")
     merged = [merged_from_dict(d) for d in merged_doc["records"]]
 
     _, _, spills_path = _input_paths(cfg, paths, manifest)
@@ -345,7 +376,7 @@ def featurize_stats(rows: int, columns: int, positives: int) -> dict:
 def load_labeled(manifest: Manifest) -> tuple[list[MergedFlowline], list[SpillAttribution], dict]:
     """Merged flowlines with their risk label, the spill attributions that
     label them, and the merge stage's stats."""
-    merged_doc = read_json(manifest.require("merged"))
+    merged_doc = manifest.read_json("merged")
     with open(manifest.require("attributions"), newline="", encoding="utf-8") as fh:
         attributions = [
             SpillAttribution(row["spill_id"], row["matched_flowline_id"] or None,
@@ -377,7 +408,7 @@ def stage_featurize(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict
 
 
 def _load_features(manifest: Manifest) -> Dataset:
-    return load_dataset(manifest.require("features"), manifest.require("features_meta"))
+    return load_dataset(manifest.require("features"), manifest.read_json("features_meta"))
 
 
 def _build_models(cfg: RunConfig) -> dict:
@@ -516,7 +547,7 @@ def _load_fitted_model(manifest: Manifest, key: str, features_schema: str):
 def stage_evaluate(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
     ds = _load_features(manifest)
     features_schema = schema_hash(ds.column_meta)
-    training = read_json(manifest.require("training"))
+    training = manifest.read_json("training")
     models_by_lane = {
         lane: {
             kind: _load_fitted_model(manifest, f"model_{kind}_{lane}", features_schema)

@@ -13,7 +13,7 @@ import json
 from . import figures
 from .config import RunConfig
 from .evaluation import eda_summaries
-from .fileio import read_json, write_csv, write_json
+from .fileio import write_csv, write_json
 from .pipeline import (
     Manifest,
     RunPaths,
@@ -171,7 +171,7 @@ def _match_stats(manifest: Manifest, attributions: list, merge_stats: dict, high
     from the hashed artifacts they wrote rather than from the run log."""
     with open(manifest.require("spill_diagnostics"), newline="", encoding="utf-8") as fh:
         rejected = sum(1 for _ in csv.DictReader(fh))
-    meta = read_json(manifest.require("features_meta"))
+    meta = manifest.read_json("features_meta")
     return {
         "merge": merge_stats,
         "attribute": attribute_stats(attributions, rejected, high_risk),
@@ -194,8 +194,8 @@ def append_run_log(paths: RunPaths, stage: str, stats: dict, elapsed_s: float) -
 def stage_report(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
     labeled, attributions, merge_stats = load_labeled(manifest)
     match_stats = _match_stats(manifest, attributions, merge_stats, sum(m.risk for m in labeled))
-    metrics = read_json(manifest.require("metrics"))
-    clustering = read_json(manifest.require("clustering"))
+    metrics = manifest.read_json("metrics")
+    clustering = manifest.read_json("clustering")
     timings = _read_timings(paths)
 
     eda = {

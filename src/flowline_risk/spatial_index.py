@@ -1,9 +1,16 @@
-"""Static R-tree over bounding boxes, bulk-loaded sort-tile-recursive.
+"""Static box index, packed sort-tile-recursive and stored flat.
 
-The index answers radius queries as a box-level prefilter: it returns every
-entry whose box intersects the closed axis-aligned square of half-width r
-around the query point. Exact geometric distances are the caller's job.
-Built once, never mutated; concurrent queries need no coordination.
+The index answers box queries as a prefilter: it finds every entry whose box
+intersects the closed query box, so touching boxes intersect. Exact
+geometric distances are the caller's job. Built once, never mutated;
+concurrent queries need no coordination.
+
+Level 0 holds the entry boxes as one (n, 4) float64 array of (min_x, min_y,
+max_x, max_y) rows. Each level above holds one enclosing box per run of at
+most `fanout` rows of the level below, with that run's row range, up to a
+single root. Every level is tiled sort-tile-recursive (Leutenegger et al.
+1997). A block of query boxes descends all levels at once as one frontier of
+(query, node) pairs, tested with vectorised closed-box comparisons.
 """
 
 from __future__ import annotations
@@ -11,9 +18,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .geometry import BoundingBox, Point2D
 
 DEFAULT_FANOUT = 16
+
+# Two boxes intersect, closed, when each one's min is at most the other's max
+# on both axes: (box column, test, query column).
+_CLOSED_OVERLAP = ((0, np.less_equal, 2), (2, np.greater_equal, 0),
+                   (1, np.less_equal, 3), (3, np.greater_equal, 1))
 
 
 @dataclass(frozen=True)
@@ -22,100 +36,117 @@ class IndexEntry:
     box: BoundingBox
 
 
-class _Node:
-    __slots__ = ("box", "children", "entries")
+def _str_order(boxes: np.ndarray, fanout: int) -> np.ndarray:
+    """Row order in which consecutive runs of `fanout` rows are the STR groups.
 
-    def __init__(self, box, children=None, entries=None):
-        self.box = box
-        self.children = children  # internal node: list[_Node]
-        self.entries = entries    # leaf node: list[IndexEntry]
+    Sort by center x, cut into vertical slabs of ceil(sqrt(groups)) groups
+    each, and sort each slab by center y.
+    """
+    n = len(boxes)
+    n_slabs = math.ceil(math.sqrt(math.ceil(n / fanout)))
+    cx = (boxes[:, 0] + boxes[:, 2]) / 2.0
+    cy = (boxes[:, 1] + boxes[:, 3]) / 2.0
+    by_x = np.lexsort((cy, cx))
+    slab = np.arange(n) // (n_slabs * fanout)
+    return by_x[np.lexsort((cx[by_x], cy[by_x], slab))]
 
 
-def _enclosing_box(boxes: list[BoundingBox]) -> BoundingBox:
-    return BoundingBox(
-        min(b.min_x for b in boxes),
-        min(b.min_y for b in boxes),
-        max(b.max_x for b in boxes),
-        max(b.max_y for b in boxes),
-    )
+def expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, row) for every row of every range [lo[i], hi[i]), in order."""
+    counts = hi - lo
+    owner = np.repeat(np.arange(len(lo)), counts)
+    rows = np.arange(len(owner)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return owner, rows
 
 
 class SpatialIndex:
-    """Immutable STR-packed R-tree; build with SpatialIndex.build()."""
+    """Immutable flat STR index; build with SpatialIndex.build()."""
 
-    def __init__(self, root: _Node | None, size: int):
-        self._root = root
-        self._size = size
+    def __init__(self, levels: list[np.ndarray], ranges: list[tuple[np.ndarray, np.ndarray]],
+                 order: np.ndarray, ids: list | None):
+        self._levels = levels    # level 0: entry boxes in packed order; last: the root
+        self._ranges = ranges    # ranges[l - 1]: (lo, hi) rows of level l - 1 under each node of level l
+        self._order = order      # entry position of each level-0 row
+        self._ids = ids          # item id of each entry position; None: the position itself
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._order)
 
     @staticmethod
-    def build(entries: list[IndexEntry], fanout: int = DEFAULT_FANOUT) -> "SpatialIndex":
-        """Pack entries into a tree, sort-tile-recursive.
+    def build(entries, fanout: int = DEFAULT_FANOUT) -> "SpatialIndex":
+        """Pack entries into levels, sort-tile-recursive.
 
-        Sort by center x, cut into vertical slabs of ~sqrt(n/M) leaves each,
-        sort each slab by center y, pack leaves of M entries, then repeat
-        one level up on the leaf boxes until a single root remains.
+        `entries` is a list of IndexEntry, or an (n, 4) float64 array of
+        (min_x, min_y, max_x, max_y) rows whose item ids are their row
+        positions.
         """
         if fanout < 2:
             raise ValueError("fanout must be >= 2")
-        entries = list(entries)
-        if not entries:
-            return SpatialIndex(None, 0)
+        if isinstance(entries, np.ndarray):
+            boxes, ids = np.asarray(entries, dtype=np.float64).reshape(-1, 4), None
+        else:
+            entries = list(entries)
+            boxes = np.array([(e.box.min_x, e.box.min_y, e.box.max_x, e.box.max_y) for e in entries],
+                             dtype=np.float64).reshape(-1, 4)
+            ids = [e.item_id for e in entries]
+        if not len(boxes):
+            return SpatialIndex([], [], np.zeros(0, dtype=np.int64), ids)
 
-        leaves = [
-            _Node(_enclosing_box([e.box for e in group]), entries=group)
-            for group in _str_pack(entries, fanout, lambda e: e.box)
-        ]
-        level = leaves
-        while len(level) > 1:
-            level = [
-                _Node(_enclosing_box([n.box for n in group]), children=group)
-                for group in _str_pack(level, fanout, lambda n: n.box)
-            ]
-        return SpatialIndex(level[0], len(entries))
+        order = _str_order(boxes, fanout)
+        levels = [boxes[order]]
+        ranges = []
+        while len(levels[-1]) > 1:
+            below = levels[-1]
+            starts = np.arange(0, len(below), fanout)
+            enclosing = np.column_stack([
+                np.minimum.reduceat(below[:, 0], starts),
+                np.minimum.reduceat(below[:, 1], starts),
+                np.maximum.reduceat(below[:, 2], starts),
+                np.maximum.reduceat(below[:, 3], starts),
+            ])
+            packed = _str_order(enclosing, fanout)
+            lo = starts[packed]
+            levels.append(enclosing[packed])
+            ranges.append((lo, np.minimum(lo + fanout, len(below))))
+        return SpatialIndex(levels, ranges, order, ids)
+
+    def query_boxes(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every intersecting (query row, entry position) pair of an (m, 4)
+        array of query boxes, in ascending query row."""
+        queries = np.asarray(queries, dtype=np.float64).reshape(-1, 4)
+        q = np.arange(len(queries))
+        node = np.zeros(len(queries), dtype=np.int64)
+        if not self._levels:
+            return q[:0], node[:0]
+        for level in range(len(self._levels) - 1, -1, -1):
+            boxes = self._levels[level]
+            # Closed intersection, one coordinate at a time: each test
+            # narrows the frontier the next one gathers.
+            for mine, test, theirs in _CLOSED_OVERLAP:
+                hit = test(boxes[node, mine], queries[q, theirs])
+                q, node = q[hit], node[hit]
+            if level:
+                lo, hi = self._ranges[level - 1]
+                pair, node = expand_ranges(lo[node], hi[node])
+                q = q[pair]
+        return q, self._order[node]
+
+    def query_points(self, xs: np.ndarray, ys: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+        """Box prefilter for the closed squares of half-width r about each
+        point (xs[i], ys[i]): (point position, entry position) pairs."""
+        if r < 0:
+            raise ValueError("radius must be >= 0")
+        return self.query_boxes(np.column_stack([xs - r, ys - r, xs + r, ys + r]))
 
     def query_box(self, box: BoundingBox) -> set:
         """Ids of all entries whose box intersects the query box (closed)."""
-        if self._root is None:
-            return set()
-        found = set()
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if not node.box.intersects(box):
-                continue
-            if node.entries is not None:
-                for e in node.entries:
-                    if e.box.intersects(box):
-                        found.add(e.item_id)
-            else:
-                stack.extend(node.children)
-        return found
+        _, found = self.query_boxes(np.array([box.min_x, box.min_y, box.max_x, box.max_y]))
+        if self._ids is None:
+            return set(found.tolist())
+        return {self._ids[i] for i in found.tolist()}
 
     def query_radius(self, p: Point2D, r: float) -> set:
         """Box prefilter for the closed square of half-width r about p."""
         if r < 0:
             raise ValueError("radius must be >= 0")
         return self.query_box(BoundingBox(p.x - r, p.y - r, p.x + r, p.y + r))
-
-
-def _str_pack(items: list, fanout: int, key) -> list[list]:
-    """Group items into runs of at most `fanout`, tiled by x then y center."""
-    n = len(items)
-    n_groups = math.ceil(n / fanout)
-    n_slabs = math.ceil(math.sqrt(n_groups))
-    slab_size = n_slabs * fanout
-
-    by_x = sorted(items, key=lambda it: (_center(key(it))[0], _center(key(it))[1]))
-    groups = []
-    for s in range(0, n, slab_size):
-        slab = sorted(by_x[s:s + slab_size], key=lambda it: (_center(key(it))[1], _center(key(it))[0]))
-        for g in range(0, len(slab), fanout):
-            groups.append(slab[g:g + fanout])
-    return groups
-
-
-def _center(box: BoundingBox) -> tuple[float, float]:
-    return (box.min_x + box.max_x) / 2.0, (box.min_y + box.max_y) / 2.0

@@ -14,7 +14,14 @@ from __future__ import annotations
 import math
 
 from flowline_risk.crs import ProjectionParams, project
-from flowline_risk.geometry import BoundingBox, MultiLine, Point2D, endpoint_set, point_to_multiline_distance
+from flowline_risk.geometry import (
+    BoundingBox,
+    MultiLine,
+    Point2D,
+    bounding_box,
+    endpoint_set,
+    point_to_multiline_distance,
+)
 from flowline_risk.ingest import DescriptiveFlowline, OperationalFlowline, SpillRecord, normalize_operator
 from flowline_risk.matcher import (
     AuditRecord,
@@ -22,7 +29,6 @@ from flowline_risk.matcher import (
     MergedFlowline,
     SpillAttribution,
     ToleranceLadder,
-    _geometry_index,
     interpolate_line,
 )
 from flowline_risk.spatial_index import IndexEntry, SpatialIndex
@@ -35,6 +41,11 @@ def _endpoint_index(descriptive: list[DescriptiveFlowline]) -> SpatialIndex:
         for p in endpoint_set(rec.geometry):
             entries.append(IndexEntry(i, BoundingBox(p.x, p.y, p.x, p.y)))
     return SpatialIndex.build(entries)
+
+
+def _geometry_index(items: list[MultiLine]) -> SpatialIndex:
+    # One bounding box per geometry; item_id is the geometry's index.
+    return SpatialIndex.build([IndexEntry(i, bounding_box(g)) for i, g in enumerate(items)])
 
 
 def _min_endpoint_distance(p: Point2D, g: MultiLine) -> float:

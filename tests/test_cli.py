@@ -11,6 +11,8 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowline_risk import cli, fileio, numerics, pipeline
 from flowline_risk.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
@@ -387,6 +389,34 @@ class TestStageChaining:
         code = main(["attribute", "--config", str(cfg), "--out", str(out)])
         assert code == EXIT_STAGE
 
+    @pytest.mark.parametrize("artifact, path, drop, writer, stages", [
+        ("merged", "merged.json", "stats", "merge", ("featurize", "report")),
+        ("merged", "merged.json", "geometry", "merge", ("attribute", "featurize", "report")),
+        ("features_meta", "features.meta.json", "columns", "featurize", ("train", "evaluate", "report")),
+    ])
+    def test_artifact_in_another_layout_names_the_stage_to_rerun(self, finished_run, tmp_path, capsys,
+                                                                  artifact, path, drop, writer, stages):
+        # A JSON artifact without a key its readers need, recorded in the
+        # manifest as if its stage in another version had written it.
+        cfg, finished = finished_run
+        out = tmp_path / "run"
+        shutil.copytree(finished, out)
+        path = out / "artifacts" / path
+        doc = json.loads(path.read_text())
+        if drop == "geometry":
+            del doc["records"][3]["geometry"]
+        else:
+            del doc[drop]
+        fileio.write_json(path, doc)
+        pipeline.Manifest(pipeline.RunPaths(out)).record(artifact, path, writer)
+
+        capsys.readouterr()
+        for stage in stages:
+            assert main([stage, "--config", str(cfg), "--out", str(out)]) == EXIT_STAGE
+            err = capsys.readouterr().err
+            assert err == (f"stage {stage} failed: artifact {artifact!r} has no {drop!r}: it was written "
+                           f"in another layout; rerun stage {writer!r} and the stages after it\n")
+
     def test_rejected_spill_rows_land_in_spill_diagnostics(self, finished_run, tmp_path):
         _, finished = finished_run
         inputs = tmp_path / "inputs"
@@ -490,7 +520,7 @@ class TestEachResultOnce:
 
         # The train split standardized and PCA-projected the way stage_train does it.
         cfg = load_config(cfg_path)
-        ds = load_dataset(artifacts / "features.csv", artifacts / "features.meta.json")
+        ds = load_dataset(artifacts / "features.csv", fileio.read_json(artifacts / "features.meta.json"))
         split = stratified_split(ds, cfg.train_fraction, cfg.seed)
         train_z, test_z, _, _ = standardize(split.train.X, split.test.X)
         pca, _ = _pca_by_config(cfg, train_z)
@@ -580,6 +610,41 @@ class TestArtifactFormat:
             text = path.read_text(encoding="utf-8")
             canonical = json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
             assert text == canonical, path
+
+
+JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4)
+    | st.dictionaries(st.integers(-3, 3), inner, max_size=3),
+    max_leaves=20)
+
+
+class TestWriteJson:
+    """write_json writes a document piece by piece; the text is the one-shot
+    encoding's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_DOCS)
+    def test_same_text_as_one_json_dumps(self, tmp_path_factory, doc):
+        path = tmp_path_factory.mktemp("json") / "doc.json"
+        fileio.write_json(path, doc)
+        assert path.read_text(encoding="utf-8") == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+    def test_counters_and_nested_records(self, tmp_path):
+        from collections import Counter
+        doc = {"stats": {"matched_by_step": Counter(["1", "0", "1"]), "n": 3},
+               "records": [{"b": [1.5, -0.0], "a": {"z": None, "é": "\u2603"}}, {}, []], "": float("nan")}
+        fileio.write_json(tmp_path / "doc.json", doc)
+        assert (tmp_path / "doc.json").read_text() == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+    def test_unencodable_document_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "doc.json"
+        fileio.write_json(path, {"records": [1]})
+        with pytest.raises(TypeError):
+            fileio.write_json(path, {"records": [1, object()]})
+        assert path.read_text() == '{"records":[1]}\n'
+        assert list(tmp_path.iterdir()) == [path]
 
 
 def cli_on_cpus(cpus: int, *args, patch: str = "") -> list[str]:

@@ -21,6 +21,7 @@ from flowline_risk.features import (
     standardize,
     stratified_split,
 )
+from flowline_risk.fileio import read_json
 from flowline_risk.geometry import multiline
 from flowline_risk.matcher import MergedFlowline, assign_risk, match_flowlines, match_spills
 from flowline_risk.synth import REFERENCE_DATE
@@ -241,7 +242,7 @@ class TestRoundTrip:
         merged, _, _ = match_flowlines(synth_a.operational[:100], synth_a.descriptive)
         ds = assemble(merged, FeatureConfig(drop_id_like=True, reference_date=REFERENCE_DATE))
         save_dataset(ds, tmp_path / "f.csv", tmp_path / "f.json", seed=7)
-        back = load_dataset(tmp_path / "f.csv", tmp_path / "f.json")
+        back = load_dataset(tmp_path / "f.csv", read_json(tmp_path / "f.json"))
         assert np.array_equal(back.X, ds.X)
         assert np.array_equal(back.y, ds.y)
         assert back.row_ids == ds.row_ids

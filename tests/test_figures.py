@@ -1,4 +1,10 @@
+import html
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowline_risk.figures import (
     HIGH_COLOR,
@@ -74,3 +80,32 @@ class TestPcaClusters:
         text = svg_text(out)
         assert "predicted" in text and "actual" in text
         assert text.count("<circle") == 6  # every point in both panels
+
+
+class TestTextEscaping:
+    """SVG text goes through html.escape(text, quote=False), which escapes
+    the same three characters as xml.sax.saxutils.escape without importing
+    urllib.request, http.client, ssl and email."""
+
+    @settings(max_examples=300)
+    @given(st.text(alphabet=st.sampled_from("&<>\"'a; #xé"), max_size=30) | st.text(max_size=30))
+    def test_same_strings_as_saxutils(self, text):
+        from xml.sax.saxutils import escape
+        assert html.escape(text, quote=False) == escape(text)
+
+    def test_quotes_stay_and_markup_is_escaped(self, tmp_path):
+        label = "A&B <x> \"q\" 'p'"
+        assert html.escape(label, quote=False) == "A&amp;B &lt;x&gt; \"q\" 'p'"
+        out = tmp_path / "bars.svg"
+        render_bar_chart({"rows": [{"label": label, "risk": 1, "count": 2}]}, label, out)
+        text = svg_text(out)
+        assert text.count("A&amp;B &lt;x&gt; \"q\" 'p'</text>") == 1  # the title
+        assert text.count("A&amp;B &lt;x&gt; \"q\"") == 2  # and the shortened bar label
+
+    def test_the_cli_does_not_import_the_network_stack(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, flowline_risk.cli; "
+             "print(sorted(m for m in ('urllib.request', 'http.client', 'ssl', 'email') if m in sys.modules))"],
+            capture_output=True, text=True,
+        )
+        assert proc.stdout.strip() == "[]", proc.stderr

@@ -3,12 +3,13 @@ from contextlib import contextmanager
 from dataclasses import fields
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from flowline_risk.crs import GeoPoint, ProjectionParams, project, unproject
-from flowline_risk.geometry import BoundingBox, Point2D, multiline
+from flowline_risk.geometry import BoundingBox, Point2D, endpoint_set, multiline, point_to_multiline_distance
 from flowline_risk.ingest import DescriptiveFlowline, SpillRecord
 from flowline_risk.matcher import (
     DanglingReference,
@@ -20,6 +21,8 @@ from flowline_risk.matcher import (
     interpolate_line,
     match_flowlines,
     match_spills,
+    _segments,
+    segment_distances,
     write_audit_log,
 )
 from flowline_risk.spatial_index import SpatialIndex
@@ -249,13 +252,14 @@ class TestMatchSpills:
 class TestOneQueryPerRecord:
     @pytest.fixture
     def query_radii(self, monkeypatch):
+        """The radius of every point query, one entry per queried point."""
         radii = []
-        real = SpatialIndex.query_radius
+        real = SpatialIndex.query_points
 
-        def counting(index, p, r):
-            radii.append(r)
-            return real(index, p, r)
-        monkeypatch.setattr(SpatialIndex, "query_radius", counting)
+        def counting(index, xs, ys, r):
+            radii.extend([r] * len(xs))
+            return real(index, xs, ys, r)
+        monkeypatch.setattr(SpatialIndex, "query_points", counting)
         return radii
 
     def test_match_flowlines(self, query_radii):
@@ -479,6 +483,58 @@ class TestMatchesLadderOracle:
                     ops, run.descriptive, whole_geometry=whole_geometry))
             assert_same_records(match_spills(run.spills, got[0]),
                                 matcher_oracle.match_spills(run.spills, got[0]))
+
+
+# Grid coordinates make zero-length segments, vertex queries and feet of
+# perpendiculars exactly at a segment end (t == 0 or t == 1) common; the
+# float ones exercise rounding in the projection onto the segment.
+GRID_COORD = st.integers(-6, 6).map(float)
+ANY_COORD = st.one_of(GRID_COORD, st.floats(-7.0, 7.0, allow_nan=False))
+GEOMETRY = st.lists(st.lists(st.tuples(GRID_COORD, ANY_COORD), min_size=2, max_size=5),
+                    min_size=1, max_size=3).map(lambda chains: multiline(*chains))
+
+
+def kernel_distances(points, geometries, endpoints_only=False):
+    """segment_distances over every (point, geometry) pair, point-major."""
+    segments, first = _segments(geometries, endpoints_only)
+    q, shape = np.divmod(np.arange(len(points) * len(geometries)), len(geometries))
+    px = np.array([p.x for p in points])
+    py = np.array([p.y for p in points])
+    return segment_distances(px[q], py[q], segments, first, shape).tolist()
+
+
+class TestSegmentDistances:
+    """The array distance kernel against the scalar reference, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(GEOMETRY, min_size=1, max_size=5),
+           st.lists(st.builds(Point2D, ANY_COORD, ANY_COORD), min_size=1, max_size=8))
+    def test_equals_point_to_multiline_distance(self, geometries, points):
+        want = [point_to_multiline_distance(p, g) for p in points for g in geometries]
+        assert [d.hex() for d in kernel_distances(points, geometries)] == [d.hex() for d in want]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(GEOMETRY, min_size=1, max_size=5),
+           st.lists(st.builds(Point2D, ANY_COORD, ANY_COORD), min_size=1, max_size=8))
+    def test_endpoints_only_equals_nearest_endpoint(self, geometries, points):
+        want = [min(p.distance_to(e) for e in endpoint_set(g)) for p in points for g in geometries]
+        assert [d.hex() for d in kernel_distances(points, geometries, endpoints_only=True)] \
+            == [d.hex() for d in want]
+
+    def test_branches(self):
+        # A zero-length segment, feet of perpendiculars at t == 0 and
+        # t == 1, a vertex, an interior foot, and a point past both ends.
+        g = multiline([(0.0, 0.0), (0.0, 0.0), (4.0, 0.0)], [(9.0, 9.0), (9.0, 9.0)])
+        points = [Point2D(0.0, 3.0), Point2D(4.0, 3.0), Point2D(4.0, 0.0), Point2D(2.5, -1.5),
+                  Point2D(-3.0, -4.0), Point2D(9.0, 12.0)]
+        got = kernel_distances(points, [g])
+        assert got == [3.0, 3.0, 0.0, 1.5, 5.0, 3.0]
+        assert got == [point_to_multiline_distance(p, g) for p in points]
+
+    def test_no_pairs(self):
+        segments, first = _segments([multiline([(0.0, 0.0), (1.0, 0.0)])])
+        empty = np.zeros(0)
+        assert segment_distances(empty, empty, segments, first, np.zeros(0, dtype=np.int64)).size == 0
 
 
 class TestAssignRisk:

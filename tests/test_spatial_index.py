@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowline_risk.geometry import BoundingBox, Point2D
 from flowline_risk.spatial_index import IndexEntry, SpatialIndex
@@ -12,6 +16,18 @@ def random_entries(rng, n, extent=1000.0, max_side=20.0):
         w, h = rng.uniform(0, max_side, size=2)
         entries.append(IndexEntry(i, BoundingBox(x, y, x + w, y + h)))
     return entries
+
+
+# Boxes on a coarse grid, so shared and touching edges and zero-width boxes
+# (degenerate points and segments) come up often.
+GRID_BOX = st.tuples(st.integers(0, 12), st.integers(0, 12), st.integers(0, 3), st.integers(0, 3)).map(
+    lambda b: (b[0] / 2, b[1] / 2, (b[0] + b[2]) / 2, (b[1] + b[3]) / 2))
+
+
+def scan_boxes(boxes, queries):
+    """Brute-force (query, entry) pairs with closed-box semantics, in order."""
+    return [(i, j) for i, q in enumerate(queries) for j, b in enumerate(boxes)
+            if BoundingBox(*b).intersects(BoundingBox(*q))]
 
 
 def scan_radius(entries, p, r):
@@ -45,18 +61,29 @@ class TestBuild:
             SpatialIndex.build([], fanout=1)
 
     def test_height_bound(self):
-        import math
-
-        def height(node):
-            if node.entries is not None:
-                return 1
-            return 1 + max(height(c) for c in node.children)
-
         rng = np.random.default_rng(36)
         for n in (1, 15, 16, 17, 255, 1000):
             idx = SpatialIndex.build(random_entries(rng, n), fanout=16)
             bound = math.ceil(math.log(n, 16)) + 1 if n > 1 else 1
-            assert height(idx._root) <= bound
+            assert len(idx._levels) <= bound  # box levels, the entries' included
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(GRID_BOX, max_size=120), st.integers(2, 6))
+    def test_levels_enclose_and_partition(self, boxes, fanout):
+        # Each node's child range is a run of at most `fanout` rows; the
+        # ranges of a level cover the level below exactly once, and each
+        # node box is the hull of its children's boxes. One root on top.
+        idx = SpatialIndex.build(np.array(boxes, dtype=float).reshape(-1, 4), fanout)
+        assert sorted(idx._order.tolist()) == list(range(len(boxes)))
+        for level, (lo, hi) in enumerate(idx._ranges, start=1):
+            below, nodes = idx._levels[level - 1], idx._levels[level]
+            assert np.all((hi - lo >= 1) & (hi - lo <= fanout))
+            assert sorted(np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)]).tolist()) \
+                == list(range(len(below)))
+            for box, a, b in zip(nodes, lo, hi):
+                children = below[a:b]
+                assert box.tolist() == [*children[:, :2].min(axis=0), *children[:, 2:].max(axis=0)]
+        assert [len(top) for top in idx._levels[-1:]] == ([1] if boxes else [])
 
 
 class TestQueryRadius:
@@ -110,3 +137,56 @@ class TestQueryRadius:
         entries = [IndexEntry(i, BoundingBox(float(i), 0.0, float(i), 0.0)) for i in range(100)]
         idx = SpatialIndex.build(entries)
         assert idx.query_radius(Point2D(50.0, 0.0), 2.5) == {48, 49, 50, 51, 52}
+
+
+class TestBatchedQueries:
+    """One batched query of many boxes against the linear scan, query by query."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(GRID_BOX, max_size=100), st.lists(GRID_BOX, max_size=40), st.integers(2, 17))
+    def test_query_boxes_equals_linear_scan(self, boxes, queries, fanout):
+        idx = SpatialIndex.build(np.array(boxes, dtype=float).reshape(-1, 4), fanout)
+        q, e = idx.query_boxes(np.array(queries, dtype=float).reshape(-1, 4))
+        assert np.all(np.diff(q) >= 0)
+        assert sorted(zip(q.tolist(), e.tolist())) == scan_boxes(boxes, queries)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(GRID_BOX, max_size=60), st.lists(st.tuples(st.integers(-2, 14), st.integers(-2, 14)),
+                                                     max_size=30),
+           st.sampled_from((0.0, 0.5, 1.0, 2.5)))
+    def test_query_points_equals_linear_scan(self, boxes, points, r):
+        idx = SpatialIndex.build(np.array(boxes, dtype=float).reshape(-1, 4))
+        xs = np.array([x / 2 for x, _ in points], dtype=float)
+        ys = np.array([y / 2 for _, y in points], dtype=float)
+        q, e = idx.query_points(xs, ys, r)
+        want = scan_boxes(boxes, [(x - r, y - r, x + r, y + r) for x, y in zip(xs.tolist(), ys.tolist())])
+        assert sorted(zip(q.tolist(), e.tolist())) == want
+
+    def test_empty_index_and_empty_batch(self):
+        empty = SpatialIndex.build(np.zeros((0, 4)))
+        q, e = empty.query_boxes(np.array([[0.0, 0.0, 1e9, 1e9]]))
+        assert q.size == 0 and e.size == 0
+        one = SpatialIndex.build(np.array([[0.0, 0.0, 1.0, 1.0]]))
+        q, e = one.query_boxes(np.zeros((0, 4)))
+        assert q.size == 0 and e.size == 0
+
+    def test_one_entry_touching_edges(self):
+        idx = SpatialIndex.build(np.array([[0.0, 0.0, 1.0, 1.0]]))
+        queries = np.array([[1.0, 1.0, 2.0, 2.0], [-1.0, 0.5, 0.0, 0.5], [1.0 + 1e-12, 0.0, 2.0, 1.0]])
+        q, e = idx.query_boxes(queries)
+        assert q.tolist() == [0, 1] and e.tolist() == [0, 0]
+
+    def test_n_not_a_multiple_of_the_fanout(self):
+        rng = np.random.default_rng(37)
+        for n in (17, 33, 250, 257):
+            entries = random_entries(rng, n)
+            boxes = [(e.box.min_x, e.box.min_y, e.box.max_x, e.box.max_y) for e in entries]
+            queries = [(x, y, x + w, y + w) for x, y, w in rng.uniform(0, 60, size=(50, 3)) * (17, 17, 1)]
+            idx = SpatialIndex.build(np.array(boxes), fanout=16)
+            q, e = idx.query_boxes(np.array(queries))
+            assert sorted(zip(q.tolist(), e.tolist())) == scan_boxes(boxes, queries)
+
+    def test_negative_radius_rejected(self):
+        idx = SpatialIndex.build(np.zeros((0, 4)))
+        with pytest.raises(ValueError):
+            idx.query_points(np.zeros(1), np.zeros(1), -1.0)
