@@ -44,9 +44,9 @@ spills = parse_spills(result.spills_path, reference_date=REFERENCE_DATE).records
 
 merged, _, _ = match_flowlines(ops, desc)
 attributions = match_spills(spills, merged)
-labeled = assign_risk(merged, attributions)
+risk = assign_risk(merged, attributions)
 
 hit = [a for a in attributions if a.matched]
 print(f"\nspills attributed: {len(hit)}/{len(attributions)}")
 print("distances (m):", [round(a.distance, 1) for a in hit])
-print("high-risk lines:", sum(m.risk for m in labeled), "of", len(labeled))
+print("high-risk lines:", int(risk.sum()), "of", len(merged))

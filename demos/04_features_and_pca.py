@@ -23,11 +23,11 @@ ops = parse_operational(result.operational_path, reference_date=REFERENCE_DATE).
 spills = parse_spills(result.spills_path, reference_date=REFERENCE_DATE).records
 
 merged, _, _ = match_flowlines(ops, desc)
-labeled = assign_risk(merged, match_spills(spills, merged))
+risk = assign_risk(merged, match_spills(spills, merged))
 
 # Without drop_id_like the near-unique id columns would dominate the width;
 # assemble warns loudly about that. Here we drop them.
-ds = assemble(labeled, FeatureConfig(drop_id_like=True, reference_date=REFERENCE_DATE))
+ds = assemble(merged, risk, FeatureConfig(drop_id_like=True, reference_date=REFERENCE_DATE))
 print(f"design matrix: {ds.n_rows} x {ds.n_cols}, positives {int(ds.y.sum())}")
 
 groups = {}

@@ -100,7 +100,8 @@ def main(argv=None) -> int:
     for name in names:
         try:
             _run_stage(name, cfg, paths, manifest)
-        except (pipeline.MissingArtifact, pipeline.SchemaHashMismatch, pipeline.StaleArtifact) as exc:
+        except (pipeline.MissingArtifact, pipeline.SchemaHashMismatch, pipeline.StaleArtifact,
+                pipeline.InconsistentArtifact) as exc:
             print(f"stage {name} failed: {exc}", file=sys.stderr)
             return EXIT_STAGE
         except ConfigError as exc:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcher import MergedFlowline
+from .matcher import MergedFlowlines
 from .ml.kmeans import KMeansModel, fit_kmeans
 from .workers import map_jobs
 
@@ -289,29 +289,25 @@ def _frequency_table(name: str, labels: list[str], risks: list[int]) -> Frequenc
 
 
 def eda_summaries(
-    merged: list[MergedFlowline],
+    merged: MergedFlowlines,
+    risk: np.ndarray,
     reference_date: datetime.date | None = None,
     age_bin_years: int = 5,
 ) -> dict[str, FrequencyTable]:
     """Risk frequency overall and by age bin, diameter, fluid, material,
     operator number."""
     reference = reference_date or datetime.date.today()
-    risks = [m.risk for m in merged]
-
-    def age_bin(m: MergedFlowline) -> str:
-        years = (reference - m.operational.construction_date).days / 365.25
-        lo = int(years // age_bin_years) * age_bin_years
-        return f"{lo}-{lo + age_bin_years}"
+    op = merged.operational
+    risks = np.asarray(risk).tolist()
+    days = np.datetime64(reference, "D") - np.array(op["construction_date"], dtype="datetime64[D]")
+    lo = (days.astype(np.int64) / 365.25 // age_bin_years).astype(np.int64) * age_bin_years
 
     return {
         "overall": _frequency_table("overall", ["all"] * len(merged), risks),
-        "line_age": _frequency_table("line_age", [age_bin(m) for m in merged], risks),
-        "diameter": _frequency_table(
-            "diameter", [f"{m.operational.diameter_inches:g}" for m in merged], risks),
-        "fluid_type": _frequency_table(
-            "fluid_type", [m.operational.fluid_type for m in merged], risks),
-        "material": _frequency_table(
-            "material", [m.operational.material for m in merged], risks),
-        "operator_number": _frequency_table(
-            "operator_number", [m.operational.operator_number for m in merged], risks),
+        "line_age": _frequency_table(
+            "line_age", [f"{a}-{a + age_bin_years}" for a in lo.tolist()], risks),
+        "diameter": _frequency_table("diameter", [f"{d:g}" for d in op["diameter_in"]], risks),
+        "fluid_type": _frequency_table("fluid_type", op["fluid_type"], risks),
+        "material": _frequency_table("material", op["material"], risks),
+        "operator_number": _frequency_table("operator_number", op["operator_number"], risks),
     }

@@ -1,10 +1,10 @@
 """Design-matrix assembly from merged flowlines, splitting, and scaling.
 
-Numeric columns come straight from the operational attributes plus the
-derived line age and the three geometry measurements; nominal attributes
-expand through one-hot encoding. The spill root cause is never a
-predictor: it only exists for positive rows, so admitting it would leak
-the label.
+Numeric columns come straight from the operational columns of the merged
+flowlines plus the derived line age and the three geometry measurements;
+nominal attributes expand through one-hot encoding. The spill root cause is
+never a predictor: it only exists for positive rows, so admitting it would
+leak the label.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fileio import write_csv, write_json
-from .geometry import MultiLine, bounding_box, line_count, multiline_length
-from .matcher import MergedFlowline
+from .matcher import MergedFlowlines
 
 log = logging.getLogger(__name__)
 
@@ -124,11 +123,14 @@ class FeatureConfig:
         return list(CATEGORICAL_COLUMNS)
 
 
-def line_age(construction_date: datetime.date, reference_date: datetime.date) -> float:
-    """Age in fractional years, day count over 365.25."""
-    if construction_date > reference_date:
-        raise FutureDate(f"construction date {construction_date} is after {reference_date}")
-    return (reference_date - construction_date).days / 365.25
+def line_age(construction_date, reference_date: datetime.date):
+    """Age in fractional years, day count over 365.25; elementwise over a
+    sequence of construction dates (date objects or ISO text)."""
+    dates = np.asarray(construction_date, dtype="datetime64[D]")
+    days = (np.datetime64(reference_date, "D") - dates).astype(np.int64)
+    if np.any(days < 0):
+        raise FutureDate(f"construction date {np.max(dates)} is after {reference_date}")
+    return days / 365.25
 
 
 class OneHotEncoder:
@@ -172,18 +174,10 @@ def one_hot(table: dict[str, list[str]], columns: list[str]) -> tuple[np.ndarray
     return OneHotEncoder().fit(table, columns).transform(table)
 
 
-def geometry_features(g: MultiLine, count_segments: bool = False) -> tuple[float, int, float]:
-    """(total length m, member count, bounding box area m2)."""
-    return (
-        multiline_length(g),
-        line_count(g, count_segments=count_segments),
-        bounding_box(g).area(),
-    )
-
-
-def assemble(merged: list[MergedFlowline], config: FeatureConfig | None = None) -> Dataset:
-    """Numeric design matrix plus binary risk target from merged flowlines."""
-    if not merged:
+def assemble(merged: MergedFlowlines, risk: np.ndarray, config: FeatureConfig | None = None) -> Dataset:
+    """Numeric design matrix from merged flowlines, and their risk labels as
+    the binary target."""
+    if not len(merged):
         raise EmptyInput("no merged flowlines to featurize")
     cfg = config or FeatureConfig()
 
@@ -195,28 +189,22 @@ def assemble(merged: list[MergedFlowline], config: FeatureConfig | None = None) 
             list(ID_LIKE_COLUMNS),
         )
 
-    numeric = np.empty((len(merged), len(NUMERIC_COLUMNS)))
-    for i, m in enumerate(merged):
-        op = m.operational
-        geom_len, n_lines, box_area = geometry_features(m.geometry, cfg.count_segments)
-        numeric[i] = (
-            op.diameter_inches,
-            op.length_feet,
-            op.max_operating_pressure,
-            line_age(op.construction_date, cfg.reference_date),
-            geom_len,
-            float(n_lines),
-            box_area,
-        )
+    op, geometry = merged.operational, merged.geometry
+    numeric = np.column_stack((
+        np.array(op["diameter_in"], dtype=float),
+        np.array(op["length_ft"], dtype=float),
+        np.array(op["max_op_pressure"], dtype=float),
+        line_age(op["construction_date"], cfg.reference_date),
+        geometry.lengths(),
+        geometry.line_counts(cfg.count_segments).astype(float),
+        geometry.bbox_areas(),
+    ))
     metas = [ColumnMeta(name, "numeric") for name in NUMERIC_COLUMNS]
 
-    table = {column: [getattr(m.operational, column) for m in merged] for column in encoded}
-    hot, hot_metas = one_hot(table, encoded)
+    hot, hot_metas = one_hot({column: op[column] for column in encoded}, encoded)
     X = np.hstack([numeric, hot])
     metas.extend(hot_metas)
-
-    y = np.array([m.risk for m in merged], dtype=int)
-    return Dataset(X, y, metas, [m.flowline_id for m in merged])
+    return Dataset(X, np.asarray(risk, dtype=int), metas, list(op["row_id"]))
 
 
 def stratified_split(ds: Dataset, train_fraction: float = 0.7, seed: int = 0) -> SplitPair:

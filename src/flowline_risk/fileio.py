@@ -2,7 +2,7 @@
 leave a file half done.
 
 JSON artifacts are one line with sorted keys and no padding, which the C
-encoder writes one top-level list item at a time; CSV artifacts use the csv
+encoder writes one second-level value at a time; CSV artifacts use the csv
 module's defaults.
 """
 
@@ -68,9 +68,10 @@ def write_json(path, obj) -> None:
     """Write obj as one line of JSON with sorted keys and a trailing newline.
 
     The document is written piece by piece, each item of a top-level list
-    such as merged.json's records on its own, so it never sits in memory
-    as one string next to its encoded copy; for merged.json that pair
-    would set the merge stage's peak.
+    and each value of a top-level object's objects, such as merged.json's
+    columns, on its own, so it never sits in memory as one string next to
+    its encoded copy; for merged.json that pair would set the merge stage's
+    peak.
     """
     with open_atomic(path) as fh:
         fh.writelines(_json_pieces(obj, 2))

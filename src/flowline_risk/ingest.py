@@ -2,8 +2,9 @@
 
 Parsing is total: every input row becomes either a typed record or a
 row-level diagnostic, never a silent drop. Descriptive geometry travels as
-GeoJSON MultiLineString features, the operational and spill datasets as
-headed CSV.
+GeoJSON MultiLineString features and parses into columns with one flat
+MultiLineArray; the operational and spill datasets are headed CSV and parse
+into one record per row.
 """
 
 from __future__ import annotations
@@ -12,11 +13,12 @@ import csv
 import datetime
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 
 from .crs import GeoPoint, ProjectionParams, ZONE_HALF_WIDTH_DEG, project
 from .fileio import read_json, write_csv
-from .geometry import MultiLine, Point2D, PolyLine
+from .geometry import MultiLineArray
 
 log = logging.getLogger(__name__)
 
@@ -60,7 +62,7 @@ class Diagnostic:
 
 @dataclass
 class ParseResult:
-    records: list
+    records: list | DescriptiveFlowlines
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
     @property
@@ -73,10 +75,16 @@ class ParseResult:
 
 
 @dataclass(frozen=True)
-class DescriptiveFlowline:
-    source_row_id: str
-    operator_name: str
-    geometry: MultiLine
+class DescriptiveFlowlines:
+    """The accepted descriptive features as columns: feature i has row id
+    row_ids[i], operator operator_names[i] and geometry i of geometry."""
+
+    row_ids: list[str]
+    operator_names: list[str]
+    geometry: MultiLineArray
+
+    def __len__(self) -> int:
+        return len(self.row_ids)
 
 
 @dataclass(frozen=True)
@@ -192,7 +200,8 @@ def parse_descriptive(
     geographic: bool = False,
     params: ProjectionParams = ProjectionParams(),
 ) -> ParseResult:
-    """Read a GeoJSON FeatureCollection of MultiLineString flowlines.
+    """Read a GeoJSON FeatureCollection of MultiLineString flowlines; the
+    result's records are one DescriptiveFlowlines.
 
     With geographic=True the coordinates are (lon, lat) pairs and are
     projected on load; otherwise they are already metric (x, y).
@@ -208,17 +217,25 @@ def parse_descriptive(
         raise SchemaViolation(0, "expected a GeoJSON FeatureCollection")
 
     fname = str(path)
-    records: list[DescriptiveFlowline] = []
+    row_ids: list[str] = []
+    operators: list[str] = []
+    geometries: list[list] = []
     diagnostics: list[Diagnostic] = []
     for i, feature in enumerate(doc["features"]):
         try:
-            records.append(_parse_feature(feature, i, geographic, params))
+            row_id, operator, members = _parse_feature(feature, i, geographic, params)
         except SchemaViolation as exc:
             diagnostics.append(Diagnostic(fname, i, exc.reason))
-    return ParseResult(records, diagnostics)
+            continue
+        row_ids.append(row_id)
+        operators.append(operator)
+        geometries.append(members)
+    table = DescriptiveFlowlines(row_ids, operators, MultiLineArray.from_coordinates(geometries))
+    return ParseResult(table, diagnostics)
 
 
-def _parse_feature(feature, i, geographic, params) -> DescriptiveFlowline:
+def _parse_feature(feature, i, geographic, params) -> tuple[str, str, list]:
+    """(row id, operator, members as lists of projected (x, y) pairs)."""
     if feature.get("type") != "Feature":
         raise SchemaViolation(i, "not a Feature")
     geom = feature.get("geometry") or {}
@@ -241,13 +258,18 @@ def _parse_feature(feature, i, geographic, params) -> DescriptiveFlowline:
             except (TypeError, ValueError, IndexError):
                 raise SchemaViolation(i, f"bad coordinate {coord!r}")
             if geographic:
-                points.append(project(GeoPoint(cy, cx), params))
-            else:
-                points.append(Point2D(cx, cy))
-        members.append(PolyLine(tuple(points)))
+                try:
+                    p = project(GeoPoint(cy, cx), params)
+                except ValueError as exc:  # out of range, or OutOfZone
+                    raise SchemaViolation(i, f"coordinate {coord!r}: {exc}")
+                cx, cy = p.x, p.y
+            if not (math.isfinite(cx) and math.isfinite(cy)):
+                raise SchemaViolation(i, f"non-finite coordinate {coord!r}")
+            points.append((cx, cy))
+        members.append(points)
     if not members:
         raise SchemaViolation(i, "empty MultiLineString")
-    return DescriptiveFlowline(row_id, operator, MultiLine(tuple(members)))
+    return row_id, operator, members
 
 
 def _read_csv(path, expected_header: list[str]):
@@ -287,6 +309,8 @@ def _parse_number(raw: str, field_name: str, row: int, minimum: float, strict: b
         value = float(raw)
     except ValueError:
         raise SchemaViolation(row, f"bad {field_name} {raw!r}")
+    if not math.isfinite(value):
+        raise SchemaViolation(row, f"{field_name} must be finite, got {raw}")
     if not (value > minimum if strict else value >= minimum):
         op = ">" if strict else ">="
         raise SchemaViolation(row, f"{field_name} must be {op} {minimum}, got {raw}")

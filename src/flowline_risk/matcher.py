@@ -13,15 +13,16 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
 from .crs import ProjectionParams, project
 from .fileio import write_csv
-from .geometry import MultiLine, PolyLine
-from .ingest import DescriptiveFlowline, OperationalFlowline, SpillRecord, normalize_operator
-from .spatial_index import SpatialIndex, expand_ranges
+from .geometry import MultiLineArray, PolyLine, expand_ranges
+from .ingest import DescriptiveFlowlines, OperationalFlowline, SpillRecord, normalize_operator
+from .spatial_index import SpatialIndex
 
 DEFAULT_LADDER_STEPS = (0.0, 1.0, 2.0, 5.0, 10.0, 15.0, 20.0, 25.0)
 
@@ -61,21 +62,56 @@ class ToleranceLadder:
         return ToleranceLadder(tuple(float(tok) for tok in text.split(",") if tok.strip()))
 
 
+# Merged columns of the OperationalFlowline fields stored under another name
+_RENAMED_COLUMNS = {
+    "source_row_id": "row_id",
+    "diameter_inches": "diameter_in",
+    "length_feet": "length_ft",
+    "max_operating_pressure": "max_op_pressure",
+}
+
+
+def operational_columns(records: list[OperationalFlowline]) -> dict[str, list]:
+    """The records' fields as JSON-ready columns: dates as ISO text, the
+    start and end points as [latitude, longitude]."""
+    columns = {_RENAMED_COLUMNS.get(f.name, f.name): list(map(attrgetter(f.name), records))
+               for f in fields(OperationalFlowline)}
+    columns["construction_date"] = [d.isoformat() for d in columns["construction_date"]]
+    for end in ("start", "end"):
+        columns[end] = [[p.latitude, p.longitude] for p in columns[end]]
+    return columns
+
+
 @dataclass(frozen=True)
-class MergedFlowline:
-    """Operational attributes bound to descriptive geometry.
+class MergedFlowlines:
+    """Operational attributes bound to descriptive geometry, as columns.
 
-    How the record was matched is in its AuditRecord only. The descriptive
-    operator normalizes to the operational one, or the record would not
-    have bound."""
+    Row i is the operational record whose fields are operational[c][i]
+    (the columns of operational_columns) bound to geometry i. How it was
+    matched is in its AuditRecord only. The descriptive operator normalizes
+    to the operational one, or the record would not have bound."""
 
-    operational: OperationalFlowline
-    geometry: MultiLine
-    risk: int = 0
+    operational: dict[str, list]
+    geometry: MultiLineArray
 
-    @property
-    def flowline_id(self) -> str:
-        return self.operational.source_row_id
+    def __post_init__(self):
+        for name, values in self.operational.items():
+            if not isinstance(values, list) or len(values) != len(self.geometry):
+                raise ValueError(f"operational column {name!r} does not have one value per "
+                                 f"geometry ({len(self.geometry)})")
+
+    def __len__(self) -> int:
+        return len(self.geometry)
+
+    def to_json(self) -> dict:
+        """The columns and the geometry as merged.json stores them."""
+        return {"operational": self.operational, "geometry": self.geometry.to_json()}
+
+    @classmethod
+    def from_json(cls, doc) -> "MergedFlowlines":
+        """The value to_json wrote; raises ValueError or TypeError when its
+        columns and geometry offsets do not fit together."""
+        return cls(doc["operational"], MultiLineArray.from_json(doc["geometry"]))
 
 
 @dataclass(frozen=True)
@@ -113,40 +149,6 @@ def interpolate_line(
             f"record {rec.source_row_id}: projected endpoints coincide within 1e-6 m"
         )
     return PolyLine((start, end))
-
-
-def _segments(geometries: list[MultiLine], endpoints_only: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Every segment of each geometry as flat (ax, ay, bx, by) rows, and the
-    first row of each geometry (n + 1 offsets).
-
-    With endpoints_only, each point of the geometry's endpoint set is a
-    zero-length segment, which measures as the distance to that point.
-    """
-    flat, first = [], [0]
-    for g in geometries:
-        for line in g.lines:
-            v = line.vertices
-            if endpoints_only:
-                a, b = v[0], v[-1]
-                flat.extend((a.x, a.y, a.x, a.y, b.x, b.y, b.x, b.y))
-            else:
-                for a, b in zip(v, v[1:]):
-                    flat.extend((a.x, a.y, b.x, b.y))
-        first.append(len(flat) // 4)
-    return np.array(flat, dtype=np.float64).reshape(-1, 4), np.array(first, dtype=np.int64)
-
-
-def _bounding_boxes(segments: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """Each geometry's bounding box, the hull of its segments' ends."""
-    if len(first) == 1:
-        return np.zeros((0, 4))
-    starts = first[:-1]
-    return np.column_stack([
-        np.minimum.reduceat(np.minimum(segments[:, 0], segments[:, 2]), starts),
-        np.minimum.reduceat(np.minimum(segments[:, 1], segments[:, 3]), starts),
-        np.maximum.reduceat(np.maximum(segments[:, 0], segments[:, 2]), starts),
-        np.maximum.reduceat(np.maximum(segments[:, 1], segments[:, 3]), starts),
-    ])
 
 
 def segment_distances(px: np.ndarray, py: np.ndarray, segments: np.ndarray, first: np.ndarray,
@@ -211,11 +213,11 @@ def _operator_codes(names, codes: dict) -> np.ndarray:
 
 def match_flowlines(
     operational: list[OperationalFlowline],
-    descriptive: list[DescriptiveFlowline],
+    descriptive: DescriptiveFlowlines,
     ladder: ToleranceLadder = ToleranceLadder(),
     params: ProjectionParams = ProjectionParams(),
     whole_geometry: bool = False,
-) -> tuple[list[MergedFlowline], list[str], list[AuditRecord]]:
+) -> tuple[MergedFlowlines, list[str], list[AuditRecord]]:
     """Merge operational attributes onto descriptive geometry.
 
     A descriptive line is a candidate at step t when it has a point within
@@ -227,18 +229,18 @@ def match_flowlines(
     d_end wins, ties to the smaller descriptive row id, then to the earlier
     descriptive file position (row ids need not be unique).
 
-    Returns (merged records in input order, unmatched operational ids,
+    Returns (merged flowlines in input order, unmatched operational ids,
     audit trail counting candidates of any operator at the bound step).
     """
-    segments, first = _segments([d.geometry for d in descriptive], endpoints_only=not whole_geometry)
+    segments, first = descriptive.geometry.segments(endpoints_only=not whole_geometry)
     if whole_geometry:
-        index, owner = SpatialIndex.build(_bounding_boxes(segments, first)), None
+        index, owner = SpatialIndex.build(descriptive.geometry.bounding_boxes()), None
     else:
         # An endpoint's index box is its zero-length segment.
         index, owner = SpatialIndex.build(segments), np.repeat(np.arange(len(descriptive)), np.diff(first))
     codes: dict = {}
-    desc_ops = _operator_codes((d.operator_name for d in descriptive), codes)
-    row_ranks = _ranks([d.source_row_id for d in descriptive])
+    desc_ops = _operator_codes(descriptive.operator_names, codes)
+    row_ranks = _ranks(descriptive.row_ids)
     steps = ladder.steps
 
     lines, ends = [], []  # records whose projected endpoints stay apart
@@ -271,7 +273,6 @@ def match_flowlines(
         hit[b], k_bind[b], d_start[b], d_end[b] = i[best], k[best], ds[best], de[best]
         n_candidates += np.bincount(r[k <= k_bind[r]], minlength=len(operational))
 
-    merged: list[MergedFlowline] = []
     unmatched: list[str] = []
     audit: list[AuditRecord] = []
     for rec, i, k, count, ds, de in zip(operational, hit.tolist(), k_bind.tolist(), n_candidates.tolist(),
@@ -280,14 +281,16 @@ def match_flowlines(
             unmatched.append(rec.source_row_id)
             audit.append(AuditRecord(rec.source_row_id, ladder.maximum, count, None, math.nan, math.nan))
         else:
-            merged.append(MergedFlowline(rec, descriptive[i].geometry))
-            audit.append(AuditRecord(rec.source_row_id, steps[k], count, descriptive[i].source_row_id, ds, de))
+            audit.append(AuditRecord(rec.source_row_id, steps[k], count, descriptive.row_ids[i], ds, de))
+    bound = np.flatnonzero(hit >= 0)
+    merged = MergedFlowlines(operational_columns([operational[n] for n in bound.tolist()]),
+                             descriptive.geometry.take(hit[bound]))
     return merged, unmatched, audit
 
 
 def match_spills(
     spills: list[SpillRecord],
-    merged: list[MergedFlowline],
+    merged: MergedFlowlines,
     ladder: ToleranceLadder = ToleranceLadder(),
     params: ProjectionParams = ProjectionParams(),
 ) -> list[SpillAttribution]:
@@ -299,11 +302,12 @@ def match_spills(
     used is the first ladder step at or above its distance. Nothing within
     the ladder maximum means the spill stays unattributed.
     """
-    segments, first = _segments([m.geometry for m in merged])
-    index = SpatialIndex.build(_bounding_boxes(segments, first))
+    segments, first = merged.geometry.segments()
+    index = SpatialIndex.build(merged.geometry.bounding_boxes())
     codes: dict = {}
-    merged_ops = _operator_codes((m.operational.operator_name for m in merged), codes)
-    id_ranks = _ranks([m.flowline_id for m in merged])
+    merged_ops = _operator_codes(merged.operational["operator_name"], codes)
+    flowline_ids = merged.operational["row_id"]
+    id_ranks = _ranks(flowline_ids)
 
     points = [project(s.location, params) for s in spills]
     px = np.array([p.x for p in points], dtype=np.float64)
@@ -325,15 +329,15 @@ def match_spills(
         if k == len(ladder.steps):
             attributions.append(SpillAttribution(spill.spill_id, None, math.nan, ladder.maximum))
         else:
-            attributions.append(SpillAttribution(spill.spill_id, merged[i].flowline_id, d, ladder.steps[k]))
+            attributions.append(SpillAttribution(spill.spill_id, flowline_ids[i], d, ladder.steps[k]))
     return attributions
 
 
-def assign_risk(
-    merged: list[MergedFlowline], attributions: list[SpillAttribution]
-) -> list[MergedFlowline]:
-    """Risk 1 for every flowline named by at least one attribution, else 0."""
-    known = {m.flowline_id for m in merged}
+def assign_risk(merged: MergedFlowlines, attributions: list[SpillAttribution]) -> np.ndarray:
+    """Each merged flowline's risk label: 1 when at least one attribution
+    names it, else 0."""
+    flowline_ids = merged.operational["row_id"]
+    known = set(flowline_ids)
     hit_ids = set()
     for a in attributions:
         if a.matched_flowline_id is None:
@@ -341,7 +345,19 @@ def assign_risk(
         if a.matched_flowline_id not in known:
             raise DanglingReference(a.matched_flowline_id)
         hit_ids.add(a.matched_flowline_id)
-    return [replace(m, risk=1 if m.flowline_id in hit_ids else 0) for m in merged]
+    return np.array([fid in hit_ids for fid in flowline_ids], dtype=np.int64)
+
+
+def write_attributions(path, attributions: list[SpillAttribution]) -> None:
+    write_csv(path, ["spill_id", "matched_flowline_id", "distance", "tolerance_used"], (
+        [
+            a.spill_id,
+            a.matched_flowline_id or "",
+            "" if a.matched_flowline_id is None else f"{a.distance:.6f}",
+            f"{a.tolerance_used:g}",
+        ]
+        for a in attributions
+    ))
 
 
 def write_audit_log(path, audit: list[AuditRecord]) -> None:

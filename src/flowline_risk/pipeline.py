@@ -9,19 +9,17 @@ artifact mixes loud instead of silently wrong.
 from __future__ import annotations
 
 import csv
-import datetime
 import hashlib
 import json
 import logging
 import time
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .config import ConfigError, RunConfig
-from .crs import GeoPoint
 from .evaluation import (
     NO_STRUCTURE_SILHOUETTE,
     REPORT_ORDER,
@@ -40,21 +38,20 @@ from .features import (
     standardize,
     stratified_split,
 )
-from .fileio import read_json, write_csv, write_json
-from .geometry import MultiLine, Point2D, PolyLine
+from .fileio import read_json, write_json
 from .ingest import (
-    OperationalFlowline,
     parse_descriptive,
     parse_operational,
     parse_spills,
     write_diagnostics,
 )
 from .matcher import (
-    MergedFlowline,
+    MergedFlowlines,
     SpillAttribution,
     assign_risk,
     match_flowlines,
     match_spills,
+    write_attributions,
     write_audit_log,
 )
 from .ml import (
@@ -93,6 +90,11 @@ class StaleArtifact(KeyError):
 
     def __str__(self) -> str:
         return self.args[0]
+
+
+class InconsistentArtifact(ValueError):
+    """A JSON artifact has every key its reader needs, but their values
+    contradict each other."""
 
 
 class ArtifactObject(dict):
@@ -200,60 +202,6 @@ def run_id_for(cfg: RunConfig) -> str:
 
 
 # ---------------------------------------------------------------------------
-# serialization of merged flowlines
-
-
-def _geometry_to_coords(g: MultiLine) -> list:
-    return [[[p.x, p.y] for p in member.vertices] for member in g.lines]
-
-
-def _geometry_from_coords(coords) -> MultiLine:
-    return MultiLine(tuple(
-        PolyLine(tuple(Point2D(float(x), float(y)) for x, y in member))
-        for member in coords
-    ))
-
-
-# merged.json keys of the OperationalFlowline fields stored under another name
-_RENAMED_KEYS = {
-    "source_row_id": "row_id",
-    "diameter_inches": "diameter_in",
-    "length_feet": "length_ft",
-    "max_operating_pressure": "max_op_pressure",
-}
-
-
-def _operational_to_dict(op: OperationalFlowline) -> dict:
-    d = {_RENAMED_KEYS.get(f.name, f.name): getattr(op, f.name) for f in fields(op)}
-    d["construction_date"] = op.construction_date.isoformat()
-    d["start"] = [op.start.latitude, op.start.longitude]
-    d["end"] = [op.end.latitude, op.end.longitude]
-    return d
-
-
-def _operational_from_dict(d: dict) -> OperationalFlowline:
-    values = {f.name: d[_RENAMED_KEYS.get(f.name, f.name)] for f in fields(OperationalFlowline)}
-    values["construction_date"] = datetime.date.fromisoformat(d["construction_date"])
-    values["start"] = GeoPoint(*d["start"])
-    values["end"] = GeoPoint(*d["end"])
-    return OperationalFlowline(**values)
-
-
-def merged_to_dict(m: MergedFlowline) -> dict:
-    return {
-        "operational": _operational_to_dict(m.operational),
-        "geometry": _geometry_to_coords(m.geometry),
-    }
-
-
-def merged_from_dict(d: dict) -> MergedFlowline:
-    return MergedFlowline(
-        operational=_operational_from_dict(d["operational"]),
-        geometry=_geometry_from_coords(d["geometry"]),
-    )
-
-
-# ---------------------------------------------------------------------------
 # stages
 
 
@@ -311,7 +259,7 @@ def stage_merge(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
     }
 
     merged_path = paths.artifacts / "merged.json"
-    write_json(merged_path, {"records": [merged_to_dict(m) for m in merged], "stats": stats})
+    write_json(merged_path, {**merged.to_json(), "stats": stats})
     audit_path = paths.artifacts / "merge_audit.csv"
     write_audit_log(audit_path, audit)
 
@@ -323,8 +271,7 @@ def stage_merge(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
 
 def stage_attribute(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
     params = cfg.projection_params()
-    merged_doc = manifest.read_json("merged")
-    merged = [merged_from_dict(d) for d in merged_doc["records"]]
+    merged = load_merged(manifest)[0]
 
     _, _, spills_path = _input_paths(cfg, paths, manifest)
     spills = parse_spills(spills_path, params=params, reference_date=cfg.resolve_reference_date())
@@ -334,20 +281,12 @@ def stage_attribute(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict
     attributions = match_spills(spills.records, merged, cfg.tolerance_ladder(), params)
 
     attr_path = paths.artifacts / "attributions.csv"
-    write_csv(attr_path, ["spill_id", "matched_flowline_id", "distance", "tolerance_used"], (
-        [
-            a.spill_id,
-            a.matched_flowline_id or "",
-            "" if a.matched_flowline_id is None else f"{a.distance:.6f}",
-            f"{a.tolerance_used:g}",
-        ]
-        for a in attributions
-    ))
+    write_attributions(attr_path, attributions)
 
     manifest.record("attributions", attr_path, "attribute")
     manifest.record("spill_diagnostics", diag_path, "attribute")
     return attribute_stats(attributions, spills.rejected,
-                            sum(m.risk for m in assign_risk(merged, attributions)))
+                            int(assign_risk(merged, attributions).sum()))
 
 
 def attribute_stats(attributions: list[SpillAttribution], rejected: int, high_risk: int) -> dict:
@@ -373,18 +312,33 @@ def featurize_stats(rows: int, columns: int, positives: int) -> dict:
     }
 
 
-def load_labeled(manifest: Manifest) -> tuple[list[MergedFlowline], list[SpillAttribution], dict]:
-    """Merged flowlines with their risk label, the spill attributions that
+def load_merged(manifest: Manifest) -> tuple[MergedFlowlines, dict]:
+    """The merge stage's flowlines and its whole merged.json document.
+
+    A column or geometry offset that does not fit the rest raises
+    InconsistentArtifact naming the artifact and the stage that writes it.
+    """
+    doc = manifest.read_json("merged")
+    try:
+        merged = MergedFlowlines.from_json(doc)
+    except (ValueError, TypeError) as exc:
+        raise InconsistentArtifact(
+            f"artifact 'merged' is inconsistent ({exc}); "
+            f"rerun stage {manifest.entries['merged']['stage']!r} and the stages after it") from exc
+    return merged, doc
+
+
+def load_labeled(manifest: Manifest) -> tuple[MergedFlowlines, np.ndarray, list[SpillAttribution], dict]:
+    """Merged flowlines, their risk labels, the spill attributions that
     label them, and the merge stage's stats."""
-    merged_doc = manifest.read_json("merged")
+    merged, doc = load_merged(manifest)
     with open(manifest.require("attributions"), newline="", encoding="utf-8") as fh:
         attributions = [
             SpillAttribution(row["spill_id"], row["matched_flowline_id"] or None,
                              float(row["distance"] or "nan"), float(row["tolerance_used"]))
             for row in csv.DictReader(fh)
         ]
-    merged = [merged_from_dict(d) for d in merged_doc["records"]]
-    return assign_risk(merged, attributions), attributions, merged_doc["stats"]
+    return merged, assign_risk(merged, attributions), attributions, doc["stats"]
 
 
 def _feature_config(cfg: RunConfig) -> FeatureConfig:
@@ -396,7 +350,8 @@ def _feature_config(cfg: RunConfig) -> FeatureConfig:
 
 
 def stage_featurize(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
-    ds = assemble(load_labeled(manifest)[0], _feature_config(cfg))
+    merged, risk, _, _ = load_labeled(manifest)
+    ds = assemble(merged, risk, _feature_config(cfg))
 
     csv_path = paths.artifacts / "features.csv"
     meta_path = paths.artifacts / "features.meta.json"

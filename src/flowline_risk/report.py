@@ -10,10 +10,13 @@ import csv
 import datetime
 import json
 
+import numpy as np
+
 from . import figures
 from .config import RunConfig
 from .evaluation import eda_summaries
 from .fileio import write_csv, write_json
+from .matcher import MergedFlowlines
 from .pipeline import (
     Manifest,
     RunPaths,
@@ -191,16 +194,21 @@ def append_run_log(paths: RunPaths, stage: str, stats: dict, elapsed_s: float) -
         fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
 
+def risk_map_payload(merged: MergedFlowlines, risk: np.ndarray) -> list[dict]:
+    """figures.render_risk_map's input: each line's risk and member vertices."""
+    return [{"risk": r, "lines": lines} for r, lines in zip(risk.tolist(), merged.geometry.coordinates())]
+
+
 def stage_report(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
-    labeled, attributions, merge_stats = load_labeled(manifest)
-    match_stats = _match_stats(manifest, attributions, merge_stats, sum(m.risk for m in labeled))
+    merged, risk, attributions, merge_stats = load_labeled(manifest)
+    match_stats = _match_stats(manifest, attributions, merge_stats, int(risk.sum()))
     metrics = manifest.read_json("metrics")
     clustering = manifest.read_json("clustering")
     timings = _read_timings(paths)
 
     eda = {
         name: table.to_dict()
-        for name, table in eda_summaries(labeled, cfg.resolve_reference_date()).items()
+        for name, table in eda_summaries(merged, risk, cfg.resolve_reference_date()).items()
     }
 
     figure_specs = [
@@ -233,11 +241,7 @@ def stage_report(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
     validate_report(report)
 
     # figures
-    map_payload = [
-        {"risk": m.risk, "lines": [[[p.x, p.y] for p in mem.vertices] for mem in m.geometry.lines]}
-        for m in labeled
-    ]
-    figures.render_risk_map(map_payload, paths.figures / "risk_map.svg")
+    figures.render_risk_map(risk_map_payload(merged, risk), paths.figures / "risk_map.svg")
     figures.render_bar_chart(eda["line_age"], "Risk by line age (years)",
                              paths.figures / "risk_by_line_age.svg")
     figures.render_bar_chart(eda["diameter"], "Risk by diameter (inches)",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BoundingBox, Point2D
+from .geometry import BoundingBox, Point2D, expand_ranges
 
 DEFAULT_FANOUT = 16
 
@@ -49,14 +49,6 @@ def _str_order(boxes: np.ndarray, fanout: int) -> np.ndarray:
     by_x = np.lexsort((cy, cx))
     slab = np.arange(n) // (n_slabs * fanout)
     return by_x[np.lexsort((cx[by_x], cy[by_x], slab))]
-
-
-def expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(owner, row) for every row of every range [lo[i], hi[i]), in order."""
-    counts = hi - lo
-    owner = np.repeat(np.arange(len(lo)), counts)
-    rows = np.arange(len(owner)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    return owner, rows
 
 
 class SpatialIndex:

@@ -1,10 +1,11 @@
 import datetime
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import pytest
 
-from flowline_risk.ingest import parse_descriptive, parse_operational, parse_spills
+from flowline_risk.ingest import DescriptiveFlowlines, parse_descriptive, parse_operational, parse_spills
 from flowline_risk.synth import REFERENCE_DATE, config_a, config_b, generate
 
 SYNTH_SEED = 42
@@ -13,13 +14,20 @@ SYNTH_SEED = 42
 @dataclass
 class SynthRun:
     result: object
-    descriptive: list
+    descriptive: DescriptiveFlowlines
     operational: list
     spills: list
 
     @property
     def truth(self):
         return self.result.ground_truth
+
+    @cached_property
+    def descriptive_records(self) -> list:
+        """The descriptive flowlines as scalar DescriptiveFlowline records."""
+        from merged_oracle import descriptive_records
+
+        return descriptive_records(self.descriptive)
 
 
 def _materialize(cfg, out_dir) -> SynthRun:

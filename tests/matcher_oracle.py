@@ -22,16 +22,17 @@ from flowline_risk.geometry import (
     endpoint_set,
     point_to_multiline_distance,
 )
-from flowline_risk.ingest import DescriptiveFlowline, OperationalFlowline, SpillRecord, normalize_operator
+from flowline_risk.ingest import OperationalFlowline, SpillRecord, normalize_operator
 from flowline_risk.matcher import (
     AuditRecord,
     DegenerateLine,
-    MergedFlowline,
     SpillAttribution,
     ToleranceLadder,
     interpolate_line,
 )
 from flowline_risk.spatial_index import IndexEntry, SpatialIndex
+
+from merged_oracle import DescriptiveFlowline, MergedFlowline
 
 
 def _endpoint_index(descriptive: list[DescriptiveFlowline]) -> SpatialIndex:

@@ -114,10 +114,9 @@ def test_criterion_03_spill_attribution(tmp_path, capsys):
     rate = correct / len(attributions)
 
     # spills beyond 25 m of every line: far corner of the generated area
-    some_line = merged[0]
-    v = some_line.geometry.lines[0].vertices[0]
-    far_geo = unproject(Point2D(v.x - 50_000.0, v.y - 50_000.0))
-    far = [SpillRecord("FAR1", merged[0].operational.operator_name, far_geo, "UNKNOWN", REFERENCE_DATE)]
+    x, y = merged.geometry.xy[0].tolist()  # the first vertex of the first line
+    far_geo = unproject(Point2D(x - 50_000.0, y - 50_000.0))
+    far = [SpillRecord("FAR1", merged.operational["operator_name"][0], far_geo, "UNKNOWN", REFERENCE_DATE)]
     far_att = match_spills(far, merged)
     far_unmatched = far_att[0].matched_flowline_id is None
 

@@ -28,10 +28,11 @@ from flowline_risk.features import (
     stratified_split,
 )
 from flowline_risk.ingest import parse_descriptive, parse_operational, parse_spills
-from flowline_risk.matcher import assign_risk, match_flowlines, match_spills
+from flowline_risk.matcher import MergedFlowlines, assign_risk, match_flowlines, match_spills
 from flowline_risk.ml import KNNClassifier, fit_kmeans, schema_hash
-from flowline_risk.pipeline import _pca_by_config, merged_from_dict, merged_to_dict
+from flowline_risk.pipeline import _pca_by_config
 
+from merged_oracle import merged_records, merged_to_dict
 from test_acceptance import _rerun_comparable_files
 from test_workers import child_pids, on_cpus
 
@@ -383,7 +384,7 @@ class TestStageChaining:
 
         merged = out / "artifacts" / "merged.json"
         doc = json.loads(merged.read_text())
-        doc["records"] = doc["records"][:10]
+        doc["geometry"]["geoms"] = doc["geometry"]["geoms"][:11]
         merged.write_text(json.dumps(doc))
 
         code = main(["attribute", "--config", str(cfg), "--out", str(out)])
@@ -393,6 +394,8 @@ class TestStageChaining:
         ("merged", "merged.json", "stats", "merge", ("featurize", "report")),
         ("merged", "merged.json", "geometry", "merge", ("attribute", "featurize", "report")),
         ("features_meta", "features.meta.json", "columns", "featurize", ("train", "evaluate", "report")),
+        # merged.json as one dict per merged flowline under "records"
+        ("merged", "merged.json", "operational", "merge", ("attribute", "featurize", "report")),
     ])
     def test_artifact_in_another_layout_names_the_stage_to_rerun(self, finished_run, tmp_path, capsys,
                                                                   artifact, path, drop, writer, stages):
@@ -403,8 +406,9 @@ class TestStageChaining:
         shutil.copytree(finished, out)
         path = out / "artifacts" / path
         doc = json.loads(path.read_text())
-        if drop == "geometry":
-            del doc["records"][3]["geometry"]
+        if drop == "operational":
+            merged = MergedFlowlines.from_json(doc)
+            doc = {"records": [merged_to_dict(m) for m in merged_records(merged)], "stats": doc["stats"]}
         else:
             del doc[drop]
         fileio.write_json(path, doc)
@@ -416,6 +420,46 @@ class TestStageChaining:
             err = capsys.readouterr().err
             assert err == (f"stage {stage} failed: artifact {artifact!r} has no {drop!r}: it was written "
                            f"in another layout; rerun stage {writer!r} and the stages after it\n")
+
+    @pytest.mark.parametrize("edit, problem", [
+        ("short_column", "operational column 'diameter_in' does not have one value per geometry"),
+        ("short_geometry", "operational column 'construction_date' does not have one value per geometry"),
+        ("decreasing_geoms", "geoms offsets must rise by at least 1"),
+        ("parts_past_xy", "parts must run from 0 to"),
+        ("odd_xy", "cannot reshape"),
+    ])
+    def test_inconsistent_merged_json_names_the_stage_to_rerun(self, finished_run, tmp_path, capsys,
+                                                               edit, problem):
+        # merged.json with every key, re-recorded in the manifest, whose
+        # columns and offsets do not fit together: no reader drops a row.
+        cfg, finished = finished_run
+        out = tmp_path / "run"
+        shutil.copytree(finished, out)
+        path = out / "artifacts" / "merged.json"
+        doc = json.loads(path.read_text())
+        geometry = doc["geometry"]
+        if edit == "short_column":
+            doc["operational"]["diameter_in"].pop()
+        elif edit == "short_geometry":  # a whole geometry less, its arrays consistent
+            geometry["geoms"].pop()
+            del geometry["parts"][geometry["geoms"][-1] + 1:]
+            del geometry["xy"][2 * geometry["parts"][-1]:]
+        elif edit == "decreasing_geoms":
+            geometry["geoms"][2] = geometry["geoms"][1] - 1
+        elif edit == "parts_past_xy":
+            geometry["parts"][-1] += 2
+        else:
+            geometry["xy"].pop()
+        fileio.write_json(path, doc)
+        pipeline.Manifest(pipeline.RunPaths(out)).record("merged", path, "merge")
+
+        capsys.readouterr()
+        for stage in ("attribute", "featurize", "report"):
+            assert main([stage, "--config", str(cfg), "--out", str(out)]) == EXIT_STAGE
+            err = capsys.readouterr().err
+            assert err.startswith(f"stage {stage} failed: artifact 'merged' is inconsistent ("), err
+            assert problem in err
+            assert err.endswith("rerun stage 'merge' and the stages after it\n")
 
     def test_rejected_spill_rows_land_in_spill_diagnostics(self, finished_run, tmp_path):
         _, finished = finished_run
@@ -499,9 +543,9 @@ class TestEachResultOnce:
         spills = parse_spills(out / "data" / "spills.csv", params=params,
                               reference_date=reference)
         merged, _, _ = match_flowlines(ops.records, desc.records, cfg.tolerance_ladder(), params)
-        labeled = assign_risk(
+        risk = assign_risk(
             merged, match_spills(spills.records, merged, cfg.tolerance_ladder(), params))
-        ds = assemble(labeled, FeatureConfig(drop_id_like=True, reference_date=reference))
+        ds = assemble(merged, risk, FeatureConfig(drop_id_like=True, reference_date=reference))
         assert ds.y.sum() > 0
         save_dataset(ds, tmp_path / "oracle.csv", tmp_path / "oracle.meta.json")
         assert (tmp_path / "oracle.csv").read_bytes() == (artifacts / "features.csv").read_bytes()
@@ -515,8 +559,8 @@ class TestEachResultOnce:
         assert not [k for k in json.loads((artifacts / "manifest.json").read_text())
                     if k.startswith("model_KNN_")]
         assert "models" not in json.loads((artifacts / "training.json").read_text())
-        records = json.loads((artifacts / "merged.json").read_text())["records"]
-        assert records and not [r for r in records if "risk" in r]
+        columns = json.loads((artifacts / "merged.json").read_text())["operational"]
+        assert columns["row_id"] and "risk" not in columns
 
         # The train split standardized and PCA-projected the way stage_train does it.
         cfg = load_config(cfg_path)
@@ -537,18 +581,20 @@ class TestEachResultOnce:
     def test_merged_json_keeps_only_what_later_stages_read(self, finished_run):
         _, out = finished_run
         doc = json.loads((out / "artifacts" / "merged.json").read_text())
-        assert sorted(doc) == ["records", "stats"]
-        assert doc["records"] and {tuple(sorted(r)) for r in doc["records"]} == {
-            ("geometry", "operational")}
+        assert sorted(doc) == ["geometry", "operational", "stats"]
+        assert sorted(doc["geometry"]) == ["geoms", "parts", "xy"]
+        assert {len(values) for values in doc["operational"].values()} == {len(doc["geometry"]["geoms"]) - 1}
         assert sorted(doc["stats"]) == [
             "descriptive_accepted", "descriptive_total", "matched", "matched_by_step",
             "operational_accepted", "operational_total", "rejected_rows", "unmatched"]
 
     def test_merged_record_codec_round_trips(self, synth_a):
         merged, _, _ = match_flowlines(synth_a.operational, synth_a.descriptive)
-        docs = json.loads(json.dumps([merged_to_dict(m) for m in merged]))
-        assert [merged_from_dict(d) for d in docs] == merged
-        assert sorted(docs[0]["operational"]) == sorted([
+        doc = json.loads(json.dumps(merged.to_json()))
+        back = MergedFlowlines.from_json(doc)
+        assert back == merged
+        assert back.geometry.xy.tobytes() == merged.geometry.xy.tobytes()
+        assert sorted(doc["operational"]) == sorted([
             "row_id", "operator_number", "flowline_id", "location_id", "status",
             "flowline_action", "location_type", "fluid_type", "material", "diameter_in",
             "length_ft", "max_op_pressure", "construction_date", "operator_name", "start", "end",

@@ -29,10 +29,10 @@ from flowline_risk.evaluation import (
 )
 from flowline_risk.ml.kmeans import fit_kmeans
 from flowline_risk.geometry import multiline
-from flowline_risk.matcher import MergedFlowline
 
 import silhouette_oracle
 from conftest import make_operational, two_blobs, three_blobs
+from merged_oracle import MergedFlowline, merged_flowlines
 
 REF = datetime.date(2024, 6, 30)
 # Scores of the blocked kernel and the full-matrix oracle sum the same
@@ -298,6 +298,11 @@ def make_merged(fluid, material, diameter, operator_number, construction, risk):
     return MergedFlowline(op, g, risk=risk)
 
 
+def eda_of(rows, reference_date):
+    """eda_summaries of MergedFlowline records, labelled by their risk."""
+    return eda_summaries(merged_flowlines(rows), [m.risk for m in rows], reference_date=reference_date)
+
+
 class TestEdaSummaries:
     def _merged_set(self, n=1000, positives=10):
         date = datetime.date(2010, 1, 1)
@@ -307,7 +312,7 @@ class TestEdaSummaries:
         return rows
 
     def test_overall_imbalance(self):
-        tables = eda_summaries(self._merged_set(), reference_date=REF)
+        tables = eda_of(self._merged_set(), REF)
         overall = {(r[0], r[1]): r[3] for r in tables["overall"].rows}
         assert overall[("all", 0)] == pytest.approx(0.99)
         assert overall[("all", 1)] == pytest.approx(0.01)
@@ -315,17 +320,17 @@ class TestEdaSummaries:
     def test_single_fluid_single_row(self):
         rows = [make_merged("CRUDE_OIL", "STEEL", 8.0, "98216", datetime.date(2010, 1, 1), 0)
                 for _ in range(5)]
-        tables = eda_summaries(rows, reference_date=REF)
+        tables = eda_of(rows, REF)
         assert len(tables["fluid_type"].rows) == 1
 
     def test_proportions_sum_to_one(self):
-        tables = eda_summaries(self._merged_set(), reference_date=REF)
+        tables = eda_of(self._merged_set(), REF)
         for table in tables.values():
             assert sum(r[3] for r in table.rows) == pytest.approx(1.0, abs=1e-12)
 
     def test_cross_tab_marginals_re_sum(self):
         merged = self._merged_set(200, 7)
-        tables = eda_summaries(merged, reference_date=REF)
+        tables = eda_of(merged, REF)
         for name in ("line_age", "diameter", "fluid_type", "material", "operator_number"):
             assert sum(r[2] for r in tables[name].rows) == 200
             positives = sum(r[2] for r in tables[name].rows if r[1] == 1)

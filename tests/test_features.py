@@ -13,7 +13,6 @@ from flowline_risk.features import (
     NUMERIC_COLUMNS,
     OneHotEncoder,
     assemble,
-    geometry_features,
     line_age,
     load_dataset,
     one_hot,
@@ -23,10 +22,11 @@ from flowline_risk.features import (
 )
 from flowline_risk.fileio import read_json
 from flowline_risk.geometry import multiline
-from flowline_risk.matcher import MergedFlowline, assign_risk, match_flowlines, match_spills
+from flowline_risk.matcher import assign_risk, match_flowlines, match_spills
 from flowline_risk.synth import REFERENCE_DATE
 
 from conftest import make_operational
+from merged_oracle import MergedFlowline, geometry_features, merged_flowlines
 
 REF = datetime.date(2020, 1, 1)
 
@@ -100,7 +100,7 @@ class TestGeometryFeatures:
 
     def test_generator_lines_match_module(self, synth_a):
         from flowline_risk.geometry import bbox_area, bounding_box, line_count, multiline_length
-        for rec in synth_a.descriptive[:50]:
+        for rec in synth_a.descriptive_records[:50]:
             length, n, area = geometry_features(rec.geometry)
             assert length == multiline_length(rec.geometry)
             assert n == line_count(rec.geometry)
@@ -111,37 +111,38 @@ class TestAssemble:
     def test_width_arithmetic(self):
         rows = [merged_record("OP1", fluid_type="CRUDE_OIL"),
                 merged_record("OP2", fluid_type="NATURAL_GAS", flowline_id="F2")]
-        ds = assemble(rows, FeatureConfig(reference_date=REF))
+        ds = assemble(merged_flowlines(rows), [0, 0], FeatureConfig(reference_date=REF))
         observed = {c: len({getattr(r.operational, c) for r in rows})
                     for c in CATEGORICAL_COLUMNS}
         assert ds.n_cols == len(NUMERIC_COLUMNS) + sum(observed.values())
 
     def test_drop_id_like(self):
         rows = [merged_record("OP1"), merged_record("OP2", flowline_id="F2")]
-        ds = assemble(rows, FeatureConfig(drop_id_like=True, reference_date=REF))
+        ds = assemble(merged_flowlines(rows), [0, 0], FeatureConfig(drop_id_like=True, reference_date=REF))
         names = ds.column_names()
         assert not any(n.startswith("flowline_id=") or n.startswith("location_id=") for n in names)
 
     def test_root_cause_never_a_predictor(self, synth_a):
         merged, _, _ = match_flowlines(synth_a.operational, synth_a.descriptive)
-        labeled = assign_risk(merged, match_spills(synth_a.spills, merged))
-        ds = assemble(labeled, FeatureConfig(drop_id_like=True, reference_date=REFERENCE_DATE))
+        risk = assign_risk(merged, match_spills(synth_a.spills, merged))
+        ds = assemble(merged, risk, FeatureConfig(drop_id_like=True, reference_date=REFERENCE_DATE))
         assert not any("root_cause" in c.name.lower() for c in ds.column_meta)
         assert np.all(np.isfinite(ds.X))
 
     def test_positive_rate_in_band(self, synth_a):
         merged, _, _ = match_flowlines(synth_a.operational, synth_a.descriptive)
-        labeled = assign_risk(merged, match_spills(synth_a.spills, merged))
-        ds = assemble(labeled, FeatureConfig(drop_id_like=True, reference_date=REFERENCE_DATE))
+        risk = assign_risk(merged, match_spills(synth_a.spills, merged))
+        ds = assemble(merged, risk, FeatureConfig(drop_id_like=True, reference_date=REFERENCE_DATE))
         assert 0.005 <= float(np.mean(ds.y)) <= 0.02
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
-            assemble([], FeatureConfig(reference_date=REF))
+            assemble(merged_flowlines([]), [], FeatureConfig(reference_date=REF))
 
     def test_one_hot_group_sums(self, synth_a):
         merged, _, _ = match_flowlines(synth_a.operational[:200], synth_a.descriptive)
-        ds = assemble(merged, FeatureConfig(drop_id_like=True, reference_date=REFERENCE_DATE))
+        ds = assemble(merged, np.zeros(len(merged)),
+                      FeatureConfig(drop_id_like=True, reference_date=REFERENCE_DATE))
         for source in {c.source for c in ds.column_meta if c.kind == "one-hot"}:
             cols = [i for i, c in enumerate(ds.column_meta) if c.source == source]
             assert np.all(ds.X[:, cols].sum(axis=1) == 1.0)
@@ -240,7 +241,8 @@ class TestStandardize:
 class TestRoundTrip:
     def test_save_load(self, tmp_path, synth_a):
         merged, _, _ = match_flowlines(synth_a.operational[:100], synth_a.descriptive)
-        ds = assemble(merged, FeatureConfig(drop_id_like=True, reference_date=REFERENCE_DATE))
+        ds = assemble(merged, np.zeros(len(merged)),
+                      FeatureConfig(drop_id_like=True, reference_date=REFERENCE_DATE))
         save_dataset(ds, tmp_path / "f.csv", tmp_path / "f.json", seed=7)
         back = load_dataset(tmp_path / "f.csv", read_json(tmp_path / "f.json"))
         assert np.array_equal(back.X, ds.X)

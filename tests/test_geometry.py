@@ -1,11 +1,15 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flowline_risk.geometry import (
     BoundingBox,
     MultiLine,
+    MultiLineArray,
     Point2D,
     PolyLine,
     bbox_area,
@@ -100,7 +104,7 @@ class TestLineCount:
 
     def test_generator_member_count(self, synth_a):
         truth = synth_a.truth
-        for rec in synth_a.descriptive[:50]:
+        for rec in synth_a.descriptive_records[:50]:
             assert line_count(rec.geometry) == truth.member_counts[rec.source_row_id]
 
 
@@ -179,7 +183,7 @@ class TestEndpointSet:
 
     def test_generator_junctions_are_member_endpoints(self, synth_a):
         truth = synth_a.truth
-        for rec in synth_a.descriptive[:50]:
+        for rec in synth_a.descriptive_records[:50]:
             points = endpoint_set(rec.geometry)
             for junction in truth.junctions[rec.source_row_id]:
                 assert any(p.distance_to(junction) == 0.0 for p in points)
@@ -197,3 +201,89 @@ class TestInvariants:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             Point2D(float("nan"), 0.0)
+
+
+# Grid coordinates repeat vertices and make zero-length segments; the float
+# ones, near zero and at projected-northing magnitude, round. Signed zeros
+# tell which of two equal coordinates a minimum or maximum keeps.
+ARRAY_COORD = st.one_of(st.integers(-3, 3).map(float), st.sampled_from((0.0, -0.0)),
+                        st.floats(-1e3, 1e3), st.floats(4.3e6, 4.3e6 + 50.0))
+ARRAY_GEOMETRY = st.lists(st.lists(st.tuples(ARRAY_COORD, ARRAY_COORD), min_size=2, max_size=6),
+                          min_size=1, max_size=5).map(lambda chains: multiline(*chains))
+
+
+def coordinates(g: MultiLine) -> list:
+    return [[(p.x, p.y) for p in line.vertices] for line in g.lines]
+
+
+def hexes(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+class TestMultiLineArray:
+    """The flat geometry value against the scalar functions, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(ARRAY_GEOMETRY, max_size=6))
+    # Summed per member the first length is 0.6; one sum over all three
+    # segments gives 0.6000000000000001. Of tied signed zeros, min() and
+    # max() keep the first.
+    @example([multiline([(0.0, 0.0), (0.1, 0.0)], [(0.0, 1.0), (0.2, 1.0), (0.5, 1.0)])])
+    @example([multiline([(0.0, -0.0), (-0.0, 0.0)], [(-0.0, 1.0), (0.0, -1.0)])])
+    def test_measurements_equal_the_scalar_reference(self, geometries):
+        arr = MultiLineArray.from_coordinates(coordinates(g) for g in geometries)
+        assert len(arr) == len(geometries)
+        assert hexes(arr.lengths()) == hexes(multiline_length(g) for g in geometries)
+        for count_segments in (False, True):
+            assert arr.line_counts(count_segments).tolist() == [
+                line_count(g, count_segments=count_segments) for g in geometries]
+        boxes = [bounding_box(g) for g in geometries]
+        assert [hexes(row) for row in arr.bounding_boxes()] == [
+            hexes((b.min_x, b.min_y, b.max_x, b.max_y)) for b in boxes]
+        assert hexes(arr.bbox_areas()) == hexes(bbox_area(b) for b in boxes)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(ARRAY_GEOMETRY, max_size=6))
+    def test_segment_rows_equal_the_scalar_segments(self, geometries):
+        arr = MultiLineArray.from_coordinates(coordinates(g) for g in geometries)
+        whole = [[[a.x, a.y, b.x, b.y] for line in g.lines for a, b in zip(line.vertices, line.vertices[1:])]
+                 for g in geometries]
+        ends = [[[p.x, p.y, p.x, p.y] for p in endpoint_set(g)] for g in geometries]
+        for endpoints_only, want in ((False, whole), (True, ends)):
+            rows, first = arr.segments(endpoints_only=endpoints_only)
+            assert [hexes(r) for r in rows] == [hexes(r) for g in want for r in g]
+            assert first.tolist() == np.cumsum([0] + [len(g) for g in want]).tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(ARRAY_GEOMETRY, min_size=1, max_size=6), st.data())
+    def test_json_round_trip_and_take(self, geometries, data):
+        arr = MultiLineArray.from_coordinates(coordinates(g) for g in geometries)
+        back = MultiLineArray.from_json(json.loads(json.dumps(arr.to_json())))
+        assert back == arr and back.xy.tobytes() == arr.xy.tobytes()
+        assert back.coordinates() == [[[list(p) for p in m] for m in coordinates(g)] for g in geometries]
+
+        rows = data.draw(st.lists(st.integers(0, len(geometries) - 1), max_size=8))
+        taken = arr.take(rows)
+        assert taken == MultiLineArray.from_coordinates(coordinates(geometries[i]) for i in rows)
+        assert taken.xy.tobytes() == MultiLineArray.from_coordinates(
+            coordinates(geometries[i]) for i in rows).xy.tobytes()
+
+    def test_repeated_vertices_and_many_members(self):
+        g = multiline([(0, 0), (0, 0), (3, 4), (3, 4)], [(1, 1), (1, 1)], [(5, 5), (6, 5)], [(7, 7), (7, 8)])
+        arr = MultiLineArray.from_coordinates([coordinates(g), [[(2, 2), (2, 2)]]])
+        assert arr.lengths().tolist() == [7.0, 0.0]
+        assert arr.line_counts().tolist() == [4, 1]
+        assert arr.line_counts(count_segments=True).tolist() == [6, 1]
+        assert arr.bbox_areas().tolist() == [56.0, 0.0]
+
+    @pytest.mark.parametrize("xy, parts, geoms, message", [
+        ([[0.0, 0.0], [1.0, 1.0]], [0, 1, 2], [0, 2], "parts offsets must rise by at least 2"),
+        ([[0.0, 0.0], [1.0, 1.0]], [0, 2], [0, 1, 1], "geoms offsets must rise by at least 1"),
+        ([[0.0, 0.0], [1.0, 1.0]], [0, 3], [0, 1], "parts must run from 0 to 2"),
+        ([[0.0, 0.0], [1.0, 1.0]], [0, 2], [1, 1], "geoms must run from 0 to 1"),
+        ([[0.0, 0.0], [1.0, math.inf]], [0, 2], [0, 1], "non-finite vertex coordinates"),
+        ([[0.0, 0.0], [1.0, 1.0]], [0.0, 2.0], [0, 1], "parts must be a non-empty integer offset array"),
+    ])
+    def test_offsets_checked(self, xy, parts, geoms, message):
+        with pytest.raises(ValueError, match=message):
+            MultiLineArray(np.array(xy, dtype=np.float64), np.array(parts), np.array(geoms))

@@ -1,5 +1,6 @@
 import datetime
 import json
+import math
 
 import pytest
 
@@ -65,8 +66,8 @@ class TestDescriptive:
         ])
         result = parse_descriptive(path)
         assert result.accepted == 3 and result.rejected == 0
-        assert result.records[0].source_row_id == "D1"
-        assert len(result.records[2].geometry.lines) == 2
+        assert result.records.row_ids == ["D1", "D2", "D3"]
+        assert result.records.geometry.line_counts().tolist() == [1, 1, 2]
 
     def test_degenerate_member_rejected(self, tmp_path):
         path = write_geojson(tmp_path / "d.geojson", [
@@ -95,13 +96,32 @@ class TestDescriptive:
     def test_geographic_coordinates_projected(self, tmp_path):
         path = write_geojson(tmp_path / "d.geojson",
                              [feature("D1", [[[-105.0, 0.0], [-105.0, 0.001]]])])
-        rec = parse_descriptive(path, geographic=True).records[0]
-        assert rec.geometry.lines[0].vertices[0].x == pytest.approx(500000.0, abs=1e-6)
+        table = parse_descriptive(path, geographic=True).records
+        assert table.geometry.xy[0, 0] == pytest.approx(500000.0, abs=1e-6)
+
+    @pytest.mark.parametrize("coord, geographic, reason", [
+        ([math.nan, 0.0], False, "non-finite coordinate [nan, 0.0]"),
+        ([0.0, math.inf], False, "non-finite coordinate [0.0, inf]"),
+        ([-95.0, 39.0], True, "coordinate [-95.0, 39.0]: longitude -95.0 is 10.000 deg from the "
+                              "central meridian -105.0"),
+        ([-105.0, 90.5], True, "coordinate [-105.0, 90.5]: latitude 90.5 outside [-90, 90]"),
+        ([-105.0, math.nan], True, "coordinate [-105.0, nan]: non-finite geographic coordinates"),
+    ])
+    def test_bad_coordinate_is_a_row_diagnostic(self, tmp_path, coord, geographic, reason):
+        # json writes NaN and Infinity, which json and the parser read back
+        good = [-105.0, 39.0] if geographic else [0.0, 0.0]
+        path = write_geojson(tmp_path / "d.geojson", [
+            feature("D1", [[good, coord]]),
+            feature("D2", [[good, [c + 0.001 for c in good]]]),
+        ])
+        result = parse_descriptive(path, geographic=geographic)
+        assert result.records.row_ids == ["D2"]
+        assert result.diagnostics == [Diagnostic(str(path), 0, reason)]
 
     def test_coordinate_round_trip(self, synth_a):
         # re-parsing the generated file must reproduce coordinates exactly
         raw = json.loads(open(synth_a.result.descriptive_path).read())
-        by_id = {rec.source_row_id: rec for rec in synth_a.descriptive}
+        by_id = {rec.source_row_id: rec for rec in synth_a.descriptive_records}
         for f in raw["features"][:50]:
             rec = by_id[f["id"]]
             for member, line in zip(f["geometry"]["coordinates"], rec.geometry.lines):
@@ -150,6 +170,14 @@ class TestOperational:
         path.write_text(",".join(reversed(OPERATIONAL_HEADER)) + "\n")
         with pytest.raises(SchemaViolation):
             parse_operational(path, reference_date=REF)
+
+    @pytest.mark.parametrize("column", ["diameter_in", "length_ft", "max_op_pressure"])
+    @pytest.mark.parametrize("raw", ["inf", "1e999", "Infinity"])
+    def test_non_finite_number_rejected(self, tmp_path, column, raw):
+        rows = [dict(OP_ROW, **{column: raw}), dict(OP_ROW, row_id="OP2")]
+        result = parse_operational(write_operational(tmp_path / "op.csv", rows), reference_date=REF)
+        assert [r.source_row_id for r in result.records] == ["OP2"]
+        assert [(d.row, d.reason) for d in result.diagnostics] == [(1, f"{column} must be finite, got {raw}")]
 
     def test_parsing_is_total(self, tmp_path):
         rows = [OP_ROW, dict(OP_ROW, row_id="OP2", diameter_in="oops"),

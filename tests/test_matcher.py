@@ -10,18 +10,16 @@ from hypothesis import strategies as st
 
 from flowline_risk.crs import GeoPoint, ProjectionParams, project, unproject
 from flowline_risk.geometry import BoundingBox, Point2D, endpoint_set, multiline, point_to_multiline_distance
-from flowline_risk.ingest import DescriptiveFlowline, SpillRecord
+from flowline_risk.ingest import SpillRecord
 from flowline_risk.matcher import (
     DanglingReference,
     DegenerateLine,
-    MergedFlowline,
     SpillAttribution,
     ToleranceLadder,
     assign_risk,
     interpolate_line,
     match_flowlines,
     match_spills,
-    _segments,
     segment_distances,
     write_audit_log,
 )
@@ -30,6 +28,15 @@ from flowline_risk.synth import REFERENCE_DATE
 
 import matcher_oracle
 from conftest import make_operational
+from merged_oracle import (
+    DescriptiveFlowline,
+    MergedFlowline,
+    descriptive_flowlines,
+    descriptive_records,
+    merged_flowlines,
+    merged_records,
+    multiline_array,
+)
 
 BASE = Point2D(500000.0, 4320000.0)
 
@@ -106,7 +113,7 @@ class TestMatchFlowlines:
         desc = [DescriptiveFlowline("D1", "Acme Energy LLC", multiline(
             [(chord.vertices[0].x, chord.vertices[0].y),
              (chord.vertices[1].x, chord.vertices[1].y)]))]
-        merged, unmatched, audit = match_flowlines(ops, desc)
+        merged, unmatched, audit = match_flowlines(ops, descriptive_flowlines(desc))
         assert len(merged) == 1 and not unmatched
         assert (audit[0].chosen_id, audit[0].step_reached) == ("D1", 0.0)
         assert (audit[0].d_start, audit[0].d_end) == (0.0, 0.0)
@@ -114,8 +121,8 @@ class TestMatchFlowlines:
     def test_operator_mismatch_excludes_sole_candidate(self):
         ops = [operational("OP1", 0.0, 0.0, 100.0, 0.0)]
         desc = [descriptive("D1", [[(3.0, 0.0), (103.0, 0.0)]], operator="Rival Oil Co")]
-        merged, unmatched, audit = match_flowlines(ops, desc)
-        assert merged == []
+        merged, unmatched, audit = match_flowlines(ops, descriptive_flowlines(desc))
+        assert len(merged) == 0
         assert unmatched == ["OP1"]
         assert audit[0].chosen_id is None
         assert audit[0].step_reached == 25.0
@@ -126,7 +133,7 @@ class TestMatchFlowlines:
             descriptive("D1", [[(0.0, 3.0), (100.0, 3.0)]], operator="Rival Oil Co"),
             descriptive("D2", [[(0.0, 10.0), (100.0, 10.0)]]),
         ]
-        merged, unmatched, audit = match_flowlines(ops, desc)
+        merged, unmatched, audit = match_flowlines(ops, descriptive_flowlines(desc))
         assert len(merged) == 1
         assert (audit[0].chosen_id, audit[0].step_reached) == ("D2", 10.0)
 
@@ -136,7 +143,7 @@ class TestMatchFlowlines:
             descriptive("D2", [[(0.0, 4.0), (100.0, 4.0)]]),
             descriptive("D1", [[(0.0, 2.0), (100.0, 2.0)]]),
         ]
-        _, _, audit = match_flowlines(ops, desc)
+        _, _, audit = match_flowlines(ops, descriptive_flowlines(desc))
         assert audit[0].chosen_id == "D1"
 
         # exact tie on summed distance: smaller row id wins
@@ -144,7 +151,7 @@ class TestMatchFlowlines:
             descriptive("D9", [[(0.0, 2.0), (100.0, 2.0)]]),
             descriptive("D3", [[(0.0, -2.0), (100.0, -2.0)]]),
         ]
-        _, _, audit = match_flowlines(ops, desc_tie)
+        _, _, audit = match_flowlines(ops, descriptive_flowlines(desc_tie))
         assert audit[0].chosen_id == "D3"
 
     def test_duplicate_row_id_tie_goes_to_file_order(self):
@@ -157,14 +164,14 @@ class TestMatchFlowlines:
         far = [descriptive(f"F{k}", [[(5000.0 + 100 * k, 5000.0), (5050.0 + 100 * k, 5000.0)]])
                for k in range(7)]
         for first, last in ((above, below), (below, above)):
-            merged, _, audit = match_flowlines(ops, [first, *far, last])
-            assert merged[0].geometry == first.geometry
+            merged, _, audit = match_flowlines(ops, descriptive_flowlines([first, *far, last]))
+            assert merged_records(merged)[0].geometry == first.geometry
             assert audit[0].n_candidates == 2
 
     def test_endpoint_semantics_ignores_interior(self):
         # descriptive endpoints far away; only its interior passes nearby
         ops = [operational("OP1", 0.0, 0.0, 100.0, 0.0)]
-        desc = [descriptive("D1", [[(-500.0, 5.0), (50.0, 5.0), (600.0, 5.0)]])]
+        desc = descriptive_flowlines([descriptive("D1", [[(-500.0, 5.0), (50.0, 5.0), (600.0, 5.0)]])])
         merged, unmatched, _ = match_flowlines(ops, desc)
         assert unmatched == ["OP1"]
 
@@ -175,21 +182,20 @@ class TestMatchFlowlines:
         ops = [operational("OP1", 0.0, 0.0, 100.0, 0.0),
                operational("OP2", 1.0, 1.0, 101.0, 1.0)]
         desc = [descriptive("D1", [[(0.0, 0.0), (100.0, 0.0)]])]
-        merged, unmatched, _ = match_flowlines(ops, desc)
+        merged, unmatched, _ = match_flowlines(ops, descriptive_flowlines(desc))
         assert len(merged) == 2 and not unmatched
 
     def test_invariants_on_config_a(self, synth_a):
         merged, unmatched, audit = match_flowlines(synth_a.operational, synth_a.descriptive)
         assert len(audit) == len(synth_a.operational)
         chosen = [a for a in audit if a.chosen_id is not None]
-        assert [a.record_id for a in chosen] == [m.flowline_id for m in merged]
+        assert [a.record_id for a in chosen] == merged.operational["row_id"]
         for a in chosen:
             assert a.d_start <= a.step_reached and a.d_end <= a.step_reached
-        ops = {d.source_row_id: d.operator_name for d in synth_a.descriptive}
+        ops = dict(zip(synth_a.descriptive.row_ids, synth_a.descriptive.operator_names))
         from flowline_risk.ingest import normalize_operator
-        for m, a in zip(merged, chosen):
-            assert normalize_operator(m.operational.operator_name) == \
-                normalize_operator(ops[a.chosen_id])
+        for operator, a in zip(merged.operational["operator_name"], chosen):
+            assert normalize_operator(operator) == normalize_operator(ops[a.chosen_id])
 
     def test_ladder_extension_monotonicity(self, synth_b):
         short = ToleranceLadder((0.0, 1.0, 2.0, 5.0, 10.0))
@@ -214,13 +220,13 @@ class TestMatchFlowlines:
 class TestMatchSpills:
     def _merged(self, desc, op_row="OP1"):
         ops = [operational(op_row, 0.0, 0.0, 100.0, 0.0, operator=desc.operator_name)]
-        merged, _, _ = match_flowlines(ops, [desc])
+        merged, _, _ = match_flowlines(ops, descriptive_flowlines([desc]))
         return merged
 
     def test_spill_on_line_binds_at_zero(self):
         desc = descriptive("D1", [[(0.0, 0.0), (100.0, 0.0)]])
-        merged = [MergedFlowline(make_operational(row_id="OP1", operator=desc.operator_name),
-                                 desc.geometry)]
+        merged = merged_flowlines([MergedFlowline(make_operational(row_id="OP1", operator=desc.operator_name),
+                                                  desc.geometry)])
         att = match_spills([spill("S1", 50.0, 0.0)], merged)
         assert att[0].matched_flowline_id == "OP1"
         assert att[0].tolerance_used == 0.0
@@ -228,15 +234,15 @@ class TestMatchSpills:
 
     def test_far_spill_unmatched(self):
         desc = descriptive("D1", [[(0.0, 0.0), (100.0, 0.0)]])
-        merged = [MergedFlowline(make_operational(row_id="OP1", operator=desc.operator_name),
-                                 desc.geometry)]
+        merged = merged_flowlines([MergedFlowline(make_operational(row_id="OP1", operator=desc.operator_name),
+                                                  desc.geometry)])
         att = match_spills([spill("S1", 50.0, 30.0)], merged)
         assert att[0].matched_flowline_id is None
 
     def test_operator_gate(self):
         desc = descriptive("D1", [[(0.0, 0.0), (100.0, 0.0)]])
-        merged = [MergedFlowline(make_operational(row_id="OP1", operator=desc.operator_name),
-                                 desc.geometry)]
+        merged = merged_flowlines([MergedFlowline(make_operational(row_id="OP1", operator=desc.operator_name),
+                                                  desc.geometry)])
         att = match_spills([spill("S1", 50.0, 5.0, operator="Rival Oil Co")], merged)
         assert att[0].matched_flowline_id is None
 
@@ -270,17 +276,17 @@ class TestOneQueryPerRecord:
             make_operational(row_id="OP4", lat=39.0, lon=-105.0, lat2=39.0, lon2=-105.0),
         ]
         desc = [descriptive("D1", [[(0.0, 0.0), (100.0, 0.0)]])]
-        merged, unmatched, audit = match_flowlines(ops, desc)
+        merged, unmatched, audit = match_flowlines(ops, descriptive_flowlines(desc))
         assert [(a.chosen_id, a.step_reached) for a in audit[:2]] == [("D1", 1.0), ("D1", 10.0)]
-        assert [m.flowline_id for m in merged] == ["OP1", "OP2"]
+        assert merged.operational["row_id"] == ["OP1", "OP2"]
         assert unmatched == ["OP3", "OP4"]
         # one query per non-degenerate record, at the ladder maximum
         assert query_radii == [25.0, 25.0, 25.0]
 
     def test_match_spills(self, query_radii):
         desc = descriptive("D1", [[(0.0, 0.0), (100.0, 0.0)]])
-        merged = [MergedFlowline(make_operational(row_id="OP1", operator=desc.operator_name),
-                                 desc.geometry)]
+        merged = merged_flowlines([MergedFlowline(make_operational(row_id="OP1", operator=desc.operator_name),
+                                                  desc.geometry)])
         spills = [spill("S1", 50.0, 0.0), spill("S2", 50.0, 12.0), spill("S3", 50.0, 60.0)]
         att = match_spills(spills, merged, ToleranceLadder((0.0, 5.0, 15.0)))
         assert [a.tolerance_used for a in att] == [0.0, 15.0, 15.0]
@@ -397,7 +403,7 @@ def assert_same_records(got, want):
 
 
 def assert_same_merge(got, want):
-    assert got[0] == want[0]
+    assert merged_records(got[0]) == want[0]
     assert got[1] == want[1]
     assert_same_records(got[2], want[2])
 
@@ -423,14 +429,14 @@ class TestMatchesLadderOracle:
     @given(networks(), LADDERS, st.booleans())
     def test_match_flowlines(self, network, ladder, whole_geometry):
         params, ops, desc = network
-        assert_same_merge(match_flowlines(ops, desc, ladder, params, whole_geometry),
+        assert_same_merge(match_flowlines(ops, descriptive_flowlines(desc), ladder, params, whole_geometry),
                           matcher_oracle.match_flowlines(ops, desc, ladder, params, whole_geometry))
 
     @ORACLE_SETTINGS
     @given(spill_scenes(), LADDERS)
     def test_match_spills(self, scene, ladder):
         params, spills, merged = scene
-        assert_same_records(match_spills(spills, merged, ladder, params),
+        assert_same_records(match_spills(spills, merged_flowlines(merged), ladder, params),
                             matcher_oracle.match_spills(spills, merged, ladder, params))
 
     # Near the origin the per-step box can round a point out that still
@@ -441,7 +447,7 @@ class TestMatchesLadderOracle:
     @given(networks(nudge_frames=(UTM, NEAR_ORIGIN)), LADDERS, st.booleans())
     def test_match_flowlines_differs_only_by_box_rounding(self, network, ladder, whole_geometry):
         params, ops, desc = network
-        got = match_flowlines(ops, desc, ladder, params, whole_geometry)
+        got = match_flowlines(ops, descriptive_flowlines(desc), ladder, params, whole_geometry)
         with no_box_prefilter():
             want = matcher_oracle.match_flowlines(ops, desc, ladder, params, whole_geometry)
         assert_same_merge(got, want)
@@ -450,7 +456,7 @@ class TestMatchesLadderOracle:
     @given(spill_scenes(nudge_frames=(UTM, NEAR_ORIGIN)), LADDERS)
     def test_match_spills_differs_only_by_box_rounding(self, scene, ladder):
         params, spills, merged = scene
-        got = match_spills(spills, merged, ladder, params)
+        got = match_spills(spills, merged_flowlines(merged), ladder, params)
         with no_box_prefilter():
             want = matcher_oracle.match_spills(spills, merged, ladder, params)
         assert_same_records(got, want)
@@ -467,7 +473,7 @@ class TestMatchesLadderOracle:
         edge = math.nextafter(start.x - 2.0, -math.inf)
         desc = [DescriptiveFlowline("D1", rec.operator_name,
                                     multiline([(edge, start.y), (end.x, end.y)]))]
-        (got,) = match_flowlines([rec], desc, params=params)[2]
+        (got,) = match_flowlines([rec], descriptive_flowlines(desc), params=params)[2]
         (want,) = matcher_oracle.match_flowlines([rec], desc, params=params)[2]
         assert (got.step_reached, got.d_start, got.d_end) == (2.0, 2.0, 0.0)
         assert (want.step_reached, want.d_start, want.d_end) == (5.0, 2.0, 0.0)
@@ -480,9 +486,9 @@ class TestMatchesLadderOracle:
             for whole_geometry in (False, True):
                 got = match_flowlines(ops, run.descriptive, whole_geometry=whole_geometry)
                 assert_same_merge(got, matcher_oracle.match_flowlines(
-                    ops, run.descriptive, whole_geometry=whole_geometry))
+                    ops, descriptive_records(run.descriptive), whole_geometry=whole_geometry))
             assert_same_records(match_spills(run.spills, got[0]),
-                                matcher_oracle.match_spills(run.spills, got[0]))
+                                matcher_oracle.match_spills(run.spills, merged_records(got[0])))
 
 
 # Grid coordinates make zero-length segments, vertex queries and feet of
@@ -496,7 +502,7 @@ GEOMETRY = st.lists(st.lists(st.tuples(GRID_COORD, ANY_COORD), min_size=2, max_s
 
 def kernel_distances(points, geometries, endpoints_only=False):
     """segment_distances over every (point, geometry) pair, point-major."""
-    segments, first = _segments(geometries, endpoints_only)
+    segments, first = multiline_array(geometries).segments(endpoints_only)
     q, shape = np.divmod(np.arange(len(points) * len(geometries)), len(geometries))
     px = np.array([p.x for p in points])
     py = np.array([p.y for p in points])
@@ -532,7 +538,7 @@ class TestSegmentDistances:
         assert got == [point_to_multiline_distance(p, g) for p in points]
 
     def test_no_pairs(self):
-        segments, first = _segments([multiline([(0.0, 0.0), (1.0, 0.0)])])
+        segments, first = multiline_array([multiline([(0.0, 0.0), (1.0, 0.0)])]).segments()
         empty = np.zeros(0)
         assert segment_distances(empty, empty, segments, first, np.zeros(0, dtype=np.int64)).size == 0
 
@@ -540,20 +546,20 @@ class TestSegmentDistances:
 class TestAssignRisk:
     def _merged_pair(self):
         g = multiline([(0.0, 0.0), (100.0, 0.0)])
-        return [
+        return merged_flowlines([
             MergedFlowline(make_operational(row_id="OP1", operator="Acme"), g),
             MergedFlowline(make_operational(row_id="OP2", operator="Acme"), g),
-        ]
+        ])
 
     def test_no_attributions(self):
         labeled = assign_risk(self._merged_pair(), [])
-        assert [m.risk for m in labeled] == [0, 0]
+        assert labeled.tolist() == [0, 0]
 
     def test_two_spills_one_line_idempotent(self):
         atts = [SpillAttribution("S1", "OP1", 1.0, 5.0),
                 SpillAttribution("S2", "OP1", 2.0, 5.0)]
         labeled = assign_risk(self._merged_pair(), atts)
-        assert [m.risk for m in labeled] == [1, 0]
+        assert labeled.tolist() == [1, 0]
 
     def test_dangling_reference(self):
         with pytest.raises(DanglingReference):
@@ -562,7 +568,7 @@ class TestAssignRisk:
     def test_unmatched_attribution_is_ignored(self):
         labeled = assign_risk(self._merged_pair(),
                               [SpillAttribution("S1", None, math.nan, 25.0)])
-        assert [m.risk for m in labeled] == [0, 0]
+        assert labeled.tolist() == [0, 0]
 
 
 class TestAuditLog:

@@ -49,7 +49,7 @@ class TestGenerate:
 
     def test_min_separation_honored(self, synth_a):
         points = []
-        for rec in synth_a.descriptive:
+        for rec in synth_a.descriptive_records:
             owner = rec.source_row_id
             for p in endpoint_set(rec.geometry):
                 points.append((owner, p.x, p.y))
