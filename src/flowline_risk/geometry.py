@@ -291,19 +291,14 @@ class MultiLineArray:
         max_x, max_y) rows."""
         if not len(self):
             return np.zeros((0, 4))
-        first, end = self.parts[self.geoms[:-1]], self.parts[self.geoms[1:]]
-        boxes = []
-        for reduce, pick in ((np.minimum, min), (np.maximum, max)):
-            for values in (self.xy[:, 0], self.xy[:, 1]):
-                extreme = reduce.reduceat(values, first)
-                # Of equal values min() and max() keep the first; numpy may
-                # keep another, which differs only in the sign of a zero.
-                for g in np.flatnonzero(extreme == 0.0).tolist():
-                    extreme[g] = pick(values[first[g]:end[g]].tolist())
-                boxes.append(extreme)
-        return np.column_stack(boxes)
+        first = self.parts[self.geoms[:-1]]
+        return np.column_stack([reduce.reduceat(values, first)
+                                for reduce in (np.minimum, np.maximum)
+                                for values in (self.xy[:, 0], self.xy[:, 1])])
 
     def bbox_areas(self) -> np.ndarray:
         """bbox_area of each geometry's bounding box."""
         b = self.bounding_boxes()
-        return (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+        # Of tied signed zeros numpy may keep another than min()/max(), so a
+        # width can be -0.0 where the scalar one is +0.0; adding 0.0 clears it.
+        return (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1]) + 0.0

@@ -376,19 +376,22 @@ class TestStageChaining:
             warned = [r for r in caplog.records if "no cluster structure" in r.getMessage()]
             assert len(warned) == (0 if found else 1)
 
-    def test_stale_artifact_detected(self, tmp_path):
+    def test_stale_artifact_detected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.cfg")
         out = tmp_path / "run"
         assert main(["synth", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         assert main(["merge", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
 
+        # Still a consistent merged.json, so only its recorded hash can tell.
         merged = out / "artifacts" / "merged.json"
         doc = json.loads(merged.read_text())
-        doc["geometry"]["geoms"] = doc["geometry"]["geoms"][:11]
+        doc["geometry"]["xy"][0] += 1.0
         merged.write_text(json.dumps(doc))
 
+        capsys.readouterr()
         code = main(["attribute", "--config", str(cfg), "--out", str(out)])
         assert code == EXIT_STAGE
+        assert "'merged' changed on disk" in capsys.readouterr().err
 
     @pytest.mark.parametrize("artifact, path, drop, writer, stages", [
         ("merged", "merged.json", "stats", "merge", ("featurize", "report")),
