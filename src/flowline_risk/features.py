@@ -282,10 +282,13 @@ def apply_scaler(X: np.ndarray, means: np.ndarray, sds: np.ndarray) -> np.ndarra
 
 
 def save_dataset(ds: Dataset, csv_path, meta_path, seed: int | None = None, extra: dict | None = None) -> None:
-    """Write the matrix as CSV plus a JSON sidecar with column provenance."""
+    """Write the matrix as CSV plus a JSON sidecar with column provenance.
+
+    The csv module writes each Python float as its repr, which reads back to
+    the same bits. Rows become Python floats one at a time, so the matrix is
+    never held as Python objects whole."""
     write_csv(csv_path, ["row_id", *ds.column_names(), "risk"], (
-        [ds.row_ids[i], *[repr(float(v)) for v in ds.X[i]], int(ds.y[i])]
-        for i in range(ds.n_rows)
+        [rid, *row.tolist(), y] for rid, row, y in zip(ds.row_ids, ds.X, ds.y.tolist())
     ))
     sidecar = {
         "columns": [c.to_dict() for c in ds.column_meta],

@@ -1,10 +1,11 @@
 """Readers for the three input datasets and categorical normalization.
 
-Parsing is total: every input row becomes either a typed record or a
+Parsing is total: every input row becomes either an accepted row or a
 row-level diagnostic, never a silent drop. Descriptive geometry travels as
 GeoJSON MultiLineString features and parses into columns with one flat
 MultiLineArray; the operational and spill datasets are headed CSV and parse
-into one record per row.
+into one Table each, whose operational columns are the ones merged.json
+stores.
 """
 
 from __future__ import annotations
@@ -30,6 +31,10 @@ OPERATIONAL_HEADER = [
 ]
 
 SPILL_HEADER = ["spill_id", "operator_name", "lat", "lon", "root_cause_type", "report_date"]
+
+# The parsed tables' columns: start, end and location are [latitude, longitude].
+OPERATIONAL_COLUMNS = [*OPERATIONAL_HEADER[:14], "start", "end"]
+SPILL_COLUMNS = ["spill_id", "operator_name", "location", "root_cause_type", "report_date"]
 
 
 class FileUnreadable(OSError):
@@ -60,9 +65,27 @@ class Diagnostic:
     reason: str
 
 
+@dataclass(frozen=True)
+class Table:
+    """Rows as columns: row i's value in column c is columns[c][i]."""
+
+    columns: dict[str, list]
+
+    @classmethod
+    def from_rows(cls, names: list[str], rows: list[tuple]) -> "Table":
+        return cls({name: [row[k] for row in rows] for k, name in enumerate(names)})
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values()), ()))
+
+    def take(self, rows) -> "Table":
+        """The given rows, in the given order."""
+        return Table({name: [values[i] for i in rows] for name, values in self.columns.items()})
+
+
 @dataclass
 class ParseResult:
-    records: list | DescriptiveFlowlines
+    records: Table | DescriptiveFlowlines
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
     @property
@@ -85,35 +108,6 @@ class DescriptiveFlowlines:
 
     def __len__(self) -> int:
         return len(self.row_ids)
-
-
-@dataclass(frozen=True)
-class OperationalFlowline:
-    source_row_id: str
-    operator_number: str
-    flowline_id: str
-    location_id: str
-    status: str
-    flowline_action: str
-    location_type: str
-    fluid_type: str
-    material: str
-    diameter_inches: float
-    length_feet: float
-    max_operating_pressure: float
-    construction_date: datetime.date
-    operator_name: str
-    start: GeoPoint
-    end: GeoPoint
-
-
-@dataclass(frozen=True)
-class SpillRecord:
-    spill_id: str
-    operator_name: str
-    location: GeoPoint
-    root_cause_type: str
-    report_date: datetime.date
 
 
 def normalize_operator(name: str) -> str:
@@ -213,7 +207,8 @@ def parse_descriptive(
     except json.JSONDecodeError as exc:
         raise FileUnreadable(f"not valid JSON: {path}: {exc}") from exc
 
-    if doc.get("type") != "FeatureCollection" or "features" not in doc:
+    if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection" \
+            or not isinstance(doc.get("features"), list):
         raise SchemaViolation(0, "expected a GeoJSON FeatureCollection")
 
     fname = str(path)
@@ -236,26 +231,35 @@ def parse_descriptive(
 
 def _parse_feature(feature, i, geographic, params) -> tuple[str, str, list]:
     """(row id, operator, members as lists of projected (x, y) pairs)."""
-    if feature.get("type") != "Feature":
+    if not isinstance(feature, dict) or feature.get("type") != "Feature":
         raise SchemaViolation(i, "not a Feature")
     geom = feature.get("geometry") or {}
+    if not isinstance(geom, dict):
+        raise SchemaViolation(i, "geometry is not an object")
     if geom.get("type") != "MultiLineString":
         raise SchemaViolation(i, f"geometry type {geom.get('type')!r}, expected MultiLineString")
     props = feature.get("properties") or {}
+    if not isinstance(props, dict):
+        raise SchemaViolation(i, "properties is not an object")
     operator = str(props.get("operator_name", "")).strip()
     if not operator:
         raise SchemaViolation(i, "missing operator_name")
     row_id = str(feature.get("id", props.get("row_id", f"feature_{i}")))
 
+    chains = geom.get("coordinates", [])
+    if not isinstance(chains, list):
+        raise SchemaViolation(i, f"bad coordinates {chains!r}")
     members = []
-    for chain in geom.get("coordinates", []):
+    for chain in chains:
+        if not isinstance(chain, list):
+            raise SchemaViolation(i, f"bad member {chain!r}")
         if len(chain) < 2:
             raise SchemaViolation(i, "degenerate member")
         points = []
         for coord in chain:
             try:
                 cx, cy = float(coord[0]), float(coord[1])
-            except (TypeError, ValueError, IndexError):
+            except (TypeError, ValueError, IndexError, KeyError):
                 raise SchemaViolation(i, f"bad coordinate {coord!r}")
             if geographic:
                 try:
@@ -317,18 +321,19 @@ def _parse_number(raw: str, field_name: str, row: int, minimum: float, strict: b
     return value
 
 
-def _parse_geopoint(lat_raw: str, lon_raw: str, label: str, row: int, params: ProjectionParams) -> GeoPoint:
+def _parse_geopoint(lat_raw: str, lon_raw: str, label: str, row: int, params: ProjectionParams) -> list[float]:
+    """[latitude, longitude] of a point inside the projection window."""
     try:
         lat, lon = float(lat_raw), float(lon_raw)
     except ValueError:
         raise SchemaViolation(row, f"bad {label} coordinates ({lat_raw!r}, {lon_raw!r})")
     try:
-        point = GeoPoint(lat, lon)
+        GeoPoint(lat, lon)
     except ValueError as exc:
         raise SchemaViolation(row, f"{label}: {exc}")
     if abs(lon - params.central_meridian) >= ZONE_HALF_WIDTH_DEG:
         raise SchemaViolation(row, f"{label} longitude {lon} outside the projection window")
-    return point
+    return [lat, lon]
 
 
 def parse_operational(
@@ -337,41 +342,45 @@ def parse_operational(
     params: ProjectionParams = ProjectionParams(),
     reference_date: datetime.date | None = None,
 ) -> ParseResult:
-    """Read the operational flowline CSV into typed, normalized records."""
+    """Read the operational flowline CSV into a Table of OPERATIONAL_COLUMNS,
+    typed and normalized. Row ids must be present and unique."""
     cmap = category_map if category_map is not None else default_category_map()
     today = reference_date or datetime.date.today()
-    records: list[OperationalFlowline] = []
+    rows: list[tuple] = []
+    first_row: dict[str, int] = {}  # accepted row id -> its CSV row
     diagnostics: list[Diagnostic] = []
     fname = str(path)
     for row_num, row in _read_csv(path, OPERATIONAL_HEADER):
         try:
             if len(row) != len(OPERATIONAL_HEADER):
                 raise SchemaViolation(row_num, f"expected {len(OPERATIONAL_HEADER)} fields, got {len(row)}")
-            r = dict(zip(OPERATIONAL_HEADER, row))
-            operator_name = r["operator_name"].strip()
+            (row_id, operator_number, flowline_id, location_id, status, flowline_action, location_type,
+             fluid_type, material, diameter, length, pressure, built, operator_name,
+             start_lat, start_lon, end_lat, end_lon) = row
+            operator_name, row_id = operator_name.strip(), row_id.strip()
             if not operator_name:
                 raise SchemaViolation(row_num, "missing operator_name")
-            records.append(OperationalFlowline(
-                source_row_id=r["row_id"].strip(),
-                operator_number=r["operator_number"].strip(),
-                flowline_id=r["flowline_id"].strip(),
-                location_id=r["location_id"].strip(),
-                status=r["status"].strip().upper(),
-                flowline_action=r["flowline_action"].strip().upper(),
-                location_type=r["location_type"].strip().upper(),
-                fluid_type=cmap.normalize(r["fluid_type"], "fluid_type"),
-                material=cmap.normalize(r["material"], "material"),
-                diameter_inches=_parse_number(r["diameter_in"], "diameter_in", row_num, 0.0, strict=True),
-                length_feet=_parse_number(r["length_ft"], "length_ft", row_num, 0.0, strict=False),
-                max_operating_pressure=_parse_number(r["max_op_pressure"], "max_op_pressure", row_num, 0.0, strict=False),
-                construction_date=_parse_date(r["construction_date"], "construction_date", row_num, today),
-                operator_name=operator_name,
-                start=_parse_geopoint(r["start_lat"], r["start_lon"], "start", row_num, params),
-                end=_parse_geopoint(r["end_lat"], r["end_lon"], "end", row_num, params),
+            if not row_id:
+                raise SchemaViolation(row_num, "missing row_id")
+            if row_id in first_row:
+                raise SchemaViolation(row_num, f"duplicate row_id {row_id!r}, first at row {first_row[row_id]}")
+            rows.append((
+                row_id, operator_number.strip(), flowline_id.strip(), location_id.strip(),
+                status.strip().upper(), flowline_action.strip().upper(), location_type.strip().upper(),
+                cmap.normalize(fluid_type, "fluid_type"),
+                cmap.normalize(material, "material"),
+                _parse_number(diameter, "diameter_in", row_num, 0.0, strict=True),
+                _parse_number(length, "length_ft", row_num, 0.0, strict=False),
+                _parse_number(pressure, "max_op_pressure", row_num, 0.0, strict=False),
+                _parse_date(built, "construction_date", row_num, today).isoformat(),
+                operator_name,
+                _parse_geopoint(start_lat, start_lon, "start", row_num, params),
+                _parse_geopoint(end_lat, end_lon, "end", row_num, params),
             ))
+            first_row[row_id] = row_num
         except SchemaViolation as exc:
             diagnostics.append(Diagnostic(fname, row_num, exc.reason))
-    return ParseResult(records, diagnostics)
+    return ParseResult(Table.from_rows(OPERATIONAL_COLUMNS, rows), diagnostics)
 
 
 def parse_spills(
@@ -379,29 +388,29 @@ def parse_spills(
     params: ProjectionParams = ProjectionParams(),
     reference_date: datetime.date | None = None,
 ) -> ParseResult:
-    """Read the spill CSV into typed records."""
+    """Read the spill CSV into a Table of SPILL_COLUMNS."""
     today = reference_date or datetime.date.today()
-    records: list[SpillRecord] = []
+    rows: list[tuple] = []
     diagnostics: list[Diagnostic] = []
     fname = str(path)
     for row_num, row in _read_csv(path, SPILL_HEADER):
         try:
             if len(row) != len(SPILL_HEADER):
                 raise SchemaViolation(row_num, f"expected {len(SPILL_HEADER)} fields, got {len(row)}")
-            r = dict(zip(SPILL_HEADER, row))
-            operator_name = r["operator_name"].strip()
+            spill_id, operator_name, lat, lon, root_cause_type, reported = row
+            operator_name = operator_name.strip()
             if not operator_name:
                 raise SchemaViolation(row_num, "missing operator_name")
-            records.append(SpillRecord(
-                spill_id=r["spill_id"].strip(),
-                operator_name=operator_name,
-                location=_parse_geopoint(r["lat"], r["lon"], "spill", row_num, params),
-                root_cause_type=r["root_cause_type"].strip().upper(),
-                report_date=_parse_date(r["report_date"], "report_date", row_num, today),
+            rows.append((
+                spill_id.strip(),
+                operator_name,
+                _parse_geopoint(lat, lon, "spill", row_num, params),
+                root_cause_type.strip().upper(),
+                _parse_date(reported, "report_date", row_num, today).isoformat(),
             ))
         except SchemaViolation as exc:
             diagnostics.append(Diagnostic(fname, row_num, exc.reason))
-    return ParseResult(records, diagnostics)
+    return ParseResult(Table.from_rows(SPILL_COLUMNS, rows), diagnostics)
 
 
 def write_diagnostics(path, diagnostics: list[Diagnostic]) -> None:

@@ -13,15 +13,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, fields
-from operator import attrgetter
+from dataclasses import dataclass
 
 import numpy as np
 
-from .crs import ProjectionParams, project
+from .crs import GeoPoint, ProjectionParams, project
 from .fileio import write_csv
-from .geometry import MultiLineArray, PolyLine, expand_ranges
-from .ingest import DescriptiveFlowlines, OperationalFlowline, SpillRecord, normalize_operator
+from .geometry import MultiLineArray, expand_ranges
+from .ingest import DescriptiveFlowlines, Table, normalize_operator
 from .spatial_index import SpatialIndex
 
 DEFAULT_LADDER_STEPS = (0.0, 1.0, 2.0, 5.0, 10.0, 15.0, 20.0, 25.0)
@@ -29,10 +28,6 @@ DEFAULT_LADDER_STEPS = (0.0, 1.0, 2.0, 5.0, 10.0, 15.0, 20.0, 25.0)
 # Records per batched index query: every numpy transient of a join is
 # bounded by one block of queries and their candidates.
 QUERY_BLOCK = 256
-
-
-class DegenerateLine(ValueError):
-    """Operational endpoints coincide after projection."""
 
 
 class DanglingReference(KeyError):
@@ -62,33 +57,13 @@ class ToleranceLadder:
         return ToleranceLadder(tuple(float(tok) for tok in text.split(",") if tok.strip()))
 
 
-# Merged columns of the OperationalFlowline fields stored under another name
-_RENAMED_COLUMNS = {
-    "source_row_id": "row_id",
-    "diameter_inches": "diameter_in",
-    "length_feet": "length_ft",
-    "max_operating_pressure": "max_op_pressure",
-}
-
-
-def operational_columns(records: list[OperationalFlowline]) -> dict[str, list]:
-    """The records' fields as JSON-ready columns: dates as ISO text, the
-    start and end points as [latitude, longitude]."""
-    columns = {_RENAMED_COLUMNS.get(f.name, f.name): list(map(attrgetter(f.name), records))
-               for f in fields(OperationalFlowline)}
-    columns["construction_date"] = [d.isoformat() for d in columns["construction_date"]]
-    for end in ("start", "end"):
-        columns[end] = [[p.latitude, p.longitude] for p in columns[end]]
-    return columns
-
-
 @dataclass(frozen=True)
 class MergedFlowlines:
     """Operational attributes bound to descriptive geometry, as columns.
 
-    Row i is the operational record whose fields are operational[c][i]
-    (the columns of operational_columns) bound to geometry i. How it was
-    matched is in its AuditRecord only. The descriptive operator normalizes
+    Row i is the operational row whose fields are operational[c][i] (the
+    columns of ingest.parse_operational's table) bound to geometry i. How it
+    was matched is in its AuditRecord only. The descriptive operator normalizes
     to the operational one, or the record would not have bound."""
 
     operational: dict[str, list]
@@ -138,17 +113,11 @@ class AuditRecord:
     d_end: float
 
 
-def interpolate_line(
-    rec: OperationalFlowline, params: ProjectionParams = ProjectionParams()
-) -> PolyLine:
-    """Straight two-vertex polyline between the projected endpoints."""
-    start = project(rec.start, params)
-    end = project(rec.end, params)
-    if start.distance_to(end) < 1e-6:
-        raise DegenerateLine(
-            f"record {rec.source_row_id}: projected endpoints coincide within 1e-6 m"
-        )
-    return PolyLine((start, end))
+def project_points(points: list, params: ProjectionParams = ProjectionParams()) -> tuple[np.ndarray, np.ndarray]:
+    """x and y arrays of [latitude, longitude] points, each projected by crs.project."""
+    projected = [project(GeoPoint(lat, lon), params) for lat, lon in points]
+    return (np.array([p.x for p in projected], dtype=np.float64),
+            np.array([p.y for p in projected], dtype=np.float64))
 
 
 def segment_distances(px: np.ndarray, py: np.ndarray, segments: np.ndarray, first: np.ndarray,
@@ -212,7 +181,7 @@ def _operator_codes(names, codes: dict) -> np.ndarray:
 
 
 def match_flowlines(
-    operational: list[OperationalFlowline],
+    operational: Table,
     descriptive: DescriptiveFlowlines,
     ladder: ToleranceLadder = ToleranceLadder(),
     params: ProjectionParams = ProjectionParams(),
@@ -224,10 +193,11 @@ def match_flowlines(
     t of the operational start and a point within t of the operational end;
     by default "point" means the descriptive endpoint set, with
     whole_geometry=True any point of the geometry: from the first step at or
-    above max(d_start, d_end). The record binds at the smallest step with a
+    above max(d_start, d_end). The row binds at the smallest step with a
     candidate whose normalized operator agrees; there the minimal d_start +
     d_end wins, ties to the smaller descriptive row id, then to the earlier
-    descriptive file position (row ids need not be unique).
+    descriptive file position (row ids need not be unique). A row whose
+    projected endpoints lie within 1e-6 m of each other has no candidate.
 
     Returns (merged flowlines in input order, unmatched operational ids,
     audit trail counting candidates of any operator at the bound step).
@@ -243,19 +213,15 @@ def match_flowlines(
     row_ranks = _ranks(descriptive.row_ids)
     steps = ladder.steps
 
-    lines, ends = [], []  # records whose projected endpoints stay apart
-    for n, rec in enumerate(operational):
-        try:
-            start, end = interpolate_line(rec, params).vertices
-        except DegenerateLine:
-            continue
-        lines.append(n)
-        ends.extend((start.x, start.y, end.x, end.y))
-    lines = np.array(lines, dtype=np.int64)
-    sx, sy, ex, ey = np.array(ends, dtype=np.float64).reshape(-1, 4).T
-    line_ops = _operator_codes((operational[n].operator_name for n in lines.tolist()), codes)
+    columns = operational.columns
+    sx, sy = project_points(columns["start"], params)
+    ex, ey = project_points(columns["end"], params)
+    length = np.fromiter(map(math.hypot, (sx - ex).tolist(), (sy - ey).tolist()), np.float64, len(sx))
+    lines = np.flatnonzero(length >= 1e-6)  # rows whose projected endpoints stay apart
+    sx, sy, ex, ey = sx[lines], sy[lines], ex[lines], ey[lines]
+    line_ops = _operator_codes((columns["operator_name"][n] for n in lines.tolist()), codes)
 
-    # Per operational record; a degenerate record keeps no candidate.
+    # Per operational row; a degenerate row keeps no candidate.
     hit = np.full(len(operational), -1)
     k_bind = np.full(len(operational), len(steps) - 1)
     n_candidates = np.zeros(len(operational), dtype=np.int64)
@@ -275,21 +241,20 @@ def match_flowlines(
 
     unmatched: list[str] = []
     audit: list[AuditRecord] = []
-    for rec, i, k, count, ds, de in zip(operational, hit.tolist(), k_bind.tolist(), n_candidates.tolist(),
-                                        d_start.tolist(), d_end.tolist()):
+    for row_id, i, k, count, ds, de in zip(columns["row_id"], hit.tolist(), k_bind.tolist(),
+                                           n_candidates.tolist(), d_start.tolist(), d_end.tolist()):
         if i < 0:
-            unmatched.append(rec.source_row_id)
-            audit.append(AuditRecord(rec.source_row_id, ladder.maximum, count, None, math.nan, math.nan))
+            unmatched.append(row_id)
+            audit.append(AuditRecord(row_id, ladder.maximum, count, None, math.nan, math.nan))
         else:
-            audit.append(AuditRecord(rec.source_row_id, steps[k], count, descriptive.row_ids[i], ds, de))
+            audit.append(AuditRecord(row_id, steps[k], count, descriptive.row_ids[i], ds, de))
     bound = np.flatnonzero(hit >= 0)
-    merged = MergedFlowlines(operational_columns([operational[n] for n in bound.tolist()]),
-                             descriptive.geometry.take(hit[bound]))
+    merged = MergedFlowlines(operational.take(bound.tolist()).columns, descriptive.geometry.take(hit[bound]))
     return merged, unmatched, audit
 
 
 def match_spills(
-    spills: list[SpillRecord],
+    spills: Table,
     merged: MergedFlowlines,
     ladder: ToleranceLadder = ToleranceLadder(),
     params: ProjectionParams = ProjectionParams(),
@@ -309,10 +274,8 @@ def match_spills(
     flowline_ids = merged.operational["row_id"]
     id_ranks = _ranks(flowline_ids)
 
-    points = [project(s.location, params) for s in spills]
-    px = np.array([p.x for p in points], dtype=np.float64)
-    py = np.array([p.y for p in points], dtype=np.float64)
-    spill_ops = _operator_codes((s.operator_name for s in spills), codes)
+    px, py = project_points(spills.columns["location"], params)
+    spill_ops = _operator_codes(spills.columns["operator_name"], codes)
 
     nearest = np.full(len(spills), -1)
     distance = np.full(len(spills), math.inf)
@@ -324,12 +287,12 @@ def match_spills(
         nearest[q[best]], distance[q[best]] = i[best], d[best]
 
     attributions: list[SpillAttribution] = []
-    for spill, i, d in zip(spills, nearest.tolist(), distance.tolist()):
+    for spill_id, i, d in zip(spills.columns["spill_id"], nearest.tolist(), distance.tolist()):
         k = bisect_left(ladder.steps, d)
         if k == len(ladder.steps):
-            attributions.append(SpillAttribution(spill.spill_id, None, math.nan, ladder.maximum))
+            attributions.append(SpillAttribution(spill_id, None, math.nan, ladder.maximum))
         else:
-            attributions.append(SpillAttribution(spill.spill_id, flowline_ids[i], d, ladder.steps[k]))
+            attributions.append(SpillAttribution(spill_id, flowline_ids[i], d, ladder.steps[k]))
     return attributions
 
 

@@ -5,7 +5,7 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from flowline_risk.ingest import DescriptiveFlowlines, parse_descriptive, parse_operational, parse_spills
+from flowline_risk.ingest import DescriptiveFlowlines, Table, parse_descriptive, parse_operational, parse_spills
 from flowline_risk.synth import REFERENCE_DATE, config_a, config_b, generate
 
 SYNTH_SEED = 42
@@ -15,8 +15,8 @@ SYNTH_SEED = 42
 class SynthRun:
     result: object
     descriptive: DescriptiveFlowlines
-    operational: list
-    spills: list
+    operational: Table
+    spills: Table
 
     @property
     def truth(self):
@@ -98,8 +98,10 @@ def random_multiline(rng: np.random.Generator, box: float = 10.0):
 
 def make_operational(row_id="OP1", lat=39.0, lon=-105.0, lat2=39.001, lon2=-105.0,
                      operator="Acme Energy LLC", **kw):
+    """One OperationalFlowline record, the form the oracles read;
+    merged_oracle.operational_table turns a list of them into the package's Table."""
     from flowline_risk.crs import GeoPoint
-    from flowline_risk.ingest import OperationalFlowline
+    from merged_oracle import OperationalFlowline
 
     defaults = dict(
         source_row_id=row_id,

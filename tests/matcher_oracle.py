@@ -6,7 +6,8 @@ are re-sorted and their distances recomputed, and the first step with an
 operator-matching candidate binds. Slow but simple to audit, so the tests
 check that the one-query joins produce the same merged records, audit rows
 and spill attributions. The endpoint helpers below are the original ones,
-which rebuild a line's endpoint set on every distance call.
+which rebuild a line's endpoint set on every distance call, and each
+operational record's chord is a PolyLine between its projected endpoints.
 """
 
 from __future__ import annotations
@@ -18,21 +19,33 @@ from flowline_risk.geometry import (
     BoundingBox,
     MultiLine,
     Point2D,
+    PolyLine,
     bounding_box,
     endpoint_set,
     point_to_multiline_distance,
 )
-from flowline_risk.ingest import OperationalFlowline, SpillRecord, normalize_operator
-from flowline_risk.matcher import (
-    AuditRecord,
-    DegenerateLine,
-    SpillAttribution,
-    ToleranceLadder,
-    interpolate_line,
-)
+from flowline_risk.ingest import normalize_operator
+from flowline_risk.matcher import AuditRecord, SpillAttribution, ToleranceLadder
 from flowline_risk.spatial_index import IndexEntry, SpatialIndex
 
-from merged_oracle import DescriptiveFlowline, MergedFlowline
+from merged_oracle import DescriptiveFlowline, MergedFlowline, OperationalFlowline, SpillRecord
+
+
+class DegenerateLine(ValueError):
+    """Operational endpoints coincide after projection."""
+
+
+def interpolate_line(
+    rec: OperationalFlowline, params: ProjectionParams = ProjectionParams()
+) -> PolyLine:
+    """Straight two-vertex polyline between the projected endpoints."""
+    start = project(rec.start, params)
+    end = project(rec.end, params)
+    if start.distance_to(end) < 1e-6:
+        raise DegenerateLine(
+            f"record {rec.source_row_id}: projected endpoints coincide within 1e-6 m"
+        )
+    return PolyLine((start, end))
 
 
 def _endpoint_index(descriptive: list[DescriptiveFlowline]) -> SpatialIndex:

@@ -1,14 +1,17 @@
-"""Merged flowlines as per-record objects, kept as a reference for the
-columnar path.
+"""Operational rows, spills and merged flowlines as per-record objects,
+kept as a reference for the columnar path.
 
-Here each merged flowline is a MergedFlowline record: an OperationalFlowline
-and a scalar MultiLine of Point2D vertices. merged.json held one dict per
-record (merged_to_dict), and attribute, featurize and report rebuilt the
-records from it (merged_from_dict) before labelling them (assign_risk),
-building the design matrix (assemble), tabulating them (eda_summaries) and
-drawing the risk map (risk_map_payload). The tests check that the package,
-which keeps merged flowlines as columns and one MultiLineArray, writes the
-same bytes. The conversions at the end move record fixtures into the
+The operational and spill CSVs parsed into one frozen record per row
+(parse_operational_records, parse_spill_records), which the ladder oracle
+in matcher_oracle still reads. Each merged flowline is a MergedFlowline
+record: an OperationalFlowline and a scalar MultiLine of Point2D vertices.
+merged.json held one dict per record (merged_to_dict), and attribute,
+featurize and report rebuilt the records from it (merged_from_dict) before
+labelling them (assign_risk), building the design matrix (assemble),
+tabulating them (eda_summaries) and drawing the risk map
+(risk_map_payload). The tests check that the package, which keeps all of
+these as columns and one MultiLineArray, reads and writes the same values
+and bytes. The conversions at the end move record fixtures into the
 package's column types and back.
 """
 
@@ -19,7 +22,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from flowline_risk.crs import GeoPoint
+from flowline_risk.crs import GeoPoint, ProjectionParams
 from flowline_risk.evaluation import FrequencyTable, _frequency_table
 from flowline_risk.features import (
     NUMERIC_COLUMNS,
@@ -39,8 +42,53 @@ from flowline_risk.geometry import (
     line_count,
     multiline_length,
 )
-from flowline_risk.ingest import DescriptiveFlowlines, OperationalFlowline
-from flowline_risk.matcher import DanglingReference, MergedFlowlines, SpillAttribution, operational_columns
+from flowline_risk.ingest import (
+    OPERATIONAL_COLUMNS,
+    OPERATIONAL_HEADER,
+    SPILL_COLUMNS,
+    SPILL_HEADER,
+    CategoryMap,
+    DescriptiveFlowlines,
+    Diagnostic,
+    ParseResult,
+    SchemaViolation,
+    Table,
+    _parse_date,
+    _parse_geopoint,
+    _parse_number,
+    _read_csv,
+    default_category_map,
+)
+from flowline_risk.matcher import DanglingReference, MergedFlowlines, SpillAttribution
+
+
+@dataclass(frozen=True)
+class OperationalFlowline:
+    source_row_id: str
+    operator_number: str
+    flowline_id: str
+    location_id: str
+    status: str
+    flowline_action: str
+    location_type: str
+    fluid_type: str
+    material: str
+    diameter_inches: float
+    length_feet: float
+    max_operating_pressure: float
+    construction_date: datetime.date
+    operator_name: str
+    start: GeoPoint
+    end: GeoPoint
+
+
+@dataclass(frozen=True)
+class SpillRecord:
+    spill_id: str
+    operator_name: str
+    location: GeoPoint
+    root_cause_type: str
+    report_date: datetime.date
 
 
 @dataclass(frozen=True)
@@ -61,6 +109,74 @@ class MergedFlowline:
     @property
     def flowline_id(self) -> str:
         return self.operational.source_row_id
+
+
+# ---------------------------------------------------------------------------
+# the per-record parse of the operational and spill CSVs
+
+
+def parse_operational_records(path, category_map: CategoryMap | None = None,
+                              params: ProjectionParams = ProjectionParams(),
+                              reference_date: datetime.date | None = None) -> ParseResult:
+    """The operational CSV as one OperationalFlowline per accepted row."""
+    cmap = category_map if category_map is not None else default_category_map()
+    today = reference_date or datetime.date.today()
+    records, diagnostics = [], []
+    for row_num, row in _read_csv(path, OPERATIONAL_HEADER):
+        try:
+            if len(row) != len(OPERATIONAL_HEADER):
+                raise SchemaViolation(row_num, f"expected {len(OPERATIONAL_HEADER)} fields, got {len(row)}")
+            r = dict(zip(OPERATIONAL_HEADER, row))
+            operator_name = r["operator_name"].strip()
+            if not operator_name:
+                raise SchemaViolation(row_num, "missing operator_name")
+            records.append(OperationalFlowline(
+                source_row_id=r["row_id"].strip(),
+                operator_number=r["operator_number"].strip(),
+                flowline_id=r["flowline_id"].strip(),
+                location_id=r["location_id"].strip(),
+                status=r["status"].strip().upper(),
+                flowline_action=r["flowline_action"].strip().upper(),
+                location_type=r["location_type"].strip().upper(),
+                fluid_type=cmap.normalize(r["fluid_type"], "fluid_type"),
+                material=cmap.normalize(r["material"], "material"),
+                diameter_inches=_parse_number(r["diameter_in"], "diameter_in", row_num, 0.0, strict=True),
+                length_feet=_parse_number(r["length_ft"], "length_ft", row_num, 0.0, strict=False),
+                max_operating_pressure=_parse_number(r["max_op_pressure"], "max_op_pressure", row_num, 0.0,
+                                                     strict=False),
+                construction_date=_parse_date(r["construction_date"], "construction_date", row_num, today),
+                operator_name=operator_name,
+                start=GeoPoint(*_parse_geopoint(r["start_lat"], r["start_lon"], "start", row_num, params)),
+                end=GeoPoint(*_parse_geopoint(r["end_lat"], r["end_lon"], "end", row_num, params)),
+            ))
+        except SchemaViolation as exc:
+            diagnostics.append(Diagnostic(str(path), row_num, exc.reason))
+    return ParseResult(records, diagnostics)
+
+
+def parse_spill_records(path, params: ProjectionParams = ProjectionParams(),
+                        reference_date: datetime.date | None = None) -> ParseResult:
+    """The spill CSV as one SpillRecord per accepted row."""
+    today = reference_date or datetime.date.today()
+    records, diagnostics = [], []
+    for row_num, row in _read_csv(path, SPILL_HEADER):
+        try:
+            if len(row) != len(SPILL_HEADER):
+                raise SchemaViolation(row_num, f"expected {len(SPILL_HEADER)} fields, got {len(row)}")
+            r = dict(zip(SPILL_HEADER, row))
+            operator_name = r["operator_name"].strip()
+            if not operator_name:
+                raise SchemaViolation(row_num, "missing operator_name")
+            records.append(SpillRecord(
+                spill_id=r["spill_id"].strip(),
+                operator_name=operator_name,
+                location=GeoPoint(*_parse_geopoint(r["lat"], r["lon"], "spill", row_num, params)),
+                root_cause_type=r["root_cause_type"].strip().upper(),
+                report_date=_parse_date(r["report_date"], "report_date", row_num, today),
+            ))
+        except SchemaViolation as exc:
+            diagnostics.append(Diagnostic(str(path), row_num, exc.reason))
+    return ParseResult(records, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +351,34 @@ def descriptive_records(table: DescriptiveFlowlines) -> list[DescriptiveFlowline
             in zip(table.row_ids, table.operator_names, table.geometry.coordinates())]
 
 
+def operational_table(records: list[OperationalFlowline]) -> Table:
+    """The records as the package's operational Table: merged.json's columns."""
+    rows = [_operational_to_dict(r) for r in records]
+    return Table({name: [row[name] for row in rows] for name in OPERATIONAL_COLUMNS})
+
+
+def operational_records(table: Table) -> list[OperationalFlowline]:
+    columns = table.columns
+    return [_operational_from_dict({name: values[i] for name, values in columns.items()})
+            for i in range(len(table))]
+
+
+def spill_table(records: list[SpillRecord]) -> Table:
+    return Table.from_rows(SPILL_COLUMNS, [
+        (s.spill_id, s.operator_name, [s.location.latitude, s.location.longitude], s.root_cause_type,
+         s.report_date.isoformat())
+        for s in records
+    ])
+
+
+def spill_records(table: Table) -> list[SpillRecord]:
+    return [SpillRecord(spill_id, operator, GeoPoint(*location), cause, datetime.date.fromisoformat(reported))
+            for spill_id, operator, location, cause, reported
+            in zip(*(table.columns[name] for name in SPILL_COLUMNS))]
+
+
 def merged_flowlines(records: list[MergedFlowline]) -> MergedFlowlines:
-    return MergedFlowlines(operational_columns([m.operational for m in records]),
+    return MergedFlowlines(operational_table([m.operational for m in records]).columns,
                            multiline_array([m.geometry for m in records]))
 
 

@@ -21,7 +21,7 @@ from flowline_risk.geometry import (
     line_count,
     multiline_length,
 )
-from flowline_risk.ingest import SpillRecord, parse_descriptive, parse_operational, parse_spills
+from flowline_risk.ingest import SPILL_COLUMNS, Table, parse_descriptive, parse_operational, parse_spills
 from flowline_risk.matcher import match_flowlines, match_spills
 from flowline_risk.ml import (
     DecisionTreeClassifier,
@@ -116,7 +116,9 @@ def test_criterion_03_spill_attribution(tmp_path, capsys):
     # spills beyond 25 m of every line: far corner of the generated area
     x, y = merged.geometry.xy[0].tolist()  # the first vertex of the first line
     far_geo = unproject(Point2D(x - 50_000.0, y - 50_000.0))
-    far = [SpillRecord("FAR1", merged.operational["operator_name"][0], far_geo, "UNKNOWN", REFERENCE_DATE)]
+    far = Table.from_rows(SPILL_COLUMNS, [("FAR1", merged.operational["operator_name"][0],
+                                            [far_geo.latitude, far_geo.longitude], "UNKNOWN",
+                                            REFERENCE_DATE.isoformat())])
     far_att = match_spills(far, merged)
     far_unmatched = far_att[0].matched_flowline_id is None
 

@@ -5,6 +5,7 @@ import pytest
 
 from flowline_risk.features import (
     CATEGORICAL_COLUMNS,
+    ColumnMeta,
     DegenerateClass,
     Dataset,
     EmptyInput,
@@ -140,7 +141,7 @@ class TestAssemble:
             assemble(merged_flowlines([]), [], FeatureConfig(reference_date=REF))
 
     def test_one_hot_group_sums(self, synth_a):
-        merged, _, _ = match_flowlines(synth_a.operational[:200], synth_a.descriptive)
+        merged, _, _ = match_flowlines(synth_a.operational.take(range(200)), synth_a.descriptive)
         ds = assemble(merged, np.zeros(len(merged)),
                       FeatureConfig(drop_id_like=True, reference_date=REFERENCE_DATE))
         for source in {c.source for c in ds.column_meta if c.kind == "one-hot"}:
@@ -240,7 +241,7 @@ class TestStandardize:
 
 class TestRoundTrip:
     def test_save_load(self, tmp_path, synth_a):
-        merged, _, _ = match_flowlines(synth_a.operational[:100], synth_a.descriptive)
+        merged, _, _ = match_flowlines(synth_a.operational.take(range(100)), synth_a.descriptive)
         ds = assemble(merged, np.zeros(len(merged)),
                       FeatureConfig(drop_id_like=True, reference_date=REFERENCE_DATE))
         save_dataset(ds, tmp_path / "f.csv", tmp_path / "f.json", seed=7)
@@ -249,3 +250,14 @@ class TestRoundTrip:
         assert np.array_equal(back.y, ds.y)
         assert back.row_ids == ds.row_ids
         assert [c.name for c in back.column_meta] == [c.name for c in ds.column_meta]
+
+    def test_floats_round_trip_bit_for_bit(self, tmp_path):
+        values = [-0.0, 5e-324, 1e22, 0.1 + 0.2, -1.5e-310, 2.0 ** 53 + 2]
+        ds = Dataset(np.array([values, values[::-1]]), np.array([1, 0]),
+                     [ColumnMeta(f"c{j}", "numeric") for j in range(len(values))], ["R1", "R2"])
+        save_dataset(ds, tmp_path / "f.csv", tmp_path / "f.json")
+        back = load_dataset(tmp_path / "f.csv", read_json(tmp_path / "f.json"))
+        assert [v.hex() for v in back.X.ravel().tolist()] == [v.hex() for v in ds.X.ravel().tolist()]
+        assert back.y.tolist() == [1, 0] and back.row_ids == ["R1", "R2"]
+        assert (tmp_path / "f.csv").read_text().splitlines()[1] \
+            == "R1,-0.0,5e-324,1e+22,0.30000000000000004,-1.5e-310,9007199254740994.0,1"

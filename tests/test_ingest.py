@@ -22,6 +22,10 @@ from flowline_risk.ingest import (
     write_diagnostics,
 )
 
+from flowline_risk.synth import REFERENCE_DATE
+
+from merged_oracle import operational_table, parse_operational_records, parse_spill_records, spill_table
+
 REF = datetime.date(2024, 6, 30)
 
 
@@ -118,6 +122,29 @@ class TestDescriptive:
         assert result.records.row_ids == ["D2"]
         assert result.diagnostics == [Diagnostic(str(path), 0, reason)]
 
+    @pytest.mark.parametrize("bad, reason", [
+        (feature("D1", 5), "bad coordinates 5"),
+        (feature("D1", None), "bad coordinates None"),
+        (feature("D1", [[[0.0, 0.0], [1.0, 1.0]], 7]), "bad member 7"),
+        (feature("D1", [[{"x": 0.0}, [1.0, 1.0]]]), "bad coordinate {'x': 0.0}"),
+        ("D1", "not a Feature"),
+        (dict(feature("D1", [[[0.0, 0.0], [1.0, 1.0]]]), geometry=[1]), "geometry is not an object"),
+        (dict(feature("D1", [[[0.0, 0.0], [1.0, 1.0]]]), properties=["x"]), "properties is not an object"),
+    ])
+    def test_malformed_structure_is_a_row_diagnostic(self, tmp_path, bad, reason):
+        path = write_geojson(tmp_path / "d.geojson", [bad, feature("D2", [[[0.0, 0.0], [1.0, 1.0]]])])
+        result = parse_descriptive(path)
+        assert result.records.row_ids == ["D2"]
+        assert result.diagnostics == [Diagnostic(str(path), 0, reason)]
+
+    @pytest.mark.parametrize("doc", [[], "features", {"type": "FeatureCollection", "features": {}},
+                                     {"type": "FeatureCollection", "features": None}])
+    def test_malformed_document_is_a_file_level_violation(self, tmp_path, doc):
+        path = tmp_path / "d.geojson"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaViolation):
+            parse_descriptive(path)
+
     def test_coordinate_round_trip(self, synth_a):
         # re-parsing the generated file must reproduce coordinates exactly
         raw = json.loads(open(synth_a.result.descriptive_path).read())
@@ -134,11 +161,18 @@ class TestOperational:
         result = parse_operational(write_operational(tmp_path / "op.csv", [OP_ROW]),
                                    reference_date=REF)
         assert result.accepted == 1
-        rec = result.records[0]
-        assert rec.diameter_inches == 8.0
-        assert rec.fluid_type == "CRUDE_OIL"
-        assert rec.material == "STEEL"
-        assert rec.construction_date == datetime.date(2005, 6, 1)
+        columns = result.records.columns
+        assert columns["diameter_in"] == [8.0]
+        assert columns["fluid_type"] == ["CRUDE_OIL"]
+        assert columns["material"] == ["STEEL"]
+        assert columns["construction_date"] == ["2005-06-01"]
+        assert columns["start"] == [[39.0, -105.0]] and columns["end"] == [[39.001, -105.0]]
+
+    def test_construction_date_stored_as_iso_text(self, tmp_path):
+        # fromisoformat also reads the basic form; the column holds the date's ISO text
+        row = dict(OP_ROW, construction_date="20050601")
+        result = parse_operational(write_operational(tmp_path / "op.csv", [row]), reference_date=REF)
+        assert result.records.columns["construction_date"] == ["2005-06-01"]
 
     def test_missing_construction_date_rejected(self, tmp_path):
         row = dict(OP_ROW, construction_date="")
@@ -176,7 +210,7 @@ class TestOperational:
     def test_non_finite_number_rejected(self, tmp_path, column, raw):
         rows = [dict(OP_ROW, **{column: raw}), dict(OP_ROW, row_id="OP2")]
         result = parse_operational(write_operational(tmp_path / "op.csv", rows), reference_date=REF)
-        assert [r.source_row_id for r in result.records] == ["OP2"]
+        assert result.records.columns["row_id"] == ["OP2"]
         assert [(d.row, d.reason) for d in result.diagnostics] == [(1, f"{column} must be finite, got {raw}")]
 
     def test_parsing_is_total(self, tmp_path):
@@ -188,6 +222,79 @@ class TestOperational:
 
     def test_generator_round_trip(self, synth_a):
         assert len(synth_a.operational) == 1000
+
+    def test_missing_or_duplicate_row_id_rejected(self, tmp_path):
+        rows = [OP_ROW, dict(OP_ROW, row_id=" "), dict(OP_ROW, row_id="OP2"), dict(OP_ROW, row_id=" OP1 "),
+                dict(OP_ROW, row_id="OP2")]
+        result = parse_operational(write_operational(tmp_path / "op.csv", rows), reference_date=REF)
+        assert result.records.columns["row_id"] == ["OP1", "OP2"]
+        assert [(d.row, d.reason) for d in result.diagnostics] == [
+            (2, "missing row_id"),
+            (4, "duplicate row_id 'OP1', first at row 1"),
+            (5, "duplicate row_id 'OP2', first at row 3"),
+        ]
+
+    def test_rejected_row_does_not_claim_its_id(self, tmp_path):
+        rows = [dict(OP_ROW, diameter_in="0"), OP_ROW]
+        result = parse_operational(write_operational(tmp_path / "op.csv", rows), reference_date=REF)
+        assert result.records.columns["row_id"] == ["OP1"]
+        assert [d.row for d in result.diagnostics] == [1]
+
+    def test_each_reason_names_the_first_failing_check(self, tmp_path):
+        # Every rejected row fails two checks. The reason names the earlier
+        # field in CSV order, except that operator_name, then row_id, are
+        # checked before the typed fields.
+        rows = [
+            OP_ROW,
+            dict(OP_ROW, row_id="OP2", diameter_in="oops", construction_date=""),
+            dict(OP_ROW, row_id="OP3", length_ft="-1", end_lat="x"),
+            dict(OP_ROW, row_id="OP4", max_op_pressure="inf", start_lon="-60.0"),
+            dict(OP_ROW, row_id="OP5", construction_date="2031-01-01", start_lat="95"),
+            dict(OP_ROW, row_id="OP6", start_lat="95", end_lon="-60.0"),
+            dict(OP_ROW, row_id="OP7", start_lon="-60.0", end_lat="x"),
+            dict(OP_ROW, row_id="OP8", operator_name=" ", diameter_in="0"),
+            dict(OP_ROW, row_id="", diameter_in="0"),
+            dict(OP_ROW, construction_date=""),
+        ]
+        path = write_operational(tmp_path / "op.csv", rows)
+        with path.open("a") as fh:
+            fh.write(",".join(OP_ROW[c] for c in OPERATIONAL_HEADER[:-1]) + "\n")
+        result = parse_operational(path, reference_date=REF)
+        reasons = [
+            (2, "bad diameter_in 'oops'"),
+            (3, "length_ft must be >= 0.0, got -1"),
+            (4, "max_op_pressure must be finite, got inf"),
+            (5, "construction_date 2031-01-01 is in the future"),
+            (6, "start: latitude 95.0 outside [-90, 90]"),
+            (7, "start longitude -60.0 outside the projection window"),
+            (8, "missing operator_name"),
+            (9, "missing row_id"),
+            (10, "duplicate row_id 'OP1', first at row 1"),
+            (11, "expected 18 fields, got 17"),
+        ]
+        assert result.records.columns["row_id"] == ["OP1"]
+        assert [(d.row, d.reason) for d in result.diagnostics] == reasons
+        # The per-record parse has no row id checks, so there rows 9 and 10
+        # fail their second check; every other reason is the same.
+        oracle = parse_operational_records(path, reference_date=REF)
+        want = {**dict(reasons), 9: "diameter_in must be > 0.0, got 0", 10: "missing construction_date"}
+        assert [(d.row, d.reason) for d in oracle.diagnostics] == sorted(want.items())
+
+
+class TestRecordParseOracle:
+    """The columnar parse against the per-record parse it replaced."""
+
+    @pytest.mark.parametrize("run", ["synth_a", "synth_b"])
+    def test_synthetic_inputs(self, request, run):
+        result = request.getfixturevalue(run).result
+        ops = parse_operational(result.operational_path, reference_date=REFERENCE_DATE)
+        want = parse_operational_records(result.operational_path, reference_date=REFERENCE_DATE)
+        assert ops.records == operational_table(want.records)
+        assert ops.diagnostics == want.diagnostics
+        spills = parse_spills(result.spills_path, reference_date=REFERENCE_DATE)
+        want = parse_spill_records(result.spills_path, reference_date=REFERENCE_DATE)
+        assert spills.records == spill_table(want.records)
+        assert spills.diagnostics == want.diagnostics
 
 
 class TestSpills:

@@ -1,41 +1,47 @@
+import csv
 import math
-from contextlib import contextmanager
-from dataclasses import fields
+from contextlib import contextmanager, nullcontext
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from flowline_risk.crs import GeoPoint, ProjectionParams, project, unproject
 from flowline_risk.geometry import BoundingBox, Point2D, endpoint_set, multiline, point_to_multiline_distance
-from flowline_risk.ingest import SpillRecord
+from flowline_risk.ingest import parse_descriptive, parse_operational, parse_spills
 from flowline_risk.matcher import (
     DanglingReference,
-    DegenerateLine,
     SpillAttribution,
     ToleranceLadder,
     assign_risk,
-    interpolate_line,
     match_flowlines,
     match_spills,
+    project_points,
     segment_distances,
     write_audit_log,
 )
 from flowline_risk.spatial_index import SpatialIndex
-from flowline_risk.synth import REFERENCE_DATE
+from flowline_risk.synth import REFERENCE_DATE, config_a, generate
 
 import matcher_oracle
 from conftest import make_operational
+from matcher_oracle import interpolate_line
 from merged_oracle import (
     DescriptiveFlowline,
     MergedFlowline,
+    SpillRecord,
     descriptive_flowlines,
     descriptive_records,
     merged_flowlines,
     merged_records,
     multiline_array,
+    operational_records,
+    operational_table,
+    spill_records,
+    spill_table,
 )
 
 BASE = Point2D(500000.0, 4320000.0)
@@ -78,23 +84,36 @@ class TestToleranceLadder:
 
 
 class TestInterpolate:
+    """Each operational row's chord runs between its projected endpoints."""
+
     def test_straight_chord(self):
-        rec = operational("OP1", 0.0, 0.0, 100.0, 0.0)
-        chord = interpolate_line(rec)
-        assert chord.length() == pytest.approx(100.0, abs=1e-5)
+        table = operational_table([operational("OP1", 0.0, 0.0, 100.0, 0.0)])
+        (sx,), (sy,) = project_points(table.columns["start"])
+        (ex,), (ey,) = project_points(table.columns["end"])
+        assert math.hypot(sx - ex, sy - ey) == pytest.approx(100.0, abs=1e-5)
 
     def test_degenerate(self):
-        rec = make_operational(lat=39.0, lon=-105.0, lat2=39.0, lon2=-105.0)
-        with pytest.raises(DegenerateLine):
-            interpolate_line(rec)
+        # OP1's endpoints coincide on D1's first endpoint; it is excluded
+        # before the index query, so it has no candidate even at step 0.
+        ops = [operational("OP1", 0.0, 0.0, 0.0, 0.0), operational("OP2", 0.0, 0.0, 100.0, 0.0)]
+        desc = descriptive_flowlines([descriptive("D1", [[(0.0, 0.0), (100.0, 0.0)]])])
+        merged, unmatched, audit = match_flowlines(operational_table(ops), desc)
+        assert unmatched == ["OP1"]
+        assert merged.operational["row_id"] == ["OP2"]
+        assert (audit[0].record_id, audit[0].step_reached, audit[0].n_candidates, audit[0].chosen_id) \
+            == ("OP1", 25.0, 0, None)
+        assert math.isnan(audit[0].d_start) and math.isnan(audit[0].d_end)
+        assert audit[1].chosen_id == "D1"
 
     @staticmethod
     def _assert_chords_are_projected_truth(run):
         # The generator writes coordinates that parse back to the floats it
-        # projected, so the pipeline's chord ends are its ground truth exactly.
-        for rec in run.operational:
-            chord = interpolate_line(rec)
-            assert chord.vertices == run.truth.projected_endpoints[rec.source_row_id]
+        # projected, so the chord ends are its ground truth exactly.
+        columns = run.operational.columns
+        ends = (*project_points(columns["start"]), *project_points(columns["end"]))
+        for row_id, *got in zip(columns["row_id"], *(a.tolist() for a in ends)):
+            start, end = run.truth.projected_endpoints[row_id]
+            assert [v.hex() for v in got] == [v.hex() for v in (start.x, start.y, end.x, end.y)]
 
     def test_generator_projected_pair(self, synth_a):
         self._assert_chords_are_projected_truth(synth_a)
@@ -113,7 +132,7 @@ class TestMatchFlowlines:
         desc = [DescriptiveFlowline("D1", "Acme Energy LLC", multiline(
             [(chord.vertices[0].x, chord.vertices[0].y),
              (chord.vertices[1].x, chord.vertices[1].y)]))]
-        merged, unmatched, audit = match_flowlines(ops, descriptive_flowlines(desc))
+        merged, unmatched, audit = match_flowlines(operational_table(ops), descriptive_flowlines(desc))
         assert len(merged) == 1 and not unmatched
         assert (audit[0].chosen_id, audit[0].step_reached) == ("D1", 0.0)
         assert (audit[0].d_start, audit[0].d_end) == (0.0, 0.0)
@@ -121,7 +140,7 @@ class TestMatchFlowlines:
     def test_operator_mismatch_excludes_sole_candidate(self):
         ops = [operational("OP1", 0.0, 0.0, 100.0, 0.0)]
         desc = [descriptive("D1", [[(3.0, 0.0), (103.0, 0.0)]], operator="Rival Oil Co")]
-        merged, unmatched, audit = match_flowlines(ops, descriptive_flowlines(desc))
+        merged, unmatched, audit = match_flowlines(operational_table(ops), descriptive_flowlines(desc))
         assert len(merged) == 0
         assert unmatched == ["OP1"]
         assert audit[0].chosen_id is None
@@ -133,7 +152,7 @@ class TestMatchFlowlines:
             descriptive("D1", [[(0.0, 3.0), (100.0, 3.0)]], operator="Rival Oil Co"),
             descriptive("D2", [[(0.0, 10.0), (100.0, 10.0)]]),
         ]
-        merged, unmatched, audit = match_flowlines(ops, descriptive_flowlines(desc))
+        merged, unmatched, audit = match_flowlines(operational_table(ops), descriptive_flowlines(desc))
         assert len(merged) == 1
         assert (audit[0].chosen_id, audit[0].step_reached) == ("D2", 10.0)
 
@@ -143,7 +162,7 @@ class TestMatchFlowlines:
             descriptive("D2", [[(0.0, 4.0), (100.0, 4.0)]]),
             descriptive("D1", [[(0.0, 2.0), (100.0, 2.0)]]),
         ]
-        _, _, audit = match_flowlines(ops, descriptive_flowlines(desc))
+        _, _, audit = match_flowlines(operational_table(ops), descriptive_flowlines(desc))
         assert audit[0].chosen_id == "D1"
 
         # exact tie on summed distance: smaller row id wins
@@ -151,7 +170,7 @@ class TestMatchFlowlines:
             descriptive("D9", [[(0.0, 2.0), (100.0, 2.0)]]),
             descriptive("D3", [[(0.0, -2.0), (100.0, -2.0)]]),
         ]
-        _, _, audit = match_flowlines(ops, descriptive_flowlines(desc_tie))
+        _, _, audit = match_flowlines(operational_table(ops), descriptive_flowlines(desc_tie))
         assert audit[0].chosen_id == "D3"
 
     def test_duplicate_row_id_tie_goes_to_file_order(self):
@@ -164,7 +183,7 @@ class TestMatchFlowlines:
         far = [descriptive(f"F{k}", [[(5000.0 + 100 * k, 5000.0), (5050.0 + 100 * k, 5000.0)]])
                for k in range(7)]
         for first, last in ((above, below), (below, above)):
-            merged, _, audit = match_flowlines(ops, descriptive_flowlines([first, *far, last]))
+            merged, _, audit = match_flowlines(operational_table(ops), descriptive_flowlines([first, *far, last]))
             assert merged_records(merged)[0].geometry == first.geometry
             assert audit[0].n_candidates == 2
 
@@ -172,17 +191,17 @@ class TestMatchFlowlines:
         # descriptive endpoints far away; only its interior passes nearby
         ops = [operational("OP1", 0.0, 0.0, 100.0, 0.0)]
         desc = descriptive_flowlines([descriptive("D1", [[(-500.0, 5.0), (50.0, 5.0), (600.0, 5.0)]])])
-        merged, unmatched, _ = match_flowlines(ops, desc)
+        merged, unmatched, _ = match_flowlines(operational_table(ops), desc)
         assert unmatched == ["OP1"]
 
-        merged, unmatched, _ = match_flowlines(ops, desc, whole_geometry=True)
+        merged, unmatched, _ = match_flowlines(operational_table(ops), desc, whole_geometry=True)
         assert len(merged) == 1  # the flag switches to whole-geometry distance
 
     def test_one_to_many_is_allowed(self):
         ops = [operational("OP1", 0.0, 0.0, 100.0, 0.0),
                operational("OP2", 1.0, 1.0, 101.0, 1.0)]
         desc = [descriptive("D1", [[(0.0, 0.0), (100.0, 0.0)]])]
-        merged, unmatched, _ = match_flowlines(ops, descriptive_flowlines(desc))
+        merged, unmatched, _ = match_flowlines(operational_table(ops), descriptive_flowlines(desc))
         assert len(merged) == 2 and not unmatched
 
     def test_invariants_on_config_a(self, synth_a):
@@ -200,7 +219,7 @@ class TestMatchFlowlines:
     def test_ladder_extension_monotonicity(self, synth_b):
         short = ToleranceLadder((0.0, 1.0, 2.0, 5.0, 10.0))
         extended = ToleranceLadder((0.0, 1.0, 2.0, 5.0, 10.0, 15.0, 25.0))
-        ops = synth_b.operational[:300]
+        ops = synth_b.operational.take(range(300))
         _, _, audit_short = match_flowlines(ops, synth_b.descriptive, short)
         _, _, audit_ext = match_flowlines(ops, synth_b.descriptive, extended)
         chosen_short = {a.record_id: a.chosen_id for a in audit_short if a.chosen_id is not None}
@@ -209,7 +228,7 @@ class TestMatchFlowlines:
             assert chosen_ext[op_id] == desc_id  # never unmatched, never changed
 
     def test_determinism(self, synth_b):
-        ops = synth_b.operational[:200]
+        ops = synth_b.operational.take(range(200))
         a = match_flowlines(ops, synth_b.descriptive)
         b = match_flowlines(ops, synth_b.descriptive)
         assert a[0] == b[0]
@@ -220,14 +239,14 @@ class TestMatchFlowlines:
 class TestMatchSpills:
     def _merged(self, desc, op_row="OP1"):
         ops = [operational(op_row, 0.0, 0.0, 100.0, 0.0, operator=desc.operator_name)]
-        merged, _, _ = match_flowlines(ops, descriptive_flowlines([desc]))
+        merged, _, _ = match_flowlines(operational_table(ops), descriptive_flowlines([desc]))
         return merged
 
     def test_spill_on_line_binds_at_zero(self):
         desc = descriptive("D1", [[(0.0, 0.0), (100.0, 0.0)]])
         merged = merged_flowlines([MergedFlowline(make_operational(row_id="OP1", operator=desc.operator_name),
                                                   desc.geometry)])
-        att = match_spills([spill("S1", 50.0, 0.0)], merged)
+        att = match_spills(spill_table([spill("S1", 50.0, 0.0)]), merged)
         assert att[0].matched_flowline_id == "OP1"
         assert att[0].tolerance_used == 0.0
         assert att[0].distance < 1e-6
@@ -236,14 +255,14 @@ class TestMatchSpills:
         desc = descriptive("D1", [[(0.0, 0.0), (100.0, 0.0)]])
         merged = merged_flowlines([MergedFlowline(make_operational(row_id="OP1", operator=desc.operator_name),
                                                   desc.geometry)])
-        att = match_spills([spill("S1", 50.0, 30.0)], merged)
+        att = match_spills(spill_table([spill("S1", 50.0, 30.0)]), merged)
         assert att[0].matched_flowline_id is None
 
     def test_operator_gate(self):
         desc = descriptive("D1", [[(0.0, 0.0), (100.0, 0.0)]])
         merged = merged_flowlines([MergedFlowline(make_operational(row_id="OP1", operator=desc.operator_name),
                                                   desc.geometry)])
-        att = match_spills([spill("S1", 50.0, 5.0, operator="Rival Oil Co")], merged)
+        att = match_spills(spill_table([spill("S1", 50.0, 5.0, operator="Rival Oil Co")]), merged)
         assert att[0].matched_flowline_id is None
 
     def test_config_a_attribution_rate(self, synth_a):
@@ -276,7 +295,7 @@ class TestOneQueryPerRecord:
             make_operational(row_id="OP4", lat=39.0, lon=-105.0, lat2=39.0, lon2=-105.0),
         ]
         desc = [descriptive("D1", [[(0.0, 0.0), (100.0, 0.0)]])]
-        merged, unmatched, audit = match_flowlines(ops, descriptive_flowlines(desc))
+        merged, unmatched, audit = match_flowlines(operational_table(ops), descriptive_flowlines(desc))
         assert [(a.chosen_id, a.step_reached) for a in audit[:2]] == [("D1", 1.0), ("D1", 10.0)]
         assert merged.operational["row_id"] == ["OP1", "OP2"]
         assert unmatched == ["OP3", "OP4"]
@@ -288,7 +307,7 @@ class TestOneQueryPerRecord:
         merged = merged_flowlines([MergedFlowline(make_operational(row_id="OP1", operator=desc.operator_name),
                                                   desc.geometry)])
         spills = [spill("S1", 50.0, 0.0), spill("S2", 50.0, 12.0), spill("S3", 50.0, 60.0)]
-        att = match_spills(spills, merged, ToleranceLadder((0.0, 5.0, 15.0)))
+        att = match_spills(spill_table(spills), merged, ToleranceLadder((0.0, 5.0, 15.0)))
         assert [a.tolerance_used for a in att] == [0.0, 15.0, 15.0]
         assert [a.matched for a in att] == [True, True, False]
         assert query_radii == [15.0, 15.0, 15.0]
@@ -416,6 +435,32 @@ def no_box_prefilter():
         yield
 
 
+def ladder_oracle_box(params):
+    """The ladder oracle's box prefilter where it cannot round a point out,
+    else none.
+
+    In UTM nearby coordinates share a binade, so the box edges and the
+    distances the joins compare are exact. Near the origin they round, and
+    not only for nudged coordinates: spill locations go through unproject
+    and project, and descriptive vertices are sums of an anchor and an
+    offset. There a point can measure exactly a step yet fall outside the
+    oracle's box at that step, so the oracle runs without its prefilter.
+    """
+    return nullcontext() if params == UTM[0] else no_box_prefilter()
+
+
+# S0 measures exactly 2.0 m from OP6's end (0.0, -0.5), as the package finds,
+# but its y, about 1.5, minus 2 rounds to just above -0.5, so the prefiltered
+# oracle's 2 m box misses the line and it attributes S0 at 3.0.
+ROUNDED_OUT_SPILL = (
+    NEAR_ORIGIN[0],
+    [SpillRecord("S0", "Rival Oil Co", GeoPoint(1.3570970544419904e-05, -105.00000000000001),
+                 "CORROSION", REFERENCE_DATE)],
+    [MergedFlowline(make_operational(row_id="OP6", operator="Rival Oil Co"),
+                    multiline([(-1.5813123325892052e-09, -0.9999999999999998), (0.0, -0.5)]))],
+)
+
+
 # Hypothesis's explain phase re-runs a shrunk failure hundreds of times to
 # annotate it; here that took two thirds of the time to report one.
 ORACLE_SETTINGS = settings(max_examples=200, deadline=None,
@@ -429,15 +474,20 @@ class TestMatchesLadderOracle:
     @given(networks(), LADDERS, st.booleans())
     def test_match_flowlines(self, network, ladder, whole_geometry):
         params, ops, desc = network
-        assert_same_merge(match_flowlines(ops, descriptive_flowlines(desc), ladder, params, whole_geometry),
-                          matcher_oracle.match_flowlines(ops, desc, ladder, params, whole_geometry))
+        got = match_flowlines(operational_table(ops), descriptive_flowlines(desc), ladder, params, whole_geometry)
+        with ladder_oracle_box(params):
+            want = matcher_oracle.match_flowlines(ops, desc, ladder, params, whole_geometry)
+        assert_same_merge(got, want)
 
     @ORACLE_SETTINGS
     @given(spill_scenes(), LADDERS)
+    @example(ROUNDED_OUT_SPILL, ToleranceLadder((2.0, 3.0)))
     def test_match_spills(self, scene, ladder):
         params, spills, merged = scene
-        assert_same_records(match_spills(spills, merged_flowlines(merged), ladder, params),
-                            matcher_oracle.match_spills(spills, merged, ladder, params))
+        got = match_spills(spill_table(spills), merged_flowlines(merged), ladder, params)
+        with ladder_oracle_box(params):
+            want = matcher_oracle.match_spills(spills, merged, ladder, params)
+        assert_same_records(got, want)
 
     # Near the origin the per-step box can round a point out that still
     # measures exactly the step; the one-query joins then bind at that step
@@ -447,7 +497,7 @@ class TestMatchesLadderOracle:
     @given(networks(nudge_frames=(UTM, NEAR_ORIGIN)), LADDERS, st.booleans())
     def test_match_flowlines_differs_only_by_box_rounding(self, network, ladder, whole_geometry):
         params, ops, desc = network
-        got = match_flowlines(ops, descriptive_flowlines(desc), ladder, params, whole_geometry)
+        got = match_flowlines(operational_table(ops), descriptive_flowlines(desc), ladder, params, whole_geometry)
         with no_box_prefilter():
             want = matcher_oracle.match_flowlines(ops, desc, ladder, params, whole_geometry)
         assert_same_merge(got, want)
@@ -456,7 +506,7 @@ class TestMatchesLadderOracle:
     @given(spill_scenes(nudge_frames=(UTM, NEAR_ORIGIN)), LADDERS)
     def test_match_spills_differs_only_by_box_rounding(self, scene, ladder):
         params, spills, merged = scene
-        got = match_spills(spills, merged_flowlines(merged), ladder, params)
+        got = match_spills(spill_table(spills), merged_flowlines(merged), ladder, params)
         with no_box_prefilter():
             want = matcher_oracle.match_spills(spills, merged, ladder, params)
         assert_same_records(got, want)
@@ -473,7 +523,7 @@ class TestMatchesLadderOracle:
         edge = math.nextafter(start.x - 2.0, -math.inf)
         desc = [DescriptiveFlowline("D1", rec.operator_name,
                                     multiline([(edge, start.y), (end.x, end.y)]))]
-        (got,) = match_flowlines([rec], descriptive_flowlines(desc), params=params)[2]
+        (got,) = match_flowlines(operational_table([rec]), descriptive_flowlines(desc), params=params)[2]
         (want,) = matcher_oracle.match_flowlines([rec], desc, params=params)[2]
         assert (got.step_reached, got.d_start, got.d_end) == (2.0, 2.0, 0.0)
         assert (want.step_reached, want.d_start, want.d_end) == (5.0, 2.0, 0.0)
@@ -482,13 +532,13 @@ class TestMatchesLadderOracle:
 
     def test_synthetic_networks(self, synth_a, synth_b):
         for run in (synth_a, synth_b):
-            ops = run.operational[:300]
+            ops = run.operational.take(range(300))
             for whole_geometry in (False, True):
                 got = match_flowlines(ops, run.descriptive, whole_geometry=whole_geometry)
                 assert_same_merge(got, matcher_oracle.match_flowlines(
-                    ops, descriptive_records(run.descriptive), whole_geometry=whole_geometry))
+                    operational_records(ops), descriptive_records(run.descriptive), whole_geometry=whole_geometry))
             assert_same_records(match_spills(run.spills, got[0]),
-                                matcher_oracle.match_spills(run.spills, merged_records(got[0])))
+                                matcher_oracle.match_spills(spill_records(run.spills), merged_records(got[0])))
 
 
 # Grid coordinates make zero-length segments, vertex queries and feet of
@@ -565,6 +615,32 @@ class TestAssignRisk:
         with pytest.raises(DanglingReference):
             assign_risk(self._merged_pair(), [SpillAttribution("S1", "NOPE", 1.0, 5.0)])
 
+    def test_duplicate_operational_id_cannot_mislabel(self, tmp_path):
+        # Labels go by flowline id, so a spill-free line carrying a high-risk
+        # line's id would be labelled high risk too; the parser rejects it.
+        result = generate(replace(config_a(seed=3, n_lines=200), spill_rate=0.2), tmp_path)
+        with open(result.operational_path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        risky = set(result.ground_truth.spill_matches.values())
+        high = next(n for n, row in enumerate(rows[1:], 1) if row[0] in risky)
+        low = next(n for n, row in enumerate(rows[high + 1:], high + 1) if row[0] not in risky)
+        rows[low][0] = rows[high][0]
+        edited = tmp_path / "edited.csv"
+        with open(edited, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+
+        def high_risk_lines(operational_path):
+            ops = parse_operational(operational_path, reference_date=REFERENCE_DATE)
+            merged, _, _ = match_flowlines(ops.records, parse_descriptive(result.descriptive_path).records)
+            spills = parse_spills(result.spills_path, reference_date=REFERENCE_DATE).records
+            return int(assign_risk(merged, match_spills(spills, merged)).sum()), ops.diagnostics
+
+        clean, _ = high_risk_lines(result.operational_path)
+        count, diagnostics = high_risk_lines(edited)
+        assert count == clean == len(risky)
+        assert [(d.row, d.reason) for d in diagnostics] == [
+            (low, f"duplicate row_id {rows[high][0]!r}, first at row {high}")]
+
     def test_unmatched_attribution_is_ignored(self):
         labeled = assign_risk(self._merged_pair(),
                               [SpillAttribution("S1", None, math.nan, 25.0)])
@@ -573,7 +649,7 @@ class TestAssignRisk:
 
 class TestAuditLog:
     def test_csv_shape(self, tmp_path, synth_a):
-        merged, _, audit = match_flowlines(synth_a.operational[:20], synth_a.descriptive)
+        merged, _, audit = match_flowlines(synth_a.operational.take(range(20)), synth_a.descriptive)
         path = tmp_path / "audit.csv"
         write_audit_log(path, audit)
         lines = path.read_text().strip().splitlines()

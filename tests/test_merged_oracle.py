@@ -21,7 +21,7 @@ from flowline_risk.synth import REFERENCE_DATE
 
 import matcher_oracle
 import merged_oracle
-from merged_oracle import MergedFlowline, merged_from_dict, merged_to_dict
+from merged_oracle import MergedFlowline, merged_from_dict, merged_to_dict, operational_records, spill_records
 
 
 def through_json(doc):
@@ -44,8 +44,8 @@ def record_path(run, audit):
         features = json.load(fh)["features"]
     geometry = {f["id"]: multiline(*f["geometry"]["coordinates"]) for f in features}
     records = [merged_from_dict(through_json(merged_to_dict(MergedFlowline(op, geometry[a.chosen_id]))))
-               for op, a in zip(run.operational, audit) if a.chosen_id is not None]
-    attributions = matcher_oracle.match_spills(run.spills, records)
+               for op, a in zip(operational_records(run.operational), audit) if a.chosen_id is not None]
+    attributions = matcher_oracle.match_spills(spill_records(run.spills), records)
     return merged_oracle.assign_risk(records, attributions), attributions
 
 

@@ -37,9 +37,9 @@ class TestGenerate:
 
     def test_ground_truth_total(self, synth_a):
         truth = synth_a.truth
-        op_ids = {r.source_row_id for r in synth_a.operational}
+        op_ids = set(synth_a.operational.columns["row_id"])
         assert set(truth.line_matches) == op_ids
-        spill_ids = {s.spill_id for s in synth_a.spills}
+        spill_ids = set(synth_a.spills.columns["spill_id"])
         assert set(truth.spill_matches) == spill_ids
 
     def test_ground_truth_file_round_trip(self, synth_a):
@@ -155,8 +155,9 @@ class TestPresets:
     def test_config_b_bundles_share_operator(self, synth_b):
         # clustered placement must reuse operators across same-facility lines
         by_location = {}
-        for rec in synth_b.operational:
-            by_location.setdefault(rec.location_id, []).append(rec.operator_name)
+        columns = synth_b.operational.columns
+        for location_id, operator_name in zip(columns["location_id"], columns["operator_name"]):
+            by_location.setdefault(location_id, []).append(operator_name)
         bundles = {loc: ops for loc, ops in by_location.items() if len(ops) > 1}
         assert bundles, "clustering 0.8 must produce shared-facility bundles"
         for ops in bundles.values():
