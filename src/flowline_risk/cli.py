@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 configuration/validation error, 3 stage failure.
 Each stage writes its artifacts under --out and appends to the run log;
-run-all chains every stage in pipeline order.
+run-all chains every stage in pipeline order. A stage's module is imported
+when the stage first runs, so a process that runs one stage loads only the
+code that stage uses.
 """
 
 from __future__ import annotations
@@ -12,22 +14,34 @@ import sys
 import time
 from pathlib import Path
 
-from . import pipeline, report
+from . import pipeline
 from .config import ConfigError, load_config
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_STAGE = 3
 
+
+def _stage(module: str, name: str):
+    """Stage `name` of `module`, which is imported when the stage is called.
+
+    __import__ takes the import statement's path, so -X importtime lists the
+    module, which it does not for importlib.import_module."""
+    def run(cfg, paths, manifest) -> dict:
+        stage = getattr(__import__(f"{__package__}.{module}", fromlist=[name]), name)
+        return stage(cfg, paths, manifest)
+    return run
+
+
 STAGES = {
-    "synth": pipeline.stage_synth,
-    "merge": pipeline.stage_merge,
-    "attribute": pipeline.stage_attribute,
-    "featurize": pipeline.stage_featurize,
-    "train": pipeline.stage_train,
-    "evaluate": pipeline.stage_evaluate,
-    "cluster": pipeline.stage_cluster,
-    "report": report.stage_report,
+    "synth": _stage("pipeline", "stage_synth"),
+    "merge": _stage("pipeline", "stage_merge"),
+    "attribute": _stage("pipeline", "stage_attribute"),
+    "featurize": _stage("pipeline", "stage_featurize"),
+    "train": _stage("modeling", "stage_train"),
+    "evaluate": _stage("modeling", "stage_evaluate"),
+    "cluster": _stage("modeling", "stage_cluster"),
+    "report": _stage("report", "stage_report"),
 }
 
 RUN_ALL_ORDER = (
@@ -71,7 +85,7 @@ def _run_stage(name: str, cfg, paths, manifest) -> None:
     started = time.perf_counter()
     stats = STAGES[name](cfg, paths, manifest)
     elapsed = time.perf_counter() - started
-    report.append_run_log(paths, name, stats, elapsed)
+    pipeline.append_run_log(paths, name, stats, elapsed)
     summary = ", ".join(f"{k}={v}" for k, v in sorted(stats.items()) if not isinstance(v, dict))
     print(f"[{name}] done in {elapsed:.2f}s{': ' + summary if summary else ''}")
 

@@ -15,7 +15,7 @@ from typing import get_args, get_origin, get_type_hints
 
 from .crs import ProjectionParams
 from .matcher import DEFAULT_LADDER_STEPS, ToleranceLadder
-from .synth import BadSynthSetting, SynthConfig, config_a, config_b
+from .synth_settings import BadSynthSetting, SynthConfig, config_a, config_b
 
 
 class ConfigError(ValueError):

@@ -4,8 +4,8 @@ Parsing is total: every input row becomes either an accepted row or a
 row-level diagnostic, never a silent drop. Descriptive geometry travels as
 GeoJSON MultiLineString features and parses into columns with one flat
 MultiLineArray; the operational and spill datasets are headed CSV and parse
-into one Table each, whose operational columns are the ones merged.json
-stores.
+into one Table each. merged.json stores the operational table's columns
+except the two endpoints.
 """
 
 from __future__ import annotations
@@ -32,9 +32,17 @@ OPERATIONAL_HEADER = [
 
 SPILL_HEADER = ["spill_id", "operator_name", "lat", "lon", "root_cause_type", "report_date"]
 
+# The operational columns merged.json keeps: every attribute, but not the
+# endpoints, which only the merge reads.
+MERGED_COLUMNS = OPERATIONAL_HEADER[:14]
 # The parsed tables' columns: start, end and location are [latitude, longitude].
-OPERATIONAL_COLUMNS = [*OPERATIONAL_HEADER[:14], "start", "end"]
+OPERATIONAL_COLUMNS = [*MERGED_COLUMNS, "start", "end"]
 SPILL_COLUMNS = ["spill_id", "operator_name", "location", "root_cause_type", "report_date"]
+
+
+# What json reads a number as; bool is a subclass of int, so types are
+# compared exactly.
+_JSON_NUMBERS = (int, float)
 
 
 class FileUnreadable(OSError):
@@ -257,10 +265,13 @@ def _parse_feature(feature, i, geographic, params) -> tuple[str, str, list]:
             raise SchemaViolation(i, "degenerate member")
         points = []
         for coord in chain:
+            if type(coord) is not list or len(coord) < 2 \
+                    or type(coord[0]) not in _JSON_NUMBERS or type(coord[1]) not in _JSON_NUMBERS:
+                raise SchemaViolation(i, f"bad coordinate {coord!r}")
             try:
                 cx, cy = float(coord[0]), float(coord[1])
-            except (TypeError, ValueError, IndexError, KeyError):
-                raise SchemaViolation(i, f"bad coordinate {coord!r}")
+            except OverflowError:  # an integer beyond the float range
+                raise SchemaViolation(i, f"non-finite coordinate {coord!r}")
             if geographic:
                 try:
                     p = project(GeoPoint(cy, cx), params)

@@ -20,7 +20,7 @@ import numpy as np
 from .crs import GeoPoint, ProjectionParams, project
 from .fileio import write_csv
 from .geometry import MultiLineArray, expand_ranges
-from .ingest import DescriptiveFlowlines, Table, normalize_operator
+from .ingest import MERGED_COLUMNS, DescriptiveFlowlines, Table, normalize_operator
 from .spatial_index import SpatialIndex
 
 DEFAULT_LADDER_STEPS = (0.0, 1.0, 2.0, 5.0, 10.0, 15.0, 20.0, 25.0)
@@ -43,6 +43,8 @@ class ToleranceLadder:
     def __post_init__(self):
         if not self.steps:
             raise ValueError("ladder needs at least one step")
+        if not all(map(math.isfinite, self.steps)):
+            raise ValueError(f"ladder steps must be finite, got {', '.join(map(str, self.steps))}")
         if self.steps[0] < 0:
             raise ValueError("first ladder step must be >= 0")
         if any(b <= a for a, b in zip(self.steps, self.steps[1:])):
@@ -62,7 +64,8 @@ class MergedFlowlines:
     """Operational attributes bound to descriptive geometry, as columns.
 
     Row i is the operational row whose fields are operational[c][i] (the
-    columns of ingest.parse_operational's table) bound to geometry i. How it
+    columns of ingest.parse_operational's table except its endpoints, which
+    only the merge reads: ingest.MERGED_COLUMNS) bound to geometry i. How it
     was matched is in its AuditRecord only. The descriptive operator normalizes
     to the operational one, or the record would not have bound."""
 
@@ -157,8 +160,18 @@ def _candidate_pairs(index: SpatialIndex, owner: np.ndarray | None, n_shapes: in
     for lo in range(0, len(xs), QUERY_BLOCK):
         q, e = index.query_points(xs[lo:lo + QUERY_BLOCK], ys[lo:lo + QUERY_BLOCK], r)
         if owner is not None:
-            q, e = np.divmod(np.unique(q * n_shapes + owner[e]), n_shapes)
+            q, e = np.divmod(_distinct(q * n_shapes + owner[e]), n_shapes)
         yield q + lo, e
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct keys in ascending order, as np.unique returns them;
+    np.unique imports numpy.ma on its first call, which nothing else in a
+    merge process needs."""
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
 
 
 def _first_per_point(q: np.ndarray, *keys: np.ndarray) -> np.ndarray:
@@ -199,8 +212,9 @@ def match_flowlines(
     descriptive file position (row ids need not be unique). A row whose
     projected endpoints lie within 1e-6 m of each other has no candidate.
 
-    Returns (merged flowlines in input order, unmatched operational ids,
-    audit trail counting candidates of any operator at the bound step).
+    Returns (merged flowlines in input order, without the endpoint columns,
+    unmatched operational ids, audit trail counting candidates of any
+    operator at the bound step).
     """
     segments, first = descriptive.geometry.segments(endpoints_only=not whole_geometry)
     if whole_geometry:
@@ -249,7 +263,8 @@ def match_flowlines(
         else:
             audit.append(AuditRecord(row_id, steps[k], count, descriptive.row_ids[i], ds, de))
     bound = np.flatnonzero(hit >= 0)
-    merged = MergedFlowlines(operational.take(bound.tolist()).columns, descriptive.geometry.take(hit[bound]))
+    attributes = Table({name: columns[name] for name in MERGED_COLUMNS})
+    merged = MergedFlowlines(attributes.take(bound.tolist()).columns, descriptive.geometry.take(hit[bound]))
     return merged, unmatched, audit
 
 

@@ -182,18 +182,6 @@ def _match_stats(manifest: Manifest, attributions: list, merge_stats: dict, high
     }
 
 
-def append_run_log(paths: RunPaths, stage: str, stats: dict, elapsed_s: float) -> None:
-    log_path = paths.artifacts / "run_log.jsonl"
-    entry = {
-        "stage": stage,
-        "stats": stats,
-        "elapsed_s": round(elapsed_s, 6),
-        "at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    }
-    with open(log_path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(entry, sort_keys=True) + "\n")
-
-
 def risk_map_payload(merged: MergedFlowlines, risk: np.ndarray) -> list[dict]:
     """figures.render_risk_map's input: each line's risk and member vertices."""
     return [{"risk": r, "lines": lines} for r, lines in zip(risk.tolist(), merged.geometry.coordinates())]

@@ -5,7 +5,8 @@ The operational and spill CSVs parsed into one frozen record per row
 (parse_operational_records, parse_spill_records), which the ladder oracle
 in matcher_oracle still reads. Each merged flowline is a MergedFlowline
 record: an OperationalFlowline and a scalar MultiLine of Point2D vertices.
-merged.json held one dict per record (merged_to_dict), and attribute,
+merged.json held one dict per record (merged_to_dict), now without the
+record's endpoints, which only the merge reads, and attribute,
 featurize and report rebuilt the records from it (merged_from_dict) before
 labelling them (assign_risk), building the design matrix (assemble),
 tabulating them (eda_summaries) and drawing the risk map
@@ -43,6 +44,7 @@ from flowline_risk.geometry import (
     multiline_length,
 )
 from flowline_risk.ingest import (
+    MERGED_COLUMNS,
     OPERATIONAL_COLUMNS,
     OPERATIONAL_HEADER,
     SPILL_COLUMNS,
@@ -204,26 +206,35 @@ _RENAMED_KEYS = {
 
 
 def _operational_to_dict(op: OperationalFlowline) -> dict:
-    d = {_RENAMED_KEYS.get(f.name, f.name): getattr(op, f.name) for f in fields(op)}
+    """The record's merged.json columns: every field but the endpoints."""
+    d = {_RENAMED_KEYS.get(f.name, f.name): getattr(op, f.name) for f in fields(op)
+         if f.name not in ("start", "end")}
     d["construction_date"] = op.construction_date.isoformat()
-    d["start"] = [op.start.latitude, op.start.longitude]
-    d["end"] = [op.end.latitude, op.end.longitude]
     return d
 
 
 def _operational_from_dict(d: dict) -> OperationalFlowline:
-    values = {f.name: d[_RENAMED_KEYS.get(f.name, f.name)] for f in fields(OperationalFlowline)}
+    """The record; without "start" and "end" in d, as merged.json stores it,
+    its endpoints are None."""
+    values = {f.name: d[_RENAMED_KEYS.get(f.name, f.name)] for f in fields(OperationalFlowline)
+              if f.name not in ("start", "end")}
     values["construction_date"] = datetime.date.fromisoformat(d["construction_date"])
-    values["start"] = GeoPoint(*d["start"])
-    values["end"] = GeoPoint(*d["end"])
+    for end in ("start", "end"):
+        values[end] = GeoPoint(*d[end]) if end in d else None
     return OperationalFlowline(**values)
 
 
 def merged_to_dict(m: MergedFlowline) -> dict:
+    """The record as merged.json stores it: no endpoints."""
     return {
         "operational": _operational_to_dict(m.operational),
         "geometry": _geometry_to_coords(m.geometry),
     }
+
+
+def without_endpoints(merged: list[MergedFlowline]) -> list[MergedFlowline]:
+    """The records as merged_from_dict reads them back from merged_to_dict."""
+    return [replace(m, operational=replace(m.operational, start=None, end=None)) for m in merged]
 
 
 def merged_from_dict(d: dict) -> MergedFlowline:
@@ -352,8 +363,10 @@ def descriptive_records(table: DescriptiveFlowlines) -> list[DescriptiveFlowline
 
 
 def operational_table(records: list[OperationalFlowline]) -> Table:
-    """The records as the package's operational Table: merged.json's columns."""
-    rows = [_operational_to_dict(r) for r in records]
+    """The records as the package's operational Table: merged.json's columns
+    and the endpoints."""
+    rows = [{**_operational_to_dict(r), "start": [r.start.latitude, r.start.longitude],
+             "end": [r.end.latitude, r.end.longitude]} for r in records]
     return Table({name: [row[name] for row in rows] for name in OPERATIONAL_COLUMNS})
 
 
@@ -378,7 +391,8 @@ def spill_records(table: Table) -> list[SpillRecord]:
 
 
 def merged_flowlines(records: list[MergedFlowline]) -> MergedFlowlines:
-    return MergedFlowlines(operational_table([m.operational for m in records]).columns,
+    rows = [_operational_to_dict(m.operational) for m in records]
+    return MergedFlowlines({name: [row[name] for row in rows] for name in MERGED_COLUMNS},
                            multiline_array([m.geometry for m in records]))
 
 

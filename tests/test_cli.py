@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowline_risk import cli, fileio, numerics, pipeline
+from flowline_risk import cli, fileio, modeling, numerics, pipeline
 from flowline_risk.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
 from flowline_risk.config import ConfigError, RunConfig, load_config
 from flowline_risk.evaluation import metric_rows
@@ -30,7 +30,7 @@ from flowline_risk.features import (
 from flowline_risk.ingest import parse_descriptive, parse_operational, parse_spills
 from flowline_risk.matcher import MergedFlowlines, assign_risk, match_flowlines, match_spills
 from flowline_risk.ml import KNNClassifier, fit_kmeans, schema_hash
-from flowline_risk.pipeline import _pca_by_config
+from flowline_risk.modeling import _pca_by_config
 
 from merged_oracle import merged_records, merged_to_dict
 from test_acceptance import _rerun_comparable_files
@@ -263,6 +263,18 @@ class TestExitCodes:
                        "--ladder", "5,4,3")
         assert proc.returncode == EXIT_CONFIG
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("steps", ["nan", "0,nan", "inf", "1,inf"])
+    def test_non_finite_ladder_fails_before_any_stage(self, tmp_path, capsys, source, steps):
+        # nan would leave every record unmatched, inf make every line a candidate of every record
+        overrides = {"ladder": steps} if source == "config" else {}
+        cfg = write_config(tmp_path / "run.cfg", **overrides)
+        flag = ["--ladder", steps] if source == "flag" else []
+        out = tmp_path / "r"
+        assert main(["merge", "--config", str(cfg), "--out", str(out), *flag]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: bad ladder: ladder steps must be finite")
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def finished_run(tmp_path_factory):
@@ -368,7 +380,7 @@ class TestStageChaining:
                               ([0.2, 0.25, 0.1, 0.0], False)):
             caplog.clear()
             with mock.patch("flowline_risk.evaluation.silhouettes", return_value=scores), \
-                    caplog.at_level(logging.WARNING, logger="flowline_risk.pipeline"):
+                    caplog.at_level(logging.WARNING, logger="flowline_risk.modeling"):
                 run_stages(cfg, out, "cluster")
             doc = json.loads((out / "artifacts" / "clustering.json").read_text())
             assert doc["structure_found"] is found
@@ -600,7 +612,7 @@ class TestEachResultOnce:
         assert sorted(doc["operational"]) == sorted([
             "row_id", "operator_number", "flowline_id", "location_id", "status",
             "flowline_action", "location_type", "fluid_type", "material", "diameter_in",
-            "length_ft", "max_op_pressure", "construction_date", "operator_name", "start", "end",
+            "length_ft", "max_op_pressure", "construction_date", "operator_name",
         ])
 
     def test_edited_attributions_detected(self, tmp_path, capsys):
@@ -616,6 +628,38 @@ class TestEachResultOnce:
         for stage in ("featurize", "report"):
             assert main([stage, "--config", str(cfg), "--out", str(out)]) == EXIT_STAGE
             assert "'attributions' changed on disk" in capsys.readouterr().err
+
+
+# What a process that runs merge, attribute or featurize must not import:
+# the other stages' modules and the libraries only they use, and numpy.ma,
+# which np.unique imports on its first call.
+OTHER_STAGES_MODULES = {
+    "flowline_risk.ml", "flowline_risk.evaluation", "flowline_risk.workers",
+    "flowline_risk.numerics", "flowline_risk.report", "flowline_risk.figures",
+    "flowline_risk.modeling", "flowline_risk.synth",
+    "multiprocessing", "concurrent.futures", "jsonschema", "numpy.ma",
+}
+
+
+class TestImportBudget:
+    def test_single_stage_processes_load_only_their_stage(self, tmp_path):
+        cfg = write_config(tmp_path / "run.cfg", synth_preset="b", synth_n_lines=150)
+        out = tmp_path / "run"
+        run_stages(cfg, out, "synth")
+        # Each stage in a fresh process, as the CLI runs it, so that no module
+        # another stage imported is there already.
+        script = ("import json, sys\n"
+                  "from flowline_risk.cli import main\n"
+                  "code = main(sys.argv[1:])\n"
+                  "print(json.dumps(list(sys.modules)))\n"
+                  "sys.exit(code)\n")
+        for stage in ("merge", "attribute", "featurize"):
+            proc = subprocess.run([sys.executable, "-c", script, stage, "--config", str(cfg), "--out", str(out)],
+                                  capture_output=True, text=True)
+            assert proc.returncode == EXIT_OK, proc.stderr
+            loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+            assert "flowline_risk.pipeline" in loaded
+            assert loaded & OTHER_STAGES_MODULES == set(), stage
 
 
 class TestReportValidation:
@@ -700,7 +744,7 @@ def cli_on_cpus(cpus: int, *args, patch: str = "") -> list[str]:
     """A command line that runs the CLI with os.sched_getaffinity reporting
     `cpus` CPUs, after running the statements in `patch`."""
     script = ("import os, sys\n"
-              "from flowline_risk import cli, pipeline\n"
+              "from flowline_risk import cli, modeling\n"
               f"os.sched_getaffinity = lambda pid: set(range({cpus}))\n"
               f"{patch}\n"
               "sys.exit(cli.main(sys.argv[1:]))\n")
@@ -752,13 +796,13 @@ class TestWorkerProcesses:
         cfg = write_config(tmp_path / "run.cfg")
         out = tmp_path / "run"
         run_stages(cfg, out, "synth", "merge", "attribute", "featurize")
-        fit = pipeline._timed_fit
+        fit = modeling._timed_fit
 
         def gbdt_fails(job):
             if job[0].kind == "GBDT":
                 raise FloatingPointError("GBDT diverged")
             return fit(job)
-        monkeypatch.setattr(pipeline, "_timed_fit", gbdt_fails)
+        monkeypatch.setattr(modeling, "_timed_fit", gbdt_fails)
         on_cpus(monkeypatch, cpus)
         capsys.readouterr()
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_STAGE
@@ -769,8 +813,8 @@ class TestWorkerProcesses:
         cfg = write_config(tmp_path / "run.cfg")
         out = tmp_path / "run"
         run_stages(cfg, out, "synth", "merge", "attribute", "featurize")
-        kill = ("fit = pipeline._timed_fit\n"
-                "pipeline._timed_fit = lambda job: os._exit(9) if job[0].kind == 'RF' else fit(job)")
+        kill = ("fit = modeling._timed_fit\n"
+                "modeling._timed_fit = lambda job: os._exit(9) if job[0].kind == 'RF' else fit(job)")
         started = time.perf_counter()
         proc = subprocess.run(cli_on_cpus(2, "train", "--config", str(cfg), "--out", str(out),
                                           patch=kill),
@@ -784,7 +828,7 @@ class TestWorkerProcesses:
         cfg = write_config(tmp_path / "run.cfg")
         out = tmp_path / "run"
         run_stages(cfg, out, "synth", "merge", "attribute", "featurize")
-        stall = "import time\npipeline._timed_fit = lambda job: time.sleep(600)"
+        stall = "import time\nmodeling._timed_fit = lambda job: time.sleep(600)"
         proc = subprocess.Popen(cli_on_cpus(2, "train", "--config", str(cfg), "--out", str(out),
                                             patch=stall))
         try:

@@ -110,6 +110,7 @@ class TestDescriptive:
                               "central meridian -105.0"),
         ([-105.0, 90.5], True, "coordinate [-105.0, 90.5]: latitude 90.5 outside [-90, 90]"),
         ([-105.0, math.nan], True, "coordinate [-105.0, nan]: non-finite geographic coordinates"),
+        ([10**400, 0.0], False, f"non-finite coordinate [{10**400}, 0.0]"),  # an int float() refuses
     ])
     def test_bad_coordinate_is_a_row_diagnostic(self, tmp_path, coord, geographic, reason):
         # json writes NaN and Infinity, which json and the parser read back
@@ -130,12 +131,24 @@ class TestDescriptive:
         ("D1", "not a Feature"),
         (dict(feature("D1", [[[0.0, 0.0], [1.0, 1.0]]]), geometry=[1]), "geometry is not an object"),
         (dict(feature("D1", [[[0.0, 0.0], [1.0, 1.0]]]), properties=["x"]), "properties is not an object"),
+        # a coordinate is a list whose first two items are JSON numbers
+        (feature("D1", [["12", [5.0, 5.0]]]), "bad coordinate '12'"),
+        (feature("D1", [[["1", "2"], [5.0, 5.0]]]), "bad coordinate ['1', '2']"),
+        (feature("D1", [[[True, False], [5.0, 5.0]]]), "bad coordinate [True, False]"),
+        (feature("D1", [[{"0": 1.0, "1": 2.0}, [5.0, 5.0]]]), "bad coordinate {'0': 1.0, '1': 2.0}"),
+        (feature("D1", [[[1.0], [5.0, 5.0]]]), "bad coordinate [1.0]"),
     ])
     def test_malformed_structure_is_a_row_diagnostic(self, tmp_path, bad, reason):
         path = write_geojson(tmp_path / "d.geojson", [bad, feature("D2", [[[0.0, 0.0], [1.0, 1.0]]])])
         result = parse_descriptive(path)
         assert result.records.row_ids == ["D2"]
         assert result.diagnostics == [Diagnostic(str(path), 0, reason)]
+
+    def test_integer_and_3d_coordinates_are_read_as_floats(self, tmp_path):
+        path = write_geojson(tmp_path / "d.geojson", [feature("D1", [[[0, 1], [2.5, 3, 100]]])])
+        result = parse_descriptive(path)
+        assert result.diagnostics == []
+        assert result.records.geometry.xy.tolist() == [[0.0, 1.0], [2.5, 3.0]]
 
     @pytest.mark.parametrize("doc", [[], "features", {"type": "FeatureCollection", "features": {}},
                                      {"type": "FeatureCollection", "features": None}])

@@ -290,7 +290,7 @@ class TestPcaByConfig:
     @pytest.mark.parametrize("pca_k, min_k, k", [(0, 1, 2), (0, 3, 3), (4, 1, 4)])
     def test_sliced_model_equals_refit(self, pca_k, min_k, k):
         from flowline_risk.config import RunConfig
-        from flowline_risk.pipeline import _pca_by_config
+        from flowline_risk.modeling import _pca_by_config
 
         rng = np.random.default_rng(50)
         X = rng.normal(size=(60, 6)) * np.array([5.0, 4.0, 0.3, 0.2, 0.1, 0.05])
@@ -305,7 +305,7 @@ class TestPcaByConfig:
 
     def test_k_beyond_width_rejected(self):
         from flowline_risk.config import RunConfig
-        from flowline_risk.pipeline import _pca_by_config
+        from flowline_risk.modeling import _pca_by_config
 
         with pytest.raises(BadK):
             _pca_by_config(RunConfig(seed=1, pca_k=7), np.eye(6))
