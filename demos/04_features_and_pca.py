@@ -41,7 +41,7 @@ print(f"\nsplit: train {pair.train.n_rows} ({int(pair.train.y.sum())} pos), "
       f"test {pair.test.n_rows} ({int(pair.test.y.sum())} pos)")
 
 train_z, test_z, _, _ = standardize(pair.train.X, pair.test.X)
-model = pca_fit(train_z, k=train_z.shape[1])
+model = pca_fit(train_z)
 share = model.explained_variance / model.explained_variance.sum()
 print("\nleading variance shares:", np.round(share[:6], 3))
 k = choose_k_by_variance(model.explained_variance, 0.95)

@@ -13,6 +13,7 @@ import csv
 import datetime
 import logging
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -301,10 +302,14 @@ def save_dataset(ds: Dataset, csv_path, meta_path, seed: int | None = None, extr
 
 
 def load_dataset(csv_path, sidecar: dict) -> Dataset:
-    """The matrix save_dataset wrote, given its CSV and its JSON sidecar as read."""
+    """The matrix save_dataset wrote, given its CSV and its JSON sidecar as read.
+
+    Rows are parsed one at a time into a matrix of the sidecar's n_rows, so
+    the matrix is never held as Python floats whole."""
     metas = [ColumnMeta.from_dict(d) for d in sidecar["columns"]]
+    n_rows = sidecar["n_rows"]
+    X = np.empty((n_rows, len(metas)))
     row_ids: list[str] = []
-    rows: list[list[float]] = []
     ys: list[int] = []
     with open(csv_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -312,9 +317,12 @@ def load_dataset(csv_path, sidecar: dict) -> Dataset:
         expected = ["row_id", *[c.name for c in metas], "risk"]
         if header != expected:
             raise ValueError("feature CSV header does not match its sidecar")
-        for row in reader:
+        for i, row in enumerate(reader):
+            if i < n_rows:
+                X[i] = [float(v) for v in row[1:-1]]
             row_ids.append(row[0])
-            rows.append([float(v) for v in row[1:-1]])
             ys.append(int(row[-1]))
-    X = np.array(rows) if rows else np.zeros((0, len(metas)))
+    if len(row_ids) != n_rows:
+        raise ValueError(f"{Path(csv_path).name} has {len(row_ids)} rows, but its sidecar "
+                         f"says {n_rows}; rerun featurize")
     return Dataset(X, np.array(ys, dtype=int), metas, row_ids)

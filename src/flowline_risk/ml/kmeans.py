@@ -19,12 +19,13 @@ class KMeansModel:
 
 
 def _squared_distances(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """n x k matrix of squared Euclidean distances, one centroid at a time so
-    the working set is n x p, not n x k x p."""
+    """n x k matrix of squared Euclidean distances, one centroid at a time
+    into one n x p buffer, so the working set is n x p, not n x k x p."""
     d2 = np.empty((X.shape[0], centroids.shape[0]))
+    d = np.empty(X.shape)
     for j, c in enumerate(centroids):
-        d = X - c
-        d2[:, j] = np.einsum("np,np->n", d, d)
+        np.subtract(X, c, out=d)
+        np.einsum("np,np->n", d, d, out=d2[:, j])
     return d2
 
 

@@ -13,6 +13,27 @@ _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 _TINY = 1e-300
 
 
+def _candidates(Q, T, sq_t, k: int, gram_err: float, norm_err: float) -> np.ndarray:
+    """Mask of the training rows T that can be among the k nearest of each
+    query row of Q, from the Gram identity and its rounding bound (see
+    KNNClassifier.vote_shares). Each step writes into an array of the block
+    that it no longer needs, and all of them are freed on return."""
+    with np.errstate(invalid="ignore"):  # non-finite rows keep everything
+        sq = sq_t[None, :] + np.sum(Q * Q, axis=1)[:, None]
+        approx = Q @ T.T
+        np.multiply(approx, 2.0, out=approx)
+        np.subtract(sq, approx, out=approx)
+        slack = np.multiply(sq, gram_err, out=sq)
+        slack += _TINY
+        # The k-th smallest upper bound is one no k-th nearest exceeds.
+        upper = approx + slack
+        upper.partition(k - 1, axis=1)
+        kth = upper[:, k - 1]
+        keep = np.subtract(approx, slack, out=slack) <= kth[:, None] * (1.0 + 8.0 * norm_err)
+    keep[~np.isfinite(approx).all(axis=1)] = True
+    return keep
+
+
 class KNNClassifier(Classifier):
     """Lazy Euclidean majority vote; ties go to class 0.
 
@@ -62,14 +83,7 @@ class KNNClassifier(Classifier):
         pairs = max(1, _BLOCK_BYTES // (8 * max(p, 1)))
         for lo in range(0, X.shape[0], rows):
             Q = X[lo:lo + rows]
-            with np.errstate(invalid="ignore"):  # non-finite rows keep everything
-                sq = sq_t[None, :] + np.sum(Q * Q, axis=1)[:, None]
-                approx = sq - 2.0 * (Q @ T.T)
-                slack = gram_err * sq + _TINY
-                # The k-th smallest upper bound is one no k-th nearest exceeds.
-                kth = np.partition(approx + slack, k - 1, axis=1)[:, k - 1]
-                keep = approx - slack <= kth[:, None] * (1.0 + 8.0 * norm_err)
-            keep[~np.isfinite(approx).all(axis=1)] = True
+            keep = _candidates(Q, T, sq_t, k, gram_err, norm_err)
             q, r = np.nonzero(keep)
             # Ties can keep whole rows of pairs; gather them in bounded chunks.
             d = np.concatenate([np.linalg.norm(T[r[i:i + pairs]] - Q[q[i:i + pairs]], axis=1)

@@ -205,10 +205,10 @@ class _Rows:
         if block is None:
             return (left, None), (right, None)
         self._go_left[rows] = go_left
-        mask = self._go_left.take(block)
+        mask = self._go_left.take(block).ravel()
         p = block.shape[0]
-        return ((left, block[mask].reshape(p, left.size)),
-                (right, block[~mask].reshape(p, right.size)))
+        return ((left, np.compress(mask, block).reshape(p, left.size)),
+                (right, np.compress(~mask, block).reshape(p, right.size)))
 
 
 class _Cuts:
@@ -255,7 +255,8 @@ class _SortedCuts:
         self.empty = n_ok == 0
         self.dense = 2 * n_ok >= self.ok.size
         if self.dense:
-            self.admissible = np.flatnonzero(self.ok)
+            # None when every cut of the slab is admissible
+            self.admissible = None if n_ok == self.ok.size else np.flatnonzero(self.ok)
         else:
             fi, j = np.nonzero(self.ok)
             self.fi, self.at = fi, fi * m + j + self.lo
@@ -279,7 +280,10 @@ class _SortedCuts:
         """(score, feature, midpoint threshold, k) of the first best cut in
         row-major (feature, cut) order; k indexes scores flat."""
         if self.dense:
-            k = int(self.admissible[np.argmax(scores.take(self.admissible))])
+            if self.admissible is None:
+                k = int(np.argmax(scores))
+            else:
+                k = int(self.admissible[np.argmax(scores.take(self.admissible))])
             row, j = divmod(k, self.ok.shape[1])
             at = row * self.m + j + self.lo
         else:
@@ -324,7 +328,11 @@ class _BinaryCuts:
 
 def _squares_over(num, den):
     """num^2 / den, and 0 where den is not positive (a side of zero weight)."""
-    return np.divide(num * num, den, out=np.zeros(den.shape), where=den > 0)
+    out = np.multiply(num, num, out=np.empty(den.shape))
+    positive = den > 0
+    np.divide(out, den, out=out, where=positive)
+    np.copyto(out, 0.0, where=~positive)
+    return out
 
 
 def _gini_split(cuts: _Cuts, rows, wv):
@@ -336,10 +344,13 @@ def _gini_split(cuts: _Cuts, rows, wv):
     total_w = float(np.sum(wv[0][rows]))
     sides, scores = [], []
     for part in cuts.parts:
-        (wl, wpl), (_, wpr) = part.sides(wv)
-        wr = total_w - wl
+        (wl, wpl), right = part.sides(wv)
+        # right[0], the right side's weight by the cumulative sum, is unused: wr is total_w - wl
+        wr, wpr = np.subtract(total_w, wl, out=right[0]), right[1]
         sides.append((wl, wpl, wr, wpr))
-        scores.append(_squares_over(wpl, wl) + _squares_over(wpr, wr))
+        score = _squares_over(wpl, wl)
+        score += _squares_over(wpr, wr)
+        scores.append(score)
     f, thr, part, k = cuts.best(scores)
     return f, thr, tuple(a.flat[k] for a in sides[part])
 
@@ -351,9 +362,14 @@ def _sse_split(cuts: _Cuts, targets):
         return None
     scores = []
     for part in cuts.parts:
-        sl, sr = part.sides(targets)
+        sl, sr = part.sides(targets)  # arrays of this part alone, so scored in place
         nl = part.left_sizes()
-        scores.append(sl * sl / nl + sr * sr / (part.m - nl))
+        np.multiply(sl, sl, out=sl)
+        sl /= nl
+        np.multiply(sr, sr, out=sr)
+        sr /= part.m - nl
+        sl += sr
+        scores.append(sl)
     return cuts.best(scores)[:2]
 
 

@@ -77,8 +77,11 @@ def _timed_fit(job):
 
 def _pca_by_config(cfg: RunConfig, Z: np.ndarray, min_k: int = 1) -> tuple[PCAModel, np.ndarray]:
     """PCA of Z cut to k components, and Z's full variance spectrum, from one
-    eigendecomposition; k is cfg.pca_k, else the variance rule, at least min_k."""
-    full = pca_fit(Z, k=Z.shape[1])
+    eigendecomposition; k is cfg.pca_k, else the variance rule, at least min_k.
+
+    With fewer rows than columns PCA finds at most n - 1 components (see
+    pca_fit), and a k above what it found raises BadK naming both."""
+    full = pca_fit(Z)
     k = cfg.pca_k if cfg.pca_k > 0 else choose_k_by_variance(
         full.explained_variance, cfg.pca_variance_threshold)
     return full.truncated(max(k, min_k)), full.explained_variance

@@ -15,6 +15,9 @@ import numpy as np
 
 QL_MAX_ITER = 30  # QL iterations allowed per eigenvalue, as in EISPACK tql2
 SYMMETRY_TOL = 1e-8
+# Gram-path eigenvalues at or below this share of the largest are dropped:
+# sqrt(machine epsilon), where mapping an eigenvector back divides by sqrt(lam).
+GRAM_FLOOR = math.sqrt(np.finfo(float).eps)
 
 
 class TooFewRows(ValueError):
@@ -155,14 +158,16 @@ def sym_eigen(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _sorted_eigen(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(-values, kind="stable")
-    values = values[order]
-    vectors = vectors[:, order]
-    # Deterministic sign: make the largest-magnitude entry of each column positive.
+    return values[order], _fix_signs(vectors[:, order])
+
+
+def _fix_signs(vectors: np.ndarray) -> np.ndarray:
+    """Deterministic sign: make the largest-magnitude entry of each column positive."""
     for k in range(vectors.shape[1]):
         pivot = np.argmax(np.abs(vectors[:, k]))
         if vectors[pivot, k] < 0:
             vectors[:, k] = -vectors[:, k]
-    return values, vectors
+    return vectors
 
 
 @dataclass(frozen=True)
@@ -182,12 +187,42 @@ class PCAModel:
         return PCAModel(self.means, self.components[:, :k].copy(), self.explained_variance[:k])
 
 
-def pca_fit(X: np.ndarray, k: int) -> PCAModel:
-    """Top-k principal axes of X by eigendecomposition of its covariance."""
+def pca_fit(X: np.ndarray, k: int | None = None) -> PCAModel:
+    """Top-k principal axes of X (n x p); every axis found when k is None.
+
+    With n >= p, the p x p covariance is eigendecomposed and all p axes are
+    found. With n < p the covariance has rank at most n - 1, so the n x n
+    Gram matrix G = Zc Zc^T / (n - 1) of the centered rows Zc is
+    eigendecomposed instead (the method of snapshots, Sirovich 1987), and no
+    p x p matrix is formed. G shares the covariance's nonzero eigenvalues,
+    and G's eigenvector u of eigenvalue lam maps to v = Zc^T u / sqrt((n - 1) lam).
+    That divides by sqrt(lam), so pairs whose eigenvalue is at or below
+    GRAM_FLOOR (sqrt(eps)) times the largest are dropped: at most n - 1 axes
+    are found, orthonormal to within about eps times the largest eigenvalue
+    over the smallest kept, so about sqrt(eps).
+    """
     X = np.asarray(X, dtype=float)
-    values, vectors = sym_eigen(covariance(X))
-    variances = np.maximum(values, 0.0)  # clip rounding negatives on PSD input
-    return PCAModel(X.mean(axis=0), vectors, variances).truncated(k)
+    if X.ndim == 2 and 2 <= X.shape[0] < X.shape[1]:
+        model = _pca_by_gram(X)
+    else:
+        values, vectors = sym_eigen(covariance(X))
+        variances = np.maximum(values, 0.0)  # clip rounding negatives on PSD input
+        model = PCAModel(X.mean(axis=0), vectors, variances)
+    return model if k is None else model.truncated(k)
+
+
+def _pca_by_gram(X: np.ndarray) -> PCAModel:
+    """Every reliably mappable principal axis of X (n < p) from its n x n Gram matrix."""
+    n = X.shape[0]
+    means = X.mean(axis=0)
+    centered = X - means
+    gram = centered @ centered.T / (n - 1)
+    values, vectors = sym_eigen((gram + gram.T) / 2.0)  # kill rounding asymmetry
+    floor = GRAM_FLOOR * max(float(values[0]), 0.0)
+    r = int(np.count_nonzero(values[:n - 1] > floor))  # values descend
+    variances = values[:r]  # each above floor >= 0, so no clipping is needed
+    components = centered.T @ (vectors[:, :r] / np.sqrt((n - 1) * variances))
+    return PCAModel(means, _fix_signs(components), variances)
 
 
 def pca_transform(model: PCAModel, X: np.ndarray) -> np.ndarray:

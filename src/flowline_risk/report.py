@@ -9,6 +9,8 @@ from __future__ import annotations
 import csv
 import datetime
 import json
+import numbers
+import re
 
 import numpy as np
 
@@ -125,11 +127,66 @@ class UnreadableRunLog(RuntimeError):
     pass
 
 
-def validate_report(report: dict) -> None:
-    # Imported here: only the report stage pays for loading jsonschema.
-    import jsonschema
+class InvalidReport(ValueError):
+    pass
 
-    jsonschema.validate(report, REPORT_SCHEMA)
+
+# The JSON Schema keywords REPORT_SCHEMA uses, the only ones check_schema knows.
+SCHEMA_KEYWORDS = ("type", "required", "properties", "additionalProperties", "items",
+                   "enum", "minimum", "maximum", "pattern")
+_TYPES = {"object": dict, "array": list, "string": str, "number": numbers.Number, "boolean": bool}
+
+
+def _is_type(value, name: str) -> bool:
+    """JSON Schema's type test: a bool is neither an integer nor a number,
+    and a float with an integral value is an integer."""
+    if isinstance(value, bool):
+        return name == "boolean"
+    if name == "integer":
+        return isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    return isinstance(value, _TYPES[name])
+
+
+def check_schema(value, schema: dict, where: str = "report") -> None:
+    """Raise InvalidReport where value breaks schema, each keyword meaning
+    what it does to jsonschema (draft 2020-12). A keyword outside
+    SCHEMA_KEYWORDS raises KeyError, so the schema cannot outgrow the check."""
+    unknown = schema.keys() - set(SCHEMA_KEYWORDS)
+    if unknown:
+        raise KeyError(f"check_schema does not know the keywords {sorted(unknown)}")
+
+    def fail(problem: str):
+        raise InvalidReport(f"{where}: {value!r} {problem}")
+
+    if "type" in schema and not _is_type(value, schema["type"]):
+        fail(f"is not of type {schema['type']!r}")
+    # enum equality, as JSON's: true is not 1, and 1.0 is 1
+    if "enum" in schema and not any(isinstance(value, bool) == isinstance(option, bool)
+                                    and value == option for option in schema["enum"]):
+        fail(f"is not one of {schema['enum']!r}")
+    if _is_type(value, "number"):
+        if "minimum" in schema and value < schema["minimum"]:
+            fail(f"is less than the minimum of {schema['minimum']!r}")
+        if "maximum" in schema and value > schema["maximum"]:
+            fail(f"is more than the maximum of {schema['maximum']!r}")
+    if isinstance(value, str) and "pattern" in schema and not re.search(schema["pattern"], value):
+        fail(f"does not match {schema['pattern']!r}")
+    if isinstance(value, list) and "items" in schema:
+        for i, item in enumerate(value):
+            check_schema(item, schema["items"], f"{where}[{i}]")
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise InvalidReport(f"{where}: {key!r} is a required property")
+        properties = schema.get("properties", {})
+        for key, item in value.items():
+            sub = properties.get(key, schema.get("additionalProperties"))
+            if sub is not None:
+                check_schema(item, sub, f"{where}.{key}")
+
+
+def validate_report(report: dict) -> None:
+    check_schema(report, REPORT_SCHEMA)
     for fig in report["figures"]:
         _resolve_ref(report, fig["payload_ref"])
 

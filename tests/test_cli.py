@@ -1,7 +1,9 @@
+import copy
 import json
 import logging
 import math
 import os
+import re
 import shutil
 import subprocess
 from dataclasses import fields
@@ -249,6 +251,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error in stage train: rf_mtry = 4 exceeds the 3 columns of the pca lane" in err
         assert not list((out / "artifacts" / "models").glob("*.json"))
+
+    def test_pca_k_above_the_gram_rank_fails_the_stage(self, tmp_path, capsys):
+        # at default width the train lane has fewer rows than columns, so PCA
+        # finds at most rows - 1 components
+        cfg = write_config(tmp_path / "run.cfg", drop_id_like="false", pca_k=500)
+        out = tmp_path / "r"
+        run_stages(cfg, out, "synth", "merge", "attribute", "featurize")
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_STAGE
+        err = capsys.readouterr().err
+        found = re.search(r"stage train failed: BadK: k must be in \[1, (\d+)\], got 500", err)
+        assert found, err
+        meta = json.loads((out / "artifacts" / "features.meta.json").read_text())
+        assert int(found.group(1)) < meta["n_rows"] < len(meta["columns"])
 
     def test_unknown_key_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.cfg", drop_id_lke="true")
@@ -662,14 +677,157 @@ class TestImportBudget:
             assert loaded & OTHER_STAGES_MODULES == set(), stage
 
 
+VALID_REPORT = {
+    "run_id": "0123456789ab",
+    "created_at": "2024-06-30T00:00:00+00:00",
+    "config": {"seed": 1},
+    "match_stats": {"merge": {"matched": 3}},
+    "eda": {"fluid_type": {"name": "fluid_type", "rows": [
+        {"label": "oil", "risk": 1, "count": 3, "proportion": 0.25},
+        {"label": "gas", "risk": 0, "count": 9, "proportion": 0.75}]}},
+    "metrics": {"rows": [{"classifier": "LR", "averaging": "macro", "pca": False, "accuracy": 0.5,
+                          "precision": 1, "recall": 0.0, "f1": 0.25, "undefined": ["precision"]}]},
+    "clustering": {"k_range": [2, 3], "scores": {"2": 0.1}, "best_k": 2, "structure_found": False,
+                   "pc_scores": [[0.1, 0.2]], "assignments": [0], "actual": [1]},
+    "figures": [{"file": "figures/silhouette.svg", "payload_ref": "clustering.scores"},
+                {"file": "figures/risk_by_fluid_type.svg", "payload_ref": "eda.fluid_type"}],
+    "tables": ["tables/metrics.csv"],
+    "timings": {"merge": 0.5},
+}
+
+# Values that break types (a bool for an integer), enums, bounds and the run_id pattern.
+REPLACEMENTS = [True, False, 0, 1, -1, 2, 2.0, 0.5, 1.5, -0.5, float("nan"), float("inf"), None,
+                "", "x", "macro", "0123456789AB", "0123456789ab\n", "0123456789a", [], ["x"], [1],
+                {}, {"rows": []}, {"name": "x", "rows": []}]
+
+
+# One change each to VALID_REPORT, at the edges of jsonschema's semantics.
+EDGE_CASES = [
+    (("run_id",), "0123456789ab\n"), (("run_id",), "0123456789AB"), (("run_id",), 12),
+    (("eda", "fluid_type", "rows", 0, "count"), True), (("eda", "fluid_type", "rows", 0, "count"), 2.0),
+    (("eda", "fluid_type", "rows", 0, "count"), 2.5), (("eda", "fluid_type", "rows", 0, "risk"), 1.0),
+    (("eda", "fluid_type", "rows", 0, "risk"), 2), (("eda", "fluid_type", "rows", 0, "proportion"), float("nan")),
+    (("eda", "fluid_type", "rows", 0, "proportion"), 1), (("eda", "fluid_type", "rows", 0, "proportion"), 1.5),
+    (("eda", "fluid_type", "rows", 0, "proportion"), False), (("metrics", "rows", 0, "averaging"), "micro"),
+    (("metrics", "rows", 0, "pca"), 0), (("metrics", "rows", 0, "undefined"), [1]),
+    (("clustering", "best_k"), 1), (("clustering", "k_range"), [2, True]), (("eda", "extra"), {"rows": []}),
+    (("eda", "extra"), {"name": "x", "rows": []}), (("extra",), None), (("tables",), ("a",)),
+]
+
+
+def _paths(doc, path=()):
+    """The path of every node of a JSON document, the root first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def mutated_reports(draw):
+    doc = json.loads(json.dumps(VALID_REPORT))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        target = node[path[-1]] if path else doc
+        action = draw(st.sampled_from(["replace", "drop", "add"]))
+        if action == "add" and isinstance(target, dict):
+            target[draw(st.sampled_from(["extra", "name", "rows", "risk", "label"]))] = \
+                copy.deepcopy(draw(st.sampled_from(REPLACEMENTS)))
+        elif action == "drop" and path and isinstance(node, dict):
+            del node[path[-1]]
+        elif path:
+            node[path[-1]] = copy.deepcopy(draw(st.sampled_from(REPLACEMENTS)))
+    return doc
+
+
+def _schema_keywords(schema):
+    yield from schema
+    for sub in schema.get("properties", {}).values():
+        yield from _schema_keywords(sub)
+    for key in ("additionalProperties", "items"):
+        if isinstance(schema.get(key), dict):
+            yield from _schema_keywords(schema[key])
+
+
 class TestReportValidation:
-    def test_only_the_report_loads_jsonschema(self):
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, flowline_risk.cli; print('jsonschema' in sys.modules)"],
-            capture_output=True, text=True,
-        )
-        assert proc.stdout.strip() == "False", proc.stderr
+    def test_no_cli_process_loads_jsonschema(self, tmp_path):
+        cfg = write_config(tmp_path / "run.cfg", synth_n_lines=150)
+        script = ("import sys\n"
+                  "from flowline_risk.cli import main\n"
+                  "code = main(sys.argv[1:])\n"
+                  "print('jsonschema' in sys.modules)\n"
+                  "sys.exit(code)\n")
+        proc = subprocess.run([sys.executable, "-c", script, "run-all", "--config", str(cfg),
+                               "--out", str(tmp_path / "run")], capture_output=True, text=True)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
+    def test_checker_knows_every_schema_keyword(self):
+        from flowline_risk.report import REPORT_SCHEMA, SCHEMA_KEYWORDS, check_schema
+        assert set(_schema_keywords(REPORT_SCHEMA)) <= set(SCHEMA_KEYWORDS)
+        with pytest.raises(KeyError, match="anyOf"):
+            check_schema(1, {"anyOf": [{"type": "integer"}]})
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_reports())
+    def test_rejects_what_jsonschema_rejects(self, doc):
+        import jsonschema
+        from flowline_risk.report import REPORT_SCHEMA, InvalidReport, _resolve_ref, check_schema, validate_report
+
+        reference = jsonschema.validators.validator_for(REPORT_SCHEMA)(REPORT_SCHEMA)
+        schema_ok = reference.is_valid(doc)
+        try:
+            check_schema(doc, REPORT_SCHEMA)
+            checked = True
+        except InvalidReport:
+            checked = False
+        assert checked == schema_ok
+        try:
+            validate_report(doc)
+            validated = True
+        except ValueError:
+            validated = False
+        if schema_ok:
+            try:
+                for fig in doc["figures"]:
+                    _resolve_ref(doc, fig["payload_ref"])
+            except ValueError:
+                schema_ok = False
+        assert validated == schema_ok
+
+    @pytest.mark.parametrize("path, value", EDGE_CASES,
+                             ids=[f"{'.'.join(map(str, p))}={v!r}" for p, v in EDGE_CASES])
+    def test_edge_cases_agree_with_jsonschema(self, path, value):
+        import jsonschema
+        from flowline_risk.report import REPORT_SCHEMA, InvalidReport, check_schema
+
+        doc = json.loads(json.dumps(VALID_REPORT))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        try:
+            jsonschema.validate(doc, REPORT_SCHEMA)
+            schema_ok = True
+        except jsonschema.ValidationError:
+            schema_ok = False
+        try:
+            check_schema(doc, REPORT_SCHEMA)
+            checked = True
+        except InvalidReport:
+            checked = False
+        assert checked == schema_ok
+
+    def test_valid_report_accepted_and_bool_is_no_integer(self):
+        from flowline_risk.report import InvalidReport, validate_report
+        validate_report(VALID_REPORT)
+        doc = json.loads(json.dumps(VALID_REPORT))
+        doc["eda"]["fluid_type"]["rows"][0]["count"] = True
+        with pytest.raises(InvalidReport, match=r"report.eda.fluid_type.rows\[0\].count: True is not of type 'integer'"):
+            validate_report(doc)
 
     def test_schema_validates(self, tmp_path):
         from flowline_risk.report import validate_report

@@ -261,3 +261,23 @@ class TestRoundTrip:
         assert back.y.tolist() == [1, 0] and back.row_ids == ["R1", "R2"]
         assert (tmp_path / "f.csv").read_text().splitlines()[1] \
             == "R1,-0.0,5e-324,1e+22,0.30000000000000004,-1.5e-310,9007199254740994.0,1"
+
+    def test_edge_floats_load_as_their_repr_parses(self, tmp_path):
+        values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, -3.3e-320,
+                  2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+        ds = Dataset(np.array([values, values[::-1]]), np.array([0, 1]),
+                     [ColumnMeta(f"c{j}", "numeric") for j in range(len(values))], ["R1", "R2"])
+        save_dataset(ds, tmp_path / "f.csv", tmp_path / "f.json")
+        back = load_dataset(tmp_path / "f.csv", read_json(tmp_path / "f.json"))
+        want = np.array([[float(repr(v)) for v in row] for row in (values, values[::-1])])
+        assert back.X.dtype == np.float64 and back.X.flags.c_contiguous
+        assert np.array_equal(back.X.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("n_rows", [1, 3])
+    def test_row_count_must_match_the_sidecar(self, tmp_path, n_rows):
+        ds = Dataset(np.eye(2), np.array([0, 1]), [ColumnMeta("a", "numeric"), ColumnMeta("b", "numeric")],
+                     ["R1", "R2"])
+        save_dataset(ds, tmp_path / "features.csv", tmp_path / "f.json")
+        sidecar = dict(read_json(tmp_path / "f.json"), n_rows=n_rows)
+        with pytest.raises(ValueError, match=f"features.csv has 2 rows, but its sidecar says {n_rows}"):
+            load_dataset(tmp_path / "features.csv", sidecar)

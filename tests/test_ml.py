@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -128,6 +129,24 @@ class TestKNN:
         y = np.array([0, 1])
         model = KNNClassifier(2).fit(X, y)
         assert model.predict(np.array([[0.5]]))[0] == 0
+
+    def test_vote_shares_memory_is_a_few_blocks(self):
+        # Each block of queries holds its squared norms, Gram distances and
+        # upper bounds, about three blocks of bytes, whatever the sizes.
+        rng = np.random.default_rng(67)
+
+        def peak_bytes(n):
+            model = KNNClassifier(5).fit(rng.normal(size=(n, 5)), rng.integers(0, 2, n))
+            queries = rng.normal(size=(3000, 5))
+            tracemalloc.start()
+            try:
+                model.vote_shares(queries)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        for n in (2000, 8000):
+            assert peak_bytes(n) < 4 * neighbors._BLOCK_BYTES
 
 
 class TestLinearSVM:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,6 +9,7 @@ from jacobi_oracle import jacobi_eigen
 
 from flowline_risk import numerics
 from flowline_risk.numerics import (
+    GRAM_FLOOR,
     BadK,
     NonConvergence,
     NotSymmetric,
@@ -97,6 +100,11 @@ def one_hot_covariance(rng, n, p):
     """Covariance of a standardized one-hot-heavy X with n < p rows, shaped like
     the pipeline's default-width design matrix: a few numeric columns, the rest
     two one-hot id groups. Rank is below n."""
+    return covariance(one_hot_matrix(rng, n, p))
+
+
+def one_hot_matrix(rng, n, p):
+    """The standardized one-hot-heavy X of one_hot_covariance."""
     n_numeric = (p + 4) // 5
     levels = p - n_numeric
     first = (levels + 1) // 2
@@ -108,8 +116,7 @@ def one_hot_covariance(rng, n, p):
     if levels > first:
         X[rows, n_numeric + first + rng.integers(0, levels - first, size=n)] = 1.0
     sd = X.std(axis=0)
-    X = (X - X.mean(axis=0)) / np.where(sd > 0, sd, 1.0)
-    return covariance(X)
+    return (X - X.mean(axis=0)) / np.where(sd > 0, sd, 1.0)
 
 
 def symmetric_case(kind, p, seed, scale):
@@ -203,6 +210,128 @@ class TestSymEigenEquivalence:
             sym_eigen(np.array([[2.0, 1.0], [1.0, 2.0]]))
         # a diagonal matrix needs no iteration, so the cap does not bite
         assert sym_eigen(np.diag([1.0, 3.0]))[0] == pytest.approx([3.0, 1.0])
+
+
+def wide_case(kind, n, extra, seed, scale):
+    """An n x p matrix with fewer rows than columns (p = n + extra)."""
+    rng = np.random.default_rng(seed)
+    p = n + extra
+    if kind == "one_hot":
+        X = one_hot_matrix(rng, n, p)
+    elif kind == "duplicate_rows":
+        X = rng.normal(size=(max(1, n // 3), p))[rng.integers(0, max(1, n // 3), size=n)]
+    elif kind == "zero_columns":
+        X = rng.normal(size=(n, p)) * (rng.random(p) < 0.5)
+    elif kind == "low_rank":
+        X = rng.normal(size=(n, 2)) @ rng.normal(size=(2, p))
+    elif kind == "graded":
+        # singular values from 1 down to 1e-6: eigenvalues on both sides of the floor
+        U, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        W, _ = np.linalg.qr(rng.normal(size=(p, n)))
+        X = (U * np.logspace(0, -6, n)) @ W.T
+    else:  # "random"
+        X = rng.normal(size=(n, p))
+    return X * scale
+
+
+wide_cases = st.tuples(
+    st.sampled_from(["random", "one_hot", "duplicate_rows", "zero_columns", "low_rank", "graded"]),
+    st.integers(2, 40),
+    st.integers(1, 60),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1.0, 1e-8, 1e8]),
+).map(lambda case: wide_case(*case))
+
+# Gram-path components are orthonormal to within machine epsilon times the
+# largest eigenvalue over the smallest kept one, at most about sqrt(eps)
+# (GRAM_FLOOR) times a small constant.
+GRAM_ORTHONORMAL_TOL = 1e-6
+
+
+def assert_gram_path_matches(X, model, ref_values, ref_vectors):
+    """The Gram path's r components against a full reference decomposition of
+    X's covariance C: values within 1e-10 max(1, ||C||_F), every dropped
+    value at the floor up to that tolerance, spectral projectors at every
+    gapped cut, and orthonormal components."""
+    C = covariance(X)
+    norm = float(np.linalg.norm(C))
+    tol = 1e-10 * max(1.0, norm)
+    r = model.n_components
+    assert r <= min(X.shape[0] - 1, X.shape[1])
+    assert np.max(np.abs(model.explained_variance - ref_values[:r]), initial=0.0) <= tol
+    assert np.all(model.explained_variance > 0)
+    assert np.all(np.diff(model.explained_variance) <= 0)
+    assert np.all(ref_values[r:] <= GRAM_FLOOR * max(ref_values[0], 0.0) + tol)
+    V = model.components
+    for k in range(1, r + 1):
+        gap = ref_values[k - 1] - ref_values[k]
+        if gap > 1e-6 * norm:
+            P = V[:, :k] @ V[:, :k].T
+            P_ref = ref_vectors[:, :k] @ ref_vectors[:, :k].T
+            assert np.max(np.abs(P - P_ref)) <= 1e-12 * norm / gap
+    assert np.max(np.abs(V.T @ V - np.eye(r)), initial=0.0) <= GRAM_ORTHONORMAL_TOL
+    pivots = np.argmax(np.abs(V), axis=0)
+    assert np.all(V[pivots, np.arange(r)] > 0)
+    assert np.array_equal(model.means, X.mean(axis=0))
+
+
+class TestGramPath:
+    """PCA of a matrix with fewer rows than columns through its n x n Gram
+    matrix, against the p x p covariance path and scipy's LAPACK eigh."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(wide_cases)
+    def test_against_covariance_path(self, X):
+        values, vectors = sym_eigen(covariance(X))
+        assert_gram_path_matches(X, pca_fit(X), values, vectors)
+
+    @settings(max_examples=100, deadline=None)
+    @given(wide_cases)
+    def test_against_scipy(self, X):
+        ref_values, ref_vectors = scipy.linalg.eigh(covariance(X))
+        assert_gram_path_matches(X, pca_fit(X), ref_values[::-1], ref_vectors[:, ::-1])
+
+    def test_default_width_shape(self):
+        # n = 200 rows and p = 439 columns, as featurize gives at default
+        # width on a 200-line network
+        X = one_hot_matrix(np.random.default_rng(52), 200, 439)
+        model = pca_fit(X)
+        ref_values, ref_vectors = scipy.linalg.eigh(covariance(X))
+        assert_gram_path_matches(X, model, ref_values[::-1], ref_vectors[:, ::-1])
+        assert 150 < model.n_components <= 199
+        assert np.sum(model.explained_variance) == pytest.approx(np.trace(covariance(X)), rel=1e-12)
+
+    def test_no_p_by_p_array(self):
+        rng = np.random.default_rng(53)
+        n, p = 20, 2000
+        X = rng.normal(size=(n, p))
+        tracemalloc.start()
+        try:
+            model = pca_fit(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.n_components == n - 1
+        assert peak < p * p * 8 / 10  # a tenth of one p x p float64 matrix
+
+    def test_k_above_the_rank_is_refused(self):
+        X = np.random.default_rng(54).normal(size=(5, 12))
+        assert pca_fit(X).n_components == 4
+        assert pca_fit(X, 4).n_components == 4
+        with pytest.raises(BadK, match=r"\[1, 4\], got 5"):
+            pca_fit(X, 5)
+
+    def test_constant_rows_have_no_axis(self):
+        assert pca_fit(np.ones((3, 5))).n_components == 0
+
+    def test_tall_matrices_keep_the_covariance_path(self):
+        rng = np.random.default_rng(55)
+        for n, p in ((6, 6), (40, 7)):
+            X = rng.normal(size=(n, p))
+            values, vectors = sym_eigen(covariance(X))
+            model = pca_fit(X)
+            assert np.array_equal(model.components, vectors)
+            assert np.array_equal(model.explained_variance, np.maximum(values, 0.0))
 
 
 class TestPCA:
@@ -302,6 +431,20 @@ class TestPcaByConfig:
         assert np.array_equal(model.means, refit.means)
         assert np.array_equal(pca_transform(model, X), pca_transform(refit, X))
         assert np.array_equal(spectrum, pca_fit(X, 6).explained_variance)
+
+    def test_wide_matrix_gives_every_gram_component(self):
+        from flowline_risk.config import RunConfig
+        from flowline_risk.modeling import _pca_by_config
+
+        X = one_hot_matrix(np.random.default_rng(56), 30, 70)
+        model, spectrum = _pca_by_config(RunConfig(seed=1), X)
+        full = pca_fit(X)
+        assert np.array_equal(spectrum, full.explained_variance)
+        assert spectrum.size == full.n_components <= 29
+        assert model.n_components == choose_k_by_variance(spectrum, 0.95)
+        assert np.array_equal(model.components, full.components[:, :model.n_components])
+        with pytest.raises(BadK, match=rf"k must be in \[1, {spectrum.size}\], got 30"):
+            _pca_by_config(RunConfig(seed=1, pca_k=30), X)
 
     def test_k_beyond_width_rejected(self):
         from flowline_risk.config import RunConfig
