@@ -424,6 +424,9 @@ def parse_spills(
     return ParseResult(Table.from_rows(SPILL_COLUMNS, rows), diagnostics)
 
 
+DIAGNOSTICS_HEADER = ["file", "row", "reason"]
+
+
 def write_diagnostics(path, diagnostics: list[Diagnostic]) -> None:
     """Quarantine rejected rows to a sidecar CSV instead of aborting the run."""
-    write_csv(path, ["file", "row", "reason"], ([d.file, d.row, d.reason] for d in diagnostics))
+    write_csv(path, DIAGNOSTICS_HEADER, ([d.file, d.row, d.reason] for d in diagnostics))

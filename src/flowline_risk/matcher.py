@@ -326,8 +326,11 @@ def assign_risk(merged: MergedFlowlines, attributions: list[SpillAttribution]) -
     return np.array([fid in hit_ids for fid in flowline_ids], dtype=np.int64)
 
 
+ATTRIBUTIONS_HEADER = ["spill_id", "matched_flowline_id", "distance", "tolerance_used"]
+
+
 def write_attributions(path, attributions: list[SpillAttribution]) -> None:
-    write_csv(path, ["spill_id", "matched_flowline_id", "distance", "tolerance_used"], (
+    write_csv(path, ATTRIBUTIONS_HEADER, (
         [
             a.spill_id,
             a.matched_flowline_id or "",

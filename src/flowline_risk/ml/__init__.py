@@ -7,7 +7,6 @@ from .linear import LinearSVM, LogisticRegressionGD, logistic_loss_and_grad, sig
 from .neighbors import KNNClassifier
 from .serialization import (
     CLASSIFIER_KINDS,
-    load_model,
     model_from_dict,
     model_to_dict,
     save_model,
@@ -33,7 +32,6 @@ __all__ = [
     "best_gini_split",
     "fit_kmeans",
     "gini_impurity",
-    "load_model",
     "logistic_loss_and_grad",
     "model_from_dict",
     "model_to_dict",

@@ -29,12 +29,15 @@ def check_binary_labels(y: np.ndarray) -> np.ndarray:
 class Classifier:
     """Uniform train/predict surface over all model kinds.
 
-    Subclasses set `kind`, implement _fit/_predict, and describe their
-    learned state through state_dict/load_state for JSON round trips.
-    schema_hash is the feature-schema digest a loaded model was saved with.
+    Subclasses set `kind`, implement _fit/_predict, and name the attributes
+    of their learned state (numbers, or arrays or lists of them) in
+    fitted_state, which state_dict and load_state round-trip through JSON
+    bit for bit. schema_hash is the feature-schema digest a loaded model
+    was saved with.
     """
 
     kind: str = "?"
+    fitted_state: tuple[str, ...] = ()
 
     def __init__(self):
         self.fitted = False
@@ -65,7 +68,27 @@ class Classifier:
         raise NotImplementedError
 
     def state_dict(self) -> dict:
-        raise NotImplementedError
+        """The fitted_state attributes as JSON numbers and (nested) lists."""
+        return {name: _numbers(name, getattr(self, name)).tolist() for name in self.fitted_state}
 
     def load_state(self, state: dict) -> None:
-        raise NotImplementedError
+        """Set the fitted_state attributes from state_dict's output, a list
+        as a numpy array of the dtype its numbers give."""
+        for name in self.fitted_state:
+            array = _numbers(name, state[name])
+            setattr(self, name, array if array.ndim else array.item())
+        self.fitted = True
+
+    def check_state(self, width: int | None = None) -> None:
+        """Raise ValueError where a loaded state cannot fit `width` columns."""
+
+
+def _numbers(name: str, value) -> np.ndarray:
+    """value as a numpy array, checked to hold finite numbers, which is all
+    that JSON can carry."""
+    array = np.asarray(value)
+    if array.size and array.dtype.kind not in "iuf":
+        raise ValueError(f"{name!r} holds {array.dtype} values, not numbers")
+    if array.dtype.kind == "f" and not np.all(np.isfinite(array)):
+        raise ValueError(f"{name!r} holds a value that is not finite")
+    return array

@@ -6,7 +6,7 @@ import numpy as np
 
 from .base import Classifier, check_binary_labels
 from .linear import sigmoid
-from .trees import DecisionTreeClassifier, RegressionTree, _Rows
+from .trees import DecisionTreeClassifier, RegressionTree, TreeTable, _Rows
 
 _LEAF_CLAMP = 10.0
 _ALPHA_ERR_FLOOR = 1e-10
@@ -18,16 +18,19 @@ def log_loss(y: np.ndarray, scores: np.ndarray) -> float:
     return float(np.mean(softplus - y * scores))
 
 
-class GBDTClassifier(Classifier):
+class GBDTClassifier(TreeTable, Classifier):
     """Stage-wise logistic gradient boosting with regression trees.
 
     Each stage fits a squared-error tree to the negative log-loss gradient
     (the residual y - p) and installs Newton-step leaf outputs. Stages that
     would raise the training loss are halved, then dropped, so the recorded
-    stage_losses trace is non-increasing by construction.
+    stage_losses trace is non-increasing by construction. The stages' trees
+    are one table, in fit order.
     """
 
     kind = "GBDT"
+    per_tree = ("stage_scales",)
+    fitted_state = ("prior", "stage_scales") + TreeTable.node_fields + ("tree_start",)
 
     def __init__(self, n_trees: int = 100, max_depth: int = 3,
                  shrinkage: float = 0.1, min_leaf: int = 2):
@@ -39,7 +42,6 @@ class GBDTClassifier(Classifier):
         self.shrinkage = shrinkage
         self.min_leaf = min_leaf
         self.prior = 0.0
-        self.trees: list[RegressionTree] = []
         self.stage_scales: list[float] = []
         self.stage_losses: list[float] = []
 
@@ -48,7 +50,7 @@ class GBDTClassifier(Classifier):
         pos = float(np.mean(y))
         self.prior = float(np.log(pos / (1.0 - pos)))
         scores = np.full(len(y), self.prior)
-        self.trees = []
+        trees = []
         self.stage_scales = []
         self.stage_losses = [log_loss(y, scores)]
         data = _Rows(X)
@@ -75,15 +77,17 @@ class GBDTClassifier(Classifier):
             else:
                 scale = 0.0
             scores = scores + scale * step
-            self.trees.append(tree)
+            trees.append(tree)
             self.stage_scales.append(scale)
             self.stage_losses.append(log_loss(y, scores))
+        self._set_table(trees)
 
     def decision_scores(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        scores = np.full(X.shape[0], self.prior)
-        for tree, scale in zip(self.trees, self.stage_scales):
-            scores += scale * self.shrinkage * tree.predict(X)
+        """The prior plus each stage's scaled tree output, added in fit order."""
+        values = self.value[self._leaves(X)]
+        scores = np.full(values.shape[1], self.prior)
+        for value, scale in zip(values, self.stage_scales):
+            scores += scale * self.shrinkage * value
         return scores
 
     def predict_proba(self, X) -> np.ndarray:
@@ -98,37 +102,25 @@ class GBDTClassifier(Classifier):
             "shrinkage": self.shrinkage, "min_leaf": self.min_leaf,
         }
 
-    def state_dict(self):
-        return {
-            "prior": self.prior,
-            "trees": [t.to_dict() for t in self.trees],
-            "stage_scales": self.stage_scales,
-        }
 
-    def load_state(self, state):
-        self.prior = float(state["prior"])
-        self.trees = [RegressionTree.from_dict(d, self.max_depth, self.min_leaf)
-                      for d in state["trees"]]
-        self.stage_scales = [float(s) for s in state["stage_scales"]]
-        self.fitted = True
-
-
-class AdaBoostClassifier(Classifier):
+class AdaBoostClassifier(TreeTable, Classifier):
     """Discrete AdaBoost over depth-1 weighted Gini stumps.
 
     Instance weights start uniform at 1/n and renormalize every round.
     Rounds stop early on a perfect stump (error floored for a finite alpha)
-    or a stump no better than chance.
+    or a stump no better than chance. The kept stumps are one table, each
+    leaf's value its class.
     """
 
     kind = "ADABOOST"
+    per_tree = ("alphas",)
+    fitted_state = ("alphas",) + TreeTable.node_fields + ("tree_start",)
 
     def __init__(self, n_stumps: int = 100):
         super().__init__()
         if n_stumps < 1:
             raise ValueError("n_stumps must be >= 1")
         self.n_stumps = n_stumps
-        self.stumps: list[DecisionTreeClassifier] = []
         self.alphas: list[float] = []
         self.round_errors: list[float] = []
         self.bound_trace: list[float] = []
@@ -140,7 +132,7 @@ class AdaBoostClassifier(Classifier):
         n = len(y)
         weights = np.full(n, 1.0 / n)
         self.initial_weights = weights.copy()
-        self.stumps, self.alphas = [], []
+        stumps, self.alphas = [], []
         self.round_errors, self.bound_trace = [], []
         bound = 1.0
         data = _Rows(X)
@@ -156,7 +148,7 @@ class AdaBoostClassifier(Classifier):
             self.round_errors.append(err)
             erred = max(err, _ALPHA_ERR_FLOOR)
             alpha = 0.5 * np.log((1.0 - erred) / erred)
-            self.stumps.append(stump)
+            stumps.append(stump)
             self.alphas.append(float(alpha))
             bound *= 2.0 * np.sqrt(erred * (1.0 - erred))
             self.bound_trace.append(float(bound))
@@ -165,12 +157,14 @@ class AdaBoostClassifier(Classifier):
             h = 2 * pred - 1
             weights = weights * np.exp(-alpha * s * h)
             weights /= np.sum(weights)
+        self._set_table(stumps)
 
     def decision_scores(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        scores = np.zeros(X.shape[0])
-        for stump, alpha in zip(self.stumps, self.alphas):
-            scores += alpha * (2 * stump.predict(X) - 1)
+        """Each stump's alpha-weighted vote of -1 or +1, added in fit order."""
+        votes = 2 * self.value[self._leaves(X)] - 1
+        scores = np.zeros(votes.shape[1])
+        for vote, alpha in zip(votes, self.alphas):
+            scores += alpha * vote
         return scores
 
     def _predict(self, X):
@@ -179,23 +173,8 @@ class AdaBoostClassifier(Classifier):
     def hyperparameters(self):
         return {"n_stumps": self.n_stumps}
 
-    def state_dict(self):
-        return {
-            "stumps": [s.state_dict()["root"] for s in self.stumps],
-            "alphas": self.alphas,
-        }
 
-    def load_state(self, state):
-        self.stumps = []
-        for root in state["stumps"]:
-            stump = DecisionTreeClassifier(max_depth=1, min_leaf=1)
-            stump.load_state({"root": root})
-            self.stumps.append(stump)
-        self.alphas = [float(a) for a in state["alphas"]]
-        self.fitted = True
-
-
-class RandomForestClassifier(Classifier):
+class RandomForestClassifier(TreeTable, Classifier):
     """Bootstrap-bagged CARTs with per-split feature subsets, majority vote.
 
     Trees are fitted in order, each drawing from its own SeedSequence
@@ -205,10 +184,11 @@ class RandomForestClassifier(Classifier):
     The training matrix is ranked (trees.rank_keys, one float sort) and its
     binary and constant columns found once per fit, and each tree takes its
     bootstrap rows of both, so a column is binary, or constant, for every
-    tree or for none.
+    tree or for none. The trees are one table, each leaf's value its class.
     """
 
     kind = "RF"
+    fitted_state = TreeTable.node_fields + ("tree_start",)
 
     def __init__(self, n_trees: int = 100, max_depth: int = 8, mtry: int | None = None,
                  seed: int = 0, min_leaf: int = 2, bootstrap: bool = True):
@@ -221,7 +201,6 @@ class RandomForestClassifier(Classifier):
         self.seed = seed
         self.min_leaf = min_leaf
         self.bootstrap = bootstrap
-        self.trees: list[DecisionTreeClassifier] = []
 
     def _fit(self, X, y):
         y = check_binary_labels(y)
@@ -231,21 +210,19 @@ class RandomForestClassifier(Classifier):
             raise ValueError(f"mtry must be in [1, {p}]")
         data = _Rows(X)
         streams = np.random.SeedSequence(self.seed).spawn(self.n_trees)
-        self.trees = []
+        trees = []
         for stream in streams:
             rng = np.random.default_rng(stream)
             idx = rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
             tree = DecisionTreeClassifier(self.max_depth, self.min_leaf, mtry=mtry, rng=rng)
             sample = data.take(idx)
             tree.fit(sample.X, y[idx], data=sample)
-            self.trees.append(tree)
+            trees.append(tree)
+        self._set_table(trees)
 
     def vote_shares(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        votes = np.zeros(X.shape[0])
-        for tree in self.trees:
-            votes += tree.predict(X)
-        return votes / len(self.trees)
+        # the votes are whole numbers, so their sum is exact in any order
+        return self.value[self._leaves(X)].sum(axis=0) / self.tree_count
 
     def _predict(self, X):
         return (self.vote_shares(X) > 0.5).astype(int)
@@ -255,14 +232,3 @@ class RandomForestClassifier(Classifier):
             "n_trees": self.n_trees, "max_depth": self.max_depth, "mtry": self.mtry,
             "seed": self.seed, "min_leaf": self.min_leaf, "bootstrap": self.bootstrap,
         }
-
-    def state_dict(self):
-        return {"trees": [t.state_dict()["root"] for t in self.trees]}
-
-    def load_state(self, state):
-        self.trees = []
-        for root in state["trees"]:
-            tree = DecisionTreeClassifier(self.max_depth, self.min_leaf)
-            tree.load_state({"root": root})
-            self.trees.append(tree)
-        self.fitted = True

@@ -42,6 +42,7 @@ class LogisticRegressionGD(Classifier):
     """
 
     kind = "LR"
+    fitted_state = ("weights", "bias")
 
     def __init__(self, learning_rate: float = 0.1, epochs: int = 500, l2: float = 1e-4):
         super().__init__()
@@ -71,14 +72,6 @@ class LogisticRegressionGD(Classifier):
     def hyperparameters(self):
         return {"learning_rate": self.learning_rate, "epochs": self.epochs, "l2": self.l2}
 
-    def state_dict(self):
-        return {"weights": self.weights.tolist(), "bias": self.bias}
-
-    def load_state(self, state):
-        self.weights = np.asarray(state["weights"], dtype=float)
-        self.bias = float(state["bias"])
-        self.fitted = True
-
 
 class LinearSVM(Classifier):
     """Primal hinge-loss SVM trained by projected subgradient descent.
@@ -89,6 +82,7 @@ class LinearSVM(Classifier):
     """
 
     kind = "SVM"
+    fitted_state = ("weights", "bias")
 
     def __init__(self, C: float = 1.0, epochs: int = 200):
         super().__init__()
@@ -146,11 +140,3 @@ class LinearSVM(Classifier):
 
     def hyperparameters(self):
         return {"C": self.C, "epochs": self.epochs}
-
-    def state_dict(self):
-        return {"weights": self.weights.tolist(), "bias": self.bias}
-
-    def load_state(self, state):
-        self.weights = np.asarray(state["weights"], dtype=float)
-        self.bias = float(state["bias"])
-        self.fitted = True

@@ -42,6 +42,7 @@ class KNNClassifier(Classifier):
     """
 
     kind = "KNN"
+    fitted_state = ("train_X", "train_y")
 
     def __init__(self, k_neighbors: int = 5):
         super().__init__()
@@ -101,11 +102,3 @@ class KNNClassifier(Classifier):
 
     def hyperparameters(self):
         return {"k_neighbors": self.k_neighbors}
-
-    def state_dict(self):
-        return {"train_X": self.train_X.tolist(), "train_y": self.train_y.tolist()}
-
-    def load_state(self, state):
-        self.train_X = np.asarray(state["train_X"], dtype=float)
-        self.train_y = np.asarray(state["train_y"], dtype=int)
-        self.fitted = True

@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 
-from ..fileio import read_json, write_json
+from ..fileio import write_json
 from .base import Classifier
 from .ensembles import AdaBoostClassifier, GBDTClassifier, RandomForestClassifier
 from .linear import LinearSVM, LogisticRegressionGD
@@ -42,19 +42,18 @@ def model_to_dict(model: Classifier, seed: int | None = None, column_meta=None) 
     }
 
 
-def model_from_dict(doc: dict) -> Classifier:
+def model_from_dict(doc: dict, width: int | None = None) -> Classifier:
+    """The model model_to_dict wrote; a state that check_state refuses (for
+    one fitted on `width` columns, when given) raises ValueError."""
     kind = doc["kind"]
     if kind not in CLASSIFIER_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
     model = CLASSIFIER_KINDS[kind](**doc["hyperparameters"])
     model.load_state(doc["parameters"])
+    model.check_state(width)
     model.schema_hash = doc.get("schema_hash")
     return model
 
 
 def save_model(model: Classifier, path, seed=None, column_meta=None) -> None:
     write_json(path, model_to_dict(model, seed, column_meta))
-
-
-def load_model(path) -> Classifier:
-    return model_from_dict(read_json(path))

@@ -40,55 +40,100 @@ import numpy as np
 from .base import Classifier
 
 
-class _Node:
-    __slots__ = ("feature", "threshold", "left", "right", "prediction", "proba")
+class _Nodes:
+    """One tree's node lists in preorder, as its grower appends them; right
+    indexes this tree's own nodes, and its grower sets it once the left
+    subtree is grown."""
 
-    def __init__(self, feature=None, threshold=None, left=None, right=None,
-                 prediction=None, proba=None):
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
-        self.prediction = prediction
-        self.proba = proba
+    def __init__(self):
+        self.feature, self.threshold, self.right, self.value, self.proba = [], [], [], [], []
+
+    def add(self, feature: int = -1, threshold: float = 0.0, value: float = 0.0,
+            proba: float = 0.0) -> int:
+        """Append a node, a leaf unless given a feature, and return its index."""
+        for column, item in zip((self.feature, self.threshold, self.right, self.value, self.proba),
+                                (feature, threshold, -1, value, proba)):
+            column.append(item)
+        return len(self.right) - 1
+
+
+class TreeTable:
+    """Fitted trees as one table of nodes in preorder (the layout of
+    scikit-learn's Tree, Pedregosa et al. 2011), stacked as
+    geometry.MultiLineArray stacks its members.
+
+    Tree t is nodes tree_start[t]:tree_start[t + 1], its root first. Node i
+    splits on column feature[i], or is a leaf where feature[i] is -1. A row
+    whose value there is <= threshold[i] goes to node i + 1, the left
+    child, next in preorder; any other row (NaN included) goes to right[i].
+    A leaf's output is value[i] (and, in a classifier tree, the positive
+    weight share proba[i]); a leaf's threshold is 0 and its right -1.
+    """
+
+    node_fields: tuple[str, ...] = ("feature", "threshold", "right", "value")
+    # arrays of the subclass's fitted state with one entry per tree
+    per_tree: tuple[str, ...] = ()
 
     @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
+    def tree_count(self) -> int:
+        return len(self.tree_start) - 1
 
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {"prediction": self.prediction, "proba": self.proba}
-        return {
-            "feature": int(self.feature),
-            "threshold": float(self.threshold),
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
+    def _set_table(self, trees) -> None:
+        """Stack trees, each a _Nodes or a one-tree table (its right
+        indexes its own nodes), in order into this table."""
+        sizes = [len(t.feature) for t in trees]
+        self.tree_start = np.cumsum([0] + sizes, dtype=np.intp)
+        for name in self.node_fields:
+            dtype = np.intp if name in ("feature", "right") else float
+            setattr(self, name, np.concatenate(
+                [np.empty(0, dtype)] + [np.asarray(getattr(t, name), dtype) for t in trees]))
+        inner = self.feature >= 0
+        self.right[inner] += np.repeat(self.tree_start[:-1], sizes)[inner]
 
-    @staticmethod
-    def from_dict(d: dict) -> "_Node":
-        if "feature" not in d:
-            return _Node(prediction=d["prediction"], proba=d["proba"])
-        return _Node(
-            feature=d["feature"], threshold=d["threshold"],
-            left=_Node.from_dict(d["left"]), right=_Node.from_dict(d["right"]),
-        )
+    def _leaves(self, X) -> np.ndarray:
+        """(trees x rows) index of the leaf each row of X reaches in each
+        tree; every row moves one level down every tree per numpy step."""
+        X = np.asarray(X, dtype=float)
+        n = X.shape[0]
+        node = np.repeat(self.tree_start[:-1], n)
+        row = np.tile(np.arange(n), self.tree_count)
+        live = np.flatnonzero(self.feature[node] >= 0)
+        while live.size:
+            at = node[live]
+            go_left = X[row[live], self.feature[at]] <= self.threshold[at]
+            at = np.where(go_left, at + 1, self.right[at])
+            node[live] = at
+            live = live[self.feature[at] >= 0]
+        return node.reshape(self.tree_count, n)
 
-
-def _leaf_values(root: _Node, X: np.ndarray, field: str, dtype) -> np.ndarray:
-    """Route all rows of X down the tree at once; each row gets its leaf's field."""
-    out = np.empty(X.shape[0], dtype=dtype)
-    stack = [(root, np.arange(X.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        if node.is_leaf:
-            out[idx] = getattr(node, field)
-        elif idx.size:
-            go_left = X[idx, node.feature] <= node.threshold
-            stack.append((node.left, idx[go_left]))
-            stack.append((node.right, idx[~go_left]))
-    return out
+    def check_state(self, width: int | None = None) -> None:
+        """Raise ValueError where the table is not trees in preorder: node
+        arrays of unequal shapes, feature, right or tree_start not integers,
+        tree offsets that do not rise from 0 to the node count, per_tree
+        arrays without one entry per tree, a child not after its node inside
+        its tree, or a feature outside a matrix of `width` columns."""
+        n = np.size(self.feature)
+        if any(np.shape(getattr(self, name)) != (n,) for name in self.node_fields):
+            raise ValueError(f"the node arrays {self.node_fields} differ in shape")
+        for name in ("feature", "right", "tree_start"):
+            array = np.asarray(getattr(self, name))
+            if array.size and array.dtype.kind not in "iu":
+                raise ValueError(f"{name!r} holds {array.dtype} values, not integers")
+        starts = np.asarray(self.tree_start)
+        if (starts.ndim != 1 or not starts.size or starts[0] != 0 or starts[-1] != n
+                or np.any(np.diff(starts) < 1)):
+            raise ValueError(f"tree_start must rise from 0 to the {n} nodes by at least 1 per tree")
+        if any(len(getattr(self, name)) != self.tree_count for name in self.per_tree):
+            raise ValueError(f"{self.per_tree} must hold one entry for each of {self.tree_count} trees")
+        top = np.inf if width is None else width
+        bad = self.feature[(self.feature < -1) | (self.feature >= top)]
+        if bad.size:
+            raise ValueError(f"a node splits on column {bad[0]} of a matrix with {top} columns")
+        inner = np.flatnonzero(self.feature >= 0)
+        end = starts[np.searchsorted(starts, inner, side="right")]
+        right = self.right[inner]
+        if np.any((inner + 1 >= end) | (right <= inner + 1) | (right >= end)):
+            raise ValueError("a child index is not after its node in the node's tree")
 
 
 def gini_impurity(y: np.ndarray, weights: np.ndarray) -> float:
@@ -401,14 +446,18 @@ def best_gini_split(X, y, weights, min_leaf: int, features=None):
     return f, thr, _gini_gain(*sides, float(np.sum(weights)), gini_impurity(y, weights))
 
 
-class DecisionTreeClassifier(Classifier):
+class DecisionTreeClassifier(TreeTable, Classifier):
     """Binary CART with Gini impurity and optional per-split feature draws.
 
     sample_weight support makes the same tree serve as the AdaBoost weak
-    learner; rng+mtry make it the random-forest member.
+    learner; rng+mtry make it the random-forest member. It is a one-tree
+    table whose leaves hold the majority class as value and the positive
+    weight share as proba.
     """
 
     kind = "TREE"
+    node_fields = TreeTable.node_fields + ("proba",)
+    fitted_state = node_fields + ("tree_start",)
 
     def __init__(self, max_depth: int = 6, min_leaf: int = 2,
                  mtry: int | None = None, rng: np.random.Generator | None = None):
@@ -419,7 +468,6 @@ class DecisionTreeClassifier(Classifier):
         self.min_leaf = min_leaf
         self.mtry = mtry
         self.rng = rng
-        self.root: _Node | None = None
 
     def fit(self, X, y, sample_weight=None, data=None):
         """Grow the tree; `data` is a _Rows of X, when the caller has one."""
@@ -434,21 +482,23 @@ class DecisionTreeClassifier(Classifier):
         weights = np.asarray(sample_weight, dtype=float)
         if data is None:
             data = _Rows(X)
-        self.root = self._grow(data, data.rows, None, y, np.stack([weights, weights * (y == 1)]), 0)
+        nodes = _Nodes()
+        self._grow(nodes, data, data.rows, None, y, np.stack([weights, weights * (y == 1)]), 0)
+        self._set_table([nodes])
         self.fitted = True
         return self
 
-    def _leaf(self, y, weights) -> _Node:
+    @staticmethod
+    def _leaf(nodes, y, weights) -> None:
         w1 = float(np.sum(weights[y == 1]))
         w0 = float(np.sum(weights[y == 0]))
         total = w0 + w1
-        proba = w1 / total if total > 0 else 0.0
-        return _Node(prediction=1 if w1 > w0 else 0, proba=proba)
+        nodes.add(value=1.0 if w1 > w0 else 0.0, proba=w1 / total if total > 0 else 0.0)
 
-    def _grow(self, data, rows, block, y, wv, depth) -> _Node:
+    def _grow(self, nodes, data, rows, block, y, wv, depth) -> None:
         node_y = y[rows]
         if depth >= self.max_depth or len(rows) < 2 * self.min_leaf or np.all(node_y == node_y[0]):
-            return self._leaf(node_y, wv[0][rows])
+            return self._leaf(nodes, node_y, wv[0][rows])
 
         p = data.X.shape[1]
         if self.mtry is not None and self.mtry < p:
@@ -458,37 +508,29 @@ class DecisionTreeClassifier(Classifier):
         cuts = data.cuts(rows, block, self.min_leaf, features)
         split = _gini_split(cuts, rows, wv)
         if split is None:
-            return self._leaf(node_y, wv[0][rows])
+            return self._leaf(nodes, node_y, wv[0][rows])
         f, thr, _ = split
         inherit = features is None and depth + 1 < self.max_depth
         (lrows, lblock), (rrows, rblock) = data.partition(
             rows, cuts.block if inherit else None, f, thr)
         del cuts  # freed before the subtrees grow: held per level, it slows forest fits
-        return _Node(
-            feature=f, threshold=thr,
-            left=self._grow(data, lrows, lblock, y, wv, depth + 1),
-            right=self._grow(data, rrows, rblock, y, wv, depth + 1),
-        )
+        at = nodes.add(f, thr)
+        self._grow(nodes, data, lrows, lblock, y, wv, depth + 1)
+        nodes.right[at] = len(nodes.feature)
+        self._grow(nodes, data, rrows, rblock, y, wv, depth + 1)
 
     def predict_proba(self, X) -> np.ndarray:
-        return _leaf_values(self.root, np.asarray(X, dtype=float), "proba", float)
+        return self.proba[self._leaves(X)[0]]
 
     def _predict(self, X):
-        return _leaf_values(self.root, X, "prediction", int)
+        return self.value[self._leaves(X)[0]].astype(int)
 
     def hyperparameters(self):
         return {"max_depth": self.max_depth, "min_leaf": self.min_leaf, "mtry": self.mtry}
 
-    def state_dict(self):
-        return {"root": self.root.to_dict()}
 
-    def load_state(self, state):
-        self.root = _Node.from_dict(state["root"])
-        self.fitted = True
-
-
-class RegressionTree:
-    """Squared-error CART for boosting stages.
+class RegressionTree(TreeTable):
+    """Squared-error CART for boosting stages, a one-tree table.
 
     Splits minimize child SSE; leaf values come from leaf_value(indices),
     which lets gradient boosting install Newton-step outputs.
@@ -497,11 +539,6 @@ class RegressionTree:
     def __init__(self, max_depth: int = 3, min_leaf: int = 2):
         self.max_depth = max_depth
         self.min_leaf = min_leaf
-        self.root: _Node | None = None
-
-    def fit(self, X, targets, leaf_value=None):
-        self.fit_predict(X, targets, leaf_value)
-        return self
 
     def fit_predict(self, X, targets, leaf_value=None, data=None) -> np.ndarray:
         """Grow the tree and return its prediction for every training row.
@@ -515,42 +552,34 @@ class RegressionTree:
         fitted = np.empty(len(targets))
         if data is None:
             data = _Rows(X)
-        self.root = self._grow(data, data.rows, None, targets, 0, leaf_value, fitted)
+        nodes = _Nodes()
+        self._grow(nodes, data, data.rows, None, targets, 0, leaf_value, fitted)
+        self._set_table([nodes])
         return fitted
 
-    def _grow(self, data, rows, block, targets, depth, leaf_value, fitted) -> _Node:
+    def _grow(self, nodes, data, rows, block, targets, depth, leaf_value, fitted) -> None:
         if (depth >= self.max_depth or len(rows) < 2 * self.min_leaf
                 or np.ptp(targets[rows]) == 0.0):
-            return self._leaf(rows, leaf_value, fitted)
+            return self._leaf(nodes, rows, leaf_value, fitted)
         cuts = data.cuts(rows, block, self.min_leaf)
         split = _sse_split(cuts, targets)
         if split is None:
-            return self._leaf(rows, leaf_value, fitted)
+            return self._leaf(nodes, rows, leaf_value, fitted)
         f, thr = split
         inherit = depth + 1 < self.max_depth
         (lrows, lblock), (rrows, rblock) = data.partition(
             rows, cuts.block if inherit else None, f, thr)
         del cuts  # freed before the subtrees grow: held per level, it slows forest fits
-        return _Node(
-            feature=f, threshold=thr,
-            left=self._grow(data, lrows, lblock, targets, depth + 1, leaf_value, fitted),
-            right=self._grow(data, rrows, rblock, targets, depth + 1, leaf_value, fitted),
-        )
+        at = nodes.add(f, thr)
+        self._grow(nodes, data, lrows, lblock, targets, depth + 1, leaf_value, fitted)
+        nodes.right[at] = len(nodes.feature)
+        self._grow(nodes, data, rrows, rblock, targets, depth + 1, leaf_value, fitted)
 
     @staticmethod
-    def _leaf(rows, leaf_value, fitted) -> _Node:
+    def _leaf(nodes, rows, leaf_value, fitted) -> None:
         value = leaf_value(rows)
         fitted[rows] = value
-        return _Node(prediction=value, proba=None)
+        nodes.add(value=value)
 
     def predict(self, X) -> np.ndarray:
-        return _leaf_values(self.root, np.asarray(X, dtype=float), "prediction", float)
-
-    def to_dict(self):
-        return self.root.to_dict()
-
-    @staticmethod
-    def from_dict(d, max_depth=3, min_leaf=2):
-        tree = RegressionTree(max_depth, min_leaf)
-        tree.root = _Node.from_dict(d)
-        return tree
+        return self.value[self._leaves(X)[0]]

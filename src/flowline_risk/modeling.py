@@ -37,7 +37,7 @@ from .ml import (
     LinearSVM,
     LogisticRegressionGD,
     RandomForestClassifier,
-    load_model,
+    model_from_dict,
     save_model,
     schema_hash,
 )
@@ -178,14 +178,18 @@ def _lane_matrices(ds: Dataset, training: dict,
     return lanes
 
 
-def _load_fitted_model(manifest: Manifest, key: str, features_schema: str):
-    """Load a model, refusing one fitted against other feature columns."""
-    model = load_model(manifest.require(key))
-    if model.schema_hash != features_schema:
+def _load_fitted_model(manifest: Manifest, key: str, features_schema: str, width: int):
+    """Load a model, refusing one fitted against other feature columns, and
+    one whose state does not fit a lane of `width` columns (InconsistentArtifact)."""
+    doc = manifest.read_json(key)
+    if doc.get("schema_hash") != features_schema:
         raise SchemaHashMismatch(
-            f"model {key!r} was fitted against feature schema {model.schema_hash}, "
+            f"model {key!r} was fitted against feature schema {doc.get('schema_hash')}, "
             f"but the features now have schema {features_schema}; rerun train")
-    return model
+    try:
+        return model_from_dict(doc, width)
+    except (ValueError, TypeError) as exc:
+        raise manifest.inconsistent(key, exc) from exc
 
 
 def stage_evaluate(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
@@ -194,7 +198,8 @@ def stage_evaluate(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
     training = manifest.read_json("training")
     models_by_lane = {
         lane: {
-            kind: _load_fitted_model(manifest, f"model_{kind}_{lane}", features_schema)
+            kind: _load_fitted_model(manifest, f"model_{kind}_{lane}", features_schema,
+                                     ds.n_cols if lane == "raw" else training["pca"]["k"])
             for kind in REPORT_ORDER if f"model_{kind}_{lane}" in manifest.entries
         }
         for lane in training["lanes"]

@@ -26,12 +26,14 @@ from .config import RunConfig
 from .features import FeatureConfig, assemble, save_dataset
 from .fileio import read_json, write_json
 from .ingest import (
+    DIAGNOSTICS_HEADER,
     parse_descriptive,
     parse_operational,
     parse_spills,
     write_diagnostics,
 )
 from .matcher import (
+    ATTRIBUTIONS_HEADER,
     MergedFlowlines,
     SpillAttribution,
     assign_risk,
@@ -164,6 +166,34 @@ class Manifest:
         path = self.require(name)
         source = (name, self.entries[name]["stage"])
         return read_json(path, object_hook=lambda d: ArtifactObject(d, source))
+
+    def read_csv(self, name: str, header: list[str], parse) -> list:
+        """parse(*fields) of each row of CSV artifact `name`, checked as
+        require() checks it. A first row other than header, or a row with
+        another number of fields or that parse raises ValueError on, raises
+        InconsistentArtifact."""
+        with open(self.require(name), newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            found = next(reader, None)
+            if found != header:
+                raise self.inconsistent(name, "it is empty" if found is None
+                                        else f"its header is {found}, not {header}")
+            rows = []
+            for fields in reader:
+                try:
+                    if len(fields) != len(header):
+                        raise ValueError(f"{len(fields)} fields, not {len(header)}")
+                    rows.append(parse(*fields))
+                except ValueError as exc:
+                    raise self.inconsistent(name, f"line {reader.line_num}: {exc}") from exc
+        return rows
+
+    def inconsistent(self, name: str, problem) -> InconsistentArtifact:
+        """The error for artifact `name` with a problem its writer cannot
+        have left, naming the stage to rerun."""
+        return InconsistentArtifact(
+            f"artifact {name!r} is inconsistent ({problem}); "
+            f"rerun stage {self.entries[name]['stage']!r} and the stages after it")
 
 
 def run_id_for(cfg: RunConfig) -> str:
@@ -306,22 +336,20 @@ def load_merged(manifest: Manifest) -> tuple[MergedFlowlines, dict]:
     try:
         merged = MergedFlowlines.from_json(doc)
     except (ValueError, TypeError) as exc:
-        raise InconsistentArtifact(
-            f"artifact 'merged' is inconsistent ({exc}); "
-            f"rerun stage {manifest.entries['merged']['stage']!r} and the stages after it") from exc
+        raise manifest.inconsistent("merged", exc) from exc
     return merged, doc
+
+
+def _attribution(spill_id: str, line_id: str, distance: str, step: str) -> SpillAttribution:
+    """One row of attributions.csv, as write_attributions wrote it."""
+    return SpillAttribution(spill_id, line_id or None, float(distance or "nan"), float(step))
 
 
 def load_labeled(manifest: Manifest) -> tuple[MergedFlowlines, np.ndarray, list[SpillAttribution], dict]:
     """Merged flowlines, their risk labels, the spill attributions that
     label them, and the merge stage's stats."""
     merged, doc = load_merged(manifest)
-    with open(manifest.require("attributions"), newline="", encoding="utf-8") as fh:
-        attributions = [
-            SpillAttribution(row["spill_id"], row["matched_flowline_id"] or None,
-                             float(row["distance"] or "nan"), float(row["tolerance_used"]))
-            for row in csv.DictReader(fh)
-        ]
+    attributions = manifest.read_csv("attributions", ATTRIBUTIONS_HEADER, _attribution)
     return merged, assign_risk(merged, attributions), attributions, doc["stats"]
 
 

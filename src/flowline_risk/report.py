@@ -6,7 +6,6 @@ listed in VOLATILE_FIELDS, which carry wall-clock information only.
 
 from __future__ import annotations
 
-import csv
 import datetime
 import json
 import numbers
@@ -18,6 +17,7 @@ from . import figures
 from .config import RunConfig
 from .evaluation import eda_summaries
 from .fileio import write_csv, write_json
+from .ingest import DIAGNOSTICS_HEADER
 from .matcher import MergedFlowlines
 from .pipeline import (
     Manifest,
@@ -229,8 +229,8 @@ def _read_timings(paths: RunPaths) -> dict:
 def _match_stats(manifest: Manifest, attributions: list, merge_stats: dict, high_risk: int) -> dict:
     """The stats the merge, attribute and featurize stages returned, rebuilt
     from the hashed artifacts they wrote rather than from the run log."""
-    with open(manifest.require("spill_diagnostics"), newline="", encoding="utf-8") as fh:
-        rejected = sum(1 for _ in csv.DictReader(fh))
+    rejected = len(manifest.read_csv("spill_diagnostics", DIAGNOSTICS_HEADER,
+                                     lambda file, row, reason: int(row)))
     meta = manifest.read_json("features_meta")
     return {
         "merge": merge_stats,

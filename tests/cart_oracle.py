@@ -8,12 +8,19 @@ rows for a binary column), so the tests check that the presorted, one-pass
 trees and the ensembles built on them produce identical fitted states and
 predictions. Slow but simple to audit.
 
+The trees here are the package's original recursive nodes (`_Node`),
+routed one row subset at a time. `flatten` writes a tree of them into the
+package's preorder node table, so an oracle model's state_dict is what the
+package's would be, while its predictions still come from the nodes.
+
 The score formulas used before the squared-sum forms are kept as `old_*`,
 with the per-feature search that applied them to every column, so a test can
 bound how far a split chosen now is from the best split by the old scores.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -28,7 +35,53 @@ from flowline_risk.ml import (
 from flowline_risk.ml.base import check_binary_labels
 from flowline_risk.ml.ensembles import _ALPHA_ERR_FLOOR, _LEAF_CLAMP, log_loss
 from flowline_risk.ml.linear import sigmoid
-from flowline_risk.ml.trees import _Node
+
+
+class _Node:
+    __slots__ = ("feature", "threshold", "left", "right", "prediction", "proba")
+
+    def __init__(self, feature=None, threshold=None, left=None, right=None,
+                 prediction=None, proba=None):
+        self.feature = feature
+        self.threshold = threshold
+        self.left = left
+        self.right = right
+        self.prediction = prediction
+        self.proba = proba
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.feature is None
+
+
+def flatten(root: _Node) -> SimpleNamespace:
+    """root's tree as the package's one-tree node lists: nodes in preorder,
+    a leaf's feature -1, threshold 0 and right -1, a split's value and proba 0."""
+    flat = SimpleNamespace(feature=[], threshold=[], right=[], value=[], proba=[])
+
+    def visit(node):
+        at = len(flat.feature)
+        leaf = node.is_leaf
+        flat.feature.append(-1 if leaf else node.feature)
+        flat.threshold.append(0.0 if leaf else node.threshold)
+        flat.right.append(-1)
+        flat.value.append(float(node.prediction) if leaf else 0.0)
+        flat.proba.append(node.proba if leaf and node.proba is not None else 0.0)
+        if not leaf:
+            visit(node.left)
+            flat.right[at] = len(flat.feature)
+            visit(node.right)
+
+    visit(root)
+    return flat
+
+
+def _leaf(y, weights) -> _Node:
+    w1 = float(np.sum(weights[y == 1]))
+    w0 = float(np.sum(weights[y == 0]))
+    total = w0 + w1
+    proba = w1 / total if total > 0 else 0.0
+    return _Node(prediction=1 if w1 > w0 else 0, proba=proba)
 
 
 def _traverse(node: _Node, X: np.ndarray) -> list[_Node]:
@@ -213,12 +266,13 @@ class OracleDecisionTreeClassifier(DecisionTreeClassifier):
             sample_weight = np.full(len(y), 1.0 / len(y))
         self.binary = binary_columns(X) if binary is None else binary
         self.root = self._grow(X, y, np.asarray(sample_weight, dtype=float), 0)
+        self._set_table([flatten(self.root)])
         self.fitted = True
         return self
 
     def _grow(self, X, y, weights, depth) -> _Node:
         if depth >= self.max_depth or len(y) < 2 * self.min_leaf or np.all(y == y[0]):
-            return self._leaf(y, weights)
+            return _leaf(y, weights)
 
         p = X.shape[1]
         if self.mtry is not None and self.mtry < p:
@@ -227,7 +281,7 @@ class OracleDecisionTreeClassifier(DecisionTreeClassifier):
             features = None
         split = best_gini_split(X, y, weights, self.min_leaf, features, self.binary)
         if split is None:
-            return self._leaf(y, weights)
+            return _leaf(y, weights)
         f, thr, _ = split
         mask = X[:, f] <= thr
         return _Node(
@@ -254,6 +308,7 @@ class OracleRegressionTree(RegressionTree):
             leaf_value = lambda idx: float(np.mean(targets[idx]))
         self.binary = binary_columns(X)
         self.root = self._grow(X, targets, np.arange(len(targets)), 0, leaf_value)
+        self._set_table([flatten(self.root)])
         return self
 
     def _grow(self, X, targets, idx, depth, leaf_value) -> _Node:
@@ -343,6 +398,14 @@ class OracleGBDTClassifier(GBDTClassifier):
             self.trees.append(tree)
             self.stage_scales.append(scale)
             self.stage_losses.append(log_loss(y, scores))
+        self._set_table(self.trees)
+
+    def decision_scores(self, X) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        scores = np.full(X.shape[0], self.prior)
+        for tree, scale in zip(self.trees, self.stage_scales):
+            scores += scale * self.shrinkage * tree.predict(X)
+        return scores
 
 
 class OracleAdaBoostClassifier(AdaBoostClassifier):
@@ -376,6 +439,14 @@ class OracleAdaBoostClassifier(AdaBoostClassifier):
             h = 2 * pred - 1
             weights = weights * np.exp(-alpha * s * h)
             weights /= np.sum(weights)
+        self._set_table(self.stumps)
+
+    def decision_scores(self, X) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        scores = np.zeros(X.shape[0])
+        for stump, alpha in zip(self.stumps, self.alphas):
+            scores += alpha * (2 * stump.predict(X) - 1)
+        return scores
 
 
 class OracleRandomForestClassifier(RandomForestClassifier):
@@ -394,3 +465,11 @@ class OracleRandomForestClassifier(RandomForestClassifier):
             tree = OracleDecisionTreeClassifier(self.max_depth, self.min_leaf, mtry=mtry, rng=rng)
             tree.fit(X[idx], y[idx], binary=binary)
             self.trees.append(tree)
+        self._set_table(self.trees)
+
+    def vote_shares(self, X) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        votes = np.zeros(X.shape[0])
+        for tree in self.trees:
+            votes += tree.predict(X)
+        return votes / len(self.trees)

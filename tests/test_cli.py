@@ -491,6 +491,83 @@ class TestStageChaining:
             assert problem in err
             assert err.endswith("rerun stage 'merge' and the stages after it\n")
 
+    @pytest.mark.parametrize("artifact, path, edit, stages, problem", [
+        ("attributions", "attributions.csv", "empty", ("featurize", "report"), "it is empty"),
+        ("attributions", "attributions.csv", "bad_distance", ("featurize", "report"),
+         "line 2: could not convert string to float: 'far'"),
+        ("attributions", "attributions.csv", "short_row", ("featurize", "report"),
+         "line 2: 3 fields, not 4"),
+        ("spill_diagnostics", "spill_diagnostics.csv", "empty", ("report",), "it is empty"),
+        ("spill_diagnostics", "spill_diagnostics.csv", "other_header", ("report",),
+         "its header is ['file', 'line', 'reason'], not ['file', 'row', 'reason']"),
+        ("spill_diagnostics", "spill_diagnostics.csv", "bad_row", ("report",),
+         "line 2: invalid literal for int() with base 10: 'two'"),
+    ])
+    def test_inconsistent_csv_artifact_names_the_stage_to_rerun(self, finished_run, tmp_path, capsys,
+                                                                artifact, path, edit, stages, problem):
+        # A CSV artifact its stage cannot have written, re-recorded in the
+        # manifest: no reader takes it for one without rows.
+        cfg, finished = finished_run
+        out = tmp_path / "run"
+        shutil.copytree(finished, out)
+        path = out / "artifacts" / path
+        header, *rows = path.read_text().splitlines()
+        if edit == "empty":
+            text = ""
+        elif edit == "other_header":
+            text = header.replace("row", "line") + "\n"
+        elif edit == "bad_row":
+            text = f"{header}\nspills.csv,two,bad date\n"
+        else:
+            fields = rows[0].split(",")
+            if edit == "bad_distance":
+                fields[2] = "far"
+            else:
+                del fields[2]
+            text = "\n".join([header, ",".join(fields)] + rows[1:]) + "\n"
+        path.write_text(text)
+        pipeline.Manifest(pipeline.RunPaths(out)).record(artifact, path, "attribute")
+
+        capsys.readouterr()
+        for stage in stages:
+            assert main([stage, "--config", str(cfg), "--out", str(out)]) == EXIT_STAGE
+            err = capsys.readouterr().err
+            assert err == (f"stage {stage} failed: artifact {artifact!r} is inconsistent ({problem}); "
+                           "rerun stage 'attribute' and the stages after it\n")
+
+    @pytest.mark.parametrize("edit, problem", [
+        ("missing_key", "has no 'threshold': it was written in another layout"),
+        # the nested trees every earlier version of train wrote
+        ("nested_trees", "has no 'feature': it was written in another layout"),
+        ("feature_out_of_range", "is inconsistent (a node splits on column 1000000 of a matrix "
+                                 "with 39 columns)"),
+        ("child_past_its_tree", "is inconsistent (a child index is not after its node in the node's tree)"),
+    ])
+    def test_inconsistent_model_names_train(self, finished_run, tmp_path, capsys, edit, problem):
+        cfg, finished = finished_run
+        out = tmp_path / "run"
+        shutil.copytree(finished, out)
+        path = out / "artifacts" / "models" / "RF_raw.json"
+        doc = json.loads(path.read_text())
+        params = doc["parameters"]
+        split = next(i for i, f in enumerate(params["feature"]) if f >= 0)
+        if edit == "missing_key":
+            del params["threshold"]
+        elif edit == "nested_trees":
+            doc["parameters"] = {"trees": [{"prediction": 0, "proba": 0.25}]}
+        elif edit == "feature_out_of_range":
+            params["feature"][split] = 1000000
+        else:  # the root of the next tree
+            params["right"][split] = min(s for s in params["tree_start"] if s > split)
+        fileio.write_json(path, doc)
+        pipeline.Manifest(pipeline.RunPaths(out)).record("model_RF_raw", path, "train")
+
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == EXIT_STAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"stage evaluate failed: artifact 'model_RF_raw' {problem}"), err
+        assert err.endswith("rerun stage 'train' and the stages after it\n")
+
     def test_rejected_spill_rows_land_in_spill_diagnostics(self, finished_run, tmp_path):
         _, finished = finished_run
         inputs = tmp_path / "inputs"

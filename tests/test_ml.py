@@ -191,7 +191,7 @@ class TestDecisionTree:
     def test_pure_input_single_leaf(self):
         X = np.array([[0.0], [1.0], [2.0]])
         tree = DecisionTreeClassifier().fit(X, np.zeros(3, dtype=int))
-        assert tree.root.is_leaf
+        assert tree.feature.tolist() == [-1] and tree.tree_start.tolist() == [0, 1]
         assert np.all(tree.predict(X) == 0)
 
     def test_xor_depth_two(self):
@@ -266,7 +266,7 @@ class TestAdaBoost:
         X = np.array([[-1.0]] * 15 + [[1.0]] * 15)
         y = np.array([0] * 15 + [1] * 15)
         model = AdaBoostClassifier(50).fit(X, y)
-        assert len(model.stumps) == 1
+        assert model.tree_count == 1
         assert model.round_errors[0] == 0.0
         assert np.mean(model.predict(X) == y) == 1.0
 
@@ -383,6 +383,21 @@ class TestKMeans:
         assert inertia == float(np.sum(d2[np.arange(len(X)), assignments]))
 
 
+# every score a model kind may expose
+SCORES = ("predict", "predict_proba", "decision_scores", "vote_shares", "decision_function")
+
+
+def on_thresholds(model, X) -> np.ndarray:
+    """Copies of X's first row, one per split of a tree model (none for
+    other kinds), with the split's column set to its threshold."""
+    if not isinstance(model, trees.TreeTable):
+        return X[:0]
+    splits = np.flatnonzero(model.feature >= 0)
+    rows = np.repeat(X[:1], splits.size, axis=0)
+    rows[np.arange(splits.size), model.feature[splits]] = model.threshold[splits]
+    return rows
+
+
 class TestSerialization:
     @pytest.mark.parametrize("factory", [
         lambda: LogisticRegressionGD(epochs=50),
@@ -392,14 +407,59 @@ class TestSerialization:
         lambda: GBDTClassifier(n_trees=10),
         lambda: AdaBoostClassifier(n_stumps=10),
         lambda: RandomForestClassifier(n_trees=10, seed=1),
+        lambda: DecisionTreeClassifier(max_depth=4, min_leaf=50),  # a single leaf
+        lambda: GBDTClassifier(n_trees=3, min_leaf=50),  # single-leaf stages
     ])
     def test_json_round_trip(self, factory):
         X, y = blobs(80, n=40, gap=2.0)
         model = factory().fit(X, y)
-        doc = json.loads(json.dumps(model_to_dict(model, seed=1)))
-        back = model_from_dict(doc)
-        probe = np.random.default_rng(2).normal(size=(60, 2))
-        assert np.array_equal(back.predict(probe), model.predict(probe))
+        doc = json.loads(json.dumps(model_to_dict(model, seed=1), allow_nan=False))
+        back = model_from_dict(doc, width=2)
+        probe = np.vstack([np.random.default_rng(2).normal(size=(60, 2)), on_thresholds(model, X)])
+        exposed = [name for name in SCORES if hasattr(model, name)]
+        assert len(exposed) >= 2  # predict and at least one score
+        for name in exposed:
+            assert bits(getattr(back, name)(probe)) == bits(getattr(model, name)(probe)), name
+
+    def test_a_row_on_a_threshold_goes_left(self):
+        X, y = blobs(80, n=40, gap=2.0)
+        tree = DecisionTreeClassifier(max_depth=1, min_leaf=1).fit(X, y)
+        f, thr = tree.feature[0], tree.threshold[0]
+        row = X[:1].copy()
+        row[0, f] = thr
+        assert tree._leaves(row)[0, 0] == 1  # the left child, next in preorder
+        row[0, f] = np.nextafter(thr, np.inf)
+        assert tree._leaves(row)[0, 0] == tree.right[0]
+
+    def test_only_finite_numbers_are_written_or_read(self):
+        X, y = blobs(80, n=40, gap=2.0)
+        model = LogisticRegressionGD(epochs=5).fit(X, y)
+        model.weights[0] = np.nan
+        with pytest.raises(ValueError, match="'weights' holds a value that is not finite"):
+            model.state_dict()
+        model.weights[0] = 1.0
+        doc = model_to_dict(model)
+        doc["parameters"]["bias"] = float("inf")
+        with pytest.raises(ValueError, match="'bias' holds a value that is not finite"):
+            model_from_dict(doc)
+        doc["parameters"]["bias"] = [True]
+        with pytest.raises(ValueError, match="'bias' holds bool values, not numbers"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda p: p["threshold"].pop(), "the node arrays .* differ in shape"),
+        (lambda p: p["tree_start"].__setitem__(-1, 10**6), "tree_start must rise from 0"),
+        (lambda p: p["right"].__setitem__(0, 0), "a child index is not after its node"),
+        (lambda p: p["feature"].__setitem__(0, 2), "a node splits on column 2 of a matrix with 2 columns"),
+        (lambda p: p["alphas"].pop(), "must hold one entry for each of 3 trees"),
+    ])
+    def test_inconsistent_tables_refused(self, edit, problem):
+        X, y = blobs(80, n=40, gap=1.0)
+        doc = model_to_dict(AdaBoostClassifier(n_stumps=3).fit(X, y))
+        assert model_from_dict(doc, width=2).tree_count == 3
+        edit(doc["parameters"])
+        with pytest.raises(ValueError, match=problem):
+            model_from_dict(doc, width=2)
 
     def test_document_carries_seed_and_schema_hash(self):
         from flowline_risk.features import ColumnMeta
@@ -474,6 +534,11 @@ def mostly_constant_problems(draw):
 
 def state_json(model) -> str:
     return json.dumps(model.state_dict(), sort_keys=True)
+
+
+def table_json(tree) -> str:
+    return json.dumps({name: getattr(tree, name).tolist()
+                       for name in tree.node_fields + ("tree_start",)})
 
 
 def bits(a: np.ndarray) -> bytes:
@@ -561,7 +626,7 @@ class TestPresortedSplitsMatchOracle:
         new = RegressionTree(max_depth, min_leaf)
         fitted = new.fit_predict(X, targets)
         old = cart_oracle.OracleRegressionTree(max_depth, min_leaf).fit(X, targets)
-        assert json.dumps(new.to_dict()) == json.dumps(old.to_dict())
+        assert table_json(new) == table_json(old)
         assert bits(fitted) == bits(old.predict(X))
         probe = probe_rows(X)
         assert bits(new.predict(probe)) == bits(old.predict(probe))
@@ -931,10 +996,10 @@ class TestWhatEachFitSorts:
         X, y, _ = benchmark_shaped(200, seed=82, positive_rate=0.2)
         calls = count_root_cuts(monkeypatch, len(y))
         gbdt = GBDTClassifier(n_trees=6, max_depth=2).fit(X, y)
-        assert len(gbdt.trees) == 6 and len(calls) == 1
+        assert gbdt.tree_count == 6 and len(calls) == 1
         calls.clear()
         ada = AdaBoostClassifier(n_stumps=6).fit(X, y)
-        assert len(ada.stumps) > 1 and len(calls) == 1
+        assert ada.tree_count > 1 and len(calls) == 1
 
 
 class TestEnsemblesMatchOracleAtBenchmarkShape:
