@@ -313,16 +313,19 @@ def load_dataset(csv_path, sidecar: dict) -> Dataset:
     ys: list[int] = []
     with open(csv_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         expected = ["row_id", *[c.name for c in metas], "risk"]
         if header != expected:
-            raise ValueError("feature CSV header does not match its sidecar")
+            raise ValueError("it is empty" if header is None
+                             else "feature CSV header does not match its sidecar")
         for i, row in enumerate(reader):
+            if len(row) != len(expected):
+                raise ValueError(f"line {reader.line_num}: {len(row)} fields, not {len(expected)}")
             if i < n_rows:
                 X[i] = [float(v) for v in row[1:-1]]
             row_ids.append(row[0])
             ys.append(int(row[-1]))
     if len(row_ids) != n_rows:
         raise ValueError(f"{Path(csv_path).name} has {len(row_ids)} rows, but its sidecar "
-                         f"says {n_rows}; rerun featurize")
+                         f"says {n_rows}")
     return Dataset(X, np.array(ys, dtype=int), metas, row_ids)

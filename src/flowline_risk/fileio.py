@@ -3,21 +3,28 @@ leave a file half done.
 
 JSON artifacts are one line with sorted keys and no padding, which the C
 encoder writes one second-level value at a time; CSV artifacts use the csv
-module's defaults.
+module's defaults; float matrices are NPY files (NumPy NEP 1), their values'
+bytes after a short text header, so they need no parsing.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import os
+import tokenize
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
+
 
 @contextmanager
-def open_atomic(path, newline: str | None = None):
-    """Text file handle whose contents replace path only when the block ends.
+def open_atomic(path, newline: str | None = None, binary: bool = False):
+    """File handle whose contents replace path only when the block ends; a
+    text handle, or a bytes handle when binary is true.
 
     Writes go to a sibling temporary file that os.replace moves over path,
     so readers see either the previous file or the complete new one, never
@@ -27,7 +34,8 @@ def open_atomic(path, newline: str | None = None):
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+        with (open(tmp, "wb") if binary
+              else open(tmp, "w", encoding="utf-8", newline=newline)) as fh:
             yield fh
         os.replace(tmp, path)
     finally:
@@ -88,3 +96,38 @@ def write_csv(path, header, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_array(path, a) -> None:
+    """Write a as an NPY format 1.0 file of C-ordered little-endian float64
+    values, whose bytes depend on nothing but the array."""
+    with open_atomic(path, binary=True) as fh:
+        np.lib.format.write_array(fh, np.asarray(a, dtype="<f8", order="C"),
+                                  version=(1, 0), allow_pickle=False)
+
+
+def read_array(path) -> np.ndarray:
+    """The array of NPY format 1.0 file path, loaded without unpickling, so
+    an object array is refused.
+
+    Anything that is not such a file, including one whose size differs from
+    what its header describes, raises ValueError before the data is read.
+    """
+    with open(path, "rb") as fh:
+        version = np.lib.format.read_magic(fh)
+        if version != (1, 0):
+            raise ValueError(f"NPY format version {version[0]}.{version[1]}, not 1.0")
+        # numpy's header parser raises any of these on damaged text, and
+        # warns when only its fallback for Python 2 files can parse it
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", UserWarning)
+                shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
+        except (ValueError, SyntaxError, TypeError, UserWarning, tokenize.TokenError) as exc:
+            raise ValueError(f"unreadable NPY header ({type(exc).__name__}: {exc})") from exc
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if not dtype.hasobject and size != math.prod(shape) * dtype.itemsize:
+            raise ValueError(f"{size} bytes of data, but its header describes a {shape} "
+                             f"array of {dtype.itemsize}-byte values")
+        fh.seek(0)
+        return np.lib.format.read_array(fh, allow_pickle=False)

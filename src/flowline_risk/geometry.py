@@ -228,16 +228,14 @@ class MultiLineArray:
         return [members[a:b] for a, b in zip(geoms, geoms[1:])]
 
     def to_json(self) -> dict:
-        """The arrays as JSON lists, xy flattened to x0, y0, x1, y1, ..."""
-        return {"xy": self.xy.ravel().tolist(), "parts": self.parts.tolist(),
-                "geoms": self.geoms.tolist()}
+        """The offsets as JSON lists; xy is stored apart, as a binary array."""
+        return {"parts": self.parts.tolist(), "geoms": self.geoms.tolist()}
 
     @classmethod
-    def from_json(cls, doc) -> "MultiLineArray":
-        """The value to_json wrote; raises ValueError or TypeError on lists
-        that do not form one."""
-        return cls(np.array(doc["xy"], dtype=np.float64).reshape(-1, 2),
-                   np.array(doc["parts"]), np.array(doc["geoms"]))
+    def from_json(cls, doc, xy: np.ndarray) -> "MultiLineArray":
+        """The value to_json wrote, with vertices xy; raises ValueError or
+        TypeError on values that do not form one."""
+        return cls(xy, np.array(doc["parts"]), np.array(doc["geoms"]))
 
     def take(self, rows) -> "MultiLineArray":
         """The geometries at positions rows, in that order."""

@@ -82,14 +82,15 @@ class MergedFlowlines:
         return len(self.geometry)
 
     def to_json(self) -> dict:
-        """The columns and the geometry as merged.json stores them."""
+        """The columns and the geometry offsets as merged.json stores them;
+        the vertices, geometry.xy, are stored apart as an array."""
         return {"operational": self.operational, "geometry": self.geometry.to_json()}
 
     @classmethod
-    def from_json(cls, doc) -> "MergedFlowlines":
-        """The value to_json wrote; raises ValueError or TypeError when its
-        columns and geometry offsets do not fit together."""
-        return cls(doc["operational"], MultiLineArray.from_json(doc["geometry"]))
+    def from_json(cls, doc, xy: np.ndarray) -> "MergedFlowlines":
+        """The value to_json wrote, with vertices xy; raises ValueError or
+        TypeError when its columns, offsets and vertices do not fit together."""
+        return cls(doc["operational"], MultiLineArray.from_json(doc["geometry"], xy))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ classifiers, the eigensolver, the metrics or the worker pool.
 
 from __future__ import annotations
 
+import csv
 import logging
 import time
 
@@ -29,7 +30,7 @@ from .features import (
     standardize,
     stratified_split,
 )
-from .fileio import write_json
+from .fileio import write_array, write_json
 from .ml import (
     AdaBoostClassifier,
     GBDTClassifier,
@@ -49,7 +50,13 @@ log = logging.getLogger(__name__)
 
 
 def _load_features(manifest: Manifest) -> Dataset:
-    return load_dataset(manifest.require("features"), manifest.read_json("features_meta"))
+    """The design matrix; a features.csv that does not parse as its sidecar
+    describes raises InconsistentArtifact."""
+    sidecar = manifest.read_json("features_meta")
+    try:
+        return load_dataset(manifest.require("features"), sidecar)
+    except (ValueError, csv.Error) as exc:  # UnicodeDecodeError is a ValueError
+        raise manifest.inconsistent("features", exc) from exc
 
 
 def _build_models(cfg: RunConfig) -> dict:
@@ -109,13 +116,12 @@ def stage_train(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
     lanes = {"raw": train_z}
     pca_info = None
     if cfg.pca:
-        model, spectrum = _pca_by_config(cfg, train_z)
-        lanes["pca"] = pca_transform(model, train_z)
+        pca, spectrum = _pca_by_config(cfg, train_z)
+        lanes["pca"] = pca_transform(pca, train_z)
         pca_info = {
-            "k": model.n_components,
-            "means": model.means.tolist(),
-            "components": model.components.tolist(),
-            "explained_variance": model.explained_variance.tolist(),
+            "k": pca.n_components,
+            "means": pca.means.tolist(),
+            "explained_variance": pca.explained_variance.tolist(),
             "total_variance": float(np.sum(spectrum)),
         }
 
@@ -137,6 +143,10 @@ def stage_train(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
             save_model(model, path, seed=cfg.seed, column_meta=ds.column_meta)
             manifest.record(f"model_{kind}_{lane}", path, "train")
 
+    if pca_info is not None:
+        components_path = paths.artifacts / "pca_components.npy"
+        write_array(components_path, pca.components)
+        manifest.record("pca_components", components_path, "train")
     training_path = paths.artifacts / "training.json"
     write_json(training_path, {
         "split": {
@@ -160,7 +170,23 @@ def stage_train(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
     }
 
 
-def _lane_matrices(ds: Dataset, training: dict,
+def _pca_model(manifest: Manifest, training: dict) -> PCAModel | None:
+    """The PCA model train fitted: its means and variances from training.json,
+    its components from pca_components.npy; None when train ran without PCA."""
+    pca = training["pca"]
+    if pca is None:
+        return None
+    components = manifest.read_array("pca_components", 2, part_of="training",
+                                     inlined="components" in pca)
+    means = np.asarray(pca["means"])
+    if components.shape != (len(means), pca["k"]):
+        raise manifest.inconsistent("pca_components", (
+            f"its shape is {components.shape}, but training.json has {len(means)} means "
+            f"and k = {pca['k']}"))
+    return PCAModel(means, components, np.asarray(pca["explained_variance"]))
+
+
+def _lane_matrices(ds: Dataset, training: dict, pca: PCAModel | None,
                    ids: list[str]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Rebuild the rows named by ids as per-lane standardized (and projected)
     matrices with labels; for the train ids these are the bits train fitted on."""
@@ -170,11 +196,8 @@ def _lane_matrices(ds: Dataset, training: dict,
     z = apply_scaler(rows.X, np.asarray(scaler["means"]), np.asarray(scaler["sds"]))
 
     lanes = {"raw": (z, rows.y)}
-    pca = training["pca"]
     if pca is not None:
-        model = PCAModel(np.asarray(pca["means"]), np.asarray(pca["components"]),
-                         np.asarray(pca["explained_variance"]))
-        lanes["pca"] = (pca_transform(model, z), rows.y)
+        lanes["pca"] = (pca_transform(pca, z), rows.y)
     return lanes
 
 
@@ -204,8 +227,9 @@ def stage_evaluate(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
         }
         for lane in training["lanes"]
     }
-    train_lanes = _lane_matrices(ds, training, training["split"]["train_ids"])
-    test_lanes = _lane_matrices(ds, training, training["split"]["test_ids"])
+    pca = _pca_model(manifest, training)
+    train_lanes = _lane_matrices(ds, training, pca, training["split"]["train_ids"])
+    test_lanes = _lane_matrices(ds, training, pca, training["split"]["test_ids"])
 
     rows = []
     for lane, models in models_by_lane.items():

@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import RunConfig
 from .features import FeatureConfig, assemble, save_dataset
-from .fileio import read_json, write_json
+from .fileio import read_array, read_json, write_array, write_json
 from .ingest import (
     DIAGNOSTICS_HEADER,
     parse_descriptive,
@@ -57,16 +57,21 @@ class UnreadableManifest(RuntimeError):
 
 
 class StaleArtifact(KeyError):
-    """A JSON artifact lacks a key its reader needs: another version of its
-    stage wrote it in another layout."""
+    """An artifact lacks a key or a companion array its reader needs: another
+    version of its stage wrote it in another layout."""
 
     def __str__(self) -> str:
         return self.args[0]
 
 
+def _stale(name: str, stage: str, key: str) -> StaleArtifact:
+    return StaleArtifact(f"artifact {name!r} has no {key!r}: it was written in another layout; "
+                         f"rerun stage {stage!r} and the stages after it")
+
+
 class InconsistentArtifact(ValueError):
-    """A JSON artifact has every key its reader needs, but their values
-    contradict each other."""
+    """An artifact does not decode, or has every key its reader needs but
+    values that contradict each other."""
 
 
 class ArtifactObject(dict):
@@ -80,9 +85,7 @@ class ArtifactObject(dict):
         self._source = source
 
     def __missing__(self, key):
-        name, stage = self._source
-        raise StaleArtifact(f"artifact {name!r} has no {key!r}: it was written in another layout; "
-                            f"rerun stage {stage!r} and the stages after it")
+        raise _stale(*self._source, key)
 
 
 @dataclass
@@ -162,31 +165,60 @@ class Manifest:
 
     def read_json(self, name: str):
         """Artifact `name` as JSON, checked as require() checks it; each of
-        its objects is an ArtifactObject."""
+        its objects is an ArtifactObject. Bytes that are not UTF-8 JSON raise
+        InconsistentArtifact."""
         path = self.require(name)
         source = (name, self.entries[name]["stage"])
-        return read_json(path, object_hook=lambda d: ArtifactObject(d, source))
+        try:
+            return read_json(path, object_hook=lambda d: ArtifactObject(d, source))
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise self.inconsistent(name, exc) from exc
 
     def read_csv(self, name: str, header: list[str], parse) -> list:
         """parse(*fields) of each row of CSV artifact `name`, checked as
-        require() checks it. A first row other than header, or a row with
-        another number of fields or that parse raises ValueError on, raises
-        InconsistentArtifact."""
+        require() checks it. Bytes that are not UTF-8 CSV, a first row other
+        than header, or a row with another number of fields or that parse
+        raises ValueError on, raise InconsistentArtifact."""
         with open(self.require(name), newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            found = next(reader, None)
-            if found != header:
-                raise self.inconsistent(name, "it is empty" if found is None
-                                        else f"its header is {found}, not {header}")
-            rows = []
-            for fields in reader:
-                try:
-                    if len(fields) != len(header):
-                        raise ValueError(f"{len(fields)} fields, not {len(header)}")
-                    rows.append(parse(*fields))
-                except ValueError as exc:
-                    raise self.inconsistent(name, f"line {reader.line_num}: {exc}") from exc
+            try:
+                found = next(reader, None)
+                if found != header:
+                    raise self.inconsistent(name, "it is empty" if found is None
+                                            else f"its header is {found}, not {header}")
+                rows = []
+                for fields in reader:
+                    try:
+                        if len(fields) != len(header):
+                            raise ValueError(f"{len(fields)} fields, not {len(header)}")
+                        rows.append(parse(*fields))
+                    except ValueError as exc:
+                        raise self.inconsistent(name, f"line {reader.line_num}: {exc}") from exc
+            except (UnicodeDecodeError, csv.Error) as exc:
+                raise self.inconsistent(name, exc) from exc
         return rows
+
+    def read_array(self, name: str, ndim: int, part_of: str | None = None,
+                   inlined: bool = False) -> np.ndarray:
+        """Float64 array artifact `name` of rank ndim, checked as require()
+        checks it. A file that does not load as one raises
+        InconsistentArtifact.
+
+        part_of names the JSON artifact the array belongs to. When the
+        manifest records no array, or inlined says that part_of holds the
+        values itself, another version of part_of's stage wrote it, and
+        StaleArtifact names that stage; a recorded array is then left from
+        an earlier run."""
+        if part_of is not None and (inlined or name not in self.entries):
+            raise _stale(part_of, self.entries[part_of]["stage"], name)
+        path = self.require(name)
+        try:
+            a = read_array(path)
+            if a.dtype != np.float64 or a.ndim != ndim:
+                raise ValueError(f"it holds a {a.shape} array of {a.dtype}")
+        except ValueError as exc:
+            raise self.inconsistent(name, f"cannot load a rank-{ndim} float64 array: {exc}") from exc
+        return a
 
     def inconsistent(self, name: str, problem) -> InconsistentArtifact:
         """The error for artifact `name` with a problem its writer cannot
@@ -274,10 +306,13 @@ def stage_merge(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
 
     merged_path = paths.artifacts / "merged.json"
     write_json(merged_path, {**merged.to_json(), "stats": stats})
+    xy_path = paths.artifacts / "merged_xy.npy"
+    write_array(xy_path, merged.geometry.xy)
     audit_path = paths.artifacts / "merge_audit.csv"
     write_audit_log(audit_path, audit)
 
     manifest.record("merged", merged_path, "merge")
+    manifest.record("merged_xy", xy_path, "merge")
     manifest.record("merge_audit", audit_path, "merge")
     manifest.record("diagnostics", diag_path, "merge")
     return stats
@@ -327,14 +362,17 @@ def featurize_stats(rows: int, columns: int, positives: int) -> dict:
 
 
 def load_merged(manifest: Manifest) -> tuple[MergedFlowlines, dict]:
-    """The merge stage's flowlines and its whole merged.json document.
+    """The merge stage's flowlines, from merged.json and the vertices in
+    merged_xy.npy, and the whole merged.json document.
 
     A column or geometry offset that does not fit the rest raises
     InconsistentArtifact naming the artifact and the stage that writes it.
     """
     doc = manifest.read_json("merged")
+    xy = manifest.read_array("merged_xy", 2, part_of="merged",
+                             inlined="xy" in doc.get("geometry", ()))
     try:
-        merged = MergedFlowlines.from_json(doc)
+        merged = MergedFlowlines.from_json(doc, xy)
     except (ValueError, TypeError) as exc:
         raise manifest.inconsistent("merged", exc) from exc
     return merged, doc

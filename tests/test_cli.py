@@ -12,9 +12,11 @@ import time
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from flowline_risk import cli, fileio, modeling, numerics, pipeline
 from flowline_risk.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
@@ -73,6 +75,16 @@ def count_calls(monkeypatch, fn) -> mock.Mock:
                 if value is fn:
                     monkeypatch.setattr(module, attr, counter)
     return counter
+
+
+def parent_layout(doc: dict, key: str, array) -> None:
+    """Put the array recorded as `key` back inside its JSON document, where
+    earlier versions of its stage wrote it: merged.json's vertices as one
+    flat x0, y0, x1, ... list, training.json's PCA components as rows."""
+    if key == "merged_xy":
+        doc["geometry"]["xy"] = array.ravel().tolist()
+    else:
+        doc["pca"]["components"] = array.tolist()
 
 
 def run_stages(cfg: Path, out: Path, *stages: str) -> None:
@@ -409,16 +421,16 @@ class TestStageChaining:
         assert main(["synth", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         assert main(["merge", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
 
-        # Still a consistent merged.json, so only its recorded hash can tell.
-        merged = out / "artifacts" / "merged.json"
-        doc = json.loads(merged.read_text())
-        doc["geometry"]["xy"][0] += 1.0
-        merged.write_text(json.dumps(doc))
+        # Still a consistent geometry, so only the recorded hash can tell.
+        path = out / "artifacts" / "merged_xy.npy"
+        xy = fileio.read_array(path)
+        xy[0, 0] += 1.0
+        fileio.write_array(path, xy)
 
         capsys.readouterr()
         code = main(["attribute", "--config", str(cfg), "--out", str(out)])
         assert code == EXIT_STAGE
-        assert "'merged' changed on disk" in capsys.readouterr().err
+        assert "'merged_xy' changed on disk" in capsys.readouterr().err
 
     @pytest.mark.parametrize("artifact, path, drop, writer, stages", [
         ("merged", "merged.json", "stats", "merge", ("featurize", "report")),
@@ -426,23 +438,33 @@ class TestStageChaining:
         ("features_meta", "features.meta.json", "columns", "featurize", ("train", "evaluate", "report")),
         # merged.json as one dict per merged flowline under "records"
         ("merged", "merged.json", "operational", "merge", ("attribute", "featurize", "report")),
+        # the vertices, or the PCA components, inside the JSON document and
+        # no array in the manifest
+        ("merged", "merged.json", "merged_xy", "merge", ("attribute", "featurize", "report")),
+        ("training", "training.json", "pca_components", "train", ("evaluate",)),
     ])
     def test_artifact_in_another_layout_names_the_stage_to_rerun(self, finished_run, tmp_path, capsys,
                                                                   artifact, path, drop, writer, stages):
-        # A JSON artifact without a key its readers need, recorded in the
-        # manifest as if its stage in another version had written it.
+        # A JSON artifact without a key or an array its readers need,
+        # recorded in the manifest as if its stage in another version had
+        # written it.
         cfg, finished = finished_run
         out = tmp_path / "run"
         shutil.copytree(finished, out)
+        manifest = pipeline.Manifest(pipeline.RunPaths(out))
         path = out / "artifacts" / path
         doc = json.loads(path.read_text())
         if drop == "operational":
-            merged = MergedFlowlines.from_json(doc)
+            merged = MergedFlowlines.from_json(doc, fileio.read_array(out / "artifacts" / "merged_xy.npy"))
             doc = {"records": [merged_to_dict(m) for m in merged_records(merged)], "stats": doc["stats"]}
+        elif drop in manifest.entries:
+            array_path = out / manifest.entries.pop(drop)["path"]
+            parent_layout(doc, drop, fileio.read_array(array_path))
+            array_path.unlink()
         else:
             del doc[drop]
         fileio.write_json(path, doc)
-        pipeline.Manifest(pipeline.RunPaths(out)).record(artifact, path, writer)
+        manifest.record(artifact, path, writer)
 
         capsys.readouterr()
         for stage in stages:
@@ -451,43 +473,75 @@ class TestStageChaining:
             assert err == (f"stage {stage} failed: artifact {artifact!r} has no {drop!r}: it was written "
                            f"in another layout; rerun stage {writer!r} and the stages after it\n")
 
-    @pytest.mark.parametrize("edit, problem", [
-        ("short_column", "operational column 'diameter_in' does not have one value per geometry"),
-        ("short_geometry", "operational column 'construction_date' does not have one value per geometry"),
-        ("decreasing_geoms", "geoms offsets must rise by at least 1"),
-        ("parts_past_xy", "parts must run from 0 to"),
-        ("odd_xy", "cannot reshape"),
+    def test_older_stage_rerun_over_a_newer_run_names_the_stage_to_rerun(self, finished_run, tmp_path,
+                                                                         capsys):
+        # merge and train of an earlier version rerun in this run directory:
+        # the arrays inside merged.json and training.json, and the arrays
+        # recorded beside them left from the earlier run.
+        cfg, finished = finished_run
+        out = tmp_path / "run"
+        shutil.copytree(finished, out)
+        manifest = pipeline.Manifest(pipeline.RunPaths(out))
+        for artifact, key, writer in (("merged", "merged_xy", "merge"), ("training", "pca_components", "train")):
+            path = out / manifest.entries[artifact]["path"]
+            doc = json.loads(path.read_text())
+            parent_layout(doc, key, fileio.read_array(out / manifest.entries[key]["path"]))
+            fileio.write_json(path, doc)
+            manifest.record(artifact, path, writer)
+
+        capsys.readouterr()
+        for stage, artifact, key, writer in (("attribute", "merged", "merged_xy", "merge"),
+                                             ("evaluate", "training", "pca_components", "train")):
+            assert main([stage, "--config", str(cfg), "--out", str(out)]) == EXIT_STAGE
+            assert capsys.readouterr().err == (
+                f"stage {stage} failed: artifact {artifact!r} has no {key!r}: it was written in another "
+                f"layout; rerun stage {writer!r} and the stages after it\n")
+
+    @pytest.mark.parametrize("edit, problem, artifact", [
+        ("short_column", "operational column 'diameter_in' does not have one value per geometry", "merged"),
+        ("short_geometry", "operational column 'construction_date' does not have one value per geometry",
+         "merged"),
+        ("decreasing_geoms", "geoms offsets must rise by at least 1", "merged"),
+        ("parts_past_xy", "parts must run from 0 to", "merged"),
+        # the vertices as the flat x0, y0, x1, ... list, one value short
+        ("odd_xy", "cannot load a rank-2 float64 array: it holds a (", "merged_xy"),
     ])
     def test_inconsistent_merged_json_names_the_stage_to_rerun(self, finished_run, tmp_path, capsys,
-                                                               edit, problem):
-        # merged.json with every key, re-recorded in the manifest, whose
-        # columns and offsets do not fit together: no reader drops a row.
+                                                               edit, problem, artifact):
+        # merged.json and merged_xy.npy, re-recorded in the manifest, whose
+        # columns, offsets and vertices do not fit together: no reader drops
+        # a row.
         cfg, finished = finished_run
         out = tmp_path / "run"
         shutil.copytree(finished, out)
         path = out / "artifacts" / "merged.json"
+        xy_path = out / "artifacts" / "merged_xy.npy"
         doc = json.loads(path.read_text())
         geometry = doc["geometry"]
+        xy = fileio.read_array(xy_path)
         if edit == "short_column":
             doc["operational"]["diameter_in"].pop()
         elif edit == "short_geometry":  # a whole geometry less, its arrays consistent
             geometry["geoms"].pop()
             del geometry["parts"][geometry["geoms"][-1] + 1:]
-            del geometry["xy"][2 * geometry["parts"][-1]:]
+            xy = xy[:geometry["parts"][-1]]
         elif edit == "decreasing_geoms":
             geometry["geoms"][2] = geometry["geoms"][1] - 1
         elif edit == "parts_past_xy":
             geometry["parts"][-1] += 2
         else:
-            geometry["xy"].pop()
+            xy = xy.ravel()[:-1]
         fileio.write_json(path, doc)
-        pipeline.Manifest(pipeline.RunPaths(out)).record("merged", path, "merge")
+        fileio.write_array(xy_path, xy)
+        manifest = pipeline.Manifest(pipeline.RunPaths(out))
+        manifest.record("merged", path, "merge")
+        manifest.record("merged_xy", xy_path, "merge")
 
         capsys.readouterr()
         for stage in ("attribute", "featurize", "report"):
             assert main([stage, "--config", str(cfg), "--out", str(out)]) == EXIT_STAGE
             err = capsys.readouterr().err
-            assert err.startswith(f"stage {stage} failed: artifact 'merged' is inconsistent ("), err
+            assert err.startswith(f"stage {stage} failed: artifact {artifact!r} is inconsistent ("), err
             assert problem in err
             assert err.endswith("rerun stage 'merge' and the stages after it\n")
 
@@ -567,6 +621,42 @@ class TestStageChaining:
         err = capsys.readouterr().err
         assert err.startswith(f"stage evaluate failed: artifact 'model_RF_raw' {problem}"), err
         assert err.endswith("rerun stage 'train' and the stages after it\n")
+
+    @pytest.mark.parametrize("artifact, path, damage, writer, stages, problem", [
+        ("training", "training.json", "truncate", "train", ("evaluate",), ""),
+        ("features_meta", "features.meta.json", "truncate", "featurize", ("train", "evaluate", "cluster"), ""),
+        ("clustering", "clustering.json", "truncate", "cluster", ("report",), ""),
+        ("metrics", "metrics.json", "truncate", "evaluate", ("report",), ""),
+        ("model_RF_raw", "models/RF_raw.json", "truncate", "train", ("evaluate",), ""),
+        ("attributions", "attributions.csv", "0xff", "attribute", ("featurize", "report"), "byte 0xff"),
+        ("spill_diagnostics", "spill_diagnostics.csv", "0xff", "attribute", ("report",), "byte 0xff"),
+        ("training", "training.json", "0xff", "train", ("evaluate",), "byte 0xff"),
+        ("merged", "merged.json", "0xff", "merge", ("attribute", "featurize", "report"), "byte 0xff"),
+        ("features", "features.csv", "truncate", "featurize", ("train", "evaluate", "cluster"), " fields, not "),
+        ("features", "features.csv", "empty", "featurize", ("train", "evaluate", "cluster"), "it is empty"),
+    ])
+    def test_undecodable_artifact_names_the_stage_to_rerun(self, finished_run, tmp_path, capsys, artifact,
+                                                           path, damage, writer, stages, problem):
+        # Bytes that do not decode, re-recorded in the manifest: cut in
+        # half, emptied, or with a 0xff byte in the middle.
+        cfg, finished = finished_run
+        out = tmp_path / "run"
+        shutil.copytree(finished, out)
+        path = out / "artifacts" / path
+        data = path.read_bytes()
+        half = len(data) // 2
+        path.write_bytes({"truncate": data[:half], "empty": b"",
+                          "0xff": data[:half] + b"\xff" + data[half + 1:]}[damage])
+        pipeline.Manifest(pipeline.RunPaths(out)).record(artifact, path, writer)
+
+        capsys.readouterr()
+        for stage in stages:
+            assert main([stage, "--config", str(cfg), "--out", str(out)]) == EXIT_STAGE
+            err = capsys.readouterr().err
+            assert err.startswith(f"stage {stage} failed: artifact {artifact!r} is inconsistent ("), err
+            assert problem in err
+            assert err.endswith(f"); rerun stage {writer!r} and the stages after it\n"), err
+            assert len(err.splitlines()) == 1
 
     def test_rejected_spill_rows_land_in_spill_diagnostics(self, finished_run, tmp_path):
         _, finished = finished_run
@@ -689,16 +779,18 @@ class TestEachResultOnce:
         _, out = finished_run
         doc = json.loads((out / "artifacts" / "merged.json").read_text())
         assert sorted(doc) == ["geometry", "operational", "stats"]
-        assert sorted(doc["geometry"]) == ["geoms", "parts", "xy"]
+        assert sorted(doc["geometry"]) == ["geoms", "parts"]
+        assert fileio.read_array(out / "artifacts" / "merged_xy.npy").shape == (doc["geometry"]["parts"][-1], 2)
         assert {len(values) for values in doc["operational"].values()} == {len(doc["geometry"]["geoms"]) - 1}
         assert sorted(doc["stats"]) == [
             "descriptive_accepted", "descriptive_total", "matched", "matched_by_step",
             "operational_accepted", "operational_total", "rejected_rows", "unmatched"]
 
-    def test_merged_record_codec_round_trips(self, synth_a):
+    def test_merged_record_codec_round_trips(self, synth_a, tmp_path):
         merged, _, _ = match_flowlines(synth_a.operational, synth_a.descriptive)
         doc = json.loads(json.dumps(merged.to_json()))
-        back = MergedFlowlines.from_json(doc)
+        fileio.write_array(tmp_path / "xy.npy", merged.geometry.xy)
+        back = MergedFlowlines.from_json(doc, fileio.read_array(tmp_path / "xy.npy"))
         assert back == merged
         assert back.geometry.xy.tobytes() == merged.geometry.xy.tobytes()
         assert sorted(doc["operational"]) == sorted([
@@ -973,6 +1065,121 @@ class TestWriteJson:
             fileio.write_json(path, {"records": [1, object()]})
         assert path.read_text() == '{"records":[1]}\n'
         assert list(tmp_path.iterdir()) == [path]
+
+
+# float64 bit patterns the codec must keep: signed zeros, subnormals, the
+# extremes, infinities and NaNs with payloads
+SPECIAL_BITS = [0x8000000000000000, 0x0000000000000001, 0x800FFFFFFFFFFFFF, 0x0010000000000000,
+                0x7FEFFFFFFFFFFFFF, 0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000000,
+                0x7FF0000000000001, 0xFFF8000000000ABC, 0x7FF7FFFFFFFFFFFF]
+FLOAT64_ARRAYS = hnp.arrays(
+    np.uint64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6),
+    elements=st.sampled_from(SPECIAL_BITS) | st.integers(0, 2**64 - 1),
+).map(lambda bits: bits.view(np.float64))
+
+
+class TestWriteArray:
+    """write_array and read_array are the one codec of float matrices."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(FLOAT64_ARRAYS)
+    def test_round_trips_bit_for_bit_with_the_same_bytes(self, tmp_path_factory, a):
+        root = tmp_path_factory.mktemp("npy")
+        fileio.write_array(root / "a.npy", a)
+        fileio.write_array(root / "b.npy", np.asfortranarray(a))
+        back = fileio.read_array(root / "a.npy")
+        assert back.dtype == np.float64 and back.shape == a.shape and back.flags.c_contiguous
+        assert back.tobytes() == a.tobytes()
+        assert (root / "a.npy").read_bytes() == (root / "b.npy").read_bytes()
+        fileio.write_array(root / "a.npy", back)
+        assert (root / "a.npy").read_bytes() == (root / "b.npy").read_bytes()
+
+    def _npy(self, path, a, shape=None) -> None:
+        """a as an NPY 1.0 file, as numpy writes it with pickling allowed; with
+        shape, a's bytes under a header that gives that shape."""
+        with open(path, "wb") as fh:
+            if shape is None:
+                np.lib.format.write_array(fh, a, version=(1, 0), allow_pickle=True)
+            else:
+                np.lib.format.write_array_header_1_0(
+                    fh, dict(np.lib.format.header_data_from_array_1_0(a), shape=shape))
+                fh.write(a.tobytes())
+
+    @pytest.mark.parametrize("damage, problem", [
+        ("truncated", "43 bytes of data, but its header describes a (3, 2) array of 8-byte values"),
+        ("halved", "EOF: reading array header"),
+        ("emptied", "EOF: reading magic string"),
+        ("flipped_magic", "the magic string is not correct"),
+        ("flipped_descr", "descr is not a valid dtype descriptor"),
+        ("flipped_shape", "unreadable NPY header"),
+        # a Python 2 long in the shape, which only numpy's fallback parses
+        ("python2_header", "unreadable NPY header (UserWarning: "),
+        ("huge_shape", "but its header describes a (1000000000000, 2) array"),
+        ("object_dtype", "Object arrays cannot be loaded when allow_pickle=False"),
+        ("int64", "it holds a (3, 2) array of int64"),
+        ("big_endian", "it holds a (3, 2) array of >f8"),
+        ("rank_1", "it holds a (6,) array of float64"),
+    ])
+    def test_manifest_read_array_names_the_stage_to_rerun(self, tmp_path, damage, problem):
+        manifest = pipeline.Manifest(pipeline.RunPaths(tmp_path).ensure())
+        path = tmp_path / "artifacts" / "merged_xy.npy"
+        a = np.arange(6.0).reshape(3, 2)
+        fileio.write_array(path, a)
+        data = path.read_bytes()
+        header = data[:data.index(b"\n") + 1]
+        if damage == "truncated":
+            data = data[:-5]
+        elif damage == "halved":
+            data = data[:len(data) // 2]
+        elif damage in ("emptied", "flipped_magic", "flipped_descr", "flipped_shape"):
+            at = {"emptied": None, "flipped_magic": 1, "flipped_descr": header.index(b"f8"),
+                  "flipped_shape": header.index(b"(3") + 1}[damage]
+            data = b"" if at is None else data[:at] + bytes([data[at] ^ 0xFF]) + data[at + 1:]
+        elif damage == "python2_header":
+            data = data.replace(b"(3, 2)", b"(3L,2)", 1)
+        if damage.startswith(("truncated", "halved", "emptied", "flipped", "python2")):
+            path.write_bytes(data)
+        elif damage == "huge_shape":
+            self._npy(path, a, shape=(10**12, 2))
+        elif damage == "object_dtype":
+            self._npy(path, np.array([[1.0, "a"]], dtype=object))
+        elif damage == "int64":
+            self._npy(path, a.astype(np.int64))
+        elif damage == "big_endian":
+            self._npy(path, a.astype(">f8"))
+        else:
+            fileio.write_array(path, a.ravel())
+        manifest.record("merged_xy", path, "merge")
+        with pytest.raises(pipeline.InconsistentArtifact) as caught:
+            manifest.read_array("merged_xy", 2)
+        message = str(caught.value)
+        assert message.startswith("artifact 'merged_xy' is inconsistent (cannot load a rank-2 float64 array: ")
+        assert problem in message
+        assert message.endswith("); rerun stage 'merge' and the stages after it")
+
+    def test_the_arrays_hold_the_values_json_held(self, finished_run):
+        # merged.json held the vertices as one flat list, training.json the
+        # PCA components as rows; the arrays hold the same floats, bit for bit.
+        cfg_path, out = finished_run
+        cfg = load_config(cfg_path)
+        params = cfg.projection_params()
+        desc = parse_descriptive(out / "data" / "descriptive.geojson", params=params)
+        ops = parse_operational(out / "data" / "operational.csv", params=params,
+                                reference_date=cfg.resolve_reference_date())
+        merged, _, _ = match_flowlines(ops.records, desc.records, cfg.tolerance_ladder(), params)
+        doc = json.loads(json.dumps({"geometry": {"xy": merged.geometry.xy.ravel().tolist()}}))
+        xy = fileio.read_array(out / "artifacts" / "merged_xy.npy")
+        assert xy.tobytes() == np.array(doc["geometry"]["xy"]).reshape(-1, 2).tobytes()
+
+        artifacts = out / "artifacts"
+        ds = load_dataset(artifacts / "features.csv", fileio.read_json(artifacts / "features.meta.json"))
+        split = stratified_split(ds, cfg.train_fraction, cfg.seed)
+        pca, _ = _pca_by_config(cfg, standardize(split.train.X)[0])
+        doc = json.loads(json.dumps({"pca": {"components": pca.components.tolist()}}))
+        components = fileio.read_array(artifacts / "pca_components.npy")
+        assert components.tobytes() == np.array(doc["pca"]["components"]).tobytes()
+        training = json.loads((artifacts / "training.json").read_text())
+        assert components.shape == (len(training["pca"]["means"]), training["pca"]["k"])
 
 
 def cli_on_cpus(cpus: int, *args, patch: str = "") -> list[str]:

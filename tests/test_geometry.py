@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flowline_risk.fileio import read_array, write_array
 from flowline_risk.geometry import (
     BoundingBox,
     MultiLine,
@@ -255,9 +256,13 @@ class TestMultiLineArray:
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(ARRAY_GEOMETRY, min_size=1, max_size=6), st.data())
-    def test_json_round_trip_and_take(self, geometries, data):
+    def test_json_round_trip_and_take(self, tmp_path_factory, geometries, data):
+        # the offsets through JSON and the vertices through NPY, as merge
+        # writes them and its readers read them
         arr = MultiLineArray.from_coordinates(coordinates(g) for g in geometries)
-        back = MultiLineArray.from_json(json.loads(json.dumps(arr.to_json())))
+        xy_path = tmp_path_factory.mktemp("xy") / "xy.npy"
+        write_array(xy_path, arr.xy)
+        back = MultiLineArray.from_json(json.loads(json.dumps(arr.to_json())), read_array(xy_path))
         assert back == arr and back.xy.tobytes() == arr.xy.tobytes()
         assert back.coordinates() == [[[list(p) for p in m] for m in coordinates(g)] for g in geometries]
 

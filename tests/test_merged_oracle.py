@@ -8,6 +8,7 @@ import pytest
 from flowline_risk import figures
 from flowline_risk.evaluation import eda_summaries
 from flowline_risk.features import FeatureConfig, assemble, save_dataset
+from flowline_risk.fileio import read_array, write_array
 from flowline_risk.geometry import multiline
 from flowline_risk.matcher import (
     MergedFlowlines,
@@ -28,10 +29,12 @@ def through_json(doc):
     return json.loads(json.dumps(doc))
 
 
-def columnar_path(run):
-    """merge, then merged.json as the merge stage writes it and its readers read it."""
+def columnar_path(run, tmp):
+    """merge, then merged.json and merged_xy.npy as the merge stage writes
+    them and its readers read them."""
     merged, _, audit = match_flowlines(run.operational, run.descriptive)
-    merged = MergedFlowlines.from_json(through_json(merged.to_json()))
+    write_array(tmp / "merged_xy.npy", merged.geometry.xy)
+    merged = MergedFlowlines.from_json(through_json(merged.to_json()), read_array(tmp / "merged_xy.npy"))
     attributions = match_spills(run.spills, merged)
     return merged, assign_risk(merged, attributions), attributions, audit
 
@@ -52,7 +55,8 @@ def record_path(run, audit):
 @pytest.fixture(scope="module", params=["synth_a", "synth_b"])
 def both_paths(request):
     run = request.getfixturevalue(request.param)
-    merged, risk, attributions, audit = columnar_path(run)
+    merged, risk, attributions, audit = columnar_path(
+        run, request.getfixturevalue("tmp_path_factory").mktemp("merged"))
     labeled, oracle_attributions = record_path(run, audit)
     return merged, risk, attributions, labeled, oracle_attributions
 
