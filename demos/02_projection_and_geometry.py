@@ -4,17 +4,11 @@ Everything downstream of ingest works in projected meters (UTM 13N on
 GRS80 by default), so distances and tolerances mean what they say.
 """
 
+import numpy as np
+
 from flowline_risk.crs import GeoPoint, ProjectionParams, project, unproject
-from flowline_risk.geometry import (
-    Point2D,
-    bbox_area,
-    bounding_box,
-    endpoint_set,
-    line_count,
-    multiline,
-    multiline_length,
-    point_to_multiline_distance,
-)
+from flowline_risk.geometry import MultiLineArray
+from flowline_risk.matcher import segment_distances
 
 params = ProjectionParams()
 print("projection defaults:", params)
@@ -31,14 +25,20 @@ q = project(GeoPoint(40.0, -105.27), params)
 r = project(unproject(q, params), params)
 print(f"round-trip residue: {q.distance_to(r):.2e} m")
 
-# A two-member multiline: a dogleg plus a short spur.
-g = multiline(
+# One geometry of two members, a dogleg plus a short spur, as the flat
+# arrays every stage measures and matches on.
+g = MultiLineArray.from_coordinates([[
     [(0.0, 0.0), (120.0, 10.0), (240.0, 0.0)],
     [(240.0, 0.0), (260.0, 35.0)],
-)
-print("\nlength      :", round(multiline_length(g), 3), "m")
-print("members     :", line_count(g))
-print("segments    :", line_count(g, count_segments=True))
-print("bbox area   :", round(bbox_area(bounding_box(g)), 1), "m^2")
-print("endpoints   :", [(round(p.x), round(p.y)) for p in endpoint_set(g)])
-print("dist from (120, 60):", round(point_to_multiline_distance(Point2D(120.0, 60.0), g), 3), "m")
+]])
+print("\nlength      :", round(g.lengths().tolist()[0], 3), "m")
+print("members     :", g.line_counts().tolist()[0])
+print("segments    :", g.line_counts(count_segments=True).tolist()[0])
+print("bbox area   :", round(g.bbox_areas().tolist()[0], 1), "m^2")
+# Each member's first and last vertex is a zero-length (x, y, x, y) row.
+ends, _ = g.segments(endpoints_only=True)
+print("endpoints   :", [(round(x), round(y)) for x, y in ends[:, :2].tolist()])
+# The distance from one point to geometry 0, over all of its segments.
+segments, first = g.segments()
+d = segment_distances(np.array([120.0]), np.array([60.0]), segments, first, np.array([0]))
+print("dist from (120, 60):", round(d.tolist()[0], 3), "m")

@@ -44,9 +44,7 @@ STAGES = {
     "report": _stage("report", "stage_report"),
 }
 
-RUN_ALL_ORDER = (
-    "synth", "merge", "attribute", "featurize", "train", "evaluate", "cluster", "report",
-)
+RUN_ALL_ORDER = tuple(STAGES)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -133,11 +133,12 @@ def metric_rows(classifier: str, y_true, y_pred) -> list[MetricRow]:
     both = tuple(undefined0 + undefined1)
     n0 = cm.tn + cm.fp
     n1 = cm.tp + cm.fn
+    positive_class, macro, weighted = AVERAGING_MODES
     return [
-        MetricRow(classifier, "positive-class", accuracy, p1, r1, f1, tuple(undefined1)),
-        MetricRow(classifier, "macro", accuracy,
+        MetricRow(classifier, positive_class, accuracy, p1, r1, f1, tuple(undefined1)),
+        MetricRow(classifier, macro, accuracy,
                   (p0 + p1) / 2, (r0 + r1) / 2, (f0 + f1) / 2, both),
-        MetricRow(classifier, "weighted", accuracy,
+        MetricRow(classifier, weighted, accuracy,
                   (n0 * p0 + n1 * p1) / cm.n, (n0 * r0 + n1 * r1) / cm.n,
                   (n0 * f0 + n1 * f1) / cm.n, both),
     ]

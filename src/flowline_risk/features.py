@@ -279,7 +279,9 @@ def standardize(
 
 def apply_scaler(X: np.ndarray, means: np.ndarray, sds: np.ndarray) -> np.ndarray:
     """Z-score X with stored means and sds; zero-sd columns are only centered."""
-    return (np.asarray(X, dtype=float) - means) / np.where(sds == 0.0, 1.0, sds)
+    z = np.asarray(X, dtype=float) - means
+    z /= np.where(sds == 0.0, 1.0, sds)  # in place: one n x p temporary, not two
+    return z
 
 
 def save_dataset(ds: Dataset, csv_path, meta_path, seed: int | None = None, extra: dict | None = None) -> None:

@@ -1,10 +1,10 @@
-"""Planar geometric primitives and measurements for flowline analysis.
+"""Planar points and flowline geometries for flowline analysis.
 
 All coordinates are metric (projected plane); distances are Euclidean.
 Geographic coordinates must be projected before they reach this module.
 
-MultiLineArray holds many geometries as flat arrays; the scalar classes and
-functions are the reference its measurements equal bit for bit.
+MultiLineArray holds many geometries as flat arrays; its measurements equal
+bit for bit the scalar reference kept in tests/geometry_oracle.py.
 """
 
 from __future__ import annotations
@@ -30,133 +30,6 @@ class Point2D:
         return math.hypot(self.x - other.x, self.y - other.y)
 
 
-@dataclass(frozen=True)
-class PolyLine:
-    """An ordered chain of at least two vertices.
-
-    Consecutive duplicate vertices are legal and contribute zero length.
-    """
-
-    vertices: tuple[Point2D, ...]
-
-    def __post_init__(self):
-        if len(self.vertices) < 2:
-            raise ValueError("polyline needs at least 2 vertices")
-
-    def length(self) -> float:
-        v = self.vertices
-        return sum(v[i].distance_to(v[i + 1]) for i in range(len(v) - 1))
-
-
-@dataclass(frozen=True)
-class MultiLine:
-    """One geometry made of one or more member polylines."""
-
-    lines: tuple[PolyLine, ...]
-
-    def __post_init__(self):
-        if len(self.lines) < 1:
-            raise ValueError("multiline needs at least 1 member polyline")
-
-
-@dataclass(frozen=True)
-class BoundingBox:
-    min_x: float
-    min_y: float
-    max_x: float
-    max_y: float
-
-    def __post_init__(self):
-        if self.min_x > self.max_x or self.min_y > self.max_y:
-            raise ValueError("inverted bounding box")
-
-    def area(self) -> float:
-        return (self.max_x - self.min_x) * (self.max_y - self.min_y)
-
-    def intersects(self, other: "BoundingBox") -> bool:
-        # Closed-boundary semantics: touching boxes intersect.
-        return (
-            self.min_x <= other.max_x
-            and other.min_x <= self.max_x
-            and self.min_y <= other.max_y
-            and other.min_y <= self.max_y
-        )
-
-
-def multiline(*chains) -> MultiLine:
-    """Build a MultiLine from sequences of (x, y) pairs."""
-    return MultiLine(
-        tuple(PolyLine(tuple(Point2D(float(x), float(y)) for x, y in chain)) for chain in chains)
-    )
-
-
-def multiline_length(g: MultiLine) -> float:
-    """Total Euclidean length over all member polylines."""
-    return sum(line.length() for line in g.lines)
-
-
-def line_count(g: MultiLine, count_segments: bool = False) -> int:
-    """Number of member polylines, or of elementary segments when asked.
-
-    The member-polyline count is the default complexity measure; pass
-    count_segments=True to count two-vertex segments instead.
-    """
-    if count_segments:
-        return sum(len(line.vertices) - 1 for line in g.lines)
-    return len(g.lines)
-
-
-def bounding_box(g: MultiLine) -> BoundingBox:
-    """Axis-aligned hull of every vertex of the geometry."""
-    xs = [p.x for line in g.lines for p in line.vertices]
-    ys = [p.y for line in g.lines for p in line.vertices]
-    return BoundingBox(min(xs), min(ys), max(xs), max(ys))
-
-
-def bbox_area(b: BoundingBox) -> float:
-    return b.area()
-
-
-def point_to_segment_distance(p: Point2D, a: Point2D, b: Point2D) -> float:
-    """Distance from p to the closed segment a-b."""
-    ax, ay = a.x, a.y
-    dx, dy = b.x - ax, b.y - ay
-    seg2 = dx * dx + dy * dy
-    if seg2 == 0.0:
-        return p.distance_to(a)
-    # Clamp the foot of the perpendicular onto the segment; endpoint cases
-    # measure to the vertex directly so a vertex query is exactly zero.
-    t = ((p.x - ax) * dx + (p.y - ay) * dy) / seg2
-    if t <= 0.0:
-        return p.distance_to(a)
-    if t >= 1.0:
-        return p.distance_to(b)
-    return math.hypot(p.x - (ax + t * dx), p.y - (ay + t * dy))
-
-
-def point_to_multiline_distance(p: Point2D, g: MultiLine) -> float:
-    """Minimum distance from p to any segment of the geometry."""
-    best = math.inf
-    for line in g.lines:
-        v = line.vertices
-        for i in range(len(v) - 1):
-            d = point_to_segment_distance(p, v[i], v[i + 1])
-            if d < best:
-                best = d
-                if best == 0.0:
-                    return 0.0
-    return best
-
-
-def endpoint_set(g: MultiLine) -> list[Point2D]:
-    """First and last vertex of every member polyline, duplicates retained."""
-    points = []
-    for line in g.lines:
-        points.append(line.vertices[0])
-        points.append(line.vertices[-1])
-    return points
-
-
 def expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(owner, row) for every row of every range [lo[i], hi[i]), in order."""
     counts = hi - lo
@@ -176,7 +49,7 @@ def _check_offsets(name: str, offsets: np.ndarray, least_step: int, end: int) ->
 
 @dataclass(frozen=True, eq=False)
 class MultiLineArray:
-    """n MultiLine geometries in the GeoArrow MultiLineString layout.
+    """n multiline geometries in the GeoArrow MultiLineString layout.
 
     xy is the (m, 2) float64 array of every vertex. Member polyline j has
     vertices parts[j]:parts[j + 1], at least two; geometry i has members
@@ -258,8 +131,8 @@ class MultiLineArray:
         """Every segment of each geometry as (ax, ay, bx, by) rows, and the
         first row of each geometry (n + 1 offsets).
 
-        With endpoints_only, each point of the geometry's endpoint_set is a
-        zero-length segment, which measures as the distance to that point.
+        With endpoints_only, each point of the geometry's geometry_oracle.endpoint_set
+        is a zero-length segment, which measures as the distance to that point.
         """
         if endpoints_only:
             ends = self.xy[np.column_stack((self.parts[:-1], self.parts[1:] - 1)).ravel()]
@@ -268,8 +141,8 @@ class MultiLineArray:
         return np.hstack((self.xy[starts], self.xy[starts + 1])), self.parts[self.geoms] - self.geoms
 
     def lengths(self) -> np.ndarray:
-        """multiline_length of each geometry: math.hypot per segment, summed
-        by sum() per member and then per geometry, as the scalar path does."""
+        """geometry_oracle.multiline_length of each geometry: math.hypot per
+        segment, summed by sum() per member and then per geometry, as it does."""
         starts = self._segment_starts()
         d = self.xy[starts] - self.xy[starts + 1]
         seg = list(map(math.hypot, d[:, 0].tolist(), d[:, 1].tolist()))
@@ -279,14 +152,14 @@ class MultiLineArray:
         return np.array([sum(member[a:b]) for a, b in zip(geoms, geoms[1:])], dtype=np.float64)
 
     def line_counts(self, count_segments: bool = False) -> np.ndarray:
-        """line_count of each geometry: members, or segments when asked."""
+        """geometry_oracle.line_count of each geometry: members, or segments when asked."""
         if count_segments:
             return np.diff(self.parts[self.geoms] - self.geoms)
         return np.diff(self.geoms)
 
     def bounding_boxes(self) -> np.ndarray:
-        """Each geometry's bounding_box as an (n, 4) array of (min_x, min_y,
-        max_x, max_y) rows."""
+        """Each geometry's geometry_oracle.bounding_box as an (n, 4) array of
+        (min_x, min_y, max_x, max_y) rows."""
         if not len(self):
             return np.zeros((0, 4))
         first = self.parts[self.geoms[:-1]]
@@ -295,7 +168,7 @@ class MultiLineArray:
                                 for values in (self.xy[:, 0], self.xy[:, 1])])
 
     def bbox_areas(self) -> np.ndarray:
-        """bbox_area of each geometry's bounding box."""
+        """geometry_oracle.bbox_area of each geometry's bounding box."""
         b = self.bounding_boxes()
         # Of tied signed zeros numpy may keep another than min()/max(), so a
         # width can be -0.0 where the scalar one is +0.0; adding 0.0 clears it.

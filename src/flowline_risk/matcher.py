@@ -129,8 +129,8 @@ def segment_distances(px: np.ndarray, py: np.ndarray, segments: np.ndarray, firs
     """Distance from each point (px[j], py[j]) to geometry shape[j], whose
     segments are rows first[shape[j]]:first[shape[j] + 1] of `segments`.
 
-    Bit for bit what geometry.point_to_multiline_distance returns: each
-    segment's distance takes the float operations of
+    Bit for bit what geometry_oracle.point_to_multiline_distance returns:
+    each segment's distance takes the float operations of
     point_to_segment_distance in the same order, then math.hypot.
     """
     if not len(shape):

@@ -58,10 +58,10 @@ def _tridiagonalize(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     e = np.zeros(p)
     for k in range(p - 1):
         x = A[k + 1:, k]
-        if not x[1:].any():  # column already tridiagonal
+        norm_x = float(np.linalg.norm(x))
+        if not x[1:].any() or norm_x == 0.0:  # already tridiagonal, or squares underflow to 0
             e[k] = x[0]
             continue
-        norm_x = float(np.linalg.norm(x))
         alpha = -norm_x if x[0] >= 0 else norm_x  # sign that avoids cancellation
         v = x.copy()
         v[0] -= alpha

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import figures
 from .config import RunConfig
-from .evaluation import eda_summaries
+from .evaluation import AVERAGING_MODES, eda_summaries
 from .fileio import write_csv, write_json
 from .ingest import DIAGNOSTICS_HEADER
 from .matcher import MergedFlowlines
@@ -80,7 +80,7 @@ REPORT_SCHEMA = {
                             "classifier": {"type": "string"},
                             "averaging": {
                                 "type": "string",
-                                "enum": ["positive-class", "macro", "weighted"],
+                                "enum": list(AVERAGING_MODES),
                             },
                             "pca": {"type": "boolean"},
                             "accuracy": {"type": "number", "minimum": 0, "maximum": 1},

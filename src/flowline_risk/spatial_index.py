@@ -16,11 +16,10 @@ single root. Every level is tiled sort-tile-recursive (Leutenegger et al.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BoundingBox, Point2D, expand_ranges
+from .geometry import expand_ranges
 
 DEFAULT_FANOUT = 16
 
@@ -28,12 +27,6 @@ DEFAULT_FANOUT = 16
 # on both axes: (box column, test, query column).
 _CLOSED_OVERLAP = ((0, np.less_equal, 2), (2, np.greater_equal, 0),
                    (1, np.less_equal, 3), (3, np.greater_equal, 1))
-
-
-@dataclass(frozen=True)
-class IndexEntry:
-    item_id: object
-    box: BoundingBox
 
 
 def _str_order(boxes: np.ndarray, fanout: int) -> np.ndarray:
@@ -55,34 +48,23 @@ class SpatialIndex:
     """Immutable flat STR index; build with SpatialIndex.build()."""
 
     def __init__(self, levels: list[np.ndarray], ranges: list[tuple[np.ndarray, np.ndarray]],
-                 order: np.ndarray, ids: list | None):
+                 order: np.ndarray):
         self._levels = levels    # level 0: entry boxes in packed order; last: the root
         self._ranges = ranges    # ranges[l - 1]: (lo, hi) rows of level l - 1 under each node of level l
         self._order = order      # entry position of each level-0 row
-        self._ids = ids          # item id of each entry position; None: the position itself
 
     def __len__(self) -> int:
         return len(self._order)
 
     @staticmethod
-    def build(entries, fanout: int = DEFAULT_FANOUT) -> "SpatialIndex":
-        """Pack entries into levels, sort-tile-recursive.
-
-        `entries` is a list of IndexEntry, or an (n, 4) float64 array of
-        (min_x, min_y, max_x, max_y) rows whose item ids are their row
-        positions.
-        """
+    def build(boxes: np.ndarray, fanout: int = DEFAULT_FANOUT) -> "SpatialIndex":
+        """Pack an (n, 4) array of (min_x, min_y, max_x, max_y) entry boxes
+        into levels, sort-tile-recursive; each entry's position is its row."""
         if fanout < 2:
             raise ValueError("fanout must be >= 2")
-        if isinstance(entries, np.ndarray):
-            boxes, ids = np.asarray(entries, dtype=np.float64).reshape(-1, 4), None
-        else:
-            entries = list(entries)
-            boxes = np.array([(e.box.min_x, e.box.min_y, e.box.max_x, e.box.max_y) for e in entries],
-                             dtype=np.float64).reshape(-1, 4)
-            ids = [e.item_id for e in entries]
+        boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
         if not len(boxes):
-            return SpatialIndex([], [], np.zeros(0, dtype=np.int64), ids)
+            return SpatialIndex([], [], np.zeros(0, dtype=np.int64))
 
         order = _str_order(boxes, fanout)
         levels = [boxes[order]]
@@ -100,7 +82,7 @@ class SpatialIndex:
             lo = starts[packed]
             levels.append(enclosing[packed])
             ranges.append((lo, np.minimum(lo + fanout, len(below))))
-        return SpatialIndex(levels, ranges, order, ids)
+        return SpatialIndex(levels, ranges, order)
 
     def query_boxes(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every intersecting (query row, entry position) pair of an (m, 4)
@@ -129,16 +111,3 @@ class SpatialIndex:
         if r < 0:
             raise ValueError("radius must be >= 0")
         return self.query_boxes(np.column_stack([xs - r, ys - r, xs + r, ys + r]))
-
-    def query_box(self, box: BoundingBox) -> set:
-        """Ids of all entries whose box intersects the query box (closed)."""
-        _, found = self.query_boxes(np.array([box.min_x, box.min_y, box.max_x, box.max_y]))
-        if self._ids is None:
-            return set(found.tolist())
-        return {self._ids[i] for i in found.tolist()}
-
-    def query_radius(self, p: Point2D, r: float) -> set:
-        """Box prefilter for the closed square of half-width r about p."""
-        if r < 0:
-            raise ValueError("radius must be >= 0")
-        return self.query_box(BoundingBox(p.x - r, p.y - r, p.x + r, p.y + r))

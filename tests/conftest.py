@@ -87,7 +87,7 @@ def three_blobs(seed: int, sigma: float = 2.0, n: int = 70):
 
 def random_multiline(rng: np.random.Generator, box: float = 10.0):
     """Random MultiLine value for geometry property tests."""
-    from flowline_risk.geometry import multiline
+    from geometry_oracle import multiline
 
     chains = []
     for _ in range(int(rng.integers(1, 4))):

@@ -14,20 +14,15 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from flowline_risk.crs import ProjectionParams, project
-from flowline_risk.geometry import (
-    BoundingBox,
-    MultiLine,
-    Point2D,
-    PolyLine,
-    bounding_box,
-    endpoint_set,
-    point_to_multiline_distance,
-)
+from flowline_risk.geometry import Point2D
 from flowline_risk.ingest import normalize_operator
 from flowline_risk.matcher import AuditRecord, SpillAttribution, ToleranceLadder
-from flowline_risk.spatial_index import IndexEntry, SpatialIndex
+from flowline_risk.spatial_index import SpatialIndex
 
+from geometry_oracle import MultiLine, PolyLine, bounding_box, endpoint_set, point_to_multiline_distance
 from merged_oracle import DescriptiveFlowline, MergedFlowline, OperationalFlowline, SpillRecord
 
 
@@ -48,18 +43,25 @@ def interpolate_line(
     return PolyLine((start, end))
 
 
-def _endpoint_index(descriptive: list[DescriptiveFlowline]) -> SpatialIndex:
-    # One degenerate box per endpoint-set point; item_id is the record index.
-    entries = []
-    for i, rec in enumerate(descriptive):
-        for p in endpoint_set(rec.geometry):
-            entries.append(IndexEntry(i, BoundingBox(p.x, p.y, p.x, p.y)))
-    return SpatialIndex.build(entries)
+def _endpoint_index(descriptive: list[DescriptiveFlowline]) -> tuple[SpatialIndex, list[int]]:
+    # One degenerate box per endpoint-set point, and the record index of each.
+    points = [(i, p) for i, rec in enumerate(descriptive) for p in endpoint_set(rec.geometry)]
+    boxes = np.array([(p.x, p.y, p.x, p.y) for _, p in points], dtype=np.float64).reshape(-1, 4)
+    return SpatialIndex.build(boxes), [i for i, _ in points]
 
 
-def _geometry_index(items: list[MultiLine]) -> SpatialIndex:
-    # One bounding box per geometry; item_id is the geometry's index.
-    return SpatialIndex.build([IndexEntry(i, bounding_box(g)) for i, g in enumerate(items)])
+def _geometry_index(items: list[MultiLine]) -> tuple[SpatialIndex, list[int]]:
+    # One bounding box per geometry, and the geometry's index.
+    boxes = np.array([(b.min_x, b.min_y, b.max_x, b.max_y) for b in map(bounding_box, items)],
+                     dtype=np.float64).reshape(-1, 4)
+    return SpatialIndex.build(boxes), list(range(len(items)))
+
+
+def _near(index: tuple[SpatialIndex, list[int]], p: Point2D, r: float) -> set[int]:
+    # The items with an entry box in the closed square of half-width r about p.
+    spatial, owner = index
+    _, found = spatial.query_points(np.array([p.x]), np.array([p.y]), r)
+    return {owner[e] for e in found.tolist()}
 
 
 def _min_endpoint_distance(p: Point2D, g: MultiLine) -> float:
@@ -109,7 +111,7 @@ def match_flowlines(
         n_candidates = 0
         step_reached = ladder.maximum
         for t in ladder.steps:
-            ids = index.query_radius(start, t) & index.query_radius(end, t)
+            ids = _near(index, start, t) & _near(index, end, t)
             candidates = []
             for i in sorted(ids, key=lambda i: descriptive[i].source_row_id):
                 d_start = distance_fn(start, descriptive[i].geometry)
@@ -157,7 +159,7 @@ def match_spills(
         hit = None
         for t in ladder.steps:
             candidates = []
-            for i in sorted(index.query_radius(p, t), key=lambda i: merged[i].flowline_id):
+            for i in sorted(_near(index, p, t), key=lambda i: merged[i].flowline_id):
                 if merged_ops[i] != spill_op:
                     continue
                 d = point_to_multiline_distance(p, merged[i].geometry)

@@ -34,15 +34,7 @@ from flowline_risk.features import (
     FutureDate,
     one_hot,
 )
-from flowline_risk.geometry import (
-    MultiLine,
-    MultiLineArray,
-    Point2D,
-    PolyLine,
-    bounding_box,
-    line_count,
-    multiline_length,
-)
+from flowline_risk.geometry import MultiLineArray, Point2D
 from flowline_risk.ingest import (
     MERGED_COLUMNS,
     OPERATIONAL_COLUMNS,
@@ -62,6 +54,8 @@ from flowline_risk.ingest import (
     default_category_map,
 )
 from flowline_risk.matcher import DanglingReference, MergedFlowlines, SpillAttribution
+
+from geometry_oracle import MultiLine, PolyLine, bounding_box, line_count, multiline_length
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,7 @@ from flowline_risk.cli import EXIT_OK, main
 from flowline_risk.crs import GeoPoint, project, unproject
 from flowline_risk.evaluation import f1_score, metric_rows, silhouette_sweep
 from flowline_risk.features import ColumnMeta, Dataset, stratified_split
-from flowline_risk.geometry import (
-    Point2D,
-    bbox_area,
-    bounding_box,
-    line_count,
-    multiline_length,
-)
+from flowline_risk.geometry import Point2D
 from flowline_risk.ingest import SPILL_COLUMNS, Table, parse_descriptive, parse_operational, parse_spills
 from flowline_risk.matcher import match_flowlines, match_spills
 from flowline_risk.ml import (
@@ -37,8 +31,8 @@ from flowline_risk.spatial_index import SpatialIndex
 from flowline_risk.synth import REFERENCE_DATE, config_a, config_b, generate
 
 from conftest import random_multiline, three_blobs, two_blobs
-from test_geometry import naive_length
-from test_spatial_index import random_entries, scan_radius
+from geometry_oracle import bbox_area, bounding_box, line_count, multiline_length, naive_length
+from test_spatial_index import near, random_boxes, scan_radius
 
 ACCEPT_SEED = 42
 
@@ -61,13 +55,13 @@ def materialize(cfg, out_dir):
 def test_criterion_01_spatial_index_oracle(capsys):
     rng = np.random.default_rng(ACCEPT_SEED)
     started = time.perf_counter()
-    entries = random_entries(rng, 1000)
-    index = SpatialIndex.build(entries)
+    boxes = random_boxes(rng, 1000)
+    index = SpatialIndex.build(boxes)
     exact = True
     for _ in range(200):
         p = Point2D(rng.uniform(-50, 1050), rng.uniform(-50, 1050))
         r = rng.uniform(0.0, 80.0)
-        if index.query_radius(p, r) != scan_radius(entries, p, r):
+        if near(index, p, r) != scan_radius(boxes, p, r):
             exact = False
             break
     elapsed = time.perf_counter() - started

@@ -28,10 +28,10 @@ from flowline_risk.evaluation import (
     structure_found,
 )
 from flowline_risk.ml.kmeans import fit_kmeans
-from flowline_risk.geometry import multiline
 
 import silhouette_oracle
 from conftest import make_operational, two_blobs, three_blobs
+from geometry_oracle import multiline
 from merged_oracle import MergedFlowline, merged_flowlines
 
 REF = datetime.date(2024, 6, 30)

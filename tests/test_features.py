@@ -2,6 +2,9 @@ import datetime
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from flowline_risk.features import (
     CATEGORICAL_COLUMNS,
@@ -13,6 +16,7 @@ from flowline_risk.features import (
     FutureDate,
     NUMERIC_COLUMNS,
     OneHotEncoder,
+    apply_scaler,
     assemble,
     line_age,
     load_dataset,
@@ -22,11 +26,11 @@ from flowline_risk.features import (
     stratified_split,
 )
 from flowline_risk.fileio import read_json
-from flowline_risk.geometry import multiline
 from flowline_risk.matcher import assign_risk, match_flowlines, match_spills
 from flowline_risk.synth import REFERENCE_DATE
 
 from conftest import make_operational
+from geometry_oracle import multiline
 from merged_oracle import MergedFlowline, geometry_features, merged_flowlines
 
 REF = datetime.date(2020, 1, 1)
@@ -100,7 +104,7 @@ class TestGeometryFeatures:
         assert (length, n, area) == (2.0, 2, 1.0)
 
     def test_generator_lines_match_module(self, synth_a):
-        from flowline_risk.geometry import bbox_area, bounding_box, line_count, multiline_length
+        from geometry_oracle import bbox_area, bounding_box, line_count, multiline_length
         for rec in synth_a.descriptive_records[:50]:
             length, n, area = geometry_features(rec.geometry)
             assert length == multiline_length(rec.geometry)
@@ -237,6 +241,22 @@ class TestStandardize:
         test = np.array([[4.0]])
         _, test_z, _, _ = standardize(train, test)
         assert test_z.tolist() == [[3.0]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda p: st.tuples(
+        hnp.arrays(np.float64, st.tuples(st.integers(0, 8), st.just(p)), elements=st.floats(-1e6, 1e6)),
+        hnp.arrays(np.float64, p, elements=st.floats(-1e6, 1e6)),
+        hnp.arrays(np.float64, p, elements=st.one_of(st.just(0.0), st.floats(1e-3, 1e3))))))
+    def test_apply_scaler_divides_in_place(self, case):
+        # the two-step expression's bits, a new array, and zero-sd columns
+        # only centered
+        X, means, sds = case
+        before = X.copy()
+        z = apply_scaler(X, means, sds)
+        assert z.tobytes() == ((X - means) / np.where(sds == 0.0, 1.0, sds)).tobytes()
+        assert X.tobytes() == before.tobytes() and not np.shares_memory(z, X)
+        flat = sds == 0.0
+        assert z[:, flat].tobytes() == (X[:, flat] - means[flat]).tobytes()
 
 
 class TestRoundTrip:

@@ -7,11 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowline_risk.fileio import read_array, write_array
-from flowline_risk.geometry import (
+from flowline_risk.geometry import MultiLineArray, Point2D
+
+from conftest import random_multiline
+from geometry_oracle import (
     BoundingBox,
     MultiLine,
-    MultiLineArray,
-    Point2D,
     PolyLine,
     bbox_area,
     bounding_box,
@@ -19,20 +20,9 @@ from flowline_risk.geometry import (
     line_count,
     multiline,
     multiline_length,
+    naive_length,
     point_to_multiline_distance,
 )
-
-from conftest import random_multiline
-
-
-def naive_length(g: MultiLine) -> float:
-    """Independent re-summation over every segment."""
-    total = 0.0
-    for line in g.lines:
-        v = line.vertices
-        for a, b in zip(v, v[1:]):
-            total += math.sqrt((a.x - b.x) ** 2 + (a.y - b.y) ** 2)
-    return total
 
 
 def sampled_distance(p: Point2D, g: MultiLine, samples: int = 10_000) -> float:
@@ -222,7 +212,7 @@ def hexes(values) -> list[str]:
 
 
 class TestMultiLineArray:
-    """The flat geometry value against the scalar functions, bit for bit."""
+    """The flat geometry value against the scalar oracle, bit for bit."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(ARRAY_GEOMETRY, max_size=6))

@@ -10,7 +10,7 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from flowline_risk.crs import GeoPoint, ProjectionParams, project, unproject
-from flowline_risk.geometry import BoundingBox, Point2D, endpoint_set, multiline, point_to_multiline_distance
+from flowline_risk.geometry import Point2D
 from flowline_risk.ingest import parse_descriptive, parse_operational, parse_spills
 from flowline_risk.matcher import (
     DanglingReference,
@@ -29,6 +29,7 @@ from flowline_risk.synth import REFERENCE_DATE, config_a, generate
 
 import matcher_oracle
 from conftest import make_operational
+from geometry_oracle import endpoint_set, multiline, point_to_multiline_distance
 from matcher_oracle import interpolate_line
 from merged_oracle import (
     DescriptiveFlowline,
@@ -442,9 +443,10 @@ def assert_same_merge(got, want):
 
 @contextmanager
 def no_box_prefilter():
-    """Make every radius query return the whole index, so only distances decide."""
-    everywhere = BoundingBox(-math.inf, -math.inf, math.inf, math.inf)
-    with mock.patch.object(SpatialIndex, "query_radius", lambda index, p, r: index.query_box(everywhere)):
+    """Make every point query return the whole index, so only distances decide."""
+    everywhere = np.array([-math.inf, -math.inf, math.inf, math.inf])
+    with mock.patch.object(SpatialIndex, "query_points",
+                           lambda index, xs, ys, r: index.query_boxes(np.tile(everywhere, (len(xs), 1)))):
         yield
 
 

@@ -9,7 +9,6 @@ from flowline_risk import figures
 from flowline_risk.evaluation import eda_summaries
 from flowline_risk.features import FeatureConfig, assemble, save_dataset
 from flowline_risk.fileio import read_array, write_array
-from flowline_risk.geometry import multiline
 from flowline_risk.matcher import (
     MergedFlowlines,
     assign_risk,
@@ -22,6 +21,7 @@ from flowline_risk.synth import REFERENCE_DATE
 
 import matcher_oracle
 import merged_oracle
+from geometry_oracle import multiline
 from merged_oracle import MergedFlowline, merged_from_dict, merged_to_dict, operational_records, spill_records
 
 

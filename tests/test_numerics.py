@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from jacobi_oracle import jacobi_eigen
 
@@ -281,6 +281,9 @@ class TestGramPath:
 
     @settings(max_examples=100, deadline=None)
     @given(wide_cases)
+    # At scale 1e-8 the reduction reaches a column whose entries, about
+    # 1e-162, square to 0; the covariance path returned NaN there.
+    @example(wide_case("one_hot", 2, 37, 2, 1e-08))
     def test_against_covariance_path(self, X):
         values, vectors = sym_eigen(covariance(X))
         assert_gram_path_matches(X, pca_fit(X), values, vectors)

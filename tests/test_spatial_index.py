@@ -5,17 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowline_risk.geometry import BoundingBox, Point2D
-from flowline_risk.spatial_index import IndexEntry, SpatialIndex
+from flowline_risk.geometry import Point2D
+from flowline_risk.spatial_index import SpatialIndex
+
+from geometry_oracle import BoundingBox
 
 
-def random_entries(rng, n, extent=1000.0, max_side=20.0):
-    entries = []
+def random_boxes(rng, n, extent=1000.0, max_side=20.0) -> np.ndarray:
+    """n random (min_x, min_y, max_x, max_y) rows."""
+    boxes = np.zeros((n, 4))
     for i in range(n):
         x, y = rng.uniform(0, extent, size=2)
         w, h = rng.uniform(0, max_side, size=2)
-        entries.append(IndexEntry(i, BoundingBox(x, y, x + w, y + h)))
-    return entries
+        boxes[i] = (x, y, x + w, y + h)
+    return boxes
 
 
 # Boxes on a coarse grid, so shared and touching edges and zero-width boxes
@@ -30,40 +33,45 @@ def scan_boxes(boxes, queries):
             if BoundingBox(*b).intersects(BoundingBox(*q))]
 
 
-def scan_radius(entries, p, r):
-    """Brute-force oracle with the same closed-square semantics."""
-    box = BoundingBox(p.x - r, p.y - r, p.x + r, p.y + r)
-    return {e.item_id for e in entries if e.box.intersects(box)}
+def scan_radius(boxes, p, r):
+    """Brute-force entry positions in the closed square of half-width r about p."""
+    return {j for _, j in scan_boxes(boxes, [(p.x - r, p.y - r, p.x + r, p.y + r)])}
+
+
+def near(idx, p, r):
+    """Entry positions query_points finds about the one point p."""
+    _, found = idx.query_points(np.array([p.x]), np.array([p.y]), r)
+    return set(found.tolist())
 
 
 class TestBuild:
     def test_empty_index(self):
-        idx = SpatialIndex.build([])
+        idx = SpatialIndex.build(np.zeros((0, 4)))
         assert len(idx) == 0
-        assert idx.query_radius(Point2D(0, 0), 1e9) == set()
+        assert near(idx, Point2D(0, 0), 1e9) == set()
 
     def test_single_entry(self):
-        idx = SpatialIndex.build([IndexEntry("a", BoundingBox(0, 0, 1, 1))])
-        assert idx.query_radius(Point2D(0.5, 0.5), 0.0) == {"a"}
-        assert idx.query_radius(Point2D(5, 5), 1.0) == set()
+        idx = SpatialIndex.build(np.array([[0.0, 0.0, 1.0, 1.0]]))
+        assert near(idx, Point2D(0.5, 0.5), 0.0) == {0}
+        assert near(idx, Point2D(5, 5), 1.0) == set()
 
     def test_self_query_completeness(self):
         rng = np.random.default_rng(31)
-        entries = random_entries(rng, 1000)
-        idx = SpatialIndex.build(entries)
-        for e in entries:
-            center = Point2D((e.box.min_x + e.box.max_x) / 2, (e.box.min_y + e.box.max_y) / 2)
-            r = max(e.box.max_x - e.box.min_x, e.box.max_y - e.box.min_y)
-            assert e.item_id in idx.query_radius(center, r)
+        boxes = random_boxes(rng, 1000)
+        idx = SpatialIndex.build(boxes)
+        for i, (min_x, min_y, max_x, max_y) in enumerate(boxes.tolist()):
+            center = Point2D((min_x + max_x) / 2, (min_y + max_y) / 2)
+            r = max(max_x - min_x, max_y - min_y)
+            assert i in near(idx, center, r)
 
     def test_bad_fanout(self):
         with pytest.raises(ValueError):
-            SpatialIndex.build([], fanout=1)
+            SpatialIndex.build(np.zeros((0, 4)), fanout=1)
 
     def test_height_bound(self):
         rng = np.random.default_rng(36)
         for n in (1, 15, 16, 17, 255, 1000):
-            idx = SpatialIndex.build(random_entries(rng, n), fanout=16)
+            idx = SpatialIndex.build(random_boxes(rng, n), fanout=16)
             bound = math.ceil(math.log(n, 16)) + 1 if n > 1 else 1
             assert len(idx._levels) <= bound  # box levels, the entries' included
 
@@ -87,56 +95,50 @@ class TestBuild:
 
 
 class TestQueryRadius:
+    """query_points about one point at a time; entries are their row positions."""
+
     def test_zero_radius_point_in_box(self):
-        entries = [IndexEntry("hit", BoundingBox(0, 0, 2, 2)),
-                   IndexEntry("miss", BoundingBox(5, 5, 6, 6))]
-        idx = SpatialIndex.build(entries)
-        assert idx.query_radius(Point2D(1, 1), 0.0) == {"hit"}
+        idx = SpatialIndex.build(np.array([[0.0, 0.0, 2.0, 2.0], [5.0, 5.0, 6.0, 6.0]]))
+        assert near(idx, Point2D(1, 1), 0.0) == {0}
 
     def test_boundary_is_closed(self):
-        idx = SpatialIndex.build([IndexEntry("edge", BoundingBox(10, 0, 12, 2))])
+        idx = SpatialIndex.build(np.array([[10.0, 0.0, 12.0, 2.0]]))
         # query square touches the box edge exactly at distance r
-        assert idx.query_radius(Point2D(8, 1), 2.0) == {"edge"}
-        assert idx.query_radius(Point2D(8, 1), 1.999999) == set()
-
-    def test_negative_radius_rejected(self):
-        idx = SpatialIndex.build([])
-        with pytest.raises(ValueError):
-            idx.query_radius(Point2D(0, 0), -1.0)
+        assert near(idx, Point2D(8, 1), 2.0) == {0}
+        assert near(idx, Point2D(8, 1), 1.999999) == set()
 
     def test_oracle_equivalence(self):
         rng = np.random.default_rng(32)
-        entries = random_entries(rng, 1000)
-        idx = SpatialIndex.build(entries)
+        boxes = random_boxes(rng, 1000)
+        idx = SpatialIndex.build(boxes)
         for _ in range(200):
             p = Point2D(rng.uniform(-50, 1050), rng.uniform(-50, 1050))
             r = rng.uniform(0, 60)
-            assert idx.query_radius(p, r) == scan_radius(entries, p, r)
+            assert near(idx, p, r) == scan_radius(boxes, p, r)
 
     def test_radius_monotonicity(self):
         rng = np.random.default_rng(33)
-        entries = random_entries(rng, 300)
-        idx = SpatialIndex.build(entries)
+        idx = SpatialIndex.build(random_boxes(rng, 300))
         for _ in range(50):
             p = Point2D(rng.uniform(0, 1000), rng.uniform(0, 1000))
             r1, r2 = sorted(rng.uniform(0, 80, size=2))
-            assert idx.query_radius(p, r1) <= idx.query_radius(p, r2)
+            assert near(idx, p, r1) <= near(idx, p, r2)
 
     def test_build_determinism(self):
         rng = np.random.default_rng(34)
-        entries = random_entries(rng, 500)
-        a = SpatialIndex.build(entries)
-        b = SpatialIndex.build(list(entries))
+        boxes = random_boxes(rng, 500)
+        a = SpatialIndex.build(boxes)
+        b = SpatialIndex.build(boxes.copy())
         qrng = np.random.default_rng(35)
         for _ in range(50):
             p = Point2D(qrng.uniform(0, 1000), qrng.uniform(0, 1000))
             r = qrng.uniform(0, 100)
-            assert a.query_radius(p, r) == b.query_radius(p, r)
+            assert near(a, p, r) == near(b, p, r)
 
     def test_degenerate_point_boxes(self):
-        entries = [IndexEntry(i, BoundingBox(float(i), 0.0, float(i), 0.0)) for i in range(100)]
-        idx = SpatialIndex.build(entries)
-        assert idx.query_radius(Point2D(50.0, 0.0), 2.5) == {48, 49, 50, 51, 52}
+        xs = np.arange(100, dtype=float)
+        idx = SpatialIndex.build(np.column_stack([xs, np.zeros(100), xs, np.zeros(100)]))
+        assert near(idx, Point2D(50.0, 0.0), 2.5) == {48, 49, 50, 51, 52}
 
 
 class TestBatchedQueries:
@@ -179,10 +181,9 @@ class TestBatchedQueries:
     def test_n_not_a_multiple_of_the_fanout(self):
         rng = np.random.default_rng(37)
         for n in (17, 33, 250, 257):
-            entries = random_entries(rng, n)
-            boxes = [(e.box.min_x, e.box.min_y, e.box.max_x, e.box.max_y) for e in entries]
+            boxes = random_boxes(rng, n)
             queries = [(x, y, x + w, y + w) for x, y, w in rng.uniform(0, 60, size=(50, 3)) * (17, 17, 1)]
-            idx = SpatialIndex.build(np.array(boxes), fanout=16)
+            idx = SpatialIndex.build(boxes, fanout=16)
             q, e = idx.query_boxes(np.array(queries))
             assert sorted(zip(q.tolist(), e.tolist())) == scan_boxes(boxes, queries)
 

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import synth_oracle
 from flowline_risk import fileio, synth
 from flowline_risk.crs import GeoPoint, OutOfZone, ProjectionParams, project
-from flowline_risk.geometry import endpoint_set
 from flowline_risk.ingest import parse_descriptive, parse_operational, parse_spills
 from flowline_risk.matcher import match_flowlines
 from flowline_risk.synth import (
@@ -25,6 +24,8 @@ from flowline_risk.synth import (
     generate,
     load_ground_truth,
 )
+
+from geometry_oracle import endpoint_set
 
 
 class TestGenerate:
