@@ -48,25 +48,25 @@ class RunConfig:
     # synth
     synth_preset: str = "a"            # a | b | custom
     synth_n_lines: int = 1000
-    synth_area: float = 20000.0
-    synth_min_separation: float = 60.0
-    synth_jitter_sigma: float = 5.0
-    synth_spill_rate: float = 0.01
-    synth_spill_lateral_sigma: float = 8.0
-    synth_n_operators: int = 12
-    synth_operator_clustering: float = 0.0
+    synth_area: float = SynthConfig.area
+    synth_min_separation: float = SynthConfig.min_separation
+    synth_jitter_sigma: float = SynthConfig.endpoint_jitter_sigma
+    synth_spill_rate: float = SynthConfig.spill_rate
+    synth_spill_lateral_sigma: float = SynthConfig.spill_lateral_sigma
+    synth_n_operators: int = SynthConfig.n_operators
+    synth_operator_clustering: float = SynthConfig.operator_reuse_clustering
 
     # matching
     ladder: tuple[float, ...] = DEFAULT_LADDER_STEPS
     match_whole_geometry: bool = False
 
-    # projection
-    central_meridian: float = -105.0
-    scale_factor: float = 0.9996
-    false_easting: float = 500000.0
-    false_northing: float = 0.0
-    semi_major_axis: float = 6378137.0
-    flattening: float = 1.0 / 298.257222101
+    # projection: the fields of ProjectionParams
+    central_meridian: float = ProjectionParams.central_meridian
+    scale_factor: float = ProjectionParams.scale_factor
+    false_easting: float = ProjectionParams.false_easting
+    false_northing: float = ProjectionParams.false_northing
+    semi_major_axis: float = ProjectionParams.semi_major_axis
+    flattening: float = ProjectionParams.flattening
     descriptive_geographic: bool = False
 
     # features
@@ -160,14 +160,7 @@ class RunConfig:
         return ToleranceLadder(tuple(self.ladder))
 
     def projection_params(self) -> ProjectionParams:
-        return ProjectionParams(
-            central_meridian=self.central_meridian,
-            scale_factor=self.scale_factor,
-            false_easting=self.false_easting,
-            false_northing=self.false_northing,
-            semi_major_axis=self.semi_major_axis,
-            flattening=self.flattening,
-        )
+        return ProjectionParams(**{f.name: getattr(self, f.name) for f in fields(ProjectionParams)})
 
     def resolve_reference_date(self) -> datetime.date:
         if self.reference_date:

@@ -65,7 +65,7 @@ class GBDTClassifier(TreeTable, Classifier):
                 return float(np.clip(value, -_LEAF_CLAMP, _LEAF_CLAMP))
 
             tree = RegressionTree(self.max_depth, self.min_leaf)
-            step = self.shrinkage * tree.fit_predict(X, residual, newton_leaf, data)
+            step = self.shrinkage * tree._fit_rows(data, data.rows, residual, newton_leaf)
 
             # Guard the monotone-loss contract: back off a stage that overshoots.
             prev = self.stage_losses[-1]
@@ -139,8 +139,7 @@ class AdaBoostClassifier(TreeTable, Classifier):
 
         for _ in range(self.n_stumps):
             stump = DecisionTreeClassifier(max_depth=1, min_leaf=1)
-            stump.fit(X, y, sample_weight=weights, data=data)
-            pred = stump.predict(X)
+            pred = stump._fit_rows(data, data.rows, y, weights)  # its class for each row
             miss = pred != y
             err = float(np.sum(weights[miss]))
             if err >= 0.5:
@@ -182,9 +181,9 @@ class RandomForestClassifier(TreeTable, Classifier):
     class in this domain.
 
     The training matrix is ranked (trees.rank_keys, one float sort) and its
-    binary and constant columns found once per fit, and each tree takes its
-    bootstrap rows of both, so a column is binary, or constant, for every
-    tree or for none. The trees are one table, each leaf's value its class.
+    binary and constant columns found once per fit; each tree grows over its
+    bootstrap draw of row indices into it and copies no rows. The trees are
+    one table, each leaf's value its class.
     """
 
     kind = "RF"
@@ -209,14 +208,14 @@ class RandomForestClassifier(TreeTable, Classifier):
         if not 1 <= mtry <= p:
             raise ValueError(f"mtry must be in [1, {p}]")
         data = _Rows(X)
+        weights = np.full(n, 1.0 / n)
         streams = np.random.SeedSequence(self.seed).spawn(self.n_trees)
         trees = []
         for stream in streams:
             rng = np.random.default_rng(stream)
-            idx = rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
+            root = rng.integers(0, n, size=n) if self.bootstrap else data.rows
             tree = DecisionTreeClassifier(self.max_depth, self.min_leaf, mtry=mtry, rng=rng)
-            sample = data.take(idx)
-            tree.fit(sample.X, y[idx], data=sample)
+            tree._fit_rows(data, root, y, weights)
             trees.append(tree)
         self._set_table(trees)
 

@@ -8,6 +8,11 @@ row counts (the least-squares improvement of Friedman 2001), and
 wpl^2/wl + wpr^2/wr for weighted Gini over {0, 1} labels, from the side
 weights and positive weights (0 for a side of zero weight).
 
+One grower grows every tree (a classifier, a boosting stage, a stump, a
+forest member) from a root of row indices into the fit's matrix, ranked once
+per fit: every row, or a bootstrap draw with its repeats in draw order, so no
+tree copies its rows. A node is the root's rows that reach it, in root order.
+
 A node scores the cuts of most features in one numpy pass over cumulative
 sums along a sorted block, whose rows hold the node's rows in the stable sort
 order of one feature each. Each fit ranks X once into dense integer keys that
@@ -20,14 +25,14 @@ stable-sorts the keys it scores over its own rows, so it pays only for what
 it scores. Boosted ensembles share one ranking, and the root's cuts, across
 all their stages.
 
-A binary column, one with exactly two distinct finite values in the fit
-matrix (for a forest, the forest's matrix), has one cut and no place in the
-blocks. A node scores all the binary
+A binary column, one with exactly two distinct finite values in the fit's
+matrix, has one cut and no place in the blocks. A node scores all the binary
 columns it considers from one sum over its rows of the values on each
 column's low side, as SPRINT's count matrix does for categorical columns
-(Shafer, Agrawal & Mehta 1996). A constant column (one finite value in the
-fit matrix) has no cut at any node and is in no block either. Columns with
-NaNs stay sorted.
+(Shafer, Agrawal & Mehta 1996); a child of a node that scored every feature
+scores only the binary columns that had a cut there, as its rows are a subset
+of its parent's. A constant column (one finite value in the fit matrix) has
+no cut at any node and is in no block either. Columns with NaNs stay sorted.
 
 Ties between equally good splits resolve to the lowest feature index, then
 the lowest threshold, so a fit is a pure function of its inputs.
@@ -172,88 +177,78 @@ def rank_keys(X: np.ndarray) -> np.ndarray:
 class _Rows:
     """One fit's X, rank keys and binary columns, from which each node gets its cuts.
 
-    A node is its row indices in increasing order (what per-node sums run
-    over, so their bits match a scan of the node's own rows) plus, when its
-    parent scored every feature, the sorted block it inherits by partition().
-    A node without one stable-sorts the keys of the features it scores over
-    its rows, which orders ties by row as a presort does. Binary columns
-    (exactly two distinct finite values in X, or in the matrix take() drew
-    X's rows from) are in no block: each keeps a low-side indicator per row
-    and the midpoint of its two values. Constant columns (one finite value
-    there) are in no block and have no cuts. The root's
-    cuts of every feature are built once per min_leaf, so boosting stages that
-    share this object share them too.
+    A node is its rows (indices into X in root order, repeats included) plus,
+    when its parent scored every feature, what it inherits by partition():
+    its share of the parent's sorted block and the parent's binary columns
+    with an admissible cut. A node without them stable-sorts the keys of the
+    features it scores over its rows, which orders ties by root position as
+    a presort of a copy of those rows does. Binary columns (exactly two
+    distinct finite values in X) are in no block: each keeps a low-side
+    indicator per row and the midpoint of its two values. Constant columns
+    (one finite value) are in no block and have no cuts. The root of every
+    row has its cuts built once per min_leaf, shared by boosting stages.
     """
 
-    def __init__(self, X: np.ndarray, keys: np.ndarray | None = None, columns=None):
-        """`keys` and `columns` (is_binary, is_constant, low, mids) describe
-        X, when the caller has them from the matrix that X's rows were drawn from."""
+    def __init__(self, X: np.ndarray):
         self.X = X
         self.Xt = np.ascontiguousarray(X.T)
-        self.keys = rank_keys(X) if keys is None else keys
-        self.rows = np.arange(X.shape[0])  # the root's rows
-        if columns is None:
-            lo = np.min(X, axis=0, initial=np.inf)  # NaN in a column makes both NaN
-            hi = np.max(X, axis=0, initial=-np.inf)
-            finite = np.isfinite(lo) & np.isfinite(hi)
-            is_binary = finite & (lo < hi) & np.all((X == lo) | (X == hi), axis=0)
-            # (a + b) / 2 of the two values has the bits of the sorted path's midpoint
-            columns = (is_binary, finite & (lo == hi),
-                       np.ascontiguousarray((X[:, is_binary] == lo[is_binary]).T),
-                       (lo[is_binary] + hi[is_binary]) / 2.0)
-        self.is_binary, self.is_constant, self.low, self.mids = columns
-        self._in_block = ~(self.is_binary | self.is_constant)
+        self.keys = rank_keys(X)
+        self.rows = np.arange(X.shape[0])  # the root of every row
+        lo = np.min(X, axis=0, initial=np.inf)  # NaN in a column makes both NaN
+        hi = np.max(X, axis=0, initial=-np.inf)
+        finite = np.isfinite(lo) & np.isfinite(hi)
+        self.is_binary = is_binary = finite & (lo < hi) & np.all((X == lo) | (X == hi), axis=0)
+        self.is_constant = finite & (lo == hi)
+        self.low = np.ascontiguousarray((X[:, is_binary] == lo[is_binary]).T)
+        # (a + b) / 2 of the two values has the bits of the sorted path's midpoint
+        self.mids = (lo[is_binary] + hi[is_binary]) / 2.0
+        self._in_block = ~(is_binary | self.is_constant)
         self.sorted = np.flatnonzero(self._in_block)
-        self.binary = np.flatnonzero(self.is_binary)
-        self._low_row = np.cumsum(self.is_binary) - 1  # a binary feature's row of low
-        low_count = np.count_nonzero(self.low, axis=1)
-        self._fewest = np.minimum(low_count, X.shape[0] - low_count)  # rows on a side
+        self.binary = np.flatnonzero(is_binary)
+        self._low_row = np.cumsum(is_binary) - 1  # a binary feature's row of low
         self._go_left = np.zeros(X.shape[0], dtype=bool)
         self._root_cuts: dict[int, _Cuts] = {}
 
-    def take(self, idx) -> "_Rows":
-        """Rows idx of X (repeats allowed) as a fit of their own, keeping
-        X's ranking, binary and constant columns."""
-        return _Rows(self.X[idx], self.keys[:, idx],
-                     (self.is_binary, self.is_constant, self.low[:, idx], self.mids))
-
-    def cuts(self, rows, block, min_leaf: int, features=None) -> "_Cuts":
+    def cuts(self, rows, inherited, min_leaf: int, features=None) -> "_Cuts":
         """Admissible cuts of `features` (default: all) over the node's rows;
-        `block` is the node's inherited block of the sorted features or None."""
+        `inherited` is what the node inherited by partition(), or None."""
         root = features is None and rows is self.rows
         if root and min_leaf in self._root_cuts:
             return self._root_cuts[min_leaf]
-        if features is None:
-            feats, low_rows = self.sorted, np.arange(self.binary.size)
+        block = None
+        if inherited is not None:
+            (block, binary), feats = inherited, self.sorted
+        elif features is None:
+            feats, binary = self.sorted, self.binary
         else:
             feats = np.sort(np.asarray(list(features), dtype=np.intp))
-            low_rows = self._low_row[feats[self.is_binary[feats]]]
+            binary = feats[self.is_binary[feats]]
             feats = feats[self._in_block[feats]]
-        # a binary column with fewer than min_leaf rows on a side in the
-        # whole fit has no admissible cut at any node
-        low_rows = low_rows[self._fewest[low_rows] >= max(min_leaf, 1)]
         if block is None:
             local = np.argsort(self.keys[feats[:, None], rows], axis=1, kind="stable")
             block = rows.take(local)
+        low_rows = self._low_row[binary]
         cuts = _Cuts(_SortedCuts(feats, block, self.Xt, min_leaf),
-                     _BinaryCuts(self.binary[low_rows], self.low[low_rows].take(rows, axis=1),
+                     _BinaryCuts(binary, self.low[low_rows].take(rows, axis=1),
                                  self.mids[low_rows], rows, min_leaf))
         if root:
             self._root_cuts[min_leaf] = cuts
         return cuts
 
-    def partition(self, rows, block, feature, threshold):
-        """Children's (rows, block). Given the node's block of every sorted
-        feature, each child inherits its share of it; given None, children sort."""
-        go_left = self.X[rows, feature] <= threshold
+    def partition(self, rows, inherited, feature, threshold):
+        """Children's (rows, inherited). Given the node's inheritance() of
+        every feature, each child inherits its share of the block and the
+        binary columns; given None, children sort."""
+        go_left = self.Xt[feature].take(rows) <= threshold
         left, right = rows[go_left], rows[~go_left]
-        if block is None:
+        if inherited is None:
             return (left, None), (right, None)
+        block, binary = inherited
         self._go_left[rows] = go_left
         mask = self._go_left.take(block).ravel()
         p = block.shape[0]
-        return ((left, np.compress(mask, block).reshape(p, left.size)),
-                (right, np.compress(~mask, block).reshape(p, right.size)))
+        return ((left, (np.compress(mask, block).reshape(p, left.size), binary)),
+                (right, (np.compress(~mask, block).reshape(p, right.size), binary)))
 
 
 class _Cuts:
@@ -264,6 +259,11 @@ class _Cuts:
         self.sorted, self.binary = sorted_cuts, binary_cuts
         self.block = sorted_cuts.block
         self.parts = [c for c in (sorted_cuts, binary_cuts) if not c.empty]
+
+    def inheritance(self):
+        """What this node's children inherit by _Rows.partition(): its
+        sorted block and its binary columns with an admissible cut."""
+        return self.block, self.binary.feats
 
     def best(self, scores) -> tuple[int, float, int, int]:
         """(feature, threshold, part, k) of the best cut over the parts, given
@@ -446,7 +446,48 @@ def best_gini_split(X, y, weights, min_leaf: int, features=None):
     return f, thr, _gini_gain(*sides, float(np.sum(weights)), gini_impurity(y, weights))
 
 
-class DecisionTreeClassifier(TreeTable, Classifier):
+class _Grower(TreeTable):
+    """A one-tree table grown by CART; with mtry set, each node draws mtry features by rng."""
+
+    mtry: int | None = None
+
+    def _grow(self, data: _Rows, root, targets, split, leaf) -> np.ndarray:
+        """Grow this tree over rows `root` of data.X; returns their leaf values
+        (an array over data.X's rows). A node is a leaf at max_depth, under 2
+        min_leaf rows, where its targets are all equal, or where split(cuts,
+        rows) finds no cut; leaf(rows) gives a leaf's (value, proba)."""
+        nodes = _Nodes()
+        fitted = np.empty(data.X.shape[0])
+        p = data.X.shape[1]
+        # nodes to grow, each (rows, inherited, depth, the index of the node it
+        # is the right child of or -1); taking left children first is preorder
+        stack = [(root, None, 0, -1)]
+        while stack:
+            rows, inherited, depth, parent = stack.pop()
+            if parent >= 0:
+                nodes.right[parent] = len(nodes.feature)
+            best = features = None
+            if depth < self.max_depth and len(rows) >= 2 * self.min_leaf and np.ptp(targets[rows]) != 0:
+                if self.mtry is not None and self.mtry < p:
+                    features = sorted(self.rng.choice(p, size=self.mtry, replace=False).tolist())
+                cuts = data.cuts(rows, inherited, self.min_leaf, features)
+                best = split(cuts, rows)
+            if best is None:
+                value, proba = leaf(rows)
+                fitted[rows] = value
+                nodes.add(value=value, proba=proba)
+                continue
+            f, thr = best[:2]
+            inherit = features is None and depth + 1 < self.max_depth
+            left, right = data.partition(rows, cuts.inheritance() if inherit else None, f, thr)
+            del cuts  # freed before the children grow, not held to the next split
+            at = nodes.add(f, thr)
+            stack += [(*right, depth + 1, at), (*left, depth + 1, -1)]
+        self._set_table([nodes])
+        return fitted
+
+
+class DecisionTreeClassifier(_Grower, Classifier):
     """Binary CART with Gini impurity and optional per-split feature draws.
 
     sample_weight support makes the same tree serve as the AdaBoost weak
@@ -469,8 +510,7 @@ class DecisionTreeClassifier(TreeTable, Classifier):
         self.mtry = mtry
         self.rng = rng
 
-    def fit(self, X, y, sample_weight=None, data=None):
-        """Grow the tree; `data` is a _Rows of X, when the caller has one."""
+    def fit(self, X, y, sample_weight=None):
         # Pure-label and single-class inputs are legal here: they produce a
         # single leaf, which bootstrap resamples and boosting rely on.
         X = np.asarray(X, dtype=float)
@@ -479,45 +519,23 @@ class DecisionTreeClassifier(TreeTable, Classifier):
             raise ValueError("X must be n x p with one label per row")
         if sample_weight is None:
             sample_weight = np.full(len(y), 1.0 / len(y))
-        weights = np.asarray(sample_weight, dtype=float)
-        if data is None:
-            data = _Rows(X)
-        nodes = _Nodes()
-        self._grow(nodes, data, data.rows, None, y, np.stack([weights, weights * (y == 1)]), 0)
-        self._set_table([nodes])
+        data = _Rows(X)
+        self._fit_rows(data, data.rows, y, np.asarray(sample_weight, dtype=float))
         self.fitted = True
         return self
 
-    @staticmethod
-    def _leaf(nodes, y, weights) -> None:
-        w1 = float(np.sum(weights[y == 1]))
-        w0 = float(np.sum(weights[y == 0]))
-        total = w0 + w1
-        nodes.add(value=1.0 if w1 > w0 else 0.0, proba=w1 / total if total > 0 else 0.0)
+    def _fit_rows(self, data: _Rows, root, y, weights) -> np.ndarray:
+        """Grow over rows `root` of data.X, given labels and weights over data.X's rows."""
+        wv = np.stack([weights, weights * (y == 1)])
 
-    def _grow(self, nodes, data, rows, block, y, wv, depth) -> None:
-        node_y = y[rows]
-        if depth >= self.max_depth or len(rows) < 2 * self.min_leaf or np.all(node_y == node_y[0]):
-            return self._leaf(nodes, node_y, wv[0][rows])
+        def leaf(rows):
+            node_y, node_w = y[rows], weights[rows]
+            w1 = float(np.sum(node_w[node_y == 1]))
+            w0 = float(np.sum(node_w[node_y == 0]))
+            total = w0 + w1
+            return 1.0 if w1 > w0 else 0.0, w1 / total if total > 0 else 0.0
 
-        p = data.X.shape[1]
-        if self.mtry is not None and self.mtry < p:
-            features = sorted(self.rng.choice(p, size=self.mtry, replace=False).tolist())
-        else:
-            features = None
-        cuts = data.cuts(rows, block, self.min_leaf, features)
-        split = _gini_split(cuts, rows, wv)
-        if split is None:
-            return self._leaf(nodes, node_y, wv[0][rows])
-        f, thr, _ = split
-        inherit = features is None and depth + 1 < self.max_depth
-        (lrows, lblock), (rrows, rblock) = data.partition(
-            rows, cuts.block if inherit else None, f, thr)
-        del cuts  # freed before the subtrees grow: held per level, it slows forest fits
-        at = nodes.add(f, thr)
-        self._grow(nodes, data, lrows, lblock, y, wv, depth + 1)
-        nodes.right[at] = len(nodes.feature)
-        self._grow(nodes, data, rrows, rblock, y, wv, depth + 1)
+        return self._grow(data, root, y, lambda cuts, rows: _gini_split(cuts, rows, wv), leaf)
 
     def predict_proba(self, X) -> np.ndarray:
         return self.proba[self._leaves(X)[0]]
@@ -529,7 +547,7 @@ class DecisionTreeClassifier(TreeTable, Classifier):
         return {"max_depth": self.max_depth, "min_leaf": self.min_leaf, "mtry": self.mtry}
 
 
-class RegressionTree(TreeTable):
+class RegressionTree(_Grower):
     """Squared-error CART for boosting stages, a one-tree table.
 
     Splits minimize child SSE; leaf values come from leaf_value(indices),
@@ -540,46 +558,18 @@ class RegressionTree(TreeTable):
         self.max_depth = max_depth
         self.min_leaf = min_leaf
 
-    def fit_predict(self, X, targets, leaf_value=None, data=None) -> np.ndarray:
-        """Grow the tree and return its prediction for every training row.
-
-        `data` is a _Rows of X, when the caller already has one.
-        """
-        X = np.asarray(X, dtype=float)
+    def fit_predict(self, X, targets, leaf_value=None) -> np.ndarray:
+        """Grow the tree and return its prediction for every training row."""
         targets = np.asarray(targets, dtype=float)
         if leaf_value is None:
             leaf_value = lambda idx: float(np.mean(targets[idx]))
-        fitted = np.empty(len(targets))
-        if data is None:
-            data = _Rows(X)
-        nodes = _Nodes()
-        self._grow(nodes, data, data.rows, None, targets, 0, leaf_value, fitted)
-        self._set_table([nodes])
-        return fitted
+        data = _Rows(np.asarray(X, dtype=float))
+        return self._fit_rows(data, data.rows, targets, leaf_value)
 
-    def _grow(self, nodes, data, rows, block, targets, depth, leaf_value, fitted) -> None:
-        if (depth >= self.max_depth or len(rows) < 2 * self.min_leaf
-                or np.ptp(targets[rows]) == 0.0):
-            return self._leaf(nodes, rows, leaf_value, fitted)
-        cuts = data.cuts(rows, block, self.min_leaf)
-        split = _sse_split(cuts, targets)
-        if split is None:
-            return self._leaf(nodes, rows, leaf_value, fitted)
-        f, thr = split
-        inherit = depth + 1 < self.max_depth
-        (lrows, lblock), (rrows, rblock) = data.partition(
-            rows, cuts.block if inherit else None, f, thr)
-        del cuts  # freed before the subtrees grow: held per level, it slows forest fits
-        at = nodes.add(f, thr)
-        self._grow(nodes, data, lrows, lblock, targets, depth + 1, leaf_value, fitted)
-        nodes.right[at] = len(nodes.feature)
-        self._grow(nodes, data, rrows, rblock, targets, depth + 1, leaf_value, fitted)
-
-    @staticmethod
-    def _leaf(nodes, rows, leaf_value, fitted) -> None:
-        value = leaf_value(rows)
-        fitted[rows] = value
-        nodes.add(value=value)
+    def _fit_rows(self, data: _Rows, root, targets, leaf_value) -> np.ndarray:
+        """Grow over rows `root` of data.X, given targets over data.X's rows."""
+        return self._grow(data, root, targets, lambda cuts, rows: _sse_split(cuts, targets),
+                          lambda rows: (leaf_value(rows), 0.0))
 
     def predict(self, X) -> np.ndarray:
         return self.value[self._leaves(X)[0]]

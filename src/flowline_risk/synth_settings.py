@@ -72,18 +72,11 @@ def _finite_non_negative(value: float) -> bool:
 
 
 def config_a(seed: int = 0, n_lines: int = 1000) -> SynthConfig:
-    """Well-separated regime: merge recovery should be perfect."""
-    return SynthConfig(
-        n_lines=n_lines, area=20000.0, min_separation=60.0,
-        endpoint_jitter_sigma=5.0, spill_rate=0.01, spill_lateral_sigma=8.0,
-        n_operators=12, operator_reuse_clustering=0.0, seed=seed,
-    )
+    """Well-separated regime (SynthConfig's defaults): merge recovery should be perfect."""
+    return SynthConfig(n_lines=n_lines, seed=seed)
 
 
 def config_b(seed: int = 0, n_lines: int = 1000) -> SynthConfig:
     """Dense same-operator bundles: ambiguous matches are expected."""
-    return SynthConfig(
-        n_lines=n_lines, area=4000.0, min_separation=10.0,
-        endpoint_jitter_sigma=5.0, spill_rate=0.01, spill_lateral_sigma=8.0,
-        n_operators=6, operator_reuse_clustering=0.8, seed=seed,
-    )
+    return SynthConfig(n_lines=n_lines, area=4000.0, min_separation=10.0, n_operators=6,
+                       operator_reuse_clustering=0.8, seed=seed)

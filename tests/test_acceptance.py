@@ -32,6 +32,7 @@ from flowline_risk.synth import REFERENCE_DATE, config_a, config_b, generate
 
 from conftest import random_multiline, three_blobs, two_blobs
 from geometry_oracle import bbox_area, bounding_box, line_count, multiline_length, naive_length
+from rundiff import comparable_files, differing
 from test_spatial_index import near, random_boxes, scan_radius
 
 ACCEPT_SEED = 42
@@ -276,27 +277,6 @@ def _write_run_config(path: Path) -> Path:
     return path
 
 
-def _canonical_report(path: Path) -> str:
-    doc = json.loads(path.read_text())
-    for volatile in ("created_at", "timings"):
-        doc.pop(volatile, None)
-    return json.dumps(doc, sort_keys=True)
-
-
-def _rerun_comparable_files(root: Path) -> dict[str, bytes]:
-    """Every file of a run directory by relative path, less what may differ
-    between reruns: the run log, the report's volatile fields and the
-    manifest's hash of the report."""
-    files = {path.relative_to(root).as_posix(): path.read_bytes()
-             for path in root.rglob("*") if path.is_file()}
-    files.pop("artifacts/run_log.jsonl", None)
-    files["report.json"] = _canonical_report(root / "report.json").encode()
-    manifest = json.loads(files["artifacts/manifest.json"])
-    del manifest["report"]["sha256"]
-    files["artifacts/manifest.json"] = json.dumps(manifest, sort_keys=True).encode()
-    return files
-
-
 def test_criterion_09_end_to_end(tmp_path, capsys):
     cfg = _write_run_config(tmp_path / "run.cfg")
 
@@ -315,9 +295,8 @@ def test_criterion_09_end_to_end(tmp_path, capsys):
         ET.parse(svg)  # raises on malformed XML
 
     code2 = main(["run-all", "--config", str(cfg), "--out", str(tmp_path / "two")])
-    one = _rerun_comparable_files(tmp_path / "one")
-    two = _rerun_comparable_files(tmp_path / "two")
-    differ = sorted(name for name in one.keys() | two.keys() if one.get(name) != two.get(name))
+    one = comparable_files(tmp_path / "one")
+    differ = differing(tmp_path / "one", tmp_path / "two")
 
     ok = (code == EXIT_OK and code2 == EXIT_OK and elapsed < 60.0 and rows_ok
           and figures_ok and not differ)

@@ -37,7 +37,7 @@ from flowline_risk.ml import KNNClassifier, fit_kmeans, schema_hash
 from flowline_risk.modeling import _pca_by_config
 
 from merged_oracle import merged_records, merged_to_dict
-from test_acceptance import _rerun_comparable_files
+from rundiff import comparable_files, differing
 from test_workers import child_pids, on_cpus
 
 
@@ -362,7 +362,7 @@ class TestRunLog:
         report = json.loads((out / "report.json").read_text())
         assert report["timings"] == {}
         # match_stats come from hashed artifacts, so they survive the log.
-        assert _rerun_comparable_files(out) == _rerun_comparable_files(finished)
+        assert not differing(out, finished)
 
     def test_match_stats_are_the_logged_stats_and_ignore_log_edits(self, finished_run, tmp_path):
         cfg, finished = finished_run
@@ -382,7 +382,7 @@ class TestRunLog:
             entry["stats"] = {"edited": True}
         log.write_text("".join(json.dumps(entry) + "\n" for entry in edited))
         assert main(["report", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-        assert _rerun_comparable_files(out) == _rerun_comparable_files(finished)
+        assert not differing(out, finished)
 
 
 class TestStageChaining:
@@ -1221,7 +1221,7 @@ class TestWorkerProcesses:
             on_cpus(monkeypatch, cpus)
             out = tmp_path / f"cpus{cpus}"
             assert main(["run-all", "--config", str(cfg), "--out", str(out), "--pca", "on"]) == EXIT_OK
-            runs[cpus] = _rerun_comparable_files(out)
+            runs[cpus] = comparable_files(out)
             stats = {}
             for line in (out / "artifacts" / "run_log.jsonl").read_text().splitlines():
                 entry = json.loads(line)

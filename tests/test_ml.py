@@ -698,6 +698,20 @@ class TestPresortedSplitsMatchOracle:
             assert state_json(new) == state_json(old)
             assert bits(new.predict(probe)) == bits(old.predict(probe))
 
+    def test_bootstrap_repeats_count_toward_min_leaf(self):
+        # The one tree draws row 4, the only row on the one-hot column's high
+        # side, twice: in the tree's own rows that side holds min_leaf = 2
+        # rows, so the column has a cut, and it isolates the only positive.
+        n, seed, hot = 12, 5, 4
+        root = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0]).integers(0, n, n)
+        assert np.count_nonzero(root == hot) == 2 and root.min() < hot < root.max()
+        X = np.column_stack([np.arange(n) == hot, np.arange(n)]).astype(float)
+        y = (np.arange(n) == hot).astype(int)
+        new = RandomForestClassifier(1, 3, 2, seed, min_leaf=2).fit(X, y)
+        old = cart_oracle.OracleRandomForestClassifier(1, 3, 2, seed, min_leaf=2).fit(X, y)
+        assert state_json(new) == state_json(old)
+        assert new.feature[0] == 0 and new.threshold[0] == 0.5
+
     def test_infinite_scores_pick_the_first_admissible_cut(self):
         # A slab of mostly admissible cuts is scored whole, and only its
         # admissible positions compete; when every admissible score is
@@ -917,10 +931,32 @@ class TestRankKeys:
         feature = min(feature, p - 1)
         data = trees._Rows(X)
         parent = np.flatnonzero(rng.random(n) < 0.8)
-        block = data.cuts(parent, None, 1).block
+        inheritance = data.cuts(parent, None, 1).inheritance()
         threshold = X[rng.integers(0, n), feature]
-        for rows, inherited in data.partition(parent, block, feature, threshold):
+        for rows, (inherited, _) in data.partition(parent, inheritance, feature, threshold):
             assert np.array_equal(inherited, data.cuts(rows, None, 1).block)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ranked_columns(), st.integers(1, 3), st.booleans(), st.integers(0, 3))
+    def test_inherited_binary_columns_are_those_a_fresh_scan_keeps(
+            self, problem, min_leaf, bootstrap, feature):
+        # a child's rows are a subset of its parent's, bootstrap repeats
+        # included, so the binary columns with an admissible cut at the
+        # parent hold every one the child has
+        X, rng = problem
+        n, p = X.shape
+        feature = min(feature, p - 1)
+        data = trees._Rows(X)
+        parent = rng.integers(0, n, n) if bootstrap else np.flatnonzero(rng.random(n) < 0.8)
+        inheritance = data.cuts(parent, None, min_leaf).inheritance()
+        threshold = X[rng.integers(0, n), feature]
+        for rows, inherited in data.partition(parent, inheritance, feature, threshold):
+            fresh = data.cuts(rows, None, min_leaf)
+            assert set(fresh.binary.feats) <= set(inherited[1])
+            got = data.cuts(rows, inherited, min_leaf)
+            assert np.array_equal(got.binary.feats, fresh.binary.feats)
+            assert np.array_equal(got.binary.low, fresh.binary.low)
+            assert np.array_equal(got.block, fresh.block)
 
     def test_key_dtype_at_the_boundaries(self):
         for n, dtype in ((255, np.uint8), (256, np.uint16), (65535, np.uint16), (65536, np.uint32)):
