@@ -6,24 +6,26 @@ GRS80 by default), so distances and tolerances mean what they say.
 
 import numpy as np
 
-from flowline_risk.crs import GeoPoint, ProjectionParams, project, unproject
+from flowline_risk.crs import ProjectionParams, project, unproject
 from flowline_risk.geometry import MultiLineArray
 from flowline_risk.matcher import segment_distances
 
 params = ProjectionParams()
 print("projection defaults:", params)
 
-# The equator point on the central meridian lands exactly on the false easting.
-print("\n(0 N, 105 W)  ->", project(GeoPoint(0.0, -105.0), params))
-sample = GeoPoint(39.75, -105.0)
-p = project(sample, params)
-print("(39.75 N, 105 W) ->", p)
-print("and back         ->", unproject(p, params))
+# Both directions map arrays: every point of a batch in one call. The
+# equator point on the central meridian lands exactly on the false easting.
+lat = np.array([0.0, 39.75, 40.0])
+lon = np.array([-105.0, -105.0, -105.27])
+x, y = project(lat, lon, params)
+for la, lo, px, py in zip(lat, lon, x, y):
+    print(f"({la:6.2f} N, {-lo:6.2f} W) -> ({px:.3f}, {py:.3f})")
+back_lat, back_lon = unproject(x, y, params)
+print("and back:", [(round(a, 9), round(b, 9)) for a, b in zip(back_lat.tolist(), back_lon.tolist())])
 
 # Round trip error stays far below the 25 m matching tolerance.
-q = project(GeoPoint(40.0, -105.27), params)
-r = project(unproject(q, params), params)
-print(f"round-trip residue: {q.distance_to(r):.2e} m")
+x2, y2 = project(back_lat, back_lon, params)
+print(f"round-trip residue: {np.max(np.hypot(x2 - x, y2 - y)):.2e} m")
 
 # One geometry of two members, a dogleg plus a short spur, as the flat
 # arrays every stage measures and matches on.

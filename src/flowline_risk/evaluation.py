@@ -92,24 +92,6 @@ def _ratio(num: float, den: float, name: str, undefined: list[str]) -> float:
     return num / den
 
 
-def metrics(cm: ConfusionMatrix) -> tuple[float, float, float, float, tuple[str, ...]]:
-    """(accuracy, precision, recall, f1) of the positive class, plus the
-    names of any ratios that hit the 0/0 convention."""
-    undefined: list[str] = []
-    accuracy = _ratio(cm.tp + cm.tn, cm.n, "accuracy", undefined)
-    precision = _ratio(cm.tp, cm.tp + cm.fp, "precision", undefined)
-    recall = _ratio(cm.tp, cm.tp + cm.fn, "recall", undefined)
-    f1 = _ratio(2 * precision * recall, precision + recall, "f1", undefined)
-    return accuracy, precision, recall, f1, tuple(undefined)
-
-
-def f1_score(precision: float, recall: float) -> float:
-    """Harmonic mean, 0 when both inputs are 0."""
-    if precision + recall == 0:
-        return 0.0
-    return 2 * precision * recall / (precision + recall)
-
-
 def _per_class(cm: ConfusionMatrix, positive: int, undefined: list[str]):
     if positive == 1:
         tp, fp, fn = cm.tp, cm.fp, cm.fn

@@ -48,7 +48,7 @@ def write_text_atomic(path, text: str) -> None:
         fh.write(text)
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _json_pieces(obj, depth: int):
@@ -79,15 +79,22 @@ def write_json(path, obj) -> None:
     and each value of a top-level object's objects, such as merged.json's
     columns, on its own, so it never sits in memory as one string next to
     its encoded copy; for merged.json that pair would set the merge stage's
-    peak.
+    peak. A NaN or an infinity in obj raises ValueError: JSON has none.
     """
     with open_atomic(path) as fh:
         fh.writelines(_json_pieces(obj, 2))
         fh.write("\n")
 
 
-def read_json(path, object_hook=None):
-    return json.loads(Path(path).read_text(encoding="utf-8"), object_hook=object_hook)
+def _refuse_constant(name: str):
+    raise ValueError(f"non-finite number {name}")
+
+
+def read_json(path, object_hook=None, finite: bool = False):
+    """The JSON document at path. With finite, the NaN and Infinity tokens
+    json would accept raise ValueError, since write_json writes none."""
+    return json.loads(Path(path).read_text(encoding="utf-8"), object_hook=object_hook,
+                      parse_constant=_refuse_constant if finite else None)
 
 
 def write_csv(path, header, rows) -> None:

@@ -1,4 +1,4 @@
-"""Planar points and flowline geometries for flowline analysis.
+"""Flowline geometries for flowline analysis.
 
 All coordinates are metric (projected plane); distances are Euclidean.
 Geographic coordinates must be projected before they reach this module.
@@ -13,21 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class Point2D:
-    """A point in the projected plane, meters."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite coordinates ({self.x}, {self.y})")
-
-    def distance_to(self, other: "Point2D") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
 
 
 def expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,9 @@ import logging
 import math
 from dataclasses import dataclass, field
 
-from .crs import GeoPoint, ProjectionParams, ZONE_HALF_WIDTH_DEG, project
+import numpy as np
+
+from .crs import ProjectionParams, project, zone_violation
 from .fileio import read_json, write_csv
 from .geometry import MultiLineArray
 
@@ -162,10 +164,6 @@ class CategoryMap:
         return "OTHER"
 
 
-def normalize_category(raw: str, column: str, category_map: CategoryMap) -> str:
-    return category_map.normalize(raw, column)
-
-
 def default_category_map() -> CategoryMap:
     """Fluid and material vocabularies with common misspellings folded in."""
     return CategoryMap({
@@ -233,12 +231,16 @@ def parse_descriptive(
         row_ids.append(row_id)
         operators.append(operator)
         geometries.append(members)
-    table = DescriptiveFlowlines(row_ids, operators, MultiLineArray.from_coordinates(geometries))
-    return ParseResult(table, diagnostics)
+    geometry = MultiLineArray.from_coordinates(geometries)
+    if geographic:
+        x, y = project(geometry.xy[:, 1], geometry.xy[:, 0], params)
+        geometry = MultiLineArray(np.column_stack((x, y)), geometry.parts, geometry.geoms)
+    return ParseResult(DescriptiveFlowlines(row_ids, operators, geometry), diagnostics)
 
 
 def _parse_feature(feature, i, geographic, params) -> tuple[str, str, list]:
-    """(row id, operator, members as lists of projected (x, y) pairs)."""
+    """(row id, operator, members as lists of (x, y) pairs), the pairs
+    (longitude, latitude) inside the projection window when geographic."""
     if not isinstance(feature, dict) or feature.get("type") != "Feature":
         raise SchemaViolation(i, "not a Feature")
     geom = feature.get("geometry") or {}
@@ -273,12 +275,10 @@ def _parse_feature(feature, i, geographic, params) -> tuple[str, str, list]:
             except OverflowError:  # an integer beyond the float range
                 raise SchemaViolation(i, f"non-finite coordinate {coord!r}")
             if geographic:
-                try:
-                    p = project(GeoPoint(cy, cx), params)
-                except ValueError as exc:  # out of range, or OutOfZone
-                    raise SchemaViolation(i, f"coordinate {coord!r}: {exc}")
-                cx, cy = p.x, p.y
-            if not (math.isfinite(cx) and math.isfinite(cy)):
+                problem = _geographic_problem(cy, cx) or zone_violation(cx, params)
+                if problem:
+                    raise SchemaViolation(i, f"coordinate {coord!r}: {problem}")
+            elif not (math.isfinite(cx) and math.isfinite(cy)):
                 raise SchemaViolation(i, f"non-finite coordinate {coord!r}")
             points.append((cx, cy))
         members.append(points)
@@ -332,17 +332,28 @@ def _parse_number(raw: str, field_name: str, row: int, minimum: float, strict: b
     return value
 
 
+def _geographic_problem(lat: float, lon: float) -> str:
+    """Why (lat, lon) are not degrees on the globe, or "" when they are."""
+    if not (math.isfinite(lat) and math.isfinite(lon)):
+        return "non-finite geographic coordinates"
+    if not -90.0 <= lat <= 90.0:
+        return f"latitude {lat} outside [-90, 90]"
+    if not -180.0 <= lon <= 180.0:
+        return f"longitude {lon} outside [-180, 180]"
+    return ""
+
+
 def _parse_geopoint(lat_raw: str, lon_raw: str, label: str, row: int, params: ProjectionParams) -> list[float]:
-    """[latitude, longitude] of a point inside the projection window."""
+    """[latitude, longitude] of a point inside the projection window; the
+    merge and the spill attribution project every row's points in one call."""
     try:
         lat, lon = float(lat_raw), float(lon_raw)
     except ValueError:
         raise SchemaViolation(row, f"bad {label} coordinates ({lat_raw!r}, {lon_raw!r})")
-    try:
-        GeoPoint(lat, lon)
-    except ValueError as exc:
-        raise SchemaViolation(row, f"{label}: {exc}")
-    if abs(lon - params.central_meridian) >= ZONE_HALF_WIDTH_DEG:
+    problem = _geographic_problem(lat, lon)
+    if problem:
+        raise SchemaViolation(row, f"{label}: {problem}")
+    if zone_violation(lon, params):
         raise SchemaViolation(row, f"{label} longitude {lon} outside the projection window")
     return [lat, lon]
 

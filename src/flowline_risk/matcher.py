@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crs import GeoPoint, ProjectionParams, project
+from .crs import ProjectionParams, project
 from .fileio import write_csv
 from .geometry import MultiLineArray, expand_ranges
 from .ingest import MERGED_COLUMNS, DescriptiveFlowlines, Table, normalize_operator
@@ -118,10 +118,9 @@ class AuditRecord:
 
 
 def project_points(points: list, params: ProjectionParams = ProjectionParams()) -> tuple[np.ndarray, np.ndarray]:
-    """x and y arrays of [latitude, longitude] points, each projected by crs.project."""
-    projected = [project(GeoPoint(lat, lon), params) for lat, lon in points]
-    return (np.array([p.x for p in projected], dtype=np.float64),
-            np.array([p.y for p in projected], dtype=np.float64))
+    """x and y arrays of [latitude, longitude] points, projected in one call."""
+    lat_lon = np.array(points, dtype=np.float64).reshape(-1, 2)
+    return project(lat_lon[:, 0], lat_lon[:, 1], params)
 
 
 def segment_distances(px: np.ndarray, py: np.ndarray, segments: np.ndarray, first: np.ndarray,

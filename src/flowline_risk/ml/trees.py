@@ -558,14 +558,6 @@ class RegressionTree(_Grower):
         self.max_depth = max_depth
         self.min_leaf = min_leaf
 
-    def fit_predict(self, X, targets, leaf_value=None) -> np.ndarray:
-        """Grow the tree and return its prediction for every training row."""
-        targets = np.asarray(targets, dtype=float)
-        if leaf_value is None:
-            leaf_value = lambda idx: float(np.mean(targets[idx]))
-        data = _Rows(np.asarray(X, dtype=float))
-        return self._fit_rows(data, data.rows, targets, leaf_value)
-
     def _fit_rows(self, data: _Rows, root, targets, leaf_value) -> np.ndarray:
         """Grow over rows `root` of data.X, given targets over data.X's rows."""
         return self._grow(data, root, targets, lambda cuts, rows: _sse_split(cuts, targets),

@@ -165,13 +165,13 @@ class Manifest:
 
     def read_json(self, name: str):
         """Artifact `name` as JSON, checked as require() checks it; each of
-        its objects is an ArtifactObject. Bytes that are not UTF-8 JSON raise
-        InconsistentArtifact."""
+        its objects is an ArtifactObject. Bytes that are not UTF-8 JSON, or
+        hold a NaN or an infinity, raise InconsistentArtifact."""
         path = self.require(name)
         source = (name, self.entries[name]["stage"])
         try:
-            return read_json(path, object_hook=lambda d: ArtifactObject(d, source))
-        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            return read_json(path, object_hook=lambda d: ArtifactObject(d, source), finite=True)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError or a non-finite number
             raise self.inconsistent(name, exc) from exc
 
     def read_csv(self, name: str, header: list[str], parse) -> list:
@@ -262,8 +262,7 @@ def stage_synth(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
         "n_lines": synth_cfg.n_lines,
         "preset": cfg.synth_preset.lower(),
         "placement_attempts": result.attempts,
-        "rejected_before_snap": result.rejected_before_snap,
-        "rejected_after_snap": result.rejected_after_snap,
+        "rejected_attempts": result.rejected,
     }
 
 

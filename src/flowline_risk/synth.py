@@ -22,9 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .crs import GeoPoint, ProjectionParams, project, unproject
+from .crs import ProjectionParams, project, unproject
 from .fileio import write_csv, write_json
-from .geometry import Point2D
 # The settings are the generator's API too: synth.SynthConfig, synth.config_a, ...
 from .synth_settings import _OPERATOR_NAMES, BadSynthSetting, SynthConfig, config_a, config_b
 
@@ -45,13 +44,14 @@ _PLACEMENT_ATTEMPTS = 10_000
 _MEMBER_PROBS = {1: (1.0,), 2: (0.65, 0.35), 3: (0.6, 0.25, 0.15)}
 
 # Snapping a point through its written degrees (unproject, 12-decimal
-# rounding, project) moves it by under 1e-7 m within 100 km of the central
-# meridian and by under 5 cm anywhere in the projection zone. A junction
-# moves with both ends, and its swing turns with the chain, so it moves by
-# up to (1 + 10 / length) times as much. For chains of _SLACK_MIN_LENGTH or
-# more that stays far below _SNAP_SLACK (tests/test_synth.py measures the
-# margin); shorter chains skip the separation test before snapping.
-_SNAP_SLACK = 1.0
+# rounding, project) moves it by under 1e-7 m anywhere in the projection
+# zone. A junction moves with both ends, and its swing turns with the chain,
+# so it moves by up to (1 + 10 / length) times as much. Attempts are tested
+# unsnapped, against min_separation plus a slack that is at least four times
+# the largest move of the config's shortest chains (see _separation_radius;
+# tests/test_synth.py measures the margin), so the snapped key points keep
+# min_separation.
+_SNAP_SLACK = 1e-3
 _SLACK_MIN_LENGTH = 10.0
 
 
@@ -61,13 +61,10 @@ class InfeasiblePacking(RuntimeError):
 
 @dataclass
 class GroundTruth:
-    """True mappings plus the generator-side values derived tests check."""
+    """The true mappings."""
 
     line_matches: dict[str, str] = field(default_factory=dict)   # op id -> desc id
     spill_matches: dict[str, str] = field(default_factory=dict)  # spill id -> op id
-    projected_endpoints: dict[str, tuple[Point2D, Point2D]] = field(default_factory=dict)
-    junctions: dict[str, list[Point2D]] = field(default_factory=dict)
-    member_counts: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -78,8 +75,7 @@ class SynthResult:
     ground_truth_path: Path
     ground_truth: GroundTruth
     attempts: int                 # placement attempts, placed ones included
-    rejected_before_snap: int     # outside the area, or too close with the snap slack
-    rejected_after_snap: int      # too close once snapped
+    rejected: int                 # outside the area, or too close with the snap slack
 
 
 @dataclass
@@ -88,12 +84,17 @@ class _Line:
     op_id: str
     operator_idx: int
     location_id: str
-    vertices: list[tuple[float, float]]   # full chain, start to end
+    start: tuple[float, float]            # the placed ends, before the snap
+    end: tuple[float, float]
+    ts: np.ndarray                        # the chain's draws, see _chain
+    swings: list[float]
     junction_idx: list[int]               # chain indices where members split
-    start_geo: tuple[float, float]        # lat, lon of the true start
-    end_geo: tuple[float, float]
     length_m: float
     direction: float
+    # Set by _snap:
+    start_geo: tuple[float, float] = ()   # lat, lon of the true start, as written
+    end_geo: tuple[float, float] = ()
+    vertices: list[tuple[float, float]] = field(default_factory=list)  # start to end
 
 
 class _Grid:
@@ -127,10 +128,10 @@ def _truncated_normal(rng: np.random.Generator, sigma: float, size=None):
     return np.clip(rng.normal(0.0, sigma, size=size), -3.0 * sigma, 3.0 * sigma)
 
 
-def _round_geo(lat: float, lon: float) -> tuple[float, float]:
+def _round_geo(degrees: np.ndarray) -> list[float]:
     # Parse back the exact text that lands in the CSV so ground truth and
     # pipeline see bit-identical coordinates.
-    return float(f"{lat:.12f}"), float(f"{lon:.12f}")
+    return [float(f"{d:.12f}") for d in degrees.tolist()]
 
 
 def generate(cfg: SynthConfig, out_dir, params: ProjectionParams = ProjectionParams()) -> SynthResult:
@@ -139,23 +140,16 @@ def generate(cfg: SynthConfig, out_dir, params: ProjectionParams = ProjectionPar
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(cfg.seed)
 
-    center = project(GeoPoint(39.0, params.central_meridian), params)
-    origin_x = center.x - cfg.area / 2.0
-    origin_y = center.y - cfg.area / 2.0
+    center_x, center_y = project(39.0, params.central_meridian, params)
+    origin_x = float(center_x) - cfg.area / 2.0
+    origin_y = float(center_y) - cfg.area / 2.0
     margin = max(3.0 * cfg.endpoint_jitter_sigma + 3.0 * cfg.spill_lateral_sigma + 10.0, 50.0)
 
     lines, counts = _place_lines(cfg, rng, origin_x, origin_y, margin, params)
     spills = _place_spills(cfg, rng, lines)
 
-    truth = GroundTruth()
-    for line in lines:
-        truth.line_matches[line.op_id] = line.desc_id
-        truth.junctions[line.desc_id] = [
-            Point2D(*line.vertices[j]) for j in line.junction_idx
-        ]
-        truth.member_counts[line.desc_id] = len(line.junction_idx) + 1
-    for spill in spills:
-        truth.spill_matches[spill.spill_id] = spill.op_id
+    truth = GroundTruth({line.op_id: line.desc_id for line in lines},
+                        {spill.spill_id: spill.op_id for spill in spills})
 
     desc_path = out / "descriptive.geojson"
     op_path = out / "operational.csv"
@@ -163,7 +157,7 @@ def generate(cfg: SynthConfig, out_dir, params: ProjectionParams = ProjectionPar
     gt_path = out / "ground_truth.csv"
 
     _write_descriptive(desc_path, lines)
-    _write_operational(op_path, cfg, lines, rng, truth, params)
+    _write_operational(op_path, cfg, lines, rng, params)
     _write_spills(spill_path, spills, params)
     _write_ground_truth(gt_path, truth)
 
@@ -171,9 +165,10 @@ def generate(cfg: SynthConfig, out_dir, params: ProjectionParams = ProjectionPar
 
 
 def _place_lines(cfg, rng, origin_x, origin_y, margin, params):
-    """Place every line; returns the lines and the counts of attempts, of
-    rejections before snapping and of rejections after it."""
-    grid = _Grid(cell=max(cfg.min_separation, 25.0))
+    """Place every line, then snap them all; returns the lines and the counts
+    of attempts and of rejected attempts."""
+    separation = _separation_radius(cfg)
+    grid = _Grid(cell=max(separation, 25.0))
     lines: list[_Line] = []
     lo, hi = margin, cfg.area - margin
     if hi <= lo:
@@ -181,7 +176,7 @@ def _place_lines(cfg, rng, origin_x, origin_y, margin, params):
     min_length, max_length = cfg.length_range
     member_cdf = _member_cdf(cfg.max_members)
 
-    attempts = rejected_before_snap = rejected_after_snap = 0
+    attempts = rejected = 0
     for i in range(cfg.n_lines):
         for _ in range(_PLACEMENT_ATTEMPTS):
             attempts += 1
@@ -190,8 +185,8 @@ def _place_lines(cfg, rng, origin_x, origin_y, margin, params):
                 parent = lines[int(rng.integers(len(lines)))]
                 radius = cfg.min_separation + rng.uniform(0.0, 20.0)
                 angle = rng.uniform(0.0, 2.0 * math.pi)
-                sx = parent.vertices[0][0] + radius * math.cos(angle)
-                sy = parent.vertices[0][1] + radius * math.sin(angle)
+                sx = parent.start[0] + radius * math.cos(angle)
+                sy = parent.start[1] + radius * math.sin(angle)
                 direction = parent.direction + math.radians(rng.uniform(-10.0, 10.0))
                 length = parent.length_m * rng.uniform(0.85, 1.15)
                 length = float(min(max(length, min_length), max_length))
@@ -209,50 +204,54 @@ def _place_lines(cfg, rng, origin_x, origin_y, margin, params):
             ey = sy + length * math.sin(direction)
             if not (origin_x + lo <= sx <= origin_x + hi and origin_y + lo <= sy <= origin_y + hi
                     and origin_x + lo <= ex <= origin_x + hi and origin_y + lo <= ey <= origin_y + hi):
-                rejected_before_snap += 1
+                rejected += 1
                 continue
 
-            # Every draw of the attempt comes before its separation test, so
-            # a rejected attempt leaves the stream where the old order did.
             ts, swings = _chain_draws(rng)
             n_members = 1 + bisect_right(member_cdf, rng.random())
             junction_idx = _pick_junctions(rng, len(ts) + 2, n_members)
-
-            # Snapping moves each key point by less than _SNAP_SLACK, so an
-            # attempt already that close fails the exact test below as well.
-            if length >= _SLACK_MIN_LENGTH and grid.too_close(
-                    _key_points(_chain(sx, sy, ex, ey, ts, swings), junction_idx),
-                    cfg.min_separation - _SNAP_SLACK):
-                rejected_before_snap += 1
-                continue
-
-            # Snap endpoints through the geographic representation that will
-            # be written, so files and ground truth agree to the last bit.
-            start_geo = _round_geo(*_unproject_xy(sx, sy, params))
-            end_geo = _round_geo(*_unproject_xy(ex, ey, params))
-            p_start = project(GeoPoint(*start_geo), params)
-            p_end = project(GeoPoint(*end_geo), params)
-
-            vertices = _chain(p_start.x, p_start.y, p_end.x, p_end.y, ts, swings)
-            key_points = _key_points(vertices, junction_idx)
-            if grid.too_close(key_points, cfg.min_separation):
-                rejected_after_snap += 1
+            key_points = _key_points(_chain(sx, sy, ex, ey, ts, swings), junction_idx)
+            if grid.too_close(key_points, separation):
+                rejected += 1
                 continue
 
             grid.add(key_points)
             lines.append(_Line(
                 desc_id=f"D{i:05d}", op_id=f"OP{i:05d}",
                 operator_idx=operator_idx, location_id=location_id,
-                vertices=vertices, junction_idx=junction_idx,
-                start_geo=start_geo, end_geo=end_geo,
-                length_m=length, direction=direction,
+                start=(sx, sy), end=(ex, ey), ts=ts, swings=swings,
+                junction_idx=junction_idx, length_m=length, direction=direction,
             ))
             break
         else:
             raise InfeasiblePacking(
                 f"could not place line {i} after {_PLACEMENT_ATTEMPTS} attempts"
             )
-    return lines, (attempts, rejected_before_snap, rejected_after_snap)
+    _snap(lines, params)
+    return lines, (attempts, rejected)
+
+
+def _separation_radius(cfg) -> float:
+    """The distance an attempt's unsnapped key points must keep from those
+    placed: min_separation plus the snap slack, which grows for configs whose
+    chains can be shorter than _SLACK_MIN_LENGTH. A min_separation of 0
+    accepts every attempt."""
+    if cfg.min_separation == 0.0:
+        return 0.0
+    return cfg.min_separation + _SNAP_SLACK * max(1.0, _SLACK_MIN_LENGTH / cfg.length_range[0])
+
+
+def _snap(lines: list[_Line], params) -> None:
+    """Set each line's written degrees, its ends rounded to 12 decimals, and
+    its chain between those degrees projected back, so files and chains
+    agree to the last bit. One unproject and one project serve every line."""
+    ends = np.array([line.start + line.end for line in lines]).reshape(-1, 2)
+    lat, lon = unproject(ends[:, 0], ends[:, 1], params)
+    lat, lon = _round_geo(lat), _round_geo(lon)
+    x, y = (v.tolist() for v in project(lat, lon, params))
+    for k, line in enumerate(lines):
+        line.start_geo, line.end_geo = (lat[2 * k], lon[2 * k]), (lat[2 * k + 1], lon[2 * k + 1])
+        line.vertices = _chain(x[2 * k], y[2 * k], x[2 * k + 1], y[2 * k + 1], line.ts, line.swings)
 
 
 def _member_cdf(max_members: int) -> list[float]:
@@ -261,11 +260,6 @@ def _member_cdf(max_members: int) -> list[float]:
     cdf = np.cumsum(_MEMBER_PROBS[min(max_members, 3)])
     cdf /= cdf[-1]
     return cdf.tolist()
-
-
-def _unproject_xy(x, y, params) -> tuple[float, float]:
-    g = unproject(Point2D(x, y), params)
-    return g.latitude, g.longitude
 
 
 def _chain_draws(rng) -> tuple[np.ndarray, list[float]]:
@@ -379,74 +373,65 @@ def _write_descriptive(path, lines: list[_Line]) -> None:
     write_json(path, {"type": "FeatureCollection", "features": features})
 
 
-def _write_operational(path, cfg, lines, rng, truth: GroundTruth, params) -> None:
+def _write_operational(path, cfg, lines, rng, params) -> None:
     from .ingest import OPERATIONAL_HEADER
 
     construction_window = (datetime.date(1975, 1, 1), datetime.date(2020, 12, 31))
     window_days = (construction_window[1] - construction_window[0]).days
 
-    def rows():
-        for line in lines:
-            # The chain's end vertices are the projections of the written
-            # endpoints (see _place_lines).
-            p_start, p_end = Point2D(*line.vertices[0]), Point2D(*line.vertices[-1])
-            if cfg.endpoint_jitter_sigma > 0.0:
-                jx, jy = _truncated_normal(rng, cfg.endpoint_jitter_sigma, size=2)
-                kx, ky = _truncated_normal(rng, cfg.endpoint_jitter_sigma, size=2)
-                start_geo = _round_geo(*_unproject_xy(p_start.x + jx, p_start.y + jy, params))
-                end_geo = _round_geo(*_unproject_xy(p_end.x + kx, p_end.y + ky, params))
-                truth.projected_endpoints[line.op_id] = (
-                    project(GeoPoint(*start_geo), params),
-                    project(GeoPoint(*end_geo), params),
-                )
-            else:
-                start_geo, end_geo = line.start_geo, line.end_geo
-                truth.projected_endpoints[line.op_id] = (p_start, p_end)
-
-            length_m = sum(
-                math.hypot(x1 - x0, y1 - y0)
-                for (x0, y0), (x1, y1) in zip(line.vertices, line.vertices[1:])
-            )
-            construction = construction_window[0] + datetime.timedelta(
-                days=int(rng.integers(window_days))
-            )
-            yield [
-                line.op_id,
-                _operator_number(line.operator_idx),
-                f"F{line.desc_id[1:]}",
-                line.location_id,
-                _STATUS[int(rng.integers(len(_STATUS)))],
-                _ACTIONS[int(rng.integers(len(_ACTIONS)))],
-                _LOCATION_TYPES[int(rng.integers(len(_LOCATION_TYPES)))],
-                _FLUIDS[int(rng.integers(len(_FLUIDS)))],
-                _MATERIALS[int(rng.integers(len(_MATERIALS)))],
-                f"{_DIAMETERS[int(rng.integers(len(_DIAMETERS)))]:g}",
-                f"{length_m * 3.28084:.1f}",
-                f"{rng.uniform(50.0, 1500.0):.0f}",
-                construction.isoformat(),
-                _operator_name(line.operator_idx),
-                f"{start_geo[0]:.12f}", f"{start_geo[1]:.12f}",
-                f"{end_geo[0]:.12f}", f"{end_geo[1]:.12f}",
-            ]
-
-    write_csv(path, OPERATIONAL_HEADER, rows())
+    # Each line draws its jitter, then its attributes; the jittered ends of
+    # every line are unprojected afterwards, in one call.
+    jittered, rows = [], []
+    for line in lines:
+        (x0, y0), (x1, y1) = line.vertices[0], line.vertices[-1]
+        if cfg.endpoint_jitter_sigma > 0.0:
+            jx, jy = _truncated_normal(rng, cfg.endpoint_jitter_sigma, size=2)
+            kx, ky = _truncated_normal(rng, cfg.endpoint_jitter_sigma, size=2)
+            jittered.append((x0 + jx, y0 + jy, x1 + kx, y1 + ky))
+        length_m = sum(
+            math.hypot(xb - xa, yb - ya)
+            for (xa, ya), (xb, yb) in zip(line.vertices, line.vertices[1:])
+        )
+        construction = construction_window[0] + datetime.timedelta(
+            days=int(rng.integers(window_days))
+        )
+        rows.append([
+            line.op_id,
+            _operator_number(line.operator_idx),
+            f"F{line.desc_id[1:]}",
+            line.location_id,
+            _STATUS[int(rng.integers(len(_STATUS)))],
+            _ACTIONS[int(rng.integers(len(_ACTIONS)))],
+            _LOCATION_TYPES[int(rng.integers(len(_LOCATION_TYPES)))],
+            _FLUIDS[int(rng.integers(len(_FLUIDS)))],
+            _MATERIALS[int(rng.integers(len(_MATERIALS)))],
+            f"{_DIAMETERS[int(rng.integers(len(_DIAMETERS)))]:g}",
+            f"{length_m * 3.28084:.1f}",
+            f"{rng.uniform(50.0, 1500.0):.0f}",
+            construction.isoformat(),
+            _operator_name(line.operator_idx),
+        ])
+    if jittered:
+        xy = np.array(jittered).reshape(-1, 2)
+        lat, lon = (_round_geo(v) for v in unproject(xy[:, 0], xy[:, 1], params))
+        geo = [(lat[k], lon[k], lat[k + 1], lon[k + 1]) for k in range(0, len(lat), 2)]
+    else:
+        # Unjittered ends are the snapped ones, whose degrees are known.
+        geo = [line.start_geo + line.end_geo for line in lines]
+    write_csv(path, OPERATIONAL_HEADER,
+              (row + [f"{v:.12f}" for v in degrees] for row, degrees in zip(rows, geo)))
 
 
 def _write_spills(path, spills: list[_Spill], params: ProjectionParams) -> None:
     from .ingest import SPILL_HEADER
 
-    def rows():
-        for spill in spills:
-            lat, lon = _round_geo(*_unproject_xy(*spill.xy, params))
-            yield [
-                spill.spill_id,
-                spill.operator_name,
-                f"{lat:.12f}", f"{lon:.12f}",
-                spill.root_cause,
-                spill.report_date.isoformat(),
-            ]
-
-    write_csv(path, SPILL_HEADER, rows())
+    xy = np.array([spill.xy for spill in spills]).reshape(-1, 2)
+    lat, lon = (_round_geo(v) for v in unproject(xy[:, 0], xy[:, 1], params))
+    write_csv(path, SPILL_HEADER, (
+        [spill.spill_id, spill.operator_name, f"{la:.12f}", f"{lo:.12f}",
+         spill.root_cause, spill.report_date.isoformat()]
+        for spill, la, lo in zip(spills, lat, lon)
+    ))
 
 
 def _write_ground_truth(path, truth: GroundTruth) -> None:

@@ -100,7 +100,7 @@ def make_operational(row_id="OP1", lat=39.0, lon=-105.0, lat2=39.001, lon2=-105.
                      operator="Acme Energy LLC", **kw):
     """One OperationalFlowline record, the form the oracles read;
     merged_oracle.operational_table turns a list of them into the package's Table."""
-    from flowline_risk.crs import GeoPoint
+    from crs_oracle import GeoPoint
     from merged_oracle import OperationalFlowline
 
     defaults = dict(

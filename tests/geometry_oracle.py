@@ -1,9 +1,9 @@
 """Planar polylines, one Point2D at a time, kept as the reference for
 `geometry.MultiLineArray` and `matcher.segment_distances`.
 
-These are the package's original scalar geometry classes and functions:
-each geometry is a MultiLine of PolyLine members of Point2D vertices, and
-every measurement loops over them in Python. The tests check that the flat
+These are the package's original scalar geometry classes and functions,
+Point2D included: each geometry is a MultiLine of PolyLine members of
+Point2D vertices, and every measurement loops over them in Python. The tests check that the flat
 arrays measure lengths, member and segment counts, bounding boxes and
 point distances bit for bit as these do. naive_length re-sums the length
 independently, to check multiline_length itself.
@@ -14,7 +14,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from flowline_risk.geometry import Point2D
+
+
+@dataclass(frozen=True)
+class Point2D:
+    """A point in the projected plane, meters."""
+
+    x: float
+    y: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise ValueError(f"non-finite coordinates ({self.x}, {self.y})")
+
+    def distance_to(self, other: "Point2D") -> float:
+        return math.hypot(self.x - other.x, self.y - other.y)
 
 
 @dataclass(frozen=True)

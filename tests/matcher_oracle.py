@@ -16,13 +16,13 @@ import math
 
 import numpy as np
 
-from flowline_risk.crs import ProjectionParams, project
-from flowline_risk.geometry import Point2D
+from flowline_risk.crs import ProjectionParams
 from flowline_risk.ingest import normalize_operator
 from flowline_risk.matcher import AuditRecord, SpillAttribution, ToleranceLadder
 from flowline_risk.spatial_index import SpatialIndex
 
-from geometry_oracle import MultiLine, PolyLine, bounding_box, endpoint_set, point_to_multiline_distance
+from crs_oracle import project_point
+from geometry_oracle import MultiLine, Point2D, PolyLine, bounding_box, endpoint_set, point_to_multiline_distance
 from merged_oracle import DescriptiveFlowline, MergedFlowline, OperationalFlowline, SpillRecord
 
 
@@ -34,8 +34,8 @@ def interpolate_line(
     rec: OperationalFlowline, params: ProjectionParams = ProjectionParams()
 ) -> PolyLine:
     """Straight two-vertex polyline between the projected endpoints."""
-    start = project(rec.start, params)
-    end = project(rec.end, params)
+    start = project_point(rec.start, params)
+    end = project_point(rec.end, params)
     if start.distance_to(end) < 1e-6:
         raise DegenerateLine(
             f"record {rec.source_row_id}: projected endpoints coincide within 1e-6 m"
@@ -154,7 +154,7 @@ def match_spills(
 
     attributions: list[SpillAttribution] = []
     for spill in spills:
-        p = project(spill.location, params)
+        p = project_point(spill.location, params)
         spill_op = normalize_operator(spill.operator_name)
         hit = None
         for t in ladder.steps:

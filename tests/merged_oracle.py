@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from flowline_risk.crs import GeoPoint, ProjectionParams
+from flowline_risk.crs import ProjectionParams
 from flowline_risk.evaluation import FrequencyTable, _frequency_table
 from flowline_risk.features import (
     NUMERIC_COLUMNS,
@@ -34,7 +34,7 @@ from flowline_risk.features import (
     FutureDate,
     one_hot,
 )
-from flowline_risk.geometry import MultiLineArray, Point2D
+from flowline_risk.geometry import MultiLineArray
 from flowline_risk.ingest import (
     MERGED_COLUMNS,
     OPERATIONAL_COLUMNS,
@@ -55,7 +55,8 @@ from flowline_risk.ingest import (
 )
 from flowline_risk.matcher import DanglingReference, MergedFlowlines, SpillAttribution
 
-from geometry_oracle import MultiLine, PolyLine, bounding_box, line_count, multiline_length
+from crs_oracle import GeoPoint
+from geometry_oracle import MultiLine, Point2D, PolyLine, bounding_box, line_count, multiline_length
 
 
 @dataclass(frozen=True)

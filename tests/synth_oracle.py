@@ -1,11 +1,13 @@
-"""Line placement as it was before attempts were rejected ahead of the snap,
-kept verbatim as a test oracle.
+"""Line placement that snaps each line as soon as it is placed, kept as a
+test oracle.
 
-Every attempt that stays inside the area snaps both endpoints through
-unproject, 12-decimal rounding and project, builds its chain from the
-snapped ends and only then runs the separation test; the member count is
-drawn with Generator.choice. The generator must write the same bytes with
-this placement as with the one in flowline_risk.synth.
+Every attempt makes its draws (the chain's interior positions and swings
+first, then the member count with Generator.choice) and is tested unsnapped
+against min_separation plus the snap slack. A placed line's endpoints are
+snapped at once through unproject, 12-decimal rounding and project, one
+line per call, and its chain is built between the snapped ends. The
+generator, which snaps every placed line in one batch after placement, must
+write the same bytes with this placement as with its own.
 """
 
 from __future__ import annotations
@@ -14,21 +16,25 @@ import math
 
 import numpy as np
 
-from flowline_risk.crs import GeoPoint, project
-from flowline_risk.geometry import Point2D
+from flowline_risk.crs import project, unproject
 from flowline_risk.synth import (
     _PLACEMENT_ATTEMPTS,
+    _SLACK_MIN_LENGTH,
+    _SNAP_SLACK,
     InfeasiblePacking,
     _Grid,
     _Line,
     _pick_junctions,
-    _round_geo,
-    _unproject_xy,
 )
 
 
 def _place_lines(cfg, rng, origin_x, origin_y, margin, params) -> list[_Line]:
-    grid = _Grid(cell=max(cfg.min_separation, 25.0))
+    if cfg.min_separation > 0.0:
+        low = cfg.length_range[0]
+        separation = cfg.min_separation + _SNAP_SLACK * max(1.0, _SLACK_MIN_LENGTH / low)
+    else:
+        separation = 0.0
+    grid = _Grid(cell=max(separation, 25.0))
     lines: list[_Line] = []
     lo, hi = margin, cfg.area - margin
     if hi <= lo:
@@ -51,8 +57,8 @@ def _place_lines(cfg, rng, origin_x, origin_y, margin, params) -> list[_Line]:
                 parent = lines[int(rng.integers(len(lines)))]
                 radius = cfg.min_separation + rng.uniform(0.0, 20.0)
                 angle = rng.uniform(0.0, 2.0 * math.pi)
-                sx = parent.vertices[0][0] + radius * math.cos(angle)
-                sy = parent.vertices[0][1] + radius * math.sin(angle)
+                sx = parent.start[0] + radius * math.cos(angle)
+                sy = parent.start[1] + radius * math.sin(angle)
                 direction = parent.direction + math.radians(rng.uniform(-10.0, 10.0))
                 length = float(np.clip(parent.length_m * rng.uniform(0.85, 1.15), *cfg.length_range))
                 operator_idx = parent.operator_idx
@@ -71,45 +77,45 @@ def _place_lines(cfg, rng, origin_x, origin_y, margin, params) -> list[_Line]:
                     and origin_x + lo <= ex <= origin_x + hi and origin_y + lo <= ey <= origin_y + hi):
                 continue
 
-            # Snap endpoints through the geographic representation that will
-            # be written, so files and ground truth agree to the last bit.
-            start_geo = _round_geo(*_unproject_xy(sx, sy, params))
-            end_geo = _round_geo(*_unproject_xy(ex, ey, params))
-            p_start = project(GeoPoint(*start_geo), params)
-            p_end = project(GeoPoint(*end_geo), params)
-
-            vertices = _build_chain(rng, p_start, p_end)
+            n_interior = int(rng.integers(1, 4))
+            ts = np.sort(rng.uniform(0.15, 0.85, size=n_interior))
+            swings = [rng.uniform(-2.5, 2.5) for _ in ts]
             n_members = int(rng.choice(member_choices[:len(member_probs)], p=member_probs))
-            junction_idx = _pick_junctions(rng, len(vertices), n_members)
+            junction_idx = _pick_junctions(rng, n_interior + 2, n_members)
 
+            vertices = _build_chain((sx, sy), (ex, ey), ts, swings)
             key_points = [vertices[0], vertices[-1]] + [vertices[j] for j in junction_idx]
-            if grid.too_close(key_points, cfg.min_separation):
+            if grid.too_close(key_points, separation):
                 continue
 
+            # Snap the endpoints through the geographic representation that
+            # will be written, so files and chain agree to the last bit.
+            lat, lon = unproject(np.array([sx, ex]), np.array([sy, ey]), params)
+            lat = [float(f"{v:.12f}") for v in lat.tolist()]
+            lon = [float(f"{v:.12f}") for v in lon.tolist()]
+            x, y = project(np.array(lat), np.array(lon), params)
             grid.add(key_points)
             lines.append(_Line(
                 desc_id=f"D{i:05d}", op_id=f"OP{i:05d}",
                 operator_idx=operator_idx, location_id=location_id,
-                vertices=vertices, junction_idx=junction_idx,
-                start_geo=start_geo, end_geo=end_geo,
-                length_m=length, direction=direction,
+                start=(sx, sy), end=(ex, ey), ts=ts, swings=swings,
+                junction_idx=junction_idx, length_m=length, direction=direction,
+                start_geo=(lat[0], lon[0]), end_geo=(lat[1], lon[1]),
+                vertices=_build_chain((float(x[0]), float(y[0])), (float(x[1]), float(y[1])), ts, swings),
             ))
             break
     return lines
 
 
-def _build_chain(rng, p_start: Point2D, p_end: Point2D) -> list[tuple[float, float]]:
+def _build_chain(start, end, ts, swings) -> list[tuple[float, float]]:
     """Vertex chain from start to end with a gentle interior zigzag."""
-    ax, ay = p_start.x, p_start.y
-    bx, by = p_end.x, p_end.y
+    ax, ay = start
+    bx, by = end
     dx, dy = bx - ax, by - ay
     length = math.hypot(dx, dy)
     nx, ny = -dy / length, dx / length
-    n_interior = int(rng.integers(1, 4))
-    ts = np.sort(rng.uniform(0.15, 0.85, size=n_interior))
     chain = [(ax, ay)]
-    for t in ts:
-        swing = rng.uniform(-2.5, 2.5)
+    for t, swing in zip(ts, swings):
         chain.append((ax + t * dx + swing * nx, ay + t * dy + swing * ny))
     chain.append((bx, by))
     return chain

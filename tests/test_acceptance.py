@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 
 from flowline_risk.cli import EXIT_OK, main
-from flowline_risk.crs import GeoPoint, project, unproject
-from flowline_risk.evaluation import f1_score, metric_rows, silhouette_sweep
+from flowline_risk.crs import project, unproject
+from flowline_risk.evaluation import metric_rows, silhouette_sweep
 from flowline_risk.features import ColumnMeta, Dataset, stratified_split
-from flowline_risk.geometry import Point2D
 from flowline_risk.ingest import SPILL_COLUMNS, Table, parse_descriptive, parse_operational, parse_spills
 from flowline_risk.matcher import match_flowlines, match_spills
 from flowline_risk.ml import (
@@ -31,7 +30,7 @@ from flowline_risk.spatial_index import SpatialIndex
 from flowline_risk.synth import REFERENCE_DATE, config_a, config_b, generate
 
 from conftest import random_multiline, three_blobs, two_blobs
-from geometry_oracle import bbox_area, bounding_box, line_count, multiline_length, naive_length
+from geometry_oracle import Point2D, bbox_area, bounding_box, line_count, multiline_length, naive_length
 from rundiff import comparable_files, differing
 from test_spatial_index import near, random_boxes, scan_radius
 
@@ -110,9 +109,9 @@ def test_criterion_03_spill_attribution(tmp_path, capsys):
 
     # spills beyond 25 m of every line: far corner of the generated area
     x, y = merged.geometry.xy[0].tolist()  # the first vertex of the first line
-    far_geo = unproject(Point2D(x - 50_000.0, y - 50_000.0))
+    far_lat, far_lon = unproject(x - 50_000.0, y - 50_000.0)
     far = Table.from_rows(SPILL_COLUMNS, [("FAR1", merged.operational["operator_name"][0],
-                                            [far_geo.latitude, far_geo.longitude], "UNKNOWN",
+                                            [float(far_lat), float(far_lon)], "UNKNOWN",
                                             REFERENCE_DATE.isoformat())])
     far_att = match_spills(far, merged)
     far_unmatched = far_att[0].matched_flowline_id is None
@@ -140,18 +139,12 @@ def test_criterion_04_geometry_crs_numerics(capsys):
         if line_count(g) != len(g.lines):
             geometry_ok = False
 
-    worst_round_trip = 0.0
-    for _ in range(1000):
-        lat = rng.uniform(37.0, 41.0)
-        lon = rng.uniform(-109.0, -102.0)
-        p = project(GeoPoint(lat, lon))
-        q = project(unproject(p))
-        worst_round_trip = max(worst_round_trip, math.hypot(p.x - q.x, p.y - q.y))
+    x, y = project(rng.uniform(37.0, 41.0, 1000), rng.uniform(-109.0, -102.0, 1000))
+    x2, y2 = project(*unproject(x, y))
+    worst_round_trip = float(np.max(np.hypot(x2 - x, y2 - y)))
 
-    easting_ok = all(
-        abs(project(GeoPoint(lat, -105.0)).x - 500000.0) <= 1e-6
-        for lat in np.linspace(0.0, 70.0, 50)
-    )
+    easting, _ = project(np.linspace(0.0, 70.0, 50), np.full(50, -105.0))
+    easting_ok = bool(np.all(np.abs(easting - 500000.0) <= 1e-6))
 
     ok = geometry_ok and worst_round_trip < 1e-3 and easting_ok
     with capsys.disabled():
@@ -236,7 +229,9 @@ def test_criterion_06_model_correctness(capsys):
 
 
 def test_criterion_07_metric_arithmetic(capsys):
-    knn_f1_ok = round(f1_score(0.80, 0.33), 2) == 0.47
+    # precision 0.80 (4 of 5 predicted positives) and recall 4/12
+    knn = metric_rows("KNN", [1] * 4 + [0] + [1] * 8 + [0] * 87, [1] * 5 + [0] * 95)[0]
+    knn_f1_ok = (knn.precision, knn.recall) == (0.8, 4 / 12) and round(knn.f1, 2) == 0.47
 
     y_true = np.array([0] * 990 + [1] * 10)
     y_pred = np.zeros(1000, dtype=int)
@@ -247,7 +242,7 @@ def test_criterion_07_metric_arithmetic(capsys):
     ok = knn_f1_ok and majority_ok
     with capsys.disabled():
         verdict(7, "metric-arithmetic", ok,
-                f"f1(0.80,0.33)->{f1_score(0.80, 0.33):.2f}, majority acc={majority.accuracy:.3f} "
+                f"f1(0.80,0.33)->{knn.f1:.2f}, majority acc={majority.accuracy:.3f} "
                 f"recall={majority.recall}")
 
 

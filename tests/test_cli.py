@@ -321,10 +321,9 @@ class TestRunLog:
         (entry,) = [json.loads(line) for line in
                     (out / "artifacts" / "run_log.jsonl").read_text().splitlines()]
         stats = entry["stats"]
-        assert stats["placement_attempts"] == (
-            80 + stats["rejected_before_snap"] + stats["rejected_after_snap"])
+        assert stats["placement_attempts"] == 80 + stats["rejected_attempts"]
         printed = capsys.readouterr().out
-        for key in ("placement_attempts", "rejected_before_snap", "rejected_after_snap"):
+        for key in ("placement_attempts", "rejected_attempts"):
             assert f"{key}={stats[key]}" in printed
 
     @pytest.mark.parametrize("damage, line_no", [
@@ -657,6 +656,28 @@ class TestStageChaining:
             assert problem in err
             assert err.endswith(f"); rerun stage {writer!r} and the stages after it\n"), err
             assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("value, token", [(math.nan, "NaN"), (math.inf, "Infinity"),
+                                              (-math.inf, "-Infinity")])
+    def test_non_finite_number_names_the_stage_to_rerun(self, finished_run, tmp_path, capsys,
+                                                        value, token):
+        # Every scaler mean in training.json made non-finite, and the
+        # manifest re-hashed: evaluate refuses the artifact instead of
+        # scoring the models on it.
+        cfg, finished = finished_run
+        out = tmp_path / "run"
+        shutil.copytree(finished, out)
+        path = out / "artifacts" / "training.json"
+        doc = json.loads(path.read_text())
+        doc["scaler"]["means"] = [value] * len(doc["scaler"]["means"])
+        path.write_text(json.dumps(doc))
+        pipeline.Manifest(pipeline.RunPaths(out)).record("training", path, "train")
+
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == EXIT_STAGE
+        assert capsys.readouterr().err == (
+            f"stage evaluate failed: artifact 'training' is inconsistent (non-finite number {token}); "
+            f"rerun stage 'train' and the stages after it\n")
 
     def test_rejected_spill_rows_land_in_spill_diagnostics(self, finished_run, tmp_path):
         _, finished = finished_run
@@ -1033,7 +1054,8 @@ class TestArtifactFormat:
 
 
 JSON_DOCS = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=5),
     lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
     | st.dictionaries(st.text(max_size=3), inner, max_size=4)
     | st.dictionaries(st.integers(-3, 3), inner, max_size=3),
@@ -1054,15 +1076,17 @@ class TestWriteJson:
     def test_counters_and_nested_records(self, tmp_path):
         from collections import Counter
         doc = {"stats": {"matched_by_step": Counter(["1", "0", "1"]), "n": 3},
-               "records": [{"b": [1.5, -0.0], "a": {"z": None, "é": "\u2603"}}, {}, []], "": float("nan")}
+               "records": [{"b": [1.5, -0.0], "a": {"z": None, "é": "\u2603"}}, {}, []], "": 1e308}
         fileio.write_json(tmp_path / "doc.json", doc)
         assert (tmp_path / "doc.json").read_text() == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
-    def test_unencodable_document_leaves_the_old_file(self, tmp_path):
+    @pytest.mark.parametrize("bad, error", [(object(), TypeError), (math.nan, ValueError),
+                                            (math.inf, ValueError), (-math.inf, ValueError)])
+    def test_unencodable_document_leaves_the_old_file(self, tmp_path, bad, error):
         path = tmp_path / "doc.json"
         fileio.write_json(path, {"records": [1]})
-        with pytest.raises(TypeError):
-            fileio.write_json(path, {"records": [1, object()]})
+        with pytest.raises(error):
+            fileio.write_json(path, {"records": [1, bad]})
         assert path.read_text() == '{"records":[1]}\n'
         assert list(tmp_path.iterdir()) == [path]
 

@@ -12,16 +12,13 @@ from hypothesis.extra import numpy as hnp
 from flowline_risk import evaluation
 from flowline_risk.evaluation import (
     NO_STRUCTURE_SILHOUETTE,
-    ConfusionMatrix,
     LengthMismatch,
     SingleClassTest,
     SingleCluster,
     confusion,
     eda_summaries,
-    f1_score,
     metric_rows,
     metric_table,
-    metrics,
     silhouette,
     silhouette_sweep,
     silhouettes,
@@ -68,20 +65,30 @@ class TestConfusion:
             confusion([1, 0], [1])
 
 
+def positive_class_row(tp: int, fp: int, fn: int, tn: int):
+    """metric_rows' positive-class row for predictions with these counts."""
+    y_true = [1] * tp + [0] * fp + [1] * fn + [0] * tn
+    y_pred = [1] * (tp + fp) + [0] * (fn + tn)
+    (row,) = [r for r in metric_rows("M", y_true, y_pred) if r.averaging == "positive-class"]
+    return row
+
+
 class TestMetrics:
     def test_knn_row_from_reported_precision_recall(self):
         # the published K-NN row: precision 0.80, recall 0.33 gives F1 0.47
-        assert round(f1_score(0.80, 0.33), 2) == 0.47
+        row = positive_class_row(tp=4, fp=1, fn=8, tn=87)
+        assert (row.precision, row.recall) == (0.8, 4 / 12)
+        assert round(row.f1, 2) == 0.47
 
     def test_perfect_predictions(self):
-        acc, p, r, f1, undefined = metrics(ConfusionMatrix(tp=10, fp=0, fn=0, tn=90))
-        assert (acc, p, r, f1) == (1.0, 1.0, 1.0, 1.0)
-        assert undefined == ()
+        row = positive_class_row(tp=10, fp=0, fn=0, tn=90)
+        assert (row.accuracy, row.precision, row.recall, row.f1) == (1.0, 1.0, 1.0, 1.0)
+        assert row.undefined == ()
 
     def test_zero_division_convention(self):
-        acc, p, r, f1, undefined = metrics(ConfusionMatrix(tp=0, fp=0, fn=5, tn=95))
-        assert p == 0.0 and f1 == 0.0
-        assert "precision" in undefined
+        row = positive_class_row(tp=0, fp=0, fn=5, tn=95)
+        assert row.precision == 0.0 and row.f1 == 0.0
+        assert "precision[1]" in row.undefined
 
     def test_metrics_match_direct_formulas(self):
         rng = np.random.default_rng(82)
@@ -89,7 +96,8 @@ class TestMetrics:
             tp, fp, fn, tn = (int(v) for v in rng.integers(0, 20, size=4))
             if tp + fp + fn + tn == 0:
                 continue
-            acc, p, r, f1, _ = metrics(ConfusionMatrix(tp, fp, fn, tn))
+            row = positive_class_row(tp, fp, fn, tn)
+            acc, p, r, f1 = row.accuracy, row.precision, row.recall, row.f1
             assert acc == (tp + tn) / (tp + fp + fn + tn)
             assert p == (tp / (tp + fp) if tp + fp else 0.0)
             assert r == (tp / (tp + fn) if tp + fn else 0.0)
@@ -103,7 +111,7 @@ class TestMetricRows:
         y_pred = (rng.random(300) < 0.3).astype(int)
         row = [r for r in metric_rows("LR", y_true, y_pred)
                if r.averaging == "positive-class"][0]
-        assert row.f1 == pytest.approx(f1_score(row.precision, row.recall))
+        assert row.f1 == pytest.approx(2 * row.precision * row.recall / (row.precision + row.recall))
 
     def test_majority_predictor_on_99_1(self):
         y_true = np.array([0] * 990 + [1] * 10)

@@ -14,7 +14,6 @@ from flowline_risk.ingest import (
     SchemaViolation,
     UnknownColumn,
     default_category_map,
-    normalize_category,
     normalize_operator,
     parse_descriptive,
     parse_operational,
@@ -110,6 +109,7 @@ class TestDescriptive:
                               "central meridian -105.0"),
         ([-105.0, 90.5], True, "coordinate [-105.0, 90.5]: latitude 90.5 outside [-90, 90]"),
         ([-105.0, math.nan], True, "coordinate [-105.0, nan]: non-finite geographic coordinates"),
+        ([181.0, 39.0], True, "coordinate [181.0, 39.0]: longitude 181.0 outside [-180, 180]"),
         ([10**400, 0.0], False, f"non-finite coordinate [{10**400}, 0.0]"),  # an int float() refuses
     ])
     def test_bad_coordinate_is_a_row_diagnostic(self, tmp_path, coord, geographic, reason):
@@ -334,28 +334,28 @@ class TestSpills:
 class TestNormalization:
     def test_exact_pattern(self):
         cmap = default_category_map()
-        assert normalize_category(" crude oil", "fluid_type", cmap) == "CRUDE_OIL"
+        assert cmap.normalize(" crude oil", "fluid_type") == "CRUDE_OIL"
 
     def test_misspelling_pattern(self):
         cmap = default_category_map()
-        assert normalize_category("Crud Oil", "fluid_type", cmap) == "CRUDE_OIL"
+        assert cmap.normalize("Crud Oil", "fluid_type") == "CRUDE_OIL"
 
     def test_unmapped_falls_back_to_other(self, caplog):
         cmap = default_category_map()
         with caplog.at_level("WARNING"):
-            assert normalize_category("slurry", "fluid_type", cmap) == "OTHER"
+            assert cmap.normalize("slurry", "fluid_type") == "OTHER"
         assert any("slurry" in r.message for r in caplog.records)
 
     def test_unknown_column(self):
         with pytest.raises(UnknownColumn):
-            normalize_category("x", "nope", default_category_map())
+            default_category_map().normalize("x", "nope")
 
     def test_idempotent(self):
         cmap = default_category_map()
         for raw in ("Crude Oil", "HDPE", "pvc", "slurry", "multi phase"):
             for column in ("fluid_type", "material"):
-                once = normalize_category(raw, column, cmap)
-                assert normalize_category(once, column, cmap) == once
+                once = cmap.normalize(raw, column)
+                assert cmap.normalize(once, column) == once
 
     def test_first_match_wins(self):
         cmap = CategoryMap({"c": [("x", "ONE"), ("x", "TWO")]})

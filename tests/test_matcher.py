@@ -9,8 +9,7 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from flowline_risk.crs import GeoPoint, ProjectionParams, project, unproject
-from flowline_risk.geometry import Point2D
+from flowline_risk.crs import ProjectionParams
 from flowline_risk.ingest import parse_descriptive, parse_operational, parse_spills
 from flowline_risk.matcher import (
     DanglingReference,
@@ -29,7 +28,8 @@ from flowline_risk.synth import REFERENCE_DATE, config_a, generate
 
 import matcher_oracle
 from conftest import make_operational
-from geometry_oracle import endpoint_set, multiline, point_to_multiline_distance
+from crs_oracle import GeoPoint, project_point, unproject_point
+from geometry_oracle import Point2D, endpoint_set, multiline, point_to_multiline_distance
 from matcher_oracle import interpolate_line
 from merged_oracle import (
     DescriptiveFlowline,
@@ -51,7 +51,7 @@ BASE = Point2D(500000.0, 4320000.0)
 
 
 def geo(dx: float, dy: float) -> GeoPoint:
-    return unproject(Point2D(BASE.x + dx, BASE.y + dy))
+    return unproject_point(Point2D(BASE.x + dx, BASE.y + dy))
 
 
 def operational(row_id, dx0, dy0, dx1, dy1, operator="Acme Energy LLC"):
@@ -120,20 +120,30 @@ class TestInterpolate:
         assert audit[1].chosen_id == "D1"
 
     @staticmethod
-    def _assert_chords_are_projected_truth(run):
-        # The generator writes coordinates that parse back to the floats it
-        # projected, so the chord ends are its ground truth exactly.
+    def _chord_ends(run) -> list[list[float]]:
         columns = run.operational.columns
         ends = (*project_points(columns["start"]), *project_points(columns["end"]))
-        for row_id, *got in zip(columns["row_id"], *(a.tolist() for a in ends)):
-            start, end = run.truth.projected_endpoints[row_id]
-            assert [v.hex() for v in got] == [v.hex() for v in (start.x, start.y, end.x, end.y)]
+        return [list(row) for row in zip(*(a.tolist() for a in ends))]
 
     def test_generator_projected_pair(self, synth_a):
-        self._assert_chords_are_projected_truth(synth_a)
+        # The batch gives each written endpoint the bits it gets alone.
+        columns = synth_a.operational.columns
+        for start, end, got in zip(columns["start"], columns["end"], self._chord_ends(synth_a)):
+            a, b = project_point(GeoPoint(*start)), project_point(GeoPoint(*end))
+            assert [v.hex() for v in got] == [v.hex() for v in (a.x, a.y, b.x, b.y)]
 
     def test_generator_projected_pair_without_jitter(self, synth_a_unjittered):
-        self._assert_chords_are_projected_truth(synth_a_unjittered)
+        # The generator writes coordinates that parse back to the floats it
+        # projected, so unjittered chord ends are the descriptive line's
+        # ends exactly.
+        run = synth_a_unjittered
+        geometry = {row_id: k for k, row_id in enumerate(run.descriptive.row_ids)}
+        xy, parts, geoms = (run.descriptive.geometry.xy, run.descriptive.geometry.parts,
+                            run.descriptive.geometry.geoms)
+        for row_id, got in zip(run.operational.columns["row_id"], self._chord_ends(run)):
+            k = geometry[run.truth.line_matches[row_id]]
+            first, last = xy[parts[geoms[k]]], xy[parts[geoms[k + 1]] - 1]
+            assert [v.hex() for v in got] == [v.hex() for v in (*first.tolist(), *last.tolist())]
 
 
 class TestMatchFlowlines:
@@ -374,20 +384,20 @@ def networks(draw, frames=(UTM, NEAR_ORIGIN), nudge_frames=(UTM,)):
     frame = draw(st.sampled_from(frames))
     params, lat, lon = frame
     ulps = frame in nudge_frames
-    base = project(GeoPoint(lat, lon), params)
+    base = project_point(GeoPoint(lat, lon), params)
     ops, anchors = [], [base]
     for j in range(draw(st.integers(1, 4))):
         sx, sy = draw(OFFSETS)
         ex, ey = draw(st.one_of(st.just((0, 0)), st.tuples(st.integers(-100, 100), st.integers(-100, 100))))
-        a = unproject(Point2D(base.x + sx, base.y + sy), params)
-        b = unproject(Point2D(base.x + sx + ex, base.y + sy + ey), params)
+        a = unproject_point(Point2D(base.x + sx, base.y + sy), params)
+        b = unproject_point(Point2D(base.x + sx + ex, base.y + sy + ey), params)
         rec = make_operational(row_id=f"OP{j}", lat=a.latitude, lon=a.longitude,
                                lat2=b.latitude, lon2=b.longitude,
                                operator=draw(st.sampled_from(OPERATORS)))
         ops.append(rec)
         # The projected chord endpoints, degenerate or not, so every record
         # adds two anchors and a drawn anchor index keeps its meaning.
-        anchors.extend((project(rec.start, params), project(rec.end, params)))
+        anchors.extend((project_point(rec.start, params), project_point(rec.end, params)))
     near_anchor = st.sampled_from(anchors)
     desc = []
     # Ids from a permutation rather than a unique list, which redraws on a
@@ -415,13 +425,13 @@ def spill_scenes(draw, **network_kw):
     merged = [MergedFlowline(make_operational(row_id=f"OP{k}", operator=d.operator_name), d.geometry)
               for d, k in zip(lines, flowline_ids)]
     anchors = [v for m in merged for line in m.geometry.lines for v in line.vertices] \
-        or [project(GeoPoint(39.0, -105.0), params)]
+        or [project_point(GeoPoint(39.0, -105.0), params)]
     spills = []
     for s in range(draw(st.integers(1, 5))):
         a = draw(st.sampled_from(anchors))
         dx, dy = draw(OFFSETS)
         spills.append(SpillRecord(f"S{s}", draw(st.sampled_from(OPERATORS)),
-                                  unproject(Point2D(a.x + dx, a.y + dy), params),
+                                  unproject_point(Point2D(a.x + dx, a.y + dy), params),
                                   "CORROSION", REFERENCE_DATE))
     return params, spills, merged
 
@@ -532,7 +542,7 @@ class TestMatchesLadderOracle:
         # rounds. The one-query join binds at 2; the ladder oracle's 2 m box
         # misses the vertex and it binds at 5 with the same distances.
         params = NEAR_ORIGIN[0]
-        a, b = (unproject(Point2D(x, 0.5), params) for x in (0.7, 60.7))
+        a, b = (unproject_point(Point2D(x, 0.5), params) for x in (0.7, 60.7))
         rec = make_operational(lat=a.latitude, lon=a.longitude, lat2=b.latitude, lon2=b.longitude)
         start, end = interpolate_line(rec, params).vertices
         edge = math.nextafter(start.x - 2.0, -math.inf)

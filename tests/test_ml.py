@@ -624,7 +624,8 @@ class TestPresortedSplitsMatchOracle:
         X, y, weights = problem
         targets = y - 0.5 if tied_targets else weights - weights.mean()
         new = RegressionTree(max_depth, min_leaf)
-        fitted = new.fit_predict(X, targets)
+        data = trees._Rows(np.asarray(X, dtype=float))
+        fitted = new._fit_rows(data, data.rows, targets, lambda rows: float(np.mean(targets[rows])))
         old = cart_oracle.OracleRegressionTree(max_depth, min_leaf).fit(X, targets)
         assert table_json(new) == table_json(old)
         assert bits(fitted) == bits(old.predict(X))

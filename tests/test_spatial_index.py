@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowline_risk.geometry import Point2D
 from flowline_risk.spatial_index import SpatialIndex
 
-from geometry_oracle import BoundingBox
+from geometry_oracle import BoundingBox, Point2D
 
 
 def random_boxes(rng, n, extent=1000.0, max_side=20.0) -> np.ndarray:
