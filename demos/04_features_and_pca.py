@@ -36,11 +36,11 @@ for meta in ds.column_meta:
     groups[key] = groups.get(key, 0) + 1
 print("column groups:", groups)
 
-pair = stratified_split(ds, train_fraction=0.7, seed=23)
-print(f"\nsplit: train {pair.train.n_rows} ({int(pair.train.y.sum())} pos), "
-      f"test {pair.test.n_rows} ({int(pair.test.y.sum())} pos)")
+train_rows, test_rows = stratified_split(ds.y, train_fraction=0.7, seed=23)
+print(f"\nsplit: train {len(train_rows)} ({int(ds.y[train_rows].sum())} pos), "
+      f"test {len(test_rows)} ({int(ds.y[test_rows].sum())} pos)")
 
-train_z, test_z, _, _ = standardize(pair.train.X, pair.test.X)
+train_z, _, _ = standardize(ds.X[train_rows])
 model = pca_fit(train_z)
 share = model.explained_variance / model.explained_variance.sum()
 print("\nleading variance shares:", np.round(share[:6], 3))

@@ -98,19 +98,6 @@ class Dataset:
     def column_names(self) -> list[str]:
         return [c.name for c in self.column_meta]
 
-    def subset(self, indices: np.ndarray) -> "Dataset":
-        return Dataset(
-            self.X[indices], self.y[indices], self.column_meta,
-            [self.row_ids[i] for i in indices],
-        )
-
-
-@dataclass(frozen=True)
-class SplitPair:
-    train: Dataset
-    test: Dataset
-    seed: int
-
 
 @dataclass
 class FeatureConfig:
@@ -134,45 +121,22 @@ def line_age(construction_date, reference_date: datetime.date):
     return days / 365.25
 
 
-class OneHotEncoder:
-    """One binary column per category, category order = first appearance."""
-
-    def __init__(self):
-        self.categories: dict[str, list[str]] = {}
-
-    def fit(self, table: dict[str, list[str]], columns: list[str]) -> "OneHotEncoder":
-        for column in columns:
-            values = table[column]
-            if not values:
-                raise EmptyColumn(column)
-            self.categories[column] = list(dict.fromkeys(values))
-        return self
-
-    def transform(self, table: dict[str, list[str]]) -> tuple[np.ndarray, list[ColumnMeta]]:
-        blocks = []
-        metas: list[ColumnMeta] = []
-        n = None
-        for column, cats in self.categories.items():
-            values = table[column]
-            n = len(values) if n is None else n
-            block = np.zeros((len(values), len(cats)))
-            lookup = {c: j for j, c in enumerate(cats)}
-            for i, v in enumerate(values):
-                j = lookup.get(v)
-                if j is None:
-                    log.warning("unseen %s category %r maps to all-zeros", column, v)
-                else:
-                    block[i, j] = 1.0
-            blocks.append(block)
-            metas.extend(ColumnMeta(f"{column}={c}", "one-hot", column, c) for c in cats)
-        if not blocks:
-            return np.zeros((0, 0)), []
-        return np.hstack(blocks), metas
-
-
 def one_hot(table: dict[str, list[str]], columns: list[str]) -> tuple[np.ndarray, list[ColumnMeta]]:
-    """Fit-and-transform convenience over OneHotEncoder."""
-    return OneHotEncoder().fit(table, columns).transform(table)
+    """One binary column per category of each column, in order of first appearance."""
+    blocks = []
+    metas: list[ColumnMeta] = []
+    for column in columns:
+        values = table[column]
+        if not values:
+            raise EmptyColumn(column)
+        lookup = {c: j for j, c in enumerate(dict.fromkeys(values))}
+        block = np.zeros((len(values), len(lookup)))
+        block[np.arange(len(values)), [lookup[v] for v in values]] = 1.0
+        blocks.append(block)
+        metas.extend(ColumnMeta(f"{column}={c}", "one-hot", column, c) for c in lookup)
+    if not blocks:
+        return np.zeros((0, 0)), []
+    return np.hstack(blocks), metas
 
 
 def assemble(merged: MergedFlowlines, risk: np.ndarray, config: FeatureConfig | None = None) -> Dataset:
@@ -208,8 +172,10 @@ def assemble(merged: MergedFlowlines, risk: np.ndarray, config: FeatureConfig | 
     return Dataset(X, np.asarray(risk, dtype=int), metas, list(op["row_id"]))
 
 
-def stratified_split(ds: Dataset, train_fraction: float = 0.7, seed: int = 0) -> SplitPair:
-    """Seeded per-class 70/30 partition with largest-remainder rounding.
+def stratified_split(y: np.ndarray, train_fraction: float = 0.7,
+                     seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded per-class 70/30 partition of the rows labelled y, with
+    largest-remainder rounding, as sorted train and test row positions.
 
     Any class with at least two members contributes at least one row to
     each side; with less than one positive per hundred rows, naive rounding
@@ -217,13 +183,14 @@ def stratified_split(ds: Dataset, train_fraction: float = 0.7, seed: int = 0) ->
     """
     if not 0 < train_fraction < 1:
         raise ValueError("train_fraction must be in (0, 1)")
-    classes, counts = np.unique(ds.y, return_counts=True)
+    y = np.asarray(y)
+    classes, counts = np.unique(y, return_counts=True)
     count_of = dict(zip(classes.tolist(), counts.tolist()))
     if len(classes) < 2:
         raise DegenerateClass("need at least two classes to stratify")
 
     rng = np.random.default_rng(seed)
-    total_train = int(round(train_fraction * ds.n_rows))
+    total_train = int(round(train_fraction * len(y)))
 
     # Single-member classes cannot sit on both sides; they go to train.
     singles = [c for c in classes.tolist() if count_of[c] == 1]
@@ -244,37 +211,30 @@ def stratified_split(ds: Dataset, train_fraction: float = 0.7, seed: int = 0) ->
     for c in splittable:
         alloc[c] = min(max(alloc[c], 1), count_of[c] - 1)  # both sides non-empty
 
-    train_idx: list[int] = []
-    test_idx: list[int] = []
+    train_rows, test_rows = [], []
     for c in classes:
-        members = np.flatnonzero(ds.y == c)
+        members = np.flatnonzero(y == c)
         members = members[rng.permutation(len(members))]
-        k = alloc[c]
-        train_idx.extend(members[:k].tolist())
-        test_idx.extend(members[k:].tolist())
-
-    train_idx.sort()
-    test_idx.sort()
-    return SplitPair(ds.subset(np.array(train_idx)), ds.subset(np.array(test_idx)), seed)
+        train_rows.append(members[:alloc[c]])
+        test_rows.append(members[alloc[c]:])
+    return np.sort(np.concatenate(train_rows)), np.sort(np.concatenate(test_rows))
 
 
-def standardize(
-    train: np.ndarray, test: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
-    """Z-score both matrices with the train mean and population sd.
+def standardize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """X z-scored with its own mean and population sd, and those means and
+    sds; apply_scaler scales other rows with them.
 
     Zero-variance columns pass through unscaled with a warning.
     """
-    train = np.asarray(train, dtype=float)
-    if train.shape[0] == 0:
+    X = np.asarray(X, dtype=float)
+    if X.shape[0] == 0:
         raise ValueError("empty training matrix")
-    means = train.mean(axis=0)
-    sds = train.std(axis=0)
+    means = X.mean(axis=0)
+    sds = X.std(axis=0)
     flat = int(np.sum(sds == 0.0))
     if flat:
         log.warning("%d zero-variance columns left unscaled", flat)
-    test_z = None if test is None else apply_scaler(test, means, sds)
-    return apply_scaler(train, means, sds), test_z, means, sds
+    return apply_scaler(X, means, sds), means, sds
 
 
 def apply_scaler(X: np.ndarray, means: np.ndarray, sds: np.ndarray) -> np.ndarray:

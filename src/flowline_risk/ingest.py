@@ -134,16 +134,15 @@ class CategoryMap:
     """
 
     def __init__(self, columns: dict[str, list[tuple[str, str]]]):
-        self._patterns: dict[str, list[tuple[str, str]]] = {}
+        # One folded-text lookup per column, filled in pattern order so that
+        # the first pattern of a folded text keeps it.
+        self._lookup: dict[str, dict[str, str]] = {}
         for column, pairs in columns.items():
-            seen_canonical = []
-            compiled = []
+            lookup: dict[str, str] = {}
             for raw, canonical in pairs:
-                if canonical not in seen_canonical:
-                    seen_canonical.append(canonical)
-                    compiled.append((self._fold(canonical), canonical))
-                compiled.append((self._fold(raw), canonical))
-            self._patterns[column] = compiled
+                lookup.setdefault(self._fold(canonical), canonical)
+                lookup.setdefault(self._fold(raw), canonical)
+            self._lookup[column] = lookup
 
     @staticmethod
     def _fold(s: str) -> str:
@@ -151,17 +150,16 @@ class CategoryMap:
 
     @property
     def columns(self) -> list[str]:
-        return list(self._patterns)
+        return list(self._lookup)
 
     def normalize(self, raw: str, column: str) -> str:
-        if column not in self._patterns:
+        if column not in self._lookup:
             raise UnknownColumn(column)
-        folded = self._fold(raw)
-        for pattern, canonical in self._patterns[column]:
-            if folded == pattern:
-                return canonical
-        log.warning("unmapped %s value %r, using OTHER", column, raw)
-        return "OTHER"
+        canonical = self._lookup[column].get(self._fold(raw))
+        if canonical is None:
+            log.warning("unmapped %s value %r, using OTHER", column, raw)
+            return "OTHER"
+        return canonical
 
 
 def default_category_map() -> CategoryMap:

@@ -71,15 +71,16 @@ class GBDTClassifier(TreeTable, Classifier):
             prev = self.stage_losses[-1]
             scale = 1.0
             for _ in range(10):
-                if log_loss(y, scores + scale * step) <= prev:
+                loss = log_loss(y, scores + scale * step)
+                if loss <= prev:
                     break
                 scale *= 0.5
             else:
-                scale = 0.0
+                scale, loss = 0.0, prev
             scores = scores + scale * step
             trees.append(tree)
             self.stage_scales.append(scale)
-            self.stage_losses.append(log_loss(y, scores))
+            self.stage_losses.append(loss)
         self._set_table(trees)
 
     def decision_scores(self, X) -> np.ndarray:

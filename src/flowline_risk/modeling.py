@@ -110,8 +110,9 @@ def _require_splittable(y: np.ndarray) -> None:
 def stage_train(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
     ds = _load_features(manifest)
     _require_splittable(ds.y)
-    split = stratified_split(ds, cfg.train_fraction, cfg.seed)
-    train_z, _, means, sds = standardize(split.train.X)
+    train_rows, test_rows = stratified_split(ds.y, cfg.train_fraction, cfg.seed)
+    train_z, means, sds = standardize(ds.X[train_rows])
+    train_y = ds.y[train_rows]
 
     lanes = {"raw": train_z}
     pca_info = None
@@ -133,7 +134,7 @@ def stage_train(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
     models = {lane: _build_models(cfg) for lane in lanes}
     jobs = [(kind, lane) for kind in _FIT_ORDER for lane in lanes]
     fits = dict(zip(jobs, map_jobs(_timed_fit, [
-        (models[lane][kind], lanes[lane], split.train.y) for kind, lane in jobs])))
+        (models[lane][kind], lanes[lane], train_y) for kind, lane in jobs])))
     fit_s = {}
     for lane in lanes:
         for kind in models[lane]:
@@ -152,8 +153,8 @@ def stage_train(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
         "split": {
             "seed": cfg.seed,
             "train_fraction": cfg.train_fraction,
-            "train_ids": split.train.row_ids,
-            "test_ids": split.test.row_ids,
+            "train_ids": [ds.row_ids[i] for i in train_rows],
+            "test_ids": [ds.row_ids[i] for i in test_rows],
         },
         "scaler": {"means": means.tolist(), "sds": sds.tolist()},
         "pca": pca_info,
@@ -162,8 +163,8 @@ def stage_train(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
     manifest.record("training", training_path, "train")
     return {
         "lanes": sorted(lanes),
-        "train_rows": split.train.n_rows,
-        "test_rows": split.test.n_rows,
+        "train_rows": len(train_rows),
+        "test_rows": len(test_rows),
         "pca_k": None if pca_info is None else pca_info["k"],
         "fit_s": fit_s,
         "workers": worker_count(len(jobs)),
@@ -191,13 +192,14 @@ def _lane_matrices(ds: Dataset, training: dict, pca: PCAModel | None,
     """Rebuild the rows named by ids as per-lane standardized (and projected)
     matrices with labels; for the train ids these are the bits train fitted on."""
     by_id = {rid: i for i, rid in enumerate(ds.row_ids)}
-    rows = ds.subset(np.array([by_id[rid] for rid in ids]))
+    rows = [by_id[rid] for rid in ids]
     scaler = training["scaler"]
-    z = apply_scaler(rows.X, np.asarray(scaler["means"]), np.asarray(scaler["sds"]))
+    z = apply_scaler(ds.X[rows], np.asarray(scaler["means"]), np.asarray(scaler["sds"]))
+    y = ds.y[rows]
 
-    lanes = {"raw": (z, rows.y)}
+    lanes = {"raw": (z, y)}
     if pca is not None:
-        lanes["pca"] = (pca_transform(pca, z), rows.y)
+        lanes["pca"] = (pca_transform(pca, z), y)
     return lanes
 
 
@@ -250,7 +252,7 @@ def stage_evaluate(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
 
 def stage_cluster(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
     ds = _load_features(manifest)
-    full_z, _, _, _ = standardize(ds.X)
+    full_z, _, _ = standardize(ds.X)
 
     model, _ = _pca_by_config(cfg, full_z, min_k=2)
     scores = pca_transform(model, full_z)

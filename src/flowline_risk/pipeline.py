@@ -6,8 +6,11 @@ stages are in modeling.py and the report stage in report.py.
 
 Every stage writes its outputs under the run directory and records a
 content hash in the manifest; consumers re-hash their inputs and refuse to
-run against files that changed since they were produced. That keeps stale
-artifact mixes loud instead of silently wrong.
+run against files that changed on disk since their stage wrote them. The
+hashes do not record which run of one stage an artifact was built from, so
+re-running an earlier stage alone is not caught by them; an attributions
+file naming a flowline the merged flowlines lack is refused as
+inconsistent, and other mixes are not detected.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .ingest import (
 )
 from .matcher import (
     ATTRIBUTIONS_HEADER,
+    DanglingReference,
     MergedFlowlines,
     SpillAttribution,
     assign_risk,
@@ -130,6 +134,17 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _check_entries(entries) -> None:
+    """Raise ValueError unless entries maps names to {path, sha256, stage}
+    objects of strings, as Manifest.record writes them."""
+    if not isinstance(entries, dict):
+        raise ValueError(f"it holds a JSON {type(entries).__name__}, not an object")
+    for name, entry in entries.items():
+        if not (isinstance(entry, dict)
+                and all(isinstance(entry.get(key), str) for key in ("path", "sha256", "stage"))):
+            raise ValueError(f"entry {name!r} is not an object of path, sha256 and stage strings")
+
+
 class Manifest:
     def __init__(self, paths: RunPaths):
         self.paths = paths
@@ -137,7 +152,8 @@ class Manifest:
         if paths.manifest.exists():
             try:
                 self.entries = read_json(paths.manifest)
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                _check_entries(self.entries)
+            except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
                 raise UnreadableManifest(
                     f"{paths.manifest} is unreadable ({exc}); rerun the pipeline from its first stage"
                 ) from exc
@@ -387,7 +403,12 @@ def load_labeled(manifest: Manifest) -> tuple[MergedFlowlines, np.ndarray, list[
     label them, and the merge stage's stats."""
     merged, doc = load_merged(manifest)
     attributions = manifest.read_csv("attributions", ATTRIBUTIONS_HEADER, _attribution)
-    return merged, assign_risk(merged, attributions), attributions, doc["stats"]
+    try:
+        risk = assign_risk(merged, attributions)
+    except DanglingReference as exc:
+        raise manifest.inconsistent("attributions", (
+            f"it names flowline {exc.args[0]!r}, which the merged flowlines do not hold")) from exc
+    return merged, risk, attributions, doc["stats"]
 
 
 def _feature_config(cfg: RunConfig) -> FeatureConfig:

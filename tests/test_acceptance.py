@@ -13,7 +13,7 @@ import pytest
 from flowline_risk.cli import EXIT_OK, main
 from flowline_risk.crs import project, unproject
 from flowline_risk.evaluation import metric_rows, silhouette_sweep
-from flowline_risk.features import ColumnMeta, Dataset, stratified_split
+from flowline_risk.features import stratified_split
 from flowline_risk.ingest import SPILL_COLUMNS, Table, parse_descriptive, parse_operational, parse_spills
 from flowline_risk.matcher import match_flowlines, match_spills
 from flowline_risk.ml import (
@@ -303,25 +303,22 @@ def test_criterion_09_end_to_end(tmp_path, capsys):
 
 def test_criterion_10_split_integrity(capsys):
     rng = np.random.default_rng(ACCEPT_SEED)
-    metas = [ColumnMeta(f"c{i}", "numeric") for i in range(3)]
     ok = True
     for trial in range(100):
         n0 = int(rng.integers(4, 150))
         n1 = int(rng.integers(2, 60))
         n = n0 + n1
-        ds = Dataset(rng.normal(size=(n, 3)),
-                     np.array([0] * n0 + [1] * n1),
-                     metas, [f"r{i}" for i in range(n)])
-        pair = stratified_split(ds, 0.7, seed=int(rng.integers(1 << 30)))
+        y = np.array([0] * n0 + [1] * n1)
+        train, test = stratified_split(y, 0.7, seed=int(rng.integers(1 << 30)))
 
-        if sorted(pair.train.row_ids + pair.test.row_ids) != sorted(ds.row_ids):
+        if sorted(train.tolist() + test.tolist()) != list(range(n)):
             ok = False
-        if set(pair.train.row_ids) & set(pair.test.row_ids):
+        if set(train.tolist()) & set(test.tolist()):
             ok = False
-        for side in (pair.train, pair.test):
-            share = len(side.row_ids) / n
+        for side in (train, test):
+            share = len(side) / n
             for cls, total in ((0, n0), (1, n1)):
-                got = int(np.sum(side.y == cls))
+                got = int(np.sum(y[side] == cls))
                 if abs(got - total * share) > 1.0 + 1e-9:
                     ok = False
     with capsys.disabled():

@@ -25,6 +25,7 @@ from flowline_risk.evaluation import metric_rows
 from flowline_risk.features import (
     ColumnMeta,
     FeatureConfig,
+    apply_scaler,
     assemble,
     load_dataset,
     save_dataset,
@@ -158,6 +159,36 @@ class TestExitCodes:
         assert proc.returncode == EXIT_STAGE
         assert "manifest.json is unreadable" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("entries, problem", [
+        ([1, 2], "it holds a JSON list, not an object"),
+        ({"merged": {"sha256": "0" * 64, "stage": "merge"}},
+         "entry 'merged' is not an object of path, sha256 and stage strings"),
+        ({"merged": 5}, "entry 'merged' is not an object of path, sha256 and stage strings"),
+    ])
+    def test_manifest_of_the_wrong_shape_is_unreadable(self, tmp_path, capsys, entries, problem):
+        cfg = write_config(tmp_path / "run.cfg", synth_n_lines=80)
+        manifest = tmp_path / "r" / "artifacts" / "manifest.json"
+        manifest.parent.mkdir(parents=True)
+        manifest.write_text(json.dumps(entries))
+        assert main(["featurize", "--config", str(cfg), "--out", str(tmp_path / "r")]) == EXIT_STAGE
+        assert (f"{manifest} is unreadable ({problem}); rerun the pipeline from its first stage"
+                in capsys.readouterr().err)
+
+    def test_attributions_from_an_earlier_merge_name_attribute(self, tmp_path, capsys):
+        # merge re-run alone with a zero ladder matches no flowline, so the
+        # attributions on disk name flowlines the new merged.json lacks
+        cfg = write_config(tmp_path / "run.cfg", synth_n_lines=80)
+        out = tmp_path / "r"
+        run_stages(cfg, out, "synth", "merge", "attribute")
+        assert main(["merge", "--config", str(cfg), "--out", str(out), "--ladder", "0"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["featurize", "--config", str(cfg), "--out", str(out)]) == EXIT_STAGE
+        err = capsys.readouterr().err
+        assert err.startswith("stage featurize failed: artifact 'attributions' is inconsistent (it "
+                              "names flowline 'OP")
+        assert err.rstrip().endswith("which the merged flowlines do not hold); "
+                                     "rerun stage 'attribute' and the stages after it")
 
     def test_interrupted_write_keeps_previous_manifest(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path / "run.cfg", synth_n_lines=80)
@@ -783,16 +814,17 @@ class TestEachResultOnce:
         # The train split standardized and PCA-projected the way stage_train does it.
         cfg = load_config(cfg_path)
         ds = load_dataset(artifacts / "features.csv", fileio.read_json(artifacts / "features.meta.json"))
-        split = stratified_split(ds, cfg.train_fraction, cfg.seed)
-        train_z, test_z, _, _ = standardize(split.train.X, split.test.X)
+        train, test = stratified_split(ds.y, cfg.train_fraction, cfg.seed)
+        train_z, means, sds = standardize(ds.X[train])
+        test_z = apply_scaler(ds.X[test], means, sds)
         pca, _ = _pca_by_config(cfg, train_z)
         lanes = {"raw": (train_z, test_z),
                  "pca": (numerics.pca_transform(pca, train_z), numerics.pca_transform(pca, test_z))}
         rows = json.loads((artifacts / "metrics.json").read_text())["rows"]
         for lane, (X_train, X_test) in lanes.items():
-            knn = KNNClassifier(cfg.knn_k).fit(X_train, split.train.y)
+            knn = KNNClassifier(cfg.knn_k).fit(X_train, ds.y[train])
             want = [dict(r.to_dict(), pca=lane == "pca")
-                    for r in metric_rows("KNN", split.test.y, knn.predict(X_test))]
+                    for r in metric_rows("KNN", ds.y[test], knn.predict(X_test))]
             assert want == [r for r in rows
                             if r["classifier"] == "KNN" and r["pca"] == (lane == "pca")]
 
@@ -1197,8 +1229,8 @@ class TestWriteArray:
 
         artifacts = out / "artifacts"
         ds = load_dataset(artifacts / "features.csv", fileio.read_json(artifacts / "features.meta.json"))
-        split = stratified_split(ds, cfg.train_fraction, cfg.seed)
-        pca, _ = _pca_by_config(cfg, standardize(split.train.X)[0])
+        train, _ = stratified_split(ds.y, cfg.train_fraction, cfg.seed)
+        pca, _ = _pca_by_config(cfg, standardize(ds.X[train])[0])
         doc = json.loads(json.dumps({"pca": {"components": pca.components.tolist()}}))
         components = fileio.read_array(artifacts / "pca_components.npy")
         assert components.tobytes() == np.array(doc["pca"]["components"]).tobytes()

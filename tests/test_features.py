@@ -15,7 +15,6 @@ from flowline_risk.features import (
     FeatureConfig,
     FutureDate,
     NUMERIC_COLUMNS,
-    OneHotEncoder,
     apply_scaler,
     assemble,
     line_age,
@@ -86,13 +85,6 @@ class TestOneHot:
         _, metas = one_hot({"c": ["B", "A", "B", "C"]}, ["c"])
         assert [m.category for m in metas] == ["B", "A", "C"]
 
-    def test_unseen_category_maps_to_zeros(self, caplog):
-        enc = OneHotEncoder().fit({"c": ["A", "B"]}, ["c"])
-        with caplog.at_level("WARNING"):
-            X, _ = enc.transform({"c": ["A", "NEW"]})
-        assert X.tolist() == [[1.0, 0.0], [0.0, 0.0]]
-        assert any("unseen" in r.message for r in caplog.records)
-
 
 class TestGeometryFeatures:
     def test_segment(self):
@@ -154,77 +146,68 @@ class TestAssemble:
 
 
 class TestStratifiedSplit:
-    def _meta(self):
-        from flowline_risk.features import ColumnMeta
-        return [ColumnMeta(f"c{i}", "numeric") for i in range(3)]
-
-    def _dataset(self, n0, n1, seed=0):
-        rng = np.random.default_rng(seed)
-        X = rng.normal(size=(n0 + n1, 3))
-        y = np.array([0] * n0 + [1] * n1)
-        return Dataset(X, y, self._meta(), [f"r{i}" for i in range(n0 + n1)])
+    def _labels(self, n0, n1):
+        return np.array([0] * n0 + [1] * n1)
 
     def test_99_to_1_minority_goes_to_train(self):
-        ds = self._dataset(99, 1)
-        pair = stratified_split(ds, 0.7, seed=3)
-        assert pair.train.n_rows in (69, 70, 71)
-        assert int(np.sum(pair.train.y)) == 1
-        assert int(np.sum(pair.test.y)) == 0
+        y = self._labels(99, 1)
+        train, test = stratified_split(y, 0.7, seed=3)
+        assert len(train) in (69, 70, 71)
+        assert int(np.sum(y[train])) == 1
+        assert int(np.sum(y[test])) == 0
 
     def test_balanced_ten(self):
-        ds = self._dataset(5, 5)
-        pair = stratified_split(ds, 0.7, seed=1)
-        assert pair.train.n_rows == 7
-        assert pair.test.n_rows == 3
-        assert int(np.sum(pair.train.y)) in (3, 4)
+        y = self._labels(5, 5)
+        train, test = stratified_split(y, 0.7, seed=1)
+        assert len(train) == 7
+        assert len(test) == 3
+        assert int(np.sum(y[train])) in (3, 4)
 
     def test_seed_reproducibility(self):
-        ds = self._dataset(80, 20)
-        a = stratified_split(ds, 0.7, seed=9)
-        b = stratified_split(ds, 0.7, seed=9)
-        assert a.train.row_ids == b.train.row_ids
-        c = stratified_split(ds, 0.7, seed=10)
-        assert c.train.row_ids != a.train.row_ids
-        assert int(np.sum(c.train.y)) == int(np.sum(a.train.y))
+        y = self._labels(80, 20)
+        a, _ = stratified_split(y, 0.7, seed=9)
+        b, _ = stratified_split(y, 0.7, seed=9)
+        assert a.tolist() == b.tolist()
+        c, _ = stratified_split(y, 0.7, seed=10)
+        assert c.tolist() != a.tolist()
+        assert int(np.sum(y[c])) == int(np.sum(y[a]))
 
     def test_partition_and_proportions_random(self):
         rng = np.random.default_rng(53)
         for _ in range(100):
             n0 = int(rng.integers(4, 120))
             n1 = int(rng.integers(2, 40))
-            ds = self._dataset(n0, n1, seed=int(rng.integers(1 << 30)))
-            pair = stratified_split(ds, 0.7, seed=int(rng.integers(1 << 30)))
-            assert sorted(pair.train.row_ids + pair.test.row_ids) == sorted(ds.row_ids)
-            assert abs(pair.train.n_rows - round(0.7 * ds.n_rows)) <= 1
-            for side in (pair.train, pair.test):
-                frac = ds.n_rows / side.n_rows
-                share = np.sum(side.y) / side.n_rows
-                overall = np.sum(ds.y) / ds.n_rows
-                assert abs(share - overall) <= frac / side.n_rows + 1.0 / side.n_rows
+            y = self._labels(n0, n1)
+            train, test = stratified_split(y, 0.7, seed=int(rng.integers(1 << 30)))
+            assert np.all(np.diff(train) > 0) and np.all(np.diff(test) > 0)
+            assert sorted(train.tolist() + test.tolist()) == list(range(len(y)))
+            assert abs(len(train) - round(0.7 * len(y))) <= 1
+            for side in (train, test):
+                frac = len(y) / len(side)
+                share = np.sum(y[side]) / len(side)
+                overall = np.sum(y) / len(y)
+                assert abs(share - overall) <= frac / len(side) + 1.0 / len(side)
 
     def test_minimum_per_side(self):
-        ds = self._dataset(30, 2)
-        pair = stratified_split(ds, 0.7, seed=0)
-        assert int(np.sum(pair.train.y)) == 1
-        assert int(np.sum(pair.test.y)) == 1
+        y = self._labels(30, 2)
+        train, test = stratified_split(y, 0.7, seed=0)
+        assert int(np.sum(y[train])) == 1
+        assert int(np.sum(y[test])) == 1
 
     def test_single_class_degenerate(self):
-        rng = np.random.default_rng(54)
-        X = rng.normal(size=(10, 3))
-        ds = Dataset(X, np.zeros(10, dtype=int), self._meta(), [f"r{i}" for i in range(10)])
         with pytest.raises(DegenerateClass):
-            stratified_split(ds, 0.7, seed=0)
+            stratified_split(np.zeros(10, dtype=int), 0.7, seed=0)
 
 
 class TestStandardize:
     def test_two_point_column(self):
-        train, _, means, sds = standardize(np.array([[0.0], [2.0]]))
+        train, means, sds = standardize(np.array([[0.0], [2.0]]))
         assert train.tolist() == [[-1.0], [1.0]]
         assert means[0] == 1.0 and sds[0] == 1.0  # population sd
 
     def test_constant_column_passthrough(self, caplog):
         with caplog.at_level("WARNING"):
-            train, _, _, sds = standardize(np.array([[5.0], [5.0], [5.0]]))
+            train, _, sds = standardize(np.array([[5.0], [5.0], [5.0]]))
         assert np.all(train == 0.0)
         assert sds[0] == 0.0
         assert any("zero-variance" in r.message for r in caplog.records)
@@ -232,15 +215,15 @@ class TestStandardize:
     def test_train_statistics_property(self):
         rng = np.random.default_rng(55)
         X = rng.normal(loc=3.0, scale=2.5, size=(200, 4))
-        train, _, _, _ = standardize(X)
+        train, _, _ = standardize(X)
         assert np.max(np.abs(train.mean(axis=0))) < 1e-12
         assert np.max(np.abs(train.std(axis=0) - 1.0)) < 1e-12
 
     def test_test_uses_train_statistics(self):
         train = np.array([[0.0], [2.0]])
         test = np.array([[4.0]])
-        _, test_z, _, _ = standardize(train, test)
-        assert test_z.tolist() == [[3.0]]
+        _, means, sds = standardize(train)
+        assert apply_scaler(test, means, sds).tolist() == [[3.0]]
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 6).flatmap(lambda p: st.tuples(
