@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import csv
 import datetime
+import itertools
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .fileio import write_csv, write_json
+from .fileio import read_float_rows, write_csv, write_json
 from .matcher import MergedFlowlines
 
 log = logging.getLogger(__name__)
@@ -177,38 +178,33 @@ def stratified_split(y: np.ndarray, train_fraction: float = 0.7,
     """Seeded per-class 70/30 partition of the rows labelled y, with
     largest-remainder rounding, as sorted train and test row positions.
 
-    Any class with at least two members contributes at least one row to
-    each side; with less than one positive per hundred rows, naive rounding
-    could otherwise empty the test positives and leave recall undefined.
+    Every class needs two members, and contributes at least one row to each
+    side; with less than one positive per hundred rows, naive rounding could
+    otherwise empty the test positives and leave recall undefined. Labels of
+    one class, or a class of one row, raise DegenerateClass.
     """
     if not 0 < train_fraction < 1:
         raise ValueError("train_fraction must be in (0, 1)")
     y = np.asarray(y)
     classes, counts = np.unique(y, return_counts=True)
+    if len(classes) < 2 or counts.min() < 2:
+        per_class = ", ".join(f"class {c}: {n}" for c, n in zip(classes.tolist(), counts.tolist()))
+        raise DegenerateClass(
+            "the train/test split needs at least two rows of each of the two classes; "
+            f"the featurized rows have {per_class}")
     count_of = dict(zip(classes.tolist(), counts.tolist()))
-    if len(classes) < 2:
-        raise DegenerateClass("need at least two classes to stratify")
 
     rng = np.random.default_rng(seed)
     total_train = int(round(train_fraction * len(y)))
 
-    # Single-member classes cannot sit on both sides; they go to train.
-    singles = [c for c in classes.tolist() if count_of[c] == 1]
-    if singles:
-        log.warning("classes %s have one member each, assigning them to train", singles)
-    splittable = [c for c in classes.tolist() if count_of[c] >= 2]
-    alloc = {c: 1 for c in singles}
-
-    # Largest-remainder allocation of the remaining train budget.
-    budget = total_train - len(singles)
-    targets = {c: train_fraction * count_of[c] for c in splittable}
-    for c in splittable:
-        alloc[c] = int(np.floor(targets[c]))
-    leftover = budget - sum(alloc[c] for c in splittable)
-    by_remainder = sorted(splittable, key=lambda c: (-(targets[c] - alloc[c]), c))
+    # Largest-remainder allocation of the train budget.
+    targets = {c: train_fraction * n for c, n in count_of.items()}
+    alloc = {c: int(np.floor(t)) for c, t in targets.items()}
+    leftover = total_train - sum(alloc.values())
+    by_remainder = sorted(count_of, key=lambda c: (-(targets[c] - alloc[c]), c))
     for c in by_remainder[:max(leftover, 0)]:
         alloc[c] += 1
-    for c in splittable:
+    for c in count_of:
         alloc[c] = min(max(alloc[c], 1), count_of[c] - 1)  # both sides non-empty
 
     train_rows, test_rows = [], []
@@ -263,31 +259,56 @@ def save_dataset(ds: Dataset, csv_path, meta_path, seed: int | None = None, extr
     write_json(meta_path, sidecar)
 
 
+def _float_fields(fh, width: int, row_ids: list[str], labels: list[int]):
+    """Each data line of a features CSV read from fh, as the text of its
+    float fields, for read_float_rows; the line's row id and label go to
+    row_ids and labels. A line without quotes is split at its first and last
+    comma; one with quotes (a row id holding a comma, a quote or a line
+    break) is read by the csv module, over as many lines as its record spans.
+    A record of other than `width` fields raises ValueError naming its line."""
+    line_num = 1  # the header's
+    for line in fh:
+        line_num += 1
+        if '"' in line:
+            reader = csv.reader(itertools.chain([line], fh))
+            row = next(reader)
+            line_num += reader.line_num - 1
+            count = len(row)
+            if count == width:
+                rid, floats, label = row[0], ",".join(row[1:-1]), row[-1]
+        else:
+            count = line.count(",") + 1 if line.rstrip("\r\n") else 0
+            if count == width:
+                rid, _, rest = line.partition(",")
+                floats, _, label = rest.rpartition(",")
+        if count != width:
+            raise ValueError(f"line {line_num}: {count} fields, not {width}")
+        row_ids.append(rid)
+        labels.append(int(label))
+        yield floats
+
+
 def load_dataset(csv_path, sidecar: dict) -> Dataset:
     """The matrix save_dataset wrote, given its CSV and its JSON sidecar as read.
 
-    Rows are parsed one at a time into a matrix of the sidecar's n_rows, so
-    the matrix is never held as Python floats whole."""
+    fileio.read_float_rows parses the floats in C, as Python's float()
+    does, from the lines the open file yields, so the file is never held
+    whole; each line's row id and label are split off first (_float_fields)."""
     metas = [ColumnMeta.from_dict(d) for d in sidecar["columns"]]
     n_rows = sidecar["n_rows"]
-    X = np.empty((n_rows, len(metas)))
     row_ids: list[str] = []
     ys: list[int] = []
     with open(csv_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         expected = ["row_id", *[c.name for c in metas], "risk"]
         if header != expected:
             raise ValueError("it is empty" if header is None
                              else "feature CSV header does not match its sidecar")
-        for i, row in enumerate(reader):
-            if len(row) != len(expected):
-                raise ValueError(f"line {reader.line_num}: {len(row)} fields, not {len(expected)}")
-            if i < n_rows:
-                X[i] = [float(v) for v in row[1:-1]]
-            row_ids.append(row[0])
-            ys.append(int(row[-1]))
+        lines = _float_fields(fh, len(expected), row_ids, ys)
+        X = read_float_rows(lines, n_rows)
+        for _ in lines:  # rows past n_rows are checked and counted, not parsed
+            pass
     if len(row_ids) != n_rows:
         raise ValueError(f"{Path(csv_path).name} has {len(row_ids)} rows, but its sidecar "
                          f"says {n_rows}")
-    return Dataset(X, np.array(ys, dtype=int), metas, row_ids)
+    return Dataset(X.reshape(n_rows, len(metas)), np.array(ys, dtype=int), metas, row_ids)

@@ -3,7 +3,8 @@ leave a file half done.
 
 JSON artifacts are one line with sorted keys and no padding, which the C
 encoder writes one second-level value at a time; CSV artifacts use the csv
-module's defaults; float matrices are NPY files (NumPy NEP 1), their values'
+module's defaults, and the float block of one (features.csv) is parsed by
+read_float_rows; float matrices are NPY files (NumPy NEP 1), their values'
 bytes after a short text header, so they need no parsing.
 """
 
@@ -103,6 +104,17 @@ def write_csv(path, header, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def read_float_rows(lines, n_rows: int) -> np.ndarray:
+    """The comma-separated floats of an iterable of text lines (at most
+    n_rows of them) as a float64 matrix of one row per line, parsed in C by
+    np.loadtxt, which reads each field as Python's float() does. The matrix
+    is allocated once for n_rows; fewer lines give fewer rows, and none a
+    matrix of no rows."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, max_rows=n_rows)
 
 
 def write_array(path, a) -> None:

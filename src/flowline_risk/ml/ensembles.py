@@ -183,8 +183,10 @@ class RandomForestClassifier(TreeTable, Classifier):
 
     The training matrix is ranked (trees.rank_keys, one float sort) and its
     binary and constant columns found once per fit; each tree grows over its
-    bootstrap draw of row indices into it and copies no rows. The trees are
-    one table, each leaf's value its class.
+    bootstrap draw of row indices into it and copies no rows. A tree counts
+    its rows, each draw once (trees._count_split), so every node takes the
+    first cut in (feature, threshold) order with the greatest exact Gini
+    score. The trees are one table, each leaf's value its class.
     """
 
     kind = "RF"
@@ -209,14 +211,13 @@ class RandomForestClassifier(TreeTable, Classifier):
         if not 1 <= mtry <= p:
             raise ValueError(f"mtry must be in [1, {p}]")
         data = _Rows(X)
-        weights = np.full(n, 1.0 / n)
         streams = np.random.SeedSequence(self.seed).spawn(self.n_trees)
         trees = []
         for stream in streams:
             rng = np.random.default_rng(stream)
             root = rng.integers(0, n, size=n) if self.bootstrap else data.rows
             tree = DecisionTreeClassifier(self.max_depth, self.min_leaf, mtry=mtry, rng=rng)
-            tree._fit_rows(data, root, y, weights)
+            tree._fit_rows(data, root, y, None)
             trees.append(tree)
         self._set_table(trees)
 

@@ -8,14 +8,23 @@ row counts (the least-squares improvement of Friedman 2001), and
 wpl^2/wl + wpr^2/wr for weighted Gini over {0, 1} labels, from the side
 weights and positive weights (0 for a side of zero weight).
 
+A tree fitted without weights (every forest member, and a CART given no
+sample_weight) weighs each row 1, a bootstrap repeat once more, so its side
+weights are integer counts: _count_split scores a cut from one cumulative
+count of positives per sorted column and two counts per binary column, as
+one quotient of exact integers. Cuts whose exact scores tie then tie bit for
+bit, and the rule below decides them. Trees fitted with weights (AdaBoost
+stumps) sum float weights (_gini_split), and boosting stages their targets
+(_sse_split).
+
 One grower grows every tree (a classifier, a boosting stage, a stump, a
 forest member) from a root of row indices into the fit's matrix, ranked once
 per fit: every row, or a bootstrap draw with its repeats in draw order, so no
 tree copies its rows. A node is the root's rows that reach it, in root order.
 
 A node scores the cuts of most features in one numpy pass over cumulative
-sums along a sorted block, whose rows hold the node's rows in the stable sort
-order of one feature each. Each fit ranks X once into dense integer keys that
+sums (or counts) along a sorted block, whose rows hold the node's rows in the
+stable sort order of one feature each. Each fit ranks X once into dense integer keys that
 order rows exactly as their floats do (ties, -0.0 == 0.0 and NaNs last
 included). A node whose parent scored every feature inherits its block by a
 stable partition of the parent's, in O(p m) for m rows (the presorted
@@ -199,6 +208,11 @@ class _Rows:
         finite = np.isfinite(lo) & np.isfinite(hi)
         self.is_binary = is_binary = finite & (lo < hi) & np.all((X == lo) | (X == hi), axis=0)
         self.is_constant = finite & (lo == hi)
+        # each column's NaN key, or n in a column without NaNs, which no key
+        # reaches: _SortedCuts admits a cut between two NaNs (NaN != NaN)
+        has_nan = np.isnan(lo)
+        self.nan_key = np.where(has_nan, self.keys.max(axis=1, initial=0), X.shape[0])
+        self.any_nan = bool(has_nan.any())
         self.low = np.ascontiguousarray((X[:, is_binary] == lo[is_binary]).T)
         # (a + b) / 2 of the two values has the bits of the sorted path's midpoint
         self.mids = (lo[is_binary] + hi[is_binary]) / 2.0
@@ -209,21 +223,25 @@ class _Rows:
         self._go_left = np.zeros(X.shape[0], dtype=bool)
         self._root_cuts: dict[int, _Cuts] = {}
 
+    def node(self, inherited, features):
+        """(block features, binary features, block) a node scores: what it
+        inherited, or `features` (None: all) split into the two kinds, with a
+        block of None for the caller to sort."""
+        if inherited is not None:
+            block, binary = inherited
+            return self.sorted, binary, block
+        if features is None:
+            return self.sorted, self.binary, None
+        feats = np.sort(np.asarray(features, dtype=np.intp))
+        return feats[self._in_block[feats]], feats[self.is_binary[feats]], None
+
     def cuts(self, rows, inherited, min_leaf: int, features=None) -> "_Cuts":
         """Admissible cuts of `features` (default: all) over the node's rows;
         `inherited` is what the node inherited by partition(), or None."""
         root = features is None and rows is self.rows
         if root and min_leaf in self._root_cuts:
             return self._root_cuts[min_leaf]
-        block = None
-        if inherited is not None:
-            (block, binary), feats = inherited, self.sorted
-        elif features is None:
-            feats, binary = self.sorted, self.binary
-        else:
-            feats = np.sort(np.asarray(list(features), dtype=np.intp))
-            binary = feats[self.is_binary[feats]]
-            feats = feats[self._in_block[feats]]
+        feats, binary, block = self.node(inherited, features)
         if block is None:
             local = np.argsort(self.keys[feats[:, None], rows], axis=1, kind="stable")
             block = rows.take(local)
@@ -418,6 +436,81 @@ def _sse_split(cuts: _Cuts, targets):
     return cuts.best(scores)[:2]
 
 
+def _count_scores(nl, npl, m: int, positives: int):
+    """npl^2/nl + npr^2/nr for side sizes nl and nr = m - nl with positive
+    counts npl and npr = positives - npl, as one quotient
+    (m npl^2 - 2 positives nl npl + positives^2 nl) / (nl nr). Given Python
+    ints, or float arrays of whole numbers (scored in place of npl * m),
+    every term is exact (below 2^53 for m < 2^17) and only the division
+    rounds: equal exact scores get equal bits, and the order of two
+    unequal ones is never reversed."""
+    score = npl * m
+    score -= 2 * positives * nl
+    score *= npl
+    score += positives * positives * nl
+    score /= nl * (m - nl)
+    return score
+
+
+def _count_split(data: _Rows, rows, inherited, min_leaf: int, features, positive):
+    """(feature, threshold, what the children inherit) of the best cut of a
+    node whose rows weigh 1 each (bootstrap repeats count again), or None.
+
+    positive marks the positive rows of data.X, and the node holds at least
+    one (_grow splits only nodes of both classes), so every admissible cut
+    scores above 0. The cuts are those _SortedCuts and _BinaryCuts admit,
+    scored by _count_scores from integer counts: one cumulative count of
+    positives along each row of the node's block, and two counts per binary
+    column. Only the winning cut's threshold is gathered. A node that
+    inherited no block sorts the keys of its block features over its rows,
+    stably, as one value sort of (key, position) codes.
+    """
+    m, n = rows.size, data.keys.shape[1]
+    ml = max(min_leaf, 1)
+    feats, binary, block = data.node(inherited, features)
+    node_positive = positive.take(rows)
+    positives = int(node_positive.sum())
+    best_score, best_f, best_thr = 0.0, -1, 0.0
+    lo, hi = ml - 1, m - ml  # admissible last-left positions
+    if block is None:
+        b = m.bit_length()
+        code = data.keys.take(rows + (feats * n)[:, None]).astype(
+            np.uint32 if n << b <= 2**32 else np.uint64)
+        code <<= b
+        code |= np.arange(m, dtype=code.dtype)
+        code.sort(axis=1)
+        block = rows.take(code & ((1 << b) - 1))
+        keys = code >> b
+    else:
+        keys = data.keys.take(block + (feats * n)[:, None])
+    if feats.size and lo < hi:
+        ok = keys[:, lo:hi] != keys[:, lo + 1:hi + 1]
+        if data.any_nan:
+            ok |= keys[:, lo:hi] == data.nan_key[feats, None]
+        left = positive.take(block).cumsum(axis=1, dtype=float)[:, lo:hi]
+        scores = _count_scores(np.arange(lo + 1.0, hi + 1.0), left, m, positives)
+        scores *= ok
+        r, j = divmod(int(scores.argmax()), hi - lo)
+        if scores[r, j] > 0:
+            f, at = feats[r], block[r, lo + j:lo + j + 2]
+            best_score, best_f = scores[r, j], f
+            best_thr = (data.Xt[f, at[0]] + data.Xt[f, at[1]]) / 2.0
+    if binary.size:
+        low = data.low[data._low_row[binary]]
+        kept = []
+        for f, nl, npl in zip(binary.tolist(), low.take(rows, axis=1).sum(axis=1).tolist(),
+                              low.take(rows[node_positive], axis=1).sum(axis=1).tolist()):
+            if ml <= nl <= m - ml:
+                kept.append(f)
+                score = _count_scores(nl, npl, m, positives)
+                if score > best_score or (score == best_score and f < best_f):
+                    best_score, best_f, best_thr = score, f, data.mids[data._low_row[f]]
+        binary = np.array(kept, dtype=np.intp)
+    if best_f < 0:
+        return None
+    return int(best_f), float(best_thr), (block, binary)
+
+
 def _gini_gain(wl, wpl, wr, wpr, total_w, parent) -> float:
     """Weighted Gini decrease of a cut with these side weights."""
     pl = wpl / wl if wl > 0 else 0.0
@@ -454,8 +547,10 @@ class _Grower(TreeTable):
     def _grow(self, data: _Rows, root, targets, split, leaf) -> np.ndarray:
         """Grow this tree over rows `root` of data.X; returns their leaf values
         (an array over data.X's rows). A node is a leaf at max_depth, under 2
-        min_leaf rows, where its targets are all equal, or where split(cuts,
-        rows) finds no cut; leaf(rows) gives a leaf's (value, proba)."""
+        min_leaf rows, where its targets are all equal, or where split(rows,
+        inherited, features) finds no cut; else split gives the cut's
+        (feature, threshold, what the children inherit when features is
+        None). leaf(rows) gives a leaf's (value, proba)."""
         nodes = _Nodes()
         fitted = np.empty(data.X.shape[0])
         p = data.X.shape[1]
@@ -469,31 +564,41 @@ class _Grower(TreeTable):
             best = features = None
             if depth < self.max_depth and len(rows) >= 2 * self.min_leaf and np.ptp(targets[rows]) != 0:
                 if self.mtry is not None and self.mtry < p:
-                    features = sorted(self.rng.choice(p, size=self.mtry, replace=False).tolist())
-                cuts = data.cuts(rows, inherited, self.min_leaf, features)
-                best = split(cuts, rows)
+                    features = self.rng.choice(p, size=self.mtry, replace=False)
+                best = split(rows, inherited, features)
             if best is None:
                 value, proba = leaf(rows)
                 fitted[rows] = value
                 nodes.add(value=value, proba=proba)
                 continue
-            f, thr = best[:2]
+            f, thr, inheritance = best
             inherit = features is None and depth + 1 < self.max_depth
-            left, right = data.partition(rows, cuts.inheritance() if inherit else None, f, thr)
-            del cuts  # freed before the children grow, not held to the next split
+            left, right = data.partition(rows, inheritance if inherit else None, f, thr)
+            del best, inheritance  # freed before the children grow, not held to the next split
             at = nodes.add(f, thr)
             stack += [(*right, depth + 1, at), (*left, depth + 1, -1)]
         self._set_table([nodes])
         return fitted
 
+    def _scored_by(self, data: _Rows, score):
+        """A split for _grow that picks the cut score(cuts, rows) returns
+        (feature, threshold first) among the node's _Cuts."""
+        def split(rows, inherited, features):
+            cuts = data.cuts(rows, inherited, self.min_leaf, features)
+            best = score(cuts, rows)
+            return None if best is None else (best[0], best[1], cuts.inheritance())
+        return split
+
 
 class DecisionTreeClassifier(_Grower, Classifier):
     """Binary CART with Gini impurity and optional per-split feature draws.
 
-    sample_weight support makes the same tree serve as the AdaBoost weak
-    learner; rng+mtry make it the random-forest member. It is a one-tree
-    table whose leaves hold the majority class as value and the positive
-    weight share as proba.
+    Without sample_weight every row weighs 1, so every node statistic is an
+    integer count and _count_split scores cuts exactly (a random-forest
+    member counts its bootstrap repeats this way; rng+mtry make it one).
+    With sample_weight it is the AdaBoost weak learner, scored by
+    _gini_split. It is a one-tree table whose leaves hold the majority class
+    as value and the positive weight share as proba.
     """
 
     kind = "TREE"
@@ -517,15 +622,26 @@ class DecisionTreeClassifier(_Grower, Classifier):
         y = np.asarray(y, dtype=int)
         if X.ndim != 2 or X.shape[0] != y.shape[0]:
             raise ValueError("X must be n x p with one label per row")
-        if sample_weight is None:
-            sample_weight = np.full(len(y), 1.0 / len(y))
+        if sample_weight is not None:
+            sample_weight = np.asarray(sample_weight, dtype=float)
         data = _Rows(X)
-        self._fit_rows(data, data.rows, y, np.asarray(sample_weight, dtype=float))
+        self._fit_rows(data, data.rows, y, sample_weight)
         self.fitted = True
         return self
 
     def _fit_rows(self, data: _Rows, root, y, weights) -> np.ndarray:
-        """Grow over rows `root` of data.X, given labels and weights over data.X's rows."""
+        """Grow over rows `root` of data.X, given labels over data.X's rows
+        and their weights, or None to count each row once."""
+        if weights is None:
+            positive = y == 1
+
+            def leaf(rows):
+                k = int(np.count_nonzero(positive.take(rows)))
+                return 1.0 if 2 * k > rows.size else 0.0, k / rows.size if rows.size else 0.0
+
+            return self._grow(data, root, y, lambda rows, inherited, features: _count_split(
+                data, rows, inherited, self.min_leaf, features, positive), leaf)
+
         wv = np.stack([weights, weights * (y == 1)])
 
         def leaf(rows):
@@ -535,7 +651,8 @@ class DecisionTreeClassifier(_Grower, Classifier):
             total = w0 + w1
             return 1.0 if w1 > w0 else 0.0, w1 / total if total > 0 else 0.0
 
-        return self._grow(data, root, y, lambda cuts, rows: _gini_split(cuts, rows, wv), leaf)
+        return self._grow(data, root, y, self._scored_by(
+            data, lambda cuts, rows: _gini_split(cuts, rows, wv)), leaf)
 
     def predict_proba(self, X) -> np.ndarray:
         return self.proba[self._leaves(X)[0]]
@@ -560,7 +677,8 @@ class RegressionTree(_Grower):
 
     def _fit_rows(self, data: _Rows, root, targets, leaf_value) -> np.ndarray:
         """Grow over rows `root` of data.X, given targets over data.X's rows."""
-        return self._grow(data, root, targets, lambda cuts, rows: _sse_split(cuts, targets),
+        return self._grow(data, root, targets,
+                          self._scored_by(data, lambda cuts, rows: _sse_split(cuts, targets)),
                           lambda rows: (leaf_value(rows), 0.0))
 
     def predict(self, X) -> np.ndarray:

@@ -23,7 +23,6 @@ from .evaluation import (
     structure_found,
 )
 from .features import (
-    DegenerateClass,
     Dataset,
     apply_scaler,
     load_dataset,
@@ -94,22 +93,8 @@ def _pca_by_config(cfg: RunConfig, Z: np.ndarray, min_k: int = 1) -> tuple[PCAMo
     return full.truncated(max(k, min_k)), full.explained_variance
 
 
-def _require_splittable(y: np.ndarray) -> None:
-    """Refuse, before any model fit, labels whose stratified split would leave
-    train or test with one class. stratified_split puts each class with two or
-    more rows on both sides and a one-row class in train only, so every class
-    needs two rows."""
-    classes, counts = np.unique(y, return_counts=True)
-    if len(classes) < 2 or counts.min() < 2:
-        per_class = ", ".join(f"class {c}: {n}" for c, n in zip(classes.tolist(), counts.tolist()))
-        raise DegenerateClass(
-            "the train/test split needs at least two rows of each of the two classes; "
-            f"the featurized rows have {per_class}")
-
-
 def stage_train(cfg: RunConfig, paths: RunPaths, manifest: Manifest) -> dict:
     ds = _load_features(manifest)
-    _require_splittable(ds.y)
     train_rows, test_rows = stratified_split(ds.y, cfg.train_fraction, cfg.seed)
     train_z, means, sds = standardize(ds.X[train_rows])
     train_y = ds.y[train_rows]

@@ -4,9 +4,10 @@ These are the package's original split searches and tree growers: at every
 node, each feature is argsorted again and scanned on its own, and the best
 candidate is kept by comparing (score, feature, threshold) tuples. They score
 cuts as the package does (the squared-sum forms, and one sum over the node's
-rows for a binary column), so the tests check that the presorted, one-pass
-trees and the ensembles built on them produce identical fitted states and
-predictions. Slow but simple to audit.
+rows for a binary column; a tree without weights, as every forest member,
+counts its rows and scores count_scores), so the tests check that the
+presorted, one-pass trees and the ensembles built on them produce identical
+fitted states and predictions. Slow but simple to audit.
 
 The trees here are the package's original recursive nodes (`_Node`),
 routed one row subset at a time. `flatten` writes a tree of them into the
@@ -77,6 +78,9 @@ def flatten(root: _Node) -> SimpleNamespace:
 
 
 def _leaf(y, weights) -> _Node:
+    """A leaf of these rows; weights None counts each row once."""
+    if weights is None:
+        weights = np.ones(len(y))
     w1 = float(np.sum(weights[y == 1]))
     w0 = float(np.sum(weights[y == 0]))
     total = w0 + w1
@@ -134,6 +138,12 @@ def gini_scores(wl, wpl, wr, wpr):
                 + np.where(wr > 0, wpr * wpr / np.where(wr > 0, wr, 1.0), 0.0))
 
 
+def count_scores(nl, npl, nr, npr):
+    """npl^2/nl + npr^2/nr over one common denominator, from whole-number
+    counts: exact up to the one rounding of the division."""
+    return (npl * npl * nr + npr * npr * nl) / (nl * nr)
+
+
 def sse_scores(sl, sr, nl, nr):
     return sl * sl / nl + sr * sr / nr
 
@@ -162,10 +172,13 @@ def best_gini_split(X, y, weights, min_leaf: int, features=None, binary=None):
     respects the min_leaf count on both sides. Splits with zero gain are
     still candidates, which is what lets depth-limited trees carve XOR.
     `binary` is binary_columns() of the fit's matrix (default: of X).
+    weights None counts each row once, and scores cuts by count_scores.
     """
     n, p = X.shape
     features = range(p) if features is None else features
     binary = binary_columns(X) if binary is None else binary
+    scores_of = gini_scores if weights is not None else count_scores
+    weights = np.ones(n) if weights is None else weights
     total_w = float(np.sum(weights))
     w_pos = weights * (y == 1)
     total_p = np.sum(w_pos)
@@ -180,7 +193,7 @@ def best_gini_split(X, y, weights, min_leaf: int, features=None, binary=None):
             wl = np.sum(low * weights)
             wpl = np.sum(low * w_pos)
             wr, wpr = total_w - wl, total_p - wpl
-            score = gini_scores(wl, wpl, wr, wpr)
+            score = scores_of(wl, wpl, wr, wpr)
             cand_sides = (wl, wpl, wr, wpr)
         else:
             order, xs, cut = _sorted_cuts(X[:, f], n, min_leaf)
@@ -192,7 +205,7 @@ def best_gini_split(X, y, weights, min_leaf: int, features=None, binary=None):
             wpl = cwp[cut - 1]
             wr = total_w - wl
             wpr = cwp[-1] - wpl
-            scores = gini_scores(wl, wpl, wr, wpr)
+            scores = scores_of(wl, wpl, wr, wpr)
             k = int(np.argmax(scores))
             score, thr = scores[k], (xs[cut[k] - 1] + xs[cut[k]]) / 2.0
             cand_sides = (wl[k], wpl[k], wr[k], wpr[k])
@@ -262,15 +275,16 @@ class OracleDecisionTreeClassifier(DecisionTreeClassifier):
         y = np.asarray(y, dtype=int)
         if X.ndim != 2 or X.shape[0] != y.shape[0]:
             raise ValueError("X must be n x p with one label per row")
-        if sample_weight is None:
-            sample_weight = np.full(len(y), 1.0 / len(y))
+        if sample_weight is not None:
+            sample_weight = np.asarray(sample_weight, dtype=float)
         self.binary = binary_columns(X) if binary is None else binary
-        self.root = self._grow(X, y, np.asarray(sample_weight, dtype=float), 0)
+        self.root = self._grow(X, y, sample_weight, 0)
         self._set_table([flatten(self.root)])
         self.fitted = True
         return self
 
     def _grow(self, X, y, weights, depth) -> _Node:
+        """weights None counts each row once."""
         if depth >= self.max_depth or len(y) < 2 * self.min_leaf or np.all(y == y[0]):
             return _leaf(y, weights)
 
@@ -286,8 +300,8 @@ class OracleDecisionTreeClassifier(DecisionTreeClassifier):
         mask = X[:, f] <= thr
         return _Node(
             feature=f, threshold=thr,
-            left=self._grow(X[mask], y[mask], weights[mask], depth + 1),
-            right=self._grow(X[~mask], y[~mask], weights[~mask], depth + 1),
+            left=self._grow(X[mask], y[mask], None if weights is None else weights[mask], depth + 1),
+            right=self._grow(X[~mask], y[~mask], None if weights is None else weights[~mask], depth + 1),
         )
 
     def predict_proba(self, X) -> np.ndarray:

@@ -1,8 +1,11 @@
 import datetime
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -149,12 +152,12 @@ class TestStratifiedSplit:
     def _labels(self, n0, n1):
         return np.array([0] * n0 + [1] * n1)
 
-    def test_99_to_1_minority_goes_to_train(self):
+    def test_99_to_1_minority_is_refused(self):
+        # a class of one row cannot sit on both sides
         y = self._labels(99, 1)
-        train, test = stratified_split(y, 0.7, seed=3)
-        assert len(train) in (69, 70, 71)
-        assert int(np.sum(y[train])) == 1
-        assert int(np.sum(y[test])) == 0
+        with pytest.raises(DegenerateClass, match="at least two rows of each of the two classes; "
+                                                  "the featurized rows have class 0: 99, class 1: 1"):
+            stratified_split(y, 0.7, seed=3)
 
     def test_balanced_ten(self):
         y = self._labels(5, 5)
@@ -242,6 +245,18 @@ class TestStandardize:
         assert z[:, flat].tobytes() == (X[:, flat] - means[flat]).tobytes()
 
 
+@st.composite
+def saved_tables(draw):
+    """(rows of finite floats, subnormals and extremes included; row ids of
+    any text; labels) of 1-12 rows and 1-5 columns."""
+    n, p = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    row = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=p, max_size=p)
+    return (draw(st.lists(row, min_size=n, max_size=n)),
+            draw(st.lists(st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+                          min_size=n, max_size=n)),
+            draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+
+
 class TestRoundTrip:
     def test_save_load(self, tmp_path, synth_a):
         merged, _, _ = match_flowlines(synth_a.operational.take(range(100)), synth_a.descriptive)
@@ -275,6 +290,25 @@ class TestRoundTrip:
         want = np.array([[float(repr(v)) for v in row] for row in (values, values[::-1])])
         assert back.X.dtype == np.float64 and back.X.flags.c_contiguous
         assert np.array_equal(back.X.view(np.uint64), want.view(np.uint64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(saved_tables())
+    @example(([[0.0, -0.0, 5e-324, -5e-324],
+               [2.2250738585072009e-308, 2.2250738585072014e-308, sys.float_info.max,
+                -sys.float_info.max]], ["a,b", 'say "hi"\r\n'], [0, 1]))
+    def test_floats_and_ids_round_trip(self, table):
+        # save_dataset writes repr(x) and quotes ids that hold a comma, a
+        # quote or a line break; load_dataset reads back the same bits and ids
+        values, ids, labels = table
+        X = np.array(values, dtype=float)
+        ds = Dataset(X, np.array(labels), [ColumnMeta(f"c{j}", "numeric") for j in range(X.shape[1])],
+                     ids)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_dataset(ds, Path(tmp) / "f.csv", Path(tmp) / "f.json")
+            back = load_dataset(Path(tmp) / "f.csv", read_json(Path(tmp) / "f.json"))
+        assert back.X.dtype == np.float64 and back.X.flags.c_contiguous
+        assert back.X.tobytes() == X.tobytes()
+        assert back.row_ids == ids and back.y.tolist() == labels
 
     @pytest.mark.parametrize("n_rows", [1, 3])
     def test_row_count_must_match_the_sidecar(self, tmp_path, n_rows):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -851,9 +852,138 @@ class TestSplitChoicesAreOldNearBest:
 
 
 # ---------------------------------------------------------------------------
-# rank keys and what each ensemble fit sorts
+# trees that count rows: exact scores and ties
 
 _SPECIALS = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 1.0, -1.0])
+
+
+@st.composite
+def special_problems(draw):
+    """Small problems whose columns hold signed zeros, infinities and NaNs
+    among ties, one-hot and float values; both classes present."""
+    n = draw(st.integers(2, 40))
+    kinds = draw(st.lists(st.sampled_from(["ints", "one-hot", "specials", "float"]),
+                          min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for kind in kinds:
+        if kind == "ints":
+            columns.append(rng.integers(-2, 3, n).astype(float))
+        elif kind == "one-hot":
+            columns.append((np.arange(n) == rng.integers(0, n)).astype(float))
+        elif kind == "specials":
+            columns.append(rng.choice(_SPECIALS[:draw(st.integers(2, 7))], n))
+        else:
+            columns.append(rng.normal(size=n))
+    y = rng.integers(0, 2, n)
+    y[rng.choice(n, 2, replace=False)] = (0, 1)
+    return np.column_stack(columns), y
+
+
+def exact_best_cut(X, y, rows, features, min_leaf):
+    """(feature, threshold) of the first cut, in (feature, threshold) order,
+    with the greatest exact Gini score npl^2/nl + npr^2/nr over the node's
+    rows (repeats counted), or None. A cut follows a position of a column's
+    stable sort where the next value differs (NaN differs from NaN), with
+    min_leaf rows on each side."""
+    m, ml = rows.size, max(min_leaf, 1)
+    positive = y[rows] == 1
+    total = int(positive.sum())
+    best = None
+    for f in range(X.shape[1]) if features is None else sorted(map(int, features)):
+        order = np.argsort(X[rows, f], kind="stable")
+        xs, left = X[rows, f][order], np.cumsum(positive[order])
+        for j in range(ml - 1, m - ml):
+            if xs[j] != xs[j + 1]:
+                nl, npl = j + 1, int(left[j])
+                score = Fraction(npl * npl, nl) + Fraction((total - npl) ** 2, m - nl)
+                if best is None or score > best[0]:
+                    best = (score, f, float((xs[j] + xs[j + 1]) / 2.0))
+    return None if best is None else best[1:]
+
+
+def counted_nodes(fit):
+    """(rows, features, cut) of every node fit() scores by counting."""
+    nodes = []
+    count_split = trees._count_split
+
+    def recording(data, rows, inherited, min_leaf, features, positive):
+        cut = count_split(data, rows, inherited, min_leaf, features, positive)
+        nodes.append((rows, features, None if cut is None else cut[:2]))
+        return cut
+
+    with mock.patch.object(trees, "_count_split", recording):
+        fit()
+    return nodes
+
+
+class TestCountedSplitsAreExact:
+    """A forest member, and a CART fitted without weights, counts each row
+    (bootstrap repeats again): every node takes the first cut with the
+    greatest exact score, so exact ties go to the lowest feature."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(tree_problems(), st.integers(1, 5), st.integers(1, 4), st.booleans(),
+           st.integers(0, 2**16), st.data())
+    def test_every_forest_node_takes_the_exact_best_cut(self, problem, max_depth, min_leaf,
+                                                        bootstrap, seed, data):
+        X, y, _ = problem
+        mtry = data.draw(st.integers(1, X.shape[1]))
+        model = RandomForestClassifier(3, max_depth, mtry, seed, min_leaf, bootstrap)
+        for rows, features, cut in counted_nodes(lambda: model.fit(X, y)):
+            assert cut == exact_best_cut(X, y, rows, features, min_leaf)
+
+    @settings(max_examples=60, deadline=None)
+    @given(special_problems(), st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**16),
+           st.data())
+    def test_special_values_admit_the_cuts_sorted_floats_admit(self, problem, max_depth,
+                                                               min_leaf, seed, data):
+        # every node of a CART (inherited blocks) and of a forest (sorted
+        # draws), against the exact best cut and the per-feature oracle
+        X, y = problem
+        mtry = data.draw(st.integers(1, X.shape[1]))
+        pairs = [
+            (DecisionTreeClassifier(max_depth, min_leaf),
+             cart_oracle.OracleDecisionTreeClassifier(max_depth, min_leaf)),
+            (RandomForestClassifier(2, max_depth, mtry, seed, min_leaf),
+             cart_oracle.OracleRandomForestClassifier(2, max_depth, mtry, seed, min_leaf)),
+        ]
+        for new, old in pairs:
+            for rows, features, cut in counted_nodes(lambda: new.fit(X, y)):
+                assert repr(cut) == repr(exact_best_cut(X, y, rows, features, min_leaf))
+            old.fit(X, y)
+            assert table_json(new) == table_json(old)
+
+    def test_exact_ties_go_to_the_lower_feature(self):
+        # Column 0's cut scores 3^2/6 + 0^2/3 and column 1's 2^2/3 + 1^2/6:
+        # both exactly 3/2. Weighting each row 1/9 rounds column 1's score
+        # above column 0's; counts tie them bit for bit, on a binary and on
+        # a sorted column alike.
+        X = np.array([[1, 1, 0, 0, 0, 0, 1, 0, 0], [1, 1, 1, 1, 0, 0, 1, 0, 1]], dtype=float).T
+        y = np.array([0, 0, 0, 1, 0, 1, 0, 1, 0])
+        three_valued = X.copy()
+        three_valued[0, 1] = 2.0
+        for X in (X, three_valued):
+            assert exact_best_cut(X, y, np.arange(9), None, 1) == (0, 0.5)
+            for model in (DecisionTreeClassifier(max_depth=1, min_leaf=1),
+                          RandomForestClassifier(1, 1, 2, seed=0, min_leaf=1, bootstrap=False)):
+                assert model.fit(X, y).feature[0] == 0
+
+    def test_count_scores_are_one_rounding_of_the_exact_score(self):
+        # arrays of whole floats and Python ints give the same bits
+        rng = np.random.default_rng(83)
+        for m in (2, 9, 2800, 2**17 - 1):
+            nl = rng.integers(1, m, 50)
+            positives = int(rng.integers(1, m + 1))
+            npl = rng.integers(np.maximum(0, positives - (m - nl)), np.minimum(nl, positives) + 1)
+            got = trees._count_scores(nl.astype(float), npl.astype(float), m, positives)
+            for g, a, b in zip(got.tolist(), nl.tolist(), npl.tolist()):
+                exact = Fraction(b * b, a) + Fraction((positives - b) ** 2, m - a)
+                assert g == float(exact) == trees._count_scores(a, b, m, positives)
+
+
+# ---------------------------------------------------------------------------
+# rank keys and what each ensemble fit sorts
 
 
 @st.composite
