@@ -265,7 +265,8 @@ def _float_fields(fh, width: int, row_ids: list[str], labels: list[int]):
     row_ids and labels. A line without quotes is split at its first and last
     comma; one with quotes (a row id holding a comma, a quote or a line
     break) is read by the csv module, over as many lines as its record spans.
-    A record of other than `width` fields raises ValueError naming its line."""
+    A record of other than `width` fields, or whose one float field is
+    empty, raises ValueError naming its line."""
     line_num = 1  # the header's
     for line in fh:
         line_num += 1
@@ -283,6 +284,8 @@ def _float_fields(fh, width: int, row_ids: list[str], labels: list[int]):
                 floats, _, label = rest.rpartition(",")
         if count != width:
             raise ValueError(f"line {line_num}: {count} fields, not {width}")
+        if width > 2 and not floats.strip():  # np.loadtxt would skip it as a blank line
+            raise ValueError(f"line {line_num}: an empty float field")
         row_ids.append(rid)
         labels.append(int(label))
         yield floats

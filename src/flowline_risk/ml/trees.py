@@ -23,16 +23,16 @@ per fit: every row, or a bootstrap draw with its repeats in draw order, so no
 tree copies its rows. A node is the root's rows that reach it, in root order.
 
 A node scores the cuts of most features in one numpy pass over cumulative
-sums (or counts) along a sorted block, whose rows hold the node's rows in the
-stable sort order of one feature each. Each fit ranks X once into dense integer keys that
-order rows exactly as their floats do (ties, -0.0 == 0.0 and NaNs last
-included). A node whose parent scored every feature inherits its block by a
-stable partition of the parent's, in O(p m) for m rows (the presorted
-attribute lists of SLIQ; Mehta, Agrawal & Rissanen 1996). Every other node
-(the root, and each node of a forest tree that draws mtry < p features)
-stable-sorts the keys it scores over its own rows, so it pays only for what
-it scores. Boosted ensembles share one ranking, and the root's cuts, across
-all their stages.
+sums (or counts) along a sorted block, whose rows hold the node's rows in
+the stable sort order of one feature each. Each fit ranks X once into dense
+integer keys that order rows exactly as their floats do (ties, -0.0 == 0.0
+and NaNs last included). A node whose parent scored every feature inherits
+its block by a stable partition of the parent's, in O(p m) for m rows (the
+presorted attribute lists of SLIQ; Mehta, Agrawal & Rissanen 1996). Every
+other node (the root, and each node of a forest tree that draws mtry < p
+features) stable-sorts the keys it scores over its own rows (_Rows.sort), so
+it pays only for what it scores. Boosted ensembles share one ranking, and
+the root's cuts, across all their stages.
 
 A binary column, one with exactly two distinct finite values in the fit's
 matrix, has one cut and no place in the blocks. A node scores all the binary
@@ -209,10 +209,11 @@ class _Rows:
         self.is_binary = is_binary = finite & (lo < hi) & np.all((X == lo) | (X == hi), axis=0)
         self.is_constant = finite & (lo == hi)
         # each column's NaN key, or n in a column without NaNs, which no key
-        # reaches: _SortedCuts admits a cut between two NaNs (NaN != NaN)
+        # reaches: _SortedCuts admits a cut between two NaNs (NaN != NaN).
+        # None where no column holds a NaN.
         has_nan = np.isnan(lo)
-        self.nan_key = np.where(has_nan, self.keys.max(axis=1, initial=0), X.shape[0])
-        self.any_nan = bool(has_nan.any())
+        self.nan_key = (np.where(has_nan, self.keys.max(axis=1, initial=0), X.shape[0])
+                        if has_nan.any() else None)
         self.low = np.ascontiguousarray((X[:, is_binary] == lo[is_binary]).T)
         # (a + b) / 2 of the two values has the bits of the sorted path's midpoint
         self.mids = (lo[is_binary] + hi[is_binary]) / 2.0
@@ -223,17 +224,33 @@ class _Rows:
         self._go_left = np.zeros(X.shape[0], dtype=bool)
         self._root_cuts: dict[int, _Cuts] = {}
 
-    def node(self, inherited, features):
-        """(block features, binary features, block) a node scores: what it
-        inherited, or `features` (None: all) split into the two kinds, with a
-        block of None for the caller to sort."""
+    def node(self, rows, inherited, features):
+        """(block features, binary features, block, keys) a node scores: what
+        it inherited (keys None), or `features` (None: all) split into the
+        two kinds, with the block and its keys sorted by sort()."""
         if inherited is not None:
             block, binary = inherited
-            return self.sorted, binary, block
+            return self.sorted, binary, block, None
         if features is None:
-            return self.sorted, self.binary, None
-        feats = np.sort(np.asarray(features, dtype=np.intp))
-        return feats[self._in_block[feats]], feats[self.is_binary[feats]], None
+            feats, binary = self.sorted, self.binary
+        else:
+            feats = np.sort(np.asarray(features, dtype=np.intp))
+            feats, binary = feats[self._in_block[feats]], feats[self.is_binary[feats]]
+        return (feats, binary) + self.sort(rows, feats)
+
+    def sort(self, rows, feats):
+        """(block, keys), feats x rows.size: row r of the block holds `rows`
+        in the stable sort order of feature feats[r]'s keys, and row r of
+        keys their keys in that order. Each key is packed above its
+        position, so the codes are distinct and one value sort of them is
+        stable."""
+        n, b = self.keys.shape[1], rows.size.bit_length()
+        code = self.keys.take(rows + (feats * n)[:, None]).astype(
+            np.uint32 if n << b <= 2**32 else np.uint64)
+        code <<= b
+        code |= np.arange(rows.size, dtype=code.dtype)
+        code.sort(axis=1)
+        return rows.take(code & ((1 << b) - 1)), code >> b
 
     def cuts(self, rows, inherited, min_leaf: int, features=None) -> "_Cuts":
         """Admissible cuts of `features` (default: all) over the node's rows;
@@ -241,10 +258,7 @@ class _Rows:
         root = features is None and rows is self.rows
         if root and min_leaf in self._root_cuts:
             return self._root_cuts[min_leaf]
-        feats, binary, block = self.node(inherited, features)
-        if block is None:
-            local = np.argsort(self.keys[feats[:, None], rows], axis=1, kind="stable")
-            block = rows.take(local)
+        feats, binary, block, _ = self.node(rows, inherited, features)
         low_rows = self._low_row[binary]
         cuts = _Cuts(_SortedCuts(feats, block, self.Xt, min_leaf),
                      _BinaryCuts(binary, self.low[low_rows].take(rows, axis=1),
@@ -461,31 +475,24 @@ def _count_split(data: _Rows, rows, inherited, min_leaf: int, features, positive
     scores above 0. The cuts are those _SortedCuts and _BinaryCuts admit,
     scored by _count_scores from integer counts: one cumulative count of
     positives along each row of the node's block, and two counts per binary
-    column. Only the winning cut's threshold is gathered. A node that
-    inherited no block sorts the keys of its block features over its rows,
-    stably, as one value sort of (key, position) codes.
+    column. Admissibility compares the block's keys, which the node's sort
+    yields, so only the winning cut's two floats are gathered. Scoring counts
+    as a scorer over _Cuts, as _gini_split and _sse_split score, gathers and
+    compares the whole block's floats and builds both cut lists per node:
+    it fitted the `tall` forests 26-39% slower (BENCH_forest_counts.json).
     """
     m, n = rows.size, data.keys.shape[1]
     ml = max(min_leaf, 1)
-    feats, binary, block = data.node(inherited, features)
+    feats, binary, block, keys = data.node(rows, inherited, features)
     node_positive = positive.take(rows)
     positives = int(node_positive.sum())
     best_score, best_f, best_thr = 0.0, -1, 0.0
     lo, hi = ml - 1, m - ml  # admissible last-left positions
-    if block is None:
-        b = m.bit_length()
-        code = data.keys.take(rows + (feats * n)[:, None]).astype(
-            np.uint32 if n << b <= 2**32 else np.uint64)
-        code <<= b
-        code |= np.arange(m, dtype=code.dtype)
-        code.sort(axis=1)
-        block = rows.take(code & ((1 << b) - 1))
-        keys = code >> b
-    else:
+    if keys is None:
         keys = data.keys.take(block + (feats * n)[:, None])
     if feats.size and lo < hi:
         ok = keys[:, lo:hi] != keys[:, lo + 1:hi + 1]
-        if data.any_nan:
+        if data.nan_key is not None:
             ok |= keys[:, lo:hi] == data.nan_key[feats, None]
         left = positive.take(block).cumsum(axis=1, dtype=float)[:, lo:hi]
         scores = _count_scores(np.arange(lo + 1.0, hi + 1.0), left, m, positives)

@@ -310,6 +310,21 @@ class TestRoundTrip:
         assert back.X.tobytes() == X.tobytes()
         assert back.row_ids == ids and back.y.tolist() == labels
 
+    @pytest.mark.parametrize("extra_rows", [0, 1])
+    def test_an_empty_float_field_names_its_line(self, tmp_path, extra_rows):
+        # "R2,,0" has the three fields of a one-column file; np.loadtxt would
+        # skip its empty float text as a blank line, short of the sidecar's
+        # rows, or filled by the row after it
+        ds = Dataset(np.array([[1.0], [2.0], [3.0]]), np.array([0, 1, 0]),
+                     [ColumnMeta("a", "numeric")], ["R1", "R2", "R3"])
+        save_dataset(ds, tmp_path / "features.csv", tmp_path / "f.json")
+        lines = (tmp_path / "features.csv").read_text().splitlines()
+        lines[2] = "R2,,1"
+        lines += ["R4,4.0,0"] * extra_rows
+        (tmp_path / "features.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="^line 3: an empty float field$"):
+            load_dataset(tmp_path / "features.csv", read_json(tmp_path / "f.json"))
+
     @pytest.mark.parametrize("n_rows", [1, 3])
     def test_row_count_must_match_the_sidecar(self, tmp_path, n_rows):
         ds = Dataset(np.eye(2), np.array([0, 1]), [ColumnMeta("a", "numeric"), ColumnMeta("b", "numeric")],
