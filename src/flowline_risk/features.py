@@ -284,7 +284,7 @@ def _float_fields(fh, width: int, row_ids: list[str], labels: list[int]):
                 floats, _, label = rest.rpartition(",")
         if count != width:
             raise ValueError(f"line {line_num}: {count} fields, not {width}")
-        if width > 2 and not floats.strip():  # np.loadtxt would skip it as a blank line
+        if width > 2 and not floats.strip():  # read_float_rows would skip it as a blank line
             raise ValueError(f"line {line_num}: an empty float field")
         row_ids.append(rid)
         labels.append(int(label))

@@ -12,7 +12,7 @@ from .serialization import (
     save_model,
     schema_hash,
 )
-from .trees import DecisionTreeClassifier, RegressionTree, best_gini_split, gini_impurity
+from .trees import DecisionTreeClassifier, RegressionTree
 
 __all__ = [
     "AdaBoostClassifier",
@@ -29,9 +29,7 @@ __all__ = [
     "RandomForestClassifier",
     "RegressionTree",
     "SingleClass",
-    "best_gini_split",
     "fit_kmeans",
-    "gini_impurity",
     "logistic_loss_and_grad",
     "model_from_dict",
     "model_to_dict",

@@ -184,7 +184,7 @@ class RandomForestClassifier(TreeTable, Classifier):
     The training matrix is ranked (trees.rank_keys, one float sort) and its
     binary and constant columns found once per fit; each tree grows over its
     bootstrap draw of row indices into it and copies no rows. A tree counts
-    its rows, each draw once (trees._count_split), so every node takes the
+    its rows, each draw once (trees._count_scores), so every node takes the
     first cut in (feature, threshold) order with the greatest exact Gini
     score. The trees are one table, each leaf's value its class.
     """

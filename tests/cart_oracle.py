@@ -31,7 +31,6 @@ from flowline_risk.ml import (
     GBDTClassifier,
     RandomForestClassifier,
     RegressionTree,
-    gini_impurity,
 )
 from flowline_risk.ml.base import check_binary_labels
 from flowline_risk.ml.ensembles import _ALPHA_ERR_FLOOR, _LEAF_CLAMP, log_loss
@@ -103,13 +102,22 @@ def _traverse(node: _Node, X: np.ndarray) -> list[_Node]:
     return out
 
 
+def gini_impurity(y: np.ndarray, weights: np.ndarray) -> float:
+    total = float(np.sum(weights))
+    if total <= 0:
+        return 0.0
+    w1 = float(np.sum(weights[y == 1]))
+    p1 = w1 / total
+    return 1.0 - p1 * p1 - (1.0 - p1) * (1.0 - p1)
+
+
 def binary_columns(X) -> dict:
     """{feature: (low value, threshold)} of the columns of X that hold exactly
-    two distinct finite values; the threshold is their midpoint."""
+    two distinct values; the threshold is their midpoint."""
     out = {}
     for f in range(X.shape[1]):
         values = np.unique(X[:, f])  # -0.0 and 0.0 are one value
-        if values.size == 2 and np.all(np.isfinite(values)):
+        if values.size == 2:
             out[f] = (values[0], (values[0] + values[1]) / 2.0)
     return out
 

@@ -21,9 +21,7 @@ from flowline_risk.ml import (
     NotFitted,
     RandomForestClassifier,
     SingleClass,
-    best_gini_split,
     fit_kmeans,
-    gini_impurity,
     logistic_loss_and_grad,
     RegressionTree,
     model_from_dict,
@@ -34,6 +32,7 @@ from flowline_risk.ml.trees import presort, rank_keys
 
 import cart_oracle
 import knn_oracle
+from cart_oracle import gini_impurity
 from conftest import disk_blob
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
@@ -188,6 +187,19 @@ class TestLinearSVM:
             LinearSVM().fit(np.zeros((4, 2)), np.ones(4, dtype=int))
 
 
+def root_cut(X, y, weights, min_leaf, features=None):
+    """(feature, threshold) of the root of a depth-1 CART fitted with these
+    sample weights, whose root scores `features` (None: all), or None where
+    the root is a leaf."""
+    class Drawn:  # mtry 0 < p makes the root draw, and this draw is `features`
+        def choice(self, p, size, replace):
+            return np.asarray(features, dtype=np.intp)
+
+    tree = DecisionTreeClassifier(1, min_leaf, None if features is None else 0, Drawn())
+    tree.fit(X, y, sample_weight=weights)
+    return None if tree.feature[0] < 0 else (int(tree.feature[0]), float(tree.threshold[0]))
+
+
 class TestDecisionTree:
     def test_pure_input_single_leaf(self):
         X = np.array([[0.0], [1.0], [2.0]])
@@ -205,7 +217,7 @@ class TestDecisionTree:
             X = rng.normal(size=(50, 3))
             y = (rng.random(50) < 0.5).astype(int)
             weights = np.full(50, 1.0 / 50)
-            got = best_gini_split(X, y, weights, min_leaf=1)
+            got = root_cut(X, y, weights, min_leaf=1)
 
             best = None
             parent = gini_impurity(y, weights)
@@ -224,7 +236,9 @@ class TestDecisionTree:
                         best = cand
             assert got[0] == best[1]
             assert got[1] == pytest.approx(best[2])
-            assert -best[0] == pytest.approx(got[2], abs=1e-12)
+            want = cart_oracle.best_gini_split(X, y, weights, min_leaf=1)
+            assert got == want[:2]
+            assert -best[0] == pytest.approx(want[2], abs=1e-12)
 
     def test_predict_before_fit(self):
         with pytest.raises(NotFitted):
@@ -598,9 +612,9 @@ class TestPresortedSplitsMatchOracle:
         X, y, weights = problem
         p = X.shape[1]
         features = data.draw(st.none() | st.lists(st.integers(0, p - 1), max_size=p))
-        got = best_gini_split(X, y, weights, min_leaf, features)
+        got = root_cut(X, y, weights, min_leaf, features)
         want = cart_oracle.best_gini_split(X, y, weights, min_leaf, features)
-        assert repr(got) == repr(want)
+        assert repr(got) == repr(None if want is None else want[:2])
 
     @settings(max_examples=80, deadline=None)
     @given(tree_problems(), st.integers(1, 6), st.integers(1, 4), st.booleans(), st.data())
@@ -715,15 +729,19 @@ class TestPresortedSplitsMatchOracle:
         assert new.feature[0] == 0 and new.threshold[0] == 0.5
 
     def test_infinite_scores_pick_the_first_admissible_cut(self):
-        # A slab of mostly admissible cuts is scored whole, and only its
+        # A block of mostly admissible cuts is scored whole, and only its
         # admissible positions compete; when every admissible score is
         # -inf, an inadmissible position must not win.
         X = np.array([[0.0, 5.0], [0.0, 1.0], [1.0, 2.0], [2.0, 3.0], [3.0, 4.0]])
         data = trees._Rows(X)
         cuts = data.cuts(data.rows, None, min_leaf=1)
-        assert cuts.sorted.dense and not cuts.sorted.ok.flat[0]
-        scores = np.full(cuts.sorted.ok.shape, -np.inf)
-        assert cuts.best([scores]) == (0, 0.5, 0, 1)
+        assert cuts.ok.mean() > 0.5 and not cuts.ok.flat[0]
+
+        def minus_inf(nl, left, m, node, total):
+            return np.full(left.shape, -np.inf)
+
+        with np.errstate(invalid="ignore"):  # -inf times a masked-out 0 is NaN
+            assert cuts.best(np.zeros(5), minus_inf) == (0, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -790,11 +808,11 @@ def near_tie_gaps(problem) -> tuple[float, float]:
     for kind in ("gini", "sse"):
         cuts = data.cuts(rows, None, min_leaf, features)
         if kind == "gini":
-            split = trees._gini_split(cuts, rows, np.stack([weights, weights * (y == 1)]))
+            split = cuts.best(np.stack([weights, weights * (y == 1)]), trees._gini_scores)
             old = cart_oracle.old_gini_candidates(X[rows], y[rows], weights[rows], min_leaf)
             sign, scale = -1.0, 1.0  # gains: the weighted decrease over the node weight
         else:
-            split = trees._sse_split(cuts, targets)
+            split = cuts.best(targets, trees._sse_scores)
             old = cart_oracle.old_sse_candidates(X[rows], targets[rows], min_leaf)
             sign, scale = 1.0, float(np.sum(targets[rows] ** 2))
         old = {cut: sign * score for cut, score in old.items() if cut[0] in allowed}
@@ -802,7 +820,7 @@ def near_tie_gaps(problem) -> tuple[float, float]:
         if split is None:
             gaps.append(np.nan)
             continue
-        chosen = old[split[:2]]  # the same cut, threshold bits included
+        chosen = old[split]  # the same cut, threshold bits included
         gaps.append((chosen - min(old.values())) / (m * U * scale))
     return gaps[0], gaps[1]
 
@@ -828,8 +846,18 @@ class TestSplitChoicesAreOldNearBest:
         values = rng.normal(size=2 * m if q is None else (q, 2 * m)) * rng.lognormal(size=2 * m)
         low = rng.random((nb, m)) < 0.5
         low[:, 0], low[:, -1] = True, False
-        cuts = trees._BinaryCuts(np.arange(nb), low, np.zeros(nb), rows, 1)
-        left, right = cuts.sides(values)
+        X = (rng.random((2 * m, nb)) < 0.5).astype(float)
+        X[rows] = ~low.T  # 0.0, the low value, where low holds
+        data = trees._Rows(X)
+        assert np.array_equal(data.binary, np.arange(nb))
+        sums = []
+
+        def recording(nl, left, m, node, total):
+            sums.append((left, total - left))
+            return np.zeros(left.shape[-1])
+
+        data.cuts(rows, None, 1).best(values, recording)
+        (left, right), = sums
         for v, got_left, got_right in zip(np.atleast_2d(values), np.atleast_2d(left),
                                           np.atleast_2d(right)):
             node = v[rows]
@@ -846,8 +874,8 @@ class TestSplitChoicesAreOldNearBest:
         y = np.array([0, 1, 1, 1, 1, 0])
         weights = np.full(6, 1 / 6)
         for X, want in ((np.column_stack([x, three]), 0), (np.column_stack([three, x]), 0)):
-            got = best_gini_split(X, y, weights, min_leaf=2)
-            assert got == cart_oracle.best_gini_split(X, y, weights, min_leaf=2)
+            got = root_cut(X, y, weights, min_leaf=2)
+            assert got == cart_oracle.best_gini_split(X, y, weights, min_leaf=2)[:2]
             assert got[0] == want
 
 
@@ -884,8 +912,8 @@ def exact_best_cut(X, y, rows, features, min_leaf):
     """(feature, threshold) of the first cut, in (feature, threshold) order,
     with the greatest exact Gini score npl^2/nl + npr^2/nr over the node's
     rows (repeats counted), or None. A cut follows a position of a column's
-    stable sort where the next value differs (NaN differs from NaN), with
-    min_leaf rows on each side."""
+    stable sort where the next value differs, with min_leaf rows on each
+    side."""
     m, ml = rows.size, max(min_leaf, 1)
     positive = y[rows] == 1
     total = int(positive.sum())
@@ -903,16 +931,25 @@ def exact_best_cut(X, y, rows, features, min_leaf):
 
 
 def counted_nodes(fit):
-    """(rows, features, cut) of every node fit() scores by counting."""
-    nodes = []
-    count_split = trees._count_split
+    """(rows, features, cut) of every node fit() scores by counting: the
+    features its _Cuts was built over, and the cut _Cuts.best picks with
+    the count scorer."""
+    nodes, built = [], {}
+    cuts, best = trees._Rows.cuts, trees._Cuts.best
 
-    def recording(data, rows, inherited, min_leaf, features, positive):
-        cut = count_split(data, rows, inherited, min_leaf, features, positive)
-        nodes.append((rows, features, None if cut is None else cut[:2]))
+    def recording_cuts(data, rows, inherited, min_leaf, features=None):
+        node = cuts(data, rows, inherited, min_leaf, features)
+        built[id(node)] = features
+        return node
+
+    def recording_best(node, values, score):
+        cut = best(node, values, score)
+        if score is trees._count_scores:
+            nodes.append((node.rows, built[id(node)], cut))
         return cut
 
-    with mock.patch.object(trees, "_count_split", recording):
+    with mock.patch.object(trees._Rows, "cuts", recording_cuts), \
+            mock.patch.object(trees._Cuts, "best", recording_best):
         fit()
     return nodes
 
@@ -936,10 +973,12 @@ class TestCountedSplitsAreExact:
     @settings(max_examples=60, deadline=None)
     @given(special_problems(), st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**16),
            st.data())
-    def test_special_values_admit_the_cuts_sorted_floats_admit(self, problem, max_depth,
-                                                               min_leaf, seed, data):
-        # every node of a CART (inherited blocks) and of a forest (sorted
-        # draws), against the exact best cut and the per-feature oracle
+    def test_non_finite_columns_are_refused(self, problem, max_depth, min_leaf, seed, data):
+        # a NaN or an infinity would give a cut a threshold that sends every
+        # row to one side, so a fit refuses it, naming the first such column;
+        # signed zeros and finite values split at every node of a CART
+        # (inherited blocks) and of a forest (sorted draws) as the exact best
+        # cut and the per-feature oracle do
         X, y = problem
         mtry = data.draw(st.integers(1, X.shape[1]))
         pairs = [
@@ -948,7 +987,13 @@ class TestCountedSplitsAreExact:
             (RandomForestClassifier(2, max_depth, mtry, seed, min_leaf),
              cart_oracle.OracleRandomForestClassifier(2, max_depth, mtry, seed, min_leaf)),
         ]
+        bad = np.flatnonzero(~np.isfinite(X).all(axis=0))
         for new, old in pairs:
+            if bad.size:
+                with pytest.raises(ValueError, match=f"^column {bad[0]} of X holds a value that "
+                                                     "is not finite"):
+                    new.fit(X, y)
+                continue
             for rows, features, cut in counted_nodes(lambda: new.fit(X, y)):
                 assert repr(cut) == repr(exact_best_cut(X, y, rows, features, min_leaf))
             old.fit(X, y)
@@ -987,9 +1032,11 @@ class TestCountedSplitsAreExact:
 
 
 @st.composite
-def ranked_columns(draw):
+def ranked_columns(draw, finite=False):
     """n on both sides of the uint8/uint16 and uint16/uint32 key boundaries,
-    with tied, one-hot, constant, signed-zero/infinite/NaN and float columns."""
+    with tied, one-hot, constant, signed-zero/infinite/NaN and float columns;
+    `finite` leaves out the infinities and NaNs, which a tree refuses."""
+    specials = _SPECIALS[np.isfinite(_SPECIALS)] if finite else _SPECIALS
     n = draw(st.sampled_from([1, 2, 3, 40, 255, 256, 257, 65535, 65536]))
     kinds = draw(st.lists(st.sampled_from(["ints", "one-hot", "constant", "specials", "float"]),
                           min_size=1, max_size=4))
@@ -1001,12 +1048,17 @@ def ranked_columns(draw):
         elif kind == "one-hot":
             columns.append((np.arange(n) == rng.integers(0, n)).astype(float))
         elif kind == "constant":
-            columns.append(np.full(n, rng.choice(_SPECIALS)))
+            columns.append(np.full(n, rng.choice(specials)))
         elif kind == "specials":
-            columns.append(rng.choice(_SPECIALS, n))
+            columns.append(rng.choice(specials, n))
         else:
             columns.append(rng.normal(size=n))
     return np.column_stack(columns), rng
+
+
+def kept_low(cuts) -> np.ndarray:
+    """The low-side indicators of a _Cuts' binary columns with an admissible cut."""
+    return cuts.low if cuts.binary.size else np.zeros((0, cuts.m), bool)
 
 
 class TestRankKeys:
@@ -1029,7 +1081,7 @@ class TestRankKeys:
             assert np.array_equal(np.argsort(keys[f, rows], kind="stable"), want)
 
     @settings(max_examples=40, deadline=None)
-    @given(ranked_columns(), st.integers(1, 4))
+    @given(ranked_columns(finite=True), st.integers(1, 4))
     def test_node_block_is_the_partitioned_presort(self, problem, min_leaf):
         X, rng = problem
         n, p = X.shape
@@ -1049,11 +1101,11 @@ class TestRankKeys:
         # binary and constant columns are in no block
         feats = feats[~(data.is_binary | data.is_constant)[feats]]
         want = order[in_node[order]].reshape(p, -1)[feats]
-        assert np.array_equal(got.sorted.feats, feats)
+        assert np.array_equal(got.feats, feats)
         assert np.array_equal(got.block, want)
 
     @settings(max_examples=40, deadline=None)
-    @given(ranked_columns(), st.integers(0, 3))
+    @given(ranked_columns(finite=True), st.integers(0, 3))
     def test_inherited_block_is_the_sorted_block(self, problem, feature):
         # a child that inherits its share of the parent's block by partition
         # holds the block it would get by sorting its own keys
@@ -1068,7 +1120,7 @@ class TestRankKeys:
             assert np.array_equal(inherited, data.cuts(rows, None, 1).block)
 
     @settings(max_examples=60, deadline=None)
-    @given(ranked_columns(), st.integers(1, 3), st.booleans(), st.integers(0, 3))
+    @given(ranked_columns(finite=True), st.integers(1, 3), st.booleans(), st.integers(0, 3))
     def test_inherited_binary_columns_are_those_a_fresh_scan_keeps(
             self, problem, min_leaf, bootstrap, feature):
         # a child's rows are a subset of its parent's, bootstrap repeats
@@ -1083,10 +1135,10 @@ class TestRankKeys:
         threshold = X[rng.integers(0, n), feature]
         for rows, inherited in data.partition(parent, inheritance, feature, threshold):
             fresh = data.cuts(rows, None, min_leaf)
-            assert set(fresh.binary.feats) <= set(inherited[1])
+            assert set(fresh.inheritance()[1]) <= set(inherited[1])
             got = data.cuts(rows, inherited, min_leaf)
-            assert np.array_equal(got.binary.feats, fresh.binary.feats)
-            assert np.array_equal(got.binary.low, fresh.binary.low)
+            assert np.array_equal(got.inheritance()[1], fresh.inheritance()[1])
+            assert np.array_equal(kept_low(got), kept_low(fresh))
             assert np.array_equal(got.block, fresh.block)
 
     def test_key_dtype_at_the_boundaries(self):
@@ -1132,13 +1184,13 @@ def count_float_argsorts(monkeypatch) -> list:
 def count_root_cuts(monkeypatch, n: int) -> list:
     calls = []
 
-    class Counting(trees._SortedCuts):
-        def __init__(self, feats, block, Xt, min_leaf):
-            if block.shape[1] == n:
-                calls.append(block.shape)
-            super().__init__(feats, block, Xt, min_leaf)
+    class Counting(trees._Cuts):
+        def __init__(self, data, rows, *args):
+            if rows.size == n:
+                calls.append(rows.size)
+            super().__init__(data, rows, *args)
 
-    monkeypatch.setattr(trees, "_SortedCuts", Counting)
+    monkeypatch.setattr(trees, "_Cuts", Counting)
     return calls
 
 
